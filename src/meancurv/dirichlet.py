@@ -24,6 +24,7 @@ from .field import (
     ScalarField,
     ShapeSpec,
     SizingError,
+    _dist_to,
     mollifier_kernel,
 )
 from .measure import BallFamily, ball_flux
@@ -118,12 +119,7 @@ class MeasureSpec:
     def ball_mass(self, mask: DomainMask, center, radius: float) -> float:
         """Exact measure of a ball from the specification parts."""
         grid = mask.grid
-        pts = grid.points()
-        if grid.n == 1:
-            dist = np.abs(pts[..., 0] - center[0])
-        else:
-            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
-        inside = dist < radius
+        inside = _dist_to(grid.points(), center) < radius
         total = float(self.density_values(mask)[inside].sum() * grid.cell_volume)
         for c in self.curves:
             total += c.lam * _circle_arc_inside(c, center, radius)

@@ -483,6 +483,34 @@ class SetGeometry:
     segment_count: int
 
 
+#: interface piece kinds: a level crossing, the clip sphere, a mask wall
+LEVEL, CLIP, WALL = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class InterfaceSegments:
+    """Interface pieces: endpoints p1, p2 of shape (k, n) and kind codes (k,)."""
+
+    p1: np.ndarray
+    p2: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    @property
+    def length(self) -> np.ndarray:
+        """Segment lengths in 2d; in 1d each crossing point counts 1."""
+        if self.p1.shape[1] == 1:
+            return np.ones(len(self))
+        d = self.p2 - self.p1
+        return np.hypot(d[:, 0], d[:, 1])
+
+    @property
+    def midpoint(self) -> np.ndarray:
+        return 0.5 * (self.p1 + self.p2)
+
+
 @dataclass
 class DiscreteSet:
     """A set of interior cells with a subcell-reconstructed boundary.
@@ -537,7 +565,7 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
     if r is not None:
         if center is None:
             center = _shape_center(mask.shape)
-        dist = _dist_to(grid, center)
+        dist = _dist_to(grid.points(), center)
         member = member & (dist < r)
         clip = (tuple(center), float(r))
     return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip,
@@ -564,182 +592,11 @@ def _shape_center(shape: ShapeSpec):
     return shape.center
 
 
-def _dist_to(grid: Grid, center) -> np.ndarray:
-    pts = grid.points()
-    if grid.n == 1:
+def _dist_to(pts: np.ndarray, center) -> np.ndarray:
+    """Euclidean distance of points of shape (..., n) to center."""
+    if pts.shape[-1] == 1:
         return np.abs(pts[..., 0] - center[0])
     return np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
-
-
-# marching-squares case table: corner bits (c0=lo-lo, c1=hi-lo, c2=hi-hi,
-# c3=lo-hi) -> list of (edge, edge) pairs; edges 0..3 = bottom,right,top,left
-_CASES = {
-    0: [], 15: [],
-    1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
-    3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
-    7: [(3, 2)], 11: [(1, 2)], 13: [(0, 1)], 14: [(3, 0)],
-    # 5 and 10 are ambiguous; resolved at runtime by the center value
-}
-
-
-def _reconstruct_geometry(s: DiscreteSet) -> SetGeometry:
-    if s.grid.n == 1:
-        return _reconstruct_geometry_1d(s)
-    return _reconstruct_geometry_2d(s)
-
-
-def _segment_sources(s: DiscreteSet):
-    """Per-cell signed reconstruction values for level and clip constraints."""
-    grid = s.grid
-    s_level = None
-    if s.level_source is not None:
-        vals, t = s.level_source
-        s_level = vals - t
-    s_clip = None
-    if s.clip is not None:
-        center, r = s.clip
-        s_clip = r - _dist_to(grid, center)
-    return s_level, s_clip
-
-
-def _edge_crossing(s_level, s_clip, member, a_idx, b_idx):
-    """Crossing parameter theta in (0,1) from cell a to b, and its kind.
-
-    Field-explained crossings interpolate the active constraint; crossings
-    forced purely by the mask (no sign change of any constraint) sit at the
-    midpoint and are tagged as wall.
-    """
-    best = None  # (theta, kind)
-    for src, kind in ((s_level, "level"), (s_clip, "clip")):
-        if src is None:
-            continue
-        sa, sb = src[a_idx], src[b_idx]
-        if np.isfinite(sa) and np.isfinite(sb) and sa > 0.0 and sb <= 0.0:
-            theta = sa / (sa - sb) if sa != sb else 0.5
-            if best is None or theta < best[0]:
-                best = (float(theta), kind)
-    if best is None:
-        return 0.5, "wall"
-    return best
-
-
-def _reconstruct_geometry_2d(s: DiscreteSet) -> SetGeometry:
-    grid = s.grid
-    h = grid.h
-    member = np.pad(s.member, 1, constant_values=False)
-    s_level, s_clip = _segment_sources(s)
-    pad = lambda arr: None if arr is None else np.pad(arr, 1, constant_values=np.nan)
-    s_level, s_clip = pad(s_level), pad(s_clip)
-
-    xs = grid.axis_centers(0)
-    ys = grid.axis_centers(1)
-    # padded center coordinate lookup
-    cx = lambda i: xs[0] + (i - 1) * h
-    cy = lambda j: ys[0] + (j - 1) * h
-
-    nx, ny = member.shape
-    m = member
-    mixed = (m[:-1, :-1] | m[1:, :-1] | m[1:, 1:] | m[:-1, 1:]) & \
-            ~(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
-    squares = np.argwhere(mixed)
-
-    clip_center, clip_r = (None, None)
-    if s.clip is not None:
-        clip_center, clip_r = s.clip
-
-    total = 0.0
-    g_int = 0.0
-    g_wall = 0.0
-    count = 0
-
-    def crossing(a_idx, b_idx):
-        if m[a_idx] and not m[b_idx]:
-            theta, kind = _edge_crossing(s_level, s_clip, m, a_idx, b_idx)
-            pa = np.array([cx(a_idx[0]), cy(a_idx[1])])
-            pb = np.array([cx(b_idx[0]), cy(b_idx[1])])
-            return pa + theta * (pb - pa), kind
-        theta, kind = _edge_crossing(s_level, s_clip, m, b_idx, a_idx)
-        pb = np.array([cx(b_idx[0]), cy(b_idx[1])])
-        pa = np.array([cx(a_idx[0]), cy(a_idx[1])])
-        return pb + theta * (pa - pb), kind
-
-    for i, j in squares:
-        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-        bits = sum(1 << k for k, c in enumerate(corners) if m[c])
-        edges = {0: (corners[0], corners[1]), 1: (corners[1], corners[2]),
-                 2: (corners[3], corners[2]), 3: (corners[0], corners[3])}
-        if bits in (5, 10):
-            # saddle: connect through the center when the mean reconstruction
-            # value there is positive
-            vals = []
-            for c in corners:
-                v = None
-                if s_level is not None and np.isfinite(s_level[c]):
-                    v = s_level[c]
-                if v is None:
-                    v = 1.0 if m[c] else -1.0
-                vals.append(v)
-            center_in = (sum(vals) / 4.0) > 0
-            if bits == 5:
-                pairs = [(0, 1), (2, 3)] if center_in else [(3, 0), (1, 2)]
-            else:
-                pairs = [(3, 0), (1, 2)] if center_in else [(0, 1), (2, 3)]
-        else:
-            pairs = _CASES[bits]
-        for e1, e2 in pairs:
-            (a1, b1), (a2, b2) = edges[e1], edges[e2]
-            if m[a1] == m[b1] or m[a2] == m[b2]:
-                continue
-            p1, k1 = crossing(a1, b1)
-            p2, k2 = crossing(a2, b2)
-            seg = float(np.hypot(*(p2 - p1)))
-            if seg == 0.0:
-                continue
-            total += seg
-            count += 1
-            mid = 0.5 * (p1 + p2)
-            if clip_r is not None and abs(np.hypot(mid[0] - clip_center[0],
-                                                   mid[1] - clip_center[1]) - clip_r) <= h:
-                g_int += seg
-            elif k1 == "wall" and k2 == "wall":
-                g_wall += seg
-    g_bdy = total - g_int
-    return SetGeometry(volume=s.volume, perimeter=total, gamma_int=g_int,
-                       gamma_bdy=g_bdy, wall_length=g_wall, segment_count=count)
-
-
-def _reconstruct_geometry_1d(s: DiscreteSet) -> SetGeometry:
-    grid = s.grid
-    member = np.pad(s.member, 1, constant_values=False)
-    s_level, s_clip = _segment_sources(s)
-    pad = lambda arr: None if arr is None else np.pad(arr, 1, constant_values=np.nan)
-    s_level, s_clip = pad(s_level), pad(s_clip)
-    xs = grid.axis_centers(0)
-    x_of = lambda i: xs[0] + (i - 1) * grid.h
-
-    total = 0.0
-    g_int = 0.0
-    g_wall = 0.0
-    count = 0
-    clip_center, clip_r = s.clip if s.clip is not None else (None, None)
-    for i in range(member.size - 1):
-        a, b = (i,), (i + 1,)
-        if member[a] == member[b]:
-            continue
-        if member[a]:
-            theta, kind = _edge_crossing(s_level, s_clip, member, a, b)
-            x = x_of(i) + theta * grid.h
-        else:
-            theta, kind = _edge_crossing(s_level, s_clip, member, b, a)
-            x = x_of(i + 1) - theta * grid.h
-        total += 1.0
-        count += 1
-        if clip_r is not None and abs(abs(x - clip_center[0]) - clip_r) <= grid.h:
-            g_int += 1.0
-        elif kind == "wall":
-            g_wall += 1.0
-    return SetGeometry(volume=s.volume, perimeter=total, gamma_int=g_int,
-                       gamma_bdy=total - g_int, wall_length=g_wall, segment_count=count)
 
 
 def isoperimetric_floor(s: DiscreteSet) -> float:
@@ -748,85 +605,145 @@ def isoperimetric_floor(s: DiscreteSet) -> float:
     return c * s.volume ** (1.0 - 1.0 / s.grid.n)
 
 
-def interface_segments(s: DiscreteSet):
-    """Reconstructed boundary polyline pieces as (p1, p2, kind) triples (2d).
+# Marching squares on the member grid padded by one non-member ring.  Corner
+# c of the square whose lo-lo corner is padded cell (i, j) is (i, j) +
+# _CORNERS[c] (c0=lo-lo, c1=hi-lo, c2=hi-hi, c3=lo-hi; bit c of the case
+# index); edges 0..3 = bottom, right, top, left join the corners in _EDGES.
+_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+_EDGES = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
-    kind is "clip" for pieces within h of the clip sphere, "wall" for pieces
-    forced by the mask, else "level".
-    """
-    if s.grid.n != 2:
-        raise ValueError("interface segments are a 2d notion")
-    grid = s.grid
-    h = grid.h
-    member = np.pad(s.member, 1, constant_values=False)
-    s_level, s_clip = _segment_sources(s)
-    pad = lambda arr: None if arr is None else np.pad(arr, 1, constant_values=np.nan)
-    s_level, s_clip = pad(s_level), pad(s_clip)
-    xs, ys = grid.axis_centers(0), grid.axis_centers(1)
-    cx = lambda i: xs[0] + (i - 1) * h
-    cy = lambda j: ys[0] + (j - 1) * h
-    m = member
-    mixed = (m[:-1, :-1] | m[1:, :-1] | m[1:, 1:] | m[:-1, 1:]) & \
-            ~(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
-    clip_center, clip_r = s.clip if s.clip is not None else (None, None)
-    out = []
 
-    def crossing(a_idx, b_idx):
-        if m[a_idx] and not m[b_idx]:
-            theta, kind = _edge_crossing(s_level, s_clip, m, a_idx, b_idx)
-            pa = np.array([cx(a_idx[0]), cy(a_idx[1])])
-            pb = np.array([cx(b_idx[0]), cy(b_idx[1])])
-            return pa + theta * (pb - pa), kind
-        theta, kind = _edge_crossing(s_level, s_clip, m, b_idx, a_idx)
-        pb = np.array([cx(b_idx[0]), cy(b_idx[1])])
-        pa = np.array([cx(a_idx[0]), cy(a_idx[1])])
-        return pb + theta * (pa - pb), kind
+def _case_table() -> np.ndarray:
+    """[bits, center_in] -> two (edge, edge) pairs, -1 where there is none."""
+    table = np.full((16, 2, 2, 2), -1)
+    single = {1: (3, 0), 2: (0, 1), 4: (1, 2), 8: (2, 3), 3: (3, 1), 6: (0, 2),
+              12: (3, 1), 9: (0, 2), 7: (3, 2), 11: (1, 2), 13: (0, 1), 14: (3, 0)}
+    for bits, pair in single.items():
+        table[bits, :, 0] = pair
+    # saddles: a center inside joins the two member corners through it
+    table[5, 1] = table[10, 0] = ((0, 1), (2, 3))
+    table[5, 0] = table[10, 1] = ((3, 0), (1, 2))
+    return table
 
-    for i, j in np.argwhere(mixed):
-        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-        bits = sum(1 << k for k, c in enumerate(corners) if m[c])
-        edges = {0: (corners[0], corners[1]), 1: (corners[1], corners[2]),
-                 2: (corners[3], corners[2]), 3: (corners[0], corners[3])}
-        if bits in (5, 10):
-            vals = []
-            for c in corners:
-                v = s_level[c] if (s_level is not None and np.isfinite(s_level[c])) \
-                    else (1.0 if m[c] else -1.0)
-                vals.append(v)
-            center_in = (sum(vals) / 4.0) > 0
-            if bits == 5:
-                pairs = [(0, 1), (2, 3)] if center_in else [(3, 0), (1, 2)]
-            else:
-                pairs = [(3, 0), (1, 2)] if center_in else [(0, 1), (2, 3)]
-        else:
-            pairs = _CASES[bits]
-        for e1, e2 in pairs:
-            (a1, b1), (a2, b2) = edges[e1], edges[e2]
-            if m[a1] == m[b1] or m[a2] == m[b2]:
-                continue
-            p1, k1 = crossing(a1, b1)
-            p2, k2 = crossing(a2, b2)
-            if np.allclose(p1, p2):
-                continue
-            mid = 0.5 * (p1 + p2)
-            if clip_r is not None and abs(np.hypot(mid[0] - clip_center[0],
-                                                   mid[1] - clip_center[1]) - clip_r) <= h:
-                kind = "clip"
-            elif k1 == "wall" and k2 == "wall":
-                kind = "wall"
-            else:
-                kind = "level"
-            out.append((p1, p2, kind))
+
+_CASE_TABLE = _case_table()
+
+
+def _at(arr: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """arr at integer cells of shape (..., n)."""
+    return arr[tuple(np.moveaxis(cells, -1, 0))]
+
+
+def _centers(grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """Center coordinates of padded cells (..., n)."""
+    return np.asarray(grid.origin) + (cells - 1) * grid.h
+
+
+def _constraint_at(s: DiscreteSet, code: int, cells: np.ndarray) -> np.ndarray:
+    """Level (u - t) or clip (r - |x - c|) value at padded cells, NaN off the grid."""
+    idx = cells - 1
+    on = ((idx >= 0) & (idx < s.grid.shape)).all(axis=-1)
+    out = np.full(on.shape, np.nan)
+    if code == LEVEL:
+        vals, t = s.level_source
+        out[on] = _at(vals, idx[on]) - t
+    else:
+        center, r = s.clip
+        out[on] = r - _dist_to(_centers(s.grid, cells[on]), center)
     return out
 
 
-def domain_boundary_segments(mask: DomainMask):
+def _edge_crossings(s: DiscreteSet, member: np.ndarray, cells: np.ndarray):
+    """Crossing points (..., n) and kinds (...) on cell pairs (..., 2, n)."""
+    first_in = _at(member, cells[..., 0, :])[..., None]
+    c_in = np.where(first_in, cells[..., 0, :], cells[..., 1, :])
+    c_out = np.where(first_in, cells[..., 1, :], cells[..., 0, :])
+    theta = np.full(c_in.shape[:-1], 0.5)
+    kind = np.full(c_in.shape[:-1], WALL)
+    # level before clip, and a clip crossing must be strictly nearer: level wins ties
+    for code, source in ((LEVEL, s.level_source), (CLIP, s.clip)):
+        if source is None:
+            continue
+        a, b = _constraint_at(s, code, c_in), _constraint_at(s, code, c_out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            th = a / (a - b)
+        take = (np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b <= 0.0)
+                & ((kind == WALL) | (th < theta)))
+        theta = np.where(take, th, theta)
+        kind = np.where(take, code, kind)
+    p_in, p_out = _centers(s.grid, c_in), _centers(s.grid, c_out)
+    # 1d steps exactly h from the member center, 2d along the center difference
+    step = p_out - p_in if s.grid.n == 2 else (c_out - c_in) * s.grid.h
+    return p_in + theta[..., None] * step, kind
+
+
+def interface_segments(s: DiscreteSet) -> InterfaceSegments:
+    """The subcell reconstruction of the boundary of a discrete set.
+
+    Every member/non-member cell pair is crossed once.  The crossing sits
+    where the nearest sign-changing constraint (u - t of the level source,
+    r - |x - c| of the clip ball) vanishes on the linear interpolant from
+    the member center; the level constraint wins ties, and a pair across
+    which no constraint changes sign (a mask wall, or an indicator set) is
+    cut at its midpoint and tagged wall.
+
+    In 2d, marching squares joins the crossings of each mixed square into
+    segments.  The saddle cases (diagonal corners in) are resolved by the
+    mean of the four corner values, level values where finite and +-1 for
+    member/non-member otherwise: a positive center joins the member corners.
+    Nielsen & Hamann's asymptotic decider (1991) is the reference
+    alternative, not taken here.  Zero-length segments are dropped.  In 1d
+    each crossing is one piece with p1 == p2 and unit length.
+
+    A piece is CLIP when its midpoint lies within h of the clip sphere, else
+    WALL when both its crossings are walls, else LEVEL.
+    """
+    grid = s.grid
+    m = np.pad(s.member, 1, constant_values=False)
+    if grid.n == 1:
+        lo = np.flatnonzero(m[:-1] != m[1:])
+        p, k = _edge_crossings(s, m, np.stack([lo, lo + 1], axis=-1)[..., None])
+        p1, p2, k1, k2 = p, p, k, k
+    else:
+        corners = (m[:-1, :-1], m[1:, :-1], m[1:, 1:], m[:-1, 1:])
+        mixed = np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
+        cells = np.argwhere(mixed)[:, None, :] + _CORNERS     # (squares, 4, 2)
+        inside = _at(m, cells)
+        vals = np.where(inside, 1.0, -1.0)
+        if s.level_source is not None:
+            level = _constraint_at(s, LEVEL, cells)
+            vals = np.where(np.isfinite(level), level, vals)
+        center_in = (vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]) / 4.0 > 0
+        pairs = _CASE_TABLE[inside @ (1 << np.arange(4)), center_in.astype(int)]
+        sq, slot = np.nonzero(pairs[..., 0] >= 0)                # square-major order
+        p, k = _edge_crossings(s, m, cells[sq[:, None, None], _EDGES[pairs[sq, slot]]])
+        p1, p2, k1, k2 = p[:, 0], p[:, 1], k[:, 0], k[:, 1]
+    kind = np.where((k1 == WALL) & (k2 == WALL), WALL, LEVEL)
+    if s.clip is not None:
+        center, r = s.clip
+        kind[np.abs(_dist_to(0.5 * (p1 + p2), center) - r) <= grid.h] = CLIP
+    segs = InterfaceSegments(p1=p1, p2=p2, kind=kind)
+    if grid.n == 2:
+        keep = segs.length != 0.0
+        segs = InterfaceSegments(p1=p1[keep], p2=p2[keep], kind=kind[keep])
+    return segs
+
+
+def _reconstruct_geometry(s: DiscreteSet) -> SetGeometry:
+    segs = interface_segments(s)
+    length = segs.length
+    total = float(length.sum())
+    g_int = float(length[segs.kind == CLIP].sum())
+    return SetGeometry(volume=s.volume, perimeter=total, gamma_int=g_int,
+                       gamma_bdy=total - g_int,
+                       wall_length=float(length[segs.kind == WALL].sum()),
+                       segment_count=len(segs))
+
+
+def domain_boundary_segments(mask: DomainMask) -> InterfaceSegments:
     """Reconstruction of the domain boundary itself as interface segments."""
     grid = mask.grid
     sd = mask.shape.signed_distance(grid.points())
     probe = DiscreteSet(grid=grid, member=mask.interior.copy(), mask=mask,
                         clip=None, level_source=(sd, 0.0))
-    if grid.n == 1:
-        geo = probe.geometry()
-        return geo
     return interface_segments(probe)

@@ -17,10 +17,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .field import (
+    LEVEL,
     DiscreteSet,
     DomainMask,
     ScalarField,
     SizingError,
+    _dist_to,
     interface_segments,
     superlevel_set,
 )
@@ -71,37 +73,32 @@ def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float,
                          steep_fraction=steep, delta=delta, ambiguous=ambiguous)
 
 
-def _interp_gradient(u: ScalarField, grads: np.ndarray, point) -> float:
-    """|Du| at a point by bilinear interpolation of cell-center gradients."""
-    grid = u.grid
-    comps = []
-    for d in range(grid.n):
-        comps.append(_bilinear(grid, grads[..., d], point))
-    return float(math.hypot(*comps)) if grid.n == 2 else abs(comps[0])
+def _interp_gradient(u: ScalarField, grads: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """|Du| at points (k, n) by bilinear interpolation of cell-center gradients."""
+    comps = [_bilinear(u.grid, grads[..., d], points) for d in range(u.grid.n)]
+    return np.hypot(*comps) if u.grid.n == 2 else np.abs(comps[0])
 
 
-def _bilinear(grid, arr, point):
-    idx = []
-    frac = []
-    for k in range(grid.n):
-        x = (point[k] - grid.origin[k]) / grid.h
-        i = int(math.floor(x))
-        i = min(max(i, 0), grid.extents[k] - 2)
-        idx.append(i)
-        frac.append(min(max(x - i, 0.0), 1.0))
+def _bilinear(grid, arr, points: np.ndarray) -> np.ndarray:
+    """arr interpolated at points (k, n); a cell block with undefined values
+    gives the mean of its defined ones (in 1d the defined end), else NaN."""
+    x = (points - np.asarray(grid.origin)) / grid.h
+    idx = np.clip(np.floor(x).astype(int), 0, np.asarray(grid.extents) - 2)
+    frac = np.clip(x - idx, 0.0, 1.0)
     if grid.n == 1:
-        a, b = arr[idx[0]], arr[idx[0] + 1]
-        if np.isnan(a) or np.isnan(b):
-            return a if not np.isnan(a) else b
-        return a * (1 - frac[0]) + b * frac[0]
-    i, j = idx
-    fx, fy = frac
-    block = arr[i:i + 2, j:j + 2]
-    if np.isnan(block).any():
-        ok = ~np.isnan(block)
-        return float(block[ok].mean()) if ok.any() else float("nan")
-    return float(block[0, 0] * (1 - fx) * (1 - fy) + block[1, 0] * fx * (1 - fy)
-                 + block[0, 1] * (1 - fx) * fy + block[1, 1] * fx * fy)
+        i, f = idx[:, 0], frac[:, 0]
+        a, b = arr[i], arr[i + 1]
+        return np.where(np.isnan(a), b, np.where(np.isnan(b), a, a * (1 - f) + b * f))
+    i, j = idx[:, 0], idx[:, 1]
+    fx, fy = frac[:, 0], frac[:, 1]
+    block = np.stack([arr[i, j], arr[i, j + 1], arr[i + 1, j], arr[i + 1, j + 1]])
+    ok = ~np.isnan(block)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(ok, block, 0.0).sum(axis=0) / ok.sum(axis=0)
+    b00, b01, b10, b11 = block
+    full = (b00 * (1 - fx) * (1 - fy) + b10 * fx * (1 - fy)
+            + b01 * (1 - fx) * fy + b11 * fx * fy)
+    return np.where(ok.all(axis=0), full, mean)
 
 
 def _level_exactly_attained(u: ScalarField, s: DiscreteSet, t: float) -> bool:
@@ -128,27 +125,20 @@ def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
     """Length fraction of the level interface where |Du| > 2 delta^-1/2."""
     if u.grid.n == 1:
         return 0.0, False
-    grads = cell_gradients(u)
-    thresh = 2.0 / math.sqrt(delta)
-    total = 0.0
-    steep = 0.0
-    ambiguous = False
-    for p1, p2, kind in interface_segments(s):
-        if kind != "level":
-            continue
-        mid = 0.5 * (np.asarray(p1) + np.asarray(p2))
-        g = _interp_gradient(u, grads, mid)
-        seg = float(np.hypot(*(np.asarray(p2) - np.asarray(p1))))
-        if not np.isfinite(g):
-            ambiguous = True
-            continue
-        if g < 1e-8:
-            ambiguous = True
-        total += seg
-        if g > thresh:
-            steep += seg
+    seg, g = _level_pieces(u, cell_gradients(u), s)
+    finite = np.isfinite(g)
+    ambiguous = bool(not finite.all() or (g[finite] < 1e-8).any())
+    total = float(seg[finite].sum())
+    steep = float(seg[finite & (g > 2.0 / math.sqrt(delta))].sum())
     frac = steep / total if total > 0 else 0.0
     return frac, ambiguous
+
+
+def _level_pieces(u: ScalarField, grads: np.ndarray, s: DiscreteSet):
+    """Lengths of the level-interface segments and |Du| at their midpoints."""
+    segs = interface_segments(s)
+    level = segs.kind == LEVEL
+    return segs.length[level], _interp_gradient(u, grads, segs.midpoint[level])
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +194,10 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
             flags.append(False if s.is_empty()
                          else _level_exactly_attained(u, s, float(t)))
             continue
-        total = 0.0
-        flagged = _level_exactly_attained(u, s, float(t))
-        for p1, p2, kind in interface_segments(s):
-            if kind != "level":
-                continue
-            mid = 0.5 * (np.asarray(p1) + np.asarray(p2))
-            gmag = _interp_gradient(u, grads, mid)
-            seg = float(np.hypot(*(np.asarray(p2) - np.asarray(p1))))
-            if not np.isfinite(gmag) or gmag < 1e-8:
-                flagged = True
-                continue
-            total += seg / gmag
-        integrals.append(total)
-        flags.append(flagged)
+        seg, gmag = _level_pieces(u, grads, s)
+        ok = np.isfinite(gmag) & (gmag >= 1e-8)
+        integrals.append(float((seg[ok] / gmag[ok]).sum()))
+        flags.append(_level_exactly_attained(u, s, float(t)) or not ok.all())
     phis = np.asarray(phis)
     dphi = (np.gradient(phis, levels) if len(levels) > 1
             else np.full(1, float("nan")))
@@ -270,16 +250,12 @@ def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] 
     grid = u.grid
     center = center or (0.0,) * grid.n
     if grid.n == 1:
-        pts = [center[0] - r, center[0] + r]
-        vals = [_bilinear(grid, u.values, (p,)) for p in pts]
-        return np.asarray(vals), 2.0 / len(vals)
+        pts = np.array([[center[0] - r], [center[0] + r]])
+        return _bilinear(grid, u.values, pts), 1.0
     m = samples or max(64, int(2 * math.pi * r / grid.h) * 2)
     theta = (np.arange(m) + 0.5) * 2 * math.pi / m
-    vals = np.array([
-        _bilinear(grid, u.values, (center[0] + r * math.cos(a),
-                                   center[1] + r * math.sin(a)))
-        for a in theta])
-    return vals, 2 * math.pi * r / m
+    pts = np.stack([center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)], axis=1)
+    return _bilinear(grid, u.values, pts), 2 * math.pi * r / m
 
 
 def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
@@ -295,11 +271,7 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
     if u.provenance != "solved":
         raise ValueError("harnack report expects a solved field "
                          f"(got provenance {u.provenance!r})")
-    pts = grid.points()
-    if grid.n == 1:
-        dist = np.abs(pts[..., 0] - center[0])
-    else:
-        dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+    dist = _dist_to(grid.points(), center)
     ball = mask.interior & (dist <= r) & u.defined
     if not ball.any():
         raise SizingError("harnack ball contains no cells")
@@ -344,11 +316,7 @@ def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
         raise ValueError("p must be positive")
     grid = u.grid
     center = center or (0.0,) * grid.n
-    pts = grid.points()
-    if grid.n == 1:
-        dist = np.abs(pts[..., 0] - center[0])
-    else:
-        dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+    dist = _dist_to(grid.points(), center)
     ball = mask.interior & (dist <= r) & u.defined
     half = ball & (dist <= r / 2.0)
     sup_half = float(np.nanmax(u.values[half]))
@@ -523,19 +491,11 @@ class _measure_evaluator:
         return self.cells(inside)
 
     def annulus(self, center, r_in, r_out) -> float:
-        pts = self.grid.points()
-        if self.grid.n == 1:
-            dist = np.abs(pts[..., 0] - center[0])
-        else:
-            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+        dist = _dist_to(self.grid.points(), center)
         return self.cells((dist > r_in) & (dist < r_out) & self.mask.interior)
 
     def ball(self, center, radius) -> float:
-        pts = self.grid.points()
-        if self.grid.n == 1:
-            dist = np.abs(pts[..., 0] - center[0])
-        else:
-            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+        dist = _dist_to(self.grid.points(), center)
         return self.cells((dist < radius) & self.mask.interior)
 
 

@@ -22,8 +22,8 @@ from .field import (
     Grid,
     ScalarField,
     UndefinedCellError,
-    interface_segments,
-    DiscreteSet,
+    _dist_to,
+    domain_boundary_segments,
 )
 
 
@@ -297,21 +297,16 @@ def boundary_length_elements(mask: DomainMask) -> np.ndarray:
     if grid.n == 1:
         out[mask.boundary] = 1.0
         return out
-    segs = _domain_segments(mask)
+    segs = domain_boundary_segments(mask)
     bidx = np.argwhere(mask.boundary)
-    bpts = np.stack([grid.axis_centers(0)[bidx[:, 0]],
-                     grid.axis_centers(1)[bidx[:, 1]]], axis=1)
-    for p1, p2, _ in segs:
-        mid = 0.5 * (np.asarray(p1) + np.asarray(p2))
-        d2 = ((bpts - mid) ** 2).sum(axis=1)
-        k = int(np.argmin(d2))
-        out[tuple(bidx[k])] += float(np.hypot(*(np.asarray(p2) - np.asarray(p1))))
+    bx = grid.axis_centers(0)[bidx[:, 0]]
+    by = grid.axis_centers(1)[bidx[:, 1]]
+    mid = segs.midpoint
+    # each segment goes to its nearest boundary cell, the first one on ties
+    d2 = (bx - mid[:, :1]) ** 2 + (by - mid[:, 1:]) ** 2
+    nearest = bidx[np.argmin(d2, axis=1)]
+    np.add.at(out, tuple(nearest.T), segs.length)
     return out
-
-
-def _domain_segments(mask: DomainMask):
-    from .field import domain_boundary_segments
-    return domain_boundary_segments(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +369,8 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
     checks = []
     tols = []
     grid = u.grid
-    pts = grid.points()
     for center, radius in balls:
-        if grid.n == 1:
-            dist = np.abs(pts[..., 0] - center[0])
-        else:
-            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+        dist = _dist_to(grid.points(), center)
         ball_cells = mask.interior & (dist < radius)
         ball_tol = tol if tol is not None else default_subharmonic_tol(
             u, mask.interior & (dist < radius + 2 * grid.h))

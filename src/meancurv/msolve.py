@@ -18,9 +18,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
-from .field import DomainMask, Grid, ScalarField, UndefinedCellError
+from .field import DomainMask, Grid, ScalarField, UndefinedCellError, _dist_to
 from .mco import (
-    boundary_length_elements,
     face_gradients_1d,
     face_gradients_2d,
     area_functional,
@@ -645,11 +644,7 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
 def ball_region(mask: DomainMask, center, radius) -> tuple[np.ndarray, np.ndarray]:
     """Unknown cells and data ring for a ball subregion solve."""
     grid = mask.grid
-    pts = grid.points()
-    if grid.n == 1:
-        dist = np.abs(pts[..., 0] - center[0])
-    else:
-        dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+    dist = _dist_to(grid.points(), center)
     unknown = mask.interior & (dist < radius)
     if not unknown.any():
         from .field import SizingError

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancurv import (
     DiscreteSet,
@@ -18,8 +19,14 @@ from meancurv import (
     superlevel_set,
 )
 from meancurv.field import (
+    CLIP,
     ISOPERIMETRIC_CONSTANT,
+    LEVEL,
     TOL_ISO,
+    WALL,
+    InterfaceSegments,
+    domain_boundary_segments,
+    interface_segments,
     isoperimetric_floor,
     mollifier_kernel,
 )
@@ -248,3 +255,218 @@ class TestSerialization:
         both = ~np.isnan(u.values)
         assert np.array_equal(v.values[both], u.values[both])
         assert json.loads(blob)["values"].count("-inf") == 1
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-square loop the vectorized kernel replaced
+
+
+_REF_CASES = {
+    0: [], 15: [],
+    1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
+    3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
+    7: [(3, 2)], 11: [(1, 2)], 13: [(0, 1)], 14: [(3, 0)],
+}
+
+
+def _ref_sources(s):
+    pad = lambda arr: np.pad(arr, 1, constant_values=np.nan)
+    s_level = s_clip = None
+    if s.level_source is not None:
+        vals, t = s.level_source
+        s_level = pad(vals - t)
+    if s.clip is not None:
+        center, r = s.clip
+        pts = s.grid.points()
+        if s.grid.n == 1:
+            dist = np.abs(pts[..., 0] - center[0])
+        else:
+            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+        s_clip = pad(r - dist)
+    return s_level, s_clip
+
+
+def _ref_crossing(s_level, s_clip, a, b):
+    best = None
+    for src, kind in ((s_level, "level"), (s_clip, "clip")):
+        if src is None:
+            continue
+        sa, sb = src[a], src[b]
+        if np.isfinite(sa) and np.isfinite(sb) and sa > 0.0 and sb <= 0.0:
+            theta = sa / (sa - sb)
+            if best is None or theta < best[0]:
+                best = (float(theta), kind)
+    return best if best is not None else (0.5, "wall")
+
+
+def _ref_kind(s, mid, k1, k2):
+    if s.clip is not None:
+        center, r = s.clip
+        dist = (abs(mid[0] - center[0]) if s.grid.n == 1
+                else np.hypot(mid[0] - center[0], mid[1] - center[1]))
+        if abs(dist - r) <= s.grid.h:
+            return "clip"
+    return "wall" if k1 == "wall" and k2 == "wall" else "level"
+
+
+def reference_segments(s):
+    """(p1, p2, kind) triples from the scalar per-square / per-edge loop."""
+    grid, h = s.grid, s.grid.h
+    m = np.pad(s.member, 1, constant_values=False)
+    s_level, s_clip = _ref_sources(s)
+    c = lambda idx: np.array([grid.origin[k] + (idx[k] - 1) * h for k in range(grid.n)])
+    out = []
+    if grid.n == 1:
+        for i in range(m.size - 1):
+            if m[i] == m[i + 1]:
+                continue
+            if m[i]:
+                theta, kind = _ref_crossing(s_level, s_clip, (i,), (i + 1,))
+                x = c((i,)) + theta * h
+            else:
+                theta, kind = _ref_crossing(s_level, s_clip, (i + 1,), (i,))
+                x = c((i + 1,)) - theta * h
+            out.append((x, x, _ref_kind(s, 0.5 * (x + x), kind, kind)))
+        return out
+
+    def crossing(a, b):
+        if not m[a]:
+            a, b = b, a
+        theta, kind = _ref_crossing(s_level, s_clip, a, b)
+        return c(a) + theta * (c(b) - c(a)), kind
+
+    mixed = (m[:-1, :-1] | m[1:, :-1] | m[1:, 1:] | m[:-1, 1:]) & \
+        ~(m[:-1, :-1] & m[1:, :-1] & m[1:, 1:] & m[:-1, 1:])
+    for i, j in np.argwhere(mixed):
+        corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+        bits = sum(1 << k for k, cc in enumerate(corners) if m[cc])
+        edges = {0: (corners[0], corners[1]), 1: (corners[1], corners[2]),
+                 2: (corners[3], corners[2]), 3: (corners[0], corners[3])}
+        if bits in (5, 10):
+            vals = [s_level[cc] if s_level is not None and np.isfinite(s_level[cc])
+                    else (1.0 if m[cc] else -1.0) for cc in corners]
+            center_in = sum(vals) / 4.0 > 0
+            if (bits == 5) == center_in:
+                pairs = [(0, 1), (2, 3)]
+            else:
+                pairs = [(3, 0), (1, 2)]
+        else:
+            pairs = _REF_CASES[bits]
+        for e1, e2 in pairs:
+            p1, k1 = crossing(*edges[e1])
+            p2, k2 = crossing(*edges[e2])
+            if np.hypot(*(p2 - p1)) == 0.0:
+                continue
+            out.append((p1, p2, _ref_kind(s, 0.5 * (p1 + p2), k1, k2)))
+    return out
+
+
+_KIND_CODE = {"level": LEVEL, "clip": CLIP, "wall": WALL}
+
+
+def assert_matches_reference(s):
+    segs = interface_segments(s)
+    ref = reference_segments(s)
+    n = s.grid.n
+    assert len(segs) == len(ref)
+    assert np.array_equal(segs.p1, np.array([p for p, _, _ in ref]).reshape(-1, n))
+    assert np.array_equal(segs.p2, np.array([p for _, p, _ in ref]).reshape(-1, n))
+    assert np.array_equal(segs.kind, np.array([_KIND_CODE[k] for _, _, k in ref], int))
+    lengths = [1.0 if n == 1 else float(np.hypot(*(p2 - p1))) for p1, p2, _ in ref]
+    expect = {
+        "perimeter": sum(lengths),
+        "gamma_int": sum(x for x, (_, _, k) in zip(lengths, ref) if k == "clip"),
+        "wall_length": sum(x for x, (_, _, k) in zip(lengths, ref) if k == "wall"),
+    }
+    expect["gamma_bdy"] = expect["perimeter"] - expect["gamma_int"]
+    geo = s.geometry()
+    for name, value in expect.items():
+        assert getattr(geo, name) == pytest.approx(value, rel=1e-12, abs=1e-15), name
+    assert geo.segment_count == len(ref)
+    return segs
+
+
+def _saddle_set(grid, mask, diagonal, off_value):
+    """Superlevel set at t = 0 whose one mixed square has two diagonal members."""
+    i, j = (e // 2 for e in grid.extents)
+    vals = np.where(mask.region, -1.0, np.nan)
+    corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+    for k, cell in enumerate(corners):
+        vals[cell] = 1.0 if k in diagonal else off_value
+    u = ScalarField(grid=grid, values=vals)
+    return superlevel_set(u, mask, 0.0), corners
+
+
+_SMALL_DISK = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 10)
+
+
+class TestInterfaceKernel:
+    @pytest.mark.parametrize("diagonal", [(0, 2), (1, 3)])
+    @pytest.mark.parametrize("off_value,center_in", [(-0.2, True), (-3.0, False)])
+    def test_saddles(self, unit_disk_64, diagonal, off_value, center_in):
+        grid, mask = unit_disk_64
+        s, corners = _saddle_set(grid, mask, diagonal, off_value)
+        segs = assert_matches_reference(s)
+        # each of the square's two segments cuts off one corner: the two
+        # non-members when the center is in (a band joins the members), else
+        # the two members
+        xy = np.array([grid.cell_center(c) for c in corners])
+        mid = segs.midpoint
+        inner = np.abs(mid - xy.mean(axis=0)).max(axis=1) < grid.h / 2
+        assert inner.sum() == 2
+        cut = np.linalg.norm(mid[inner][:, None, :] - xy, axis=2).argmin(axis=1)
+        assert np.isin(cut, diagonal).tolist() == [not center_in] * 2
+
+    def test_wall_only_indicator(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        s = DiscreteSet(grid=grid, member=mask.interior.copy(), mask=mask)
+        segs = assert_matches_reference(s)
+        assert (segs.kind == WALL).all()
+        assert s.geometry().wall_length == s.geometry().perimeter
+
+    def test_level_set_touching_the_wall(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        u = sample_function(lambda p: p[:, 0], grid, mask)
+        segs = assert_matches_reference(superlevel_set(u, mask, 0.3))
+        assert {LEVEL, WALL} <= set(segs.kind.tolist())
+
+    def test_clip_tagged(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        u = cone_64.with_values(1.0 - cone_64.values)
+        for t, r, center in ((0.2, 0.5, (0.3, -0.2)), (0.6, 0.5, (0.3, -0.2))):
+            segs = assert_matches_reference(superlevel_set(u, mask, t, r=r, center=center))
+            assert {LEVEL, CLIP} <= set(segs.kind.tolist())
+
+    def test_1d(self, interval_100):
+        grid, mask = interval_100
+        u = sample_function(lambda p: np.cos(9 * p[:, 0]), grid, mask)
+        for t, r in [(t, None) for t in np.linspace(-0.9, 0.9, 7)] + [(-0.5, 0.9), (0.5, 0.3)]:
+            segs = assert_matches_reference(superlevel_set(u, mask, float(t), r=r))
+            assert segs.p1.shape == (len(segs), 1)
+            assert np.array_equal(segs.p1, segs.p2)
+
+    def test_domain_boundary_same_type_in_1d_and_2d(self, unit_disk_64, interval_100):
+        for grid, mask in (unit_disk_64, interval_100):
+            segs = domain_boundary_segments(mask)
+            assert isinstance(segs, InterfaceSegments)
+            assert segs.p1.shape == (len(segs), grid.n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), level=st.booleans(), clip=st.booleans())
+    def test_random_masks(self, seed, level, clip):
+        grid, mask = _SMALL_DISK
+        rng = np.random.default_rng(seed)
+        member = mask.interior & (rng.random(grid.shape) < 0.6)
+        # level values agree with membership on most cells, so level, clip
+        # and wall crossings and both saddle resolutions all occur
+        vals = np.abs(rng.normal(size=grid.shape)) * np.where(member, 1.0, -1.0)
+        vals[rng.random(grid.shape) < 0.2] *= -1.0
+        vals[rng.random(grid.shape) < 0.1] = np.nan
+        s = DiscreteSet(grid=grid, member=member, mask=mask,
+                        level_source=(vals, 0.0) if level else None,
+                        clip=((0.1, -0.2), 0.7) if clip else None)
+        segs = assert_matches_reference(s)
+        geo = s.geometry()
+        assert geo.perimeter == segs.length.sum()
+        assert geo.segment_count == len(segs)
+
