@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -96,7 +96,6 @@ def formula(spec) -> Callable:
         return hemi
     if name == "hemisphere_density":
         R = float(spec.get("R", 4.0))
-        n_axes = None
         def dens(p):
             return np.full(len(p), p.shape[1] / R)
         return dens
@@ -228,9 +227,8 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
         opts = _solve_opts(params)
         if prev_field is not None:
             iv = _resample(prev_field, grid, mask)
-            opts = SolveOptions(max_iter=opts.max_iter, tol=opts.tol,
-                                sigma=opts.sigma, init="provided",
-                                init_field=ScalarField(grid=grid, values=iv))
+            opts = replace(opts, init="provided",
+                           init_field=ScalarField(grid=grid, values=iv))
         out = solve_dirichlet(mask, f=formula(f_spec) if f_spec is not None else None,
                               phi=formula(phi_spec), opts=opts)
         err = float("nan")

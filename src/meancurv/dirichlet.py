@@ -13,7 +13,7 @@ from the stage sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -360,10 +360,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                           provenance="derived")
         stage_opts = opts
         if schedule.warm_start and prev_field is not None:
-            stage_opts = SolveOptions(max_iter=opts.max_iter, tol=opts.tol,
-                                      sigma=opts.sigma, alpha_min=opts.alpha_min,
-                                      init="provided", init_field=prev_field,
-                                      direct_limit=opts.direct_limit)
+            stage_opts = replace(opts, init="provided", init_field=prev_field)
         out = solve_dirichlet(mask, f=rhs, phi=phi, opts=stage_opts)
         viol = 0
         if prev_vals is not None:

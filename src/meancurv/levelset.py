@@ -462,33 +462,24 @@ class _measure_evaluator:
             pts = np.stack([curve.center[0] + curve.radius * np.cos(ang),
                             curve.center[1] + curve.radius * np.sin(ang)], axis=1)
             w = curve.lam * 2 * math.pi * curve.radius / npts
-            self._arc_cache.append((pts, w))
+            # the cells holding the arc sample points, rounded once
+            cells = tuple(np.clip(np.round((pts[:, k] - self.grid.origin[k]) / h),
+                                  0, self.grid.extents[k] - 1).astype(np.int64)
+                          for k in range(2))
+            self._arc_cache.append((cells, w))
 
     def cells(self, member: np.ndarray) -> float:
         total = 0.0
         if self.density is not None:
             total += float(self.density[member & self.mask.interior].sum()
                            * self.grid.cell_volume)
-        for pts, w in self._arc_cache:
-            idx = self._cell_index(pts)
-            inside = member[tuple(idx.T)]
-            total += float(inside.sum() * w)
+        for cells, w in self._arc_cache:
+            total += float(member[cells].sum() * w)
         for x0, mass in self.atoms:
             i = int(round((x0 - self.grid.origin[0]) / self.grid.h))
             if 0 <= i < self.grid.extents[0] and member[i]:
                 total += mass
         return total
-
-    def _cell_index(self, pts: np.ndarray) -> np.ndarray:
-        idx = np.empty(pts.shape, dtype=np.int64)
-        for k in range(self.grid.n):
-            idx[:, k] = np.clip(np.round((pts[:, k] - self.grid.origin[k])
-                                         / self.grid.h), 0,
-                                self.grid.extents[k] - 1)
-        return idx
-
-    def region(self, inside: np.ndarray) -> float:
-        return self.cells(inside)
 
     def annulus(self, center, r_in, r_out) -> float:
         dist = _dist_to(self.grid.points(), center)

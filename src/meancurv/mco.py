@@ -375,7 +375,7 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
         ball_tol = tol if tol is not None else default_subharmonic_tol(
             u, mask.interior & (dist < radius + 2 * grid.h))
         tols.append(ball_tol)
-        outcome = solve_on_ball(u, mask, center, radius, f=None, opts=opts)
+        outcome = solve_on_ball(u, mask, center, radius, opts=opts)
         if not outcome.converged:
             checks.append(BallCheck(center=tuple(center), radius=radius,
                                     passed=False, violation=float("nan"),

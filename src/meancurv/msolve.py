@@ -5,20 +5,26 @@ with exact Dirichlet data on the boundary layer; ``minimize_prescribed_mc``
 solves the first-order conditions of the area functional with a smoothed L1
 boundary deviation term, pinning the trace wherever the boundary flux stays
 strictly below one (active-set polish), so attained-trace minimizers agree
-with the Newton solver on the same discrete equations.
+with the Newton solver on the same discrete equations.  All of them run the
+one Newton kernel ``_newton_core``.  Ball replacements (``solve_on_ball``, the
+Perron lift and sweep, the viscosity check) go through one windowed ball
+kernel: ``ball_region`` cuts the ball's window and ring, ``_solve_ball``
+checks the sphere data and owns the warm start and the harmonic restart.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field as _dcfield, replace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
+from scipy import ndimage, sparse
 from scipy.sparse import linalg as slinalg
 
-from .field import DomainMask, Grid, ScalarField, UndefinedCellError, _dist_to
+from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
+                    _dist_to)
 from .mco import (
     face_gradients_1d,
     face_gradients_2d,
@@ -261,23 +267,6 @@ def _harmonic_extension(n, shape, unknown, fixed, V):
     out = V.copy()
     out[unknown] = sol
     return out
-
-
-def newton_solve(grid: Grid, unknown: np.ndarray, fixed: np.ndarray,
-                 fixed_values: np.ndarray, f_values: np.ndarray,
-                 opts: SolveOptions, init_values: Optional[np.ndarray] = None,
-                 penalty: Optional[dict] = None) -> tuple[np.ndarray, dict]:
-    """Damped Newton on the conservative scheme.
-
-    unknown/fixed are full-grid boolean masks; returns the full-grid value
-    array (NaN off region) and an info dict.  *penalty*, when given, swaps
-    the density equation on selected unknown cells for the smoothed-L1
-    boundary stationarity row (used by the functional minimizer).
-    """
-    values, info = _newton_core(grid.h, grid.n, unknown, fixed, fixed_values,
-                                f_values, opts, init_values=init_values,
-                                penalty=penalty)
-    return values, info
 
 
 def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
@@ -548,7 +537,6 @@ def _penalty_triplets(V, h, n, pen, faces, unk_id):
     eps = 1e-7 * (1.0 + np.nanmax(np.abs(V[np.isfinite(V)])) if np.isfinite(V).any() else 1.0)
     base = _penalty_residual(V, h, n, pen, faces)
     cell_rows = unk_id[cells]
-    offsets = [()]
     if n == 1:
         neigh = [(-1,), (0,), (1,)]
     else:
@@ -623,8 +611,8 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
     if opts.init == "provided" and opts.init_field is not None:
         init_values = opts.init_field.values
         opts = replace(opts, init="harmonic", init_field=None)
-    values, info = newton_solve(grid, unknown, fixed, phi_vals, f_vals, opts,
-                                init_values=init_values)
+    values, info = _newton_core(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
+                                opts, init_values=init_values)
     fld = ScalarField(grid=grid, values=values, provenance="solved")
     certificate = None
     if f is None or (np.asarray(f_vals[unknown]) == 0).all():
@@ -641,44 +629,65 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                         certificate=certificate, diagnostics=info)
 
 
-def ball_region(mask: DomainMask, center, radius) -> tuple[np.ndarray, np.ndarray]:
-    """Unknown cells and data ring for a ball subregion solve."""
+def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Window slices (bounding box plus three cells) and window-local unknown
+    cells and data ring of a ball subregion solve."""
     grid = mask.grid
-    dist = _dist_to(grid.points(), center)
-    unknown = mask.interior & (dist < radius)
+    win = []
+    for k in range(grid.n):
+        lo = int(math.floor((center[k] - radius - grid.origin[k]) / grid.h)) - 3
+        hi = int(math.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + 3 + 1
+        win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
+    win = tuple(win)
+    unknown = mask.interior[win] & (_dist_to(grid.points()[win], center) < radius)
     if not unknown.any():
-        from .field import SizingError
         raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
-    from scipy import ndimage
     ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
         & ~unknown
-    if (ring & mask.exterior).any():
+    if (ring & ~(mask.interior[win] | mask.boundary[win])).any():
         raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
-    return unknown, ring
+    return win, unknown, ring
 
 
-def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
-                  f=None, opts: Optional[SolveOptions] = None) -> SolveOutcome:
-    """Minimal-graph replacement of u inside a ball, u as sphere data."""
-    opts = opts or SolveOptions()
-    grid = u.grid
-    unknown, ring = ball_region(mask, center, radius)
-    if not np.isfinite(u.values[ring]).all():
-        raise UndefinedCellError(
-            "sphere data is not finite; ball rejected",
-            list(zip(*np.nonzero(ring & ~np.isfinite(u.values)))))
-    f_vals = _as_values(grid, mask, f, unknown)
-    init = u.values if np.isfinite(u.values[unknown]).all() else None
-    values, info = newton_solve(grid, unknown, ring, u.values, f_vals, opts,
-                                init_values=init)
-    if not info["converged"] and init is not None:
+def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions):
+    """Minimal-graph replacement of the full-grid array V inside a ball.
+
+    Warm-starts from V when it is finite on the unknowns; a warm start that
+    does not converge gets one harmonic restart, kept when it converges or
+    lowers the residual.  Returns (win, unknown, window values, info).
+    """
+    grid = mask.grid
+    win, unknown, ring = ball_region(mask, center, radius)
+    Vw = V[win]
+    bad = np.argwhere(ring & ~np.isfinite(Vw)) + [s.start for s in win]
+    if len(bad):
+        raise UndefinedCellError("sphere data is not finite; ball rejected",
+                                 [tuple(cell) for cell in bad])
+    f_zero = np.zeros(Vw.shape)
+    warm = Vw if np.isfinite(Vw[unknown]).all() else None
+    values, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
+                                init_values=warm)
+    if not info["converged"] and warm is not None:
         # kinked warm starts can stall the line search; harmonic restart
-        values2, info2 = newton_solve(grid, unknown, ring, u.values, f_vals, opts,
+        values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
                                       init_values=None)
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
             info["restarted"] = True
-    fld = ScalarField(grid=grid, values=values, provenance="solved")
+    return win, unknown, values, info
+
+
+def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
+                  opts: Optional[SolveOptions] = None) -> SolveOutcome:
+    """Minimal-graph replacement of u inside a ball, u as sphere data.
+
+    The field is NaN outside the ball's unknowns and data ring.
+    """
+    win, _, window_values, info = _solve_ball(u.values, mask, center, radius,
+                                              opts or SolveOptions())
+    values = np.full(u.grid.shape, np.nan)
+    values[win] = window_values
+    fld = ScalarField(grid=u.grid, values=values, provenance="solved")
     return SolveOutcome(field=fld, residual_norm=info["residual"],
                         iterations=info["iterations"], converged=info["converged"],
                         diagnostics=info)
@@ -733,8 +742,8 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
         if detached.any():
             penalty = {"cells": detached, "phi": np.where(mask.boundary, phi_vals, 0.0),
                        "length": lengths, "kappa": kappa}
-        values, info = newton_solve(grid, unk, fixed, fixed_vals, g_vals, opts,
-                                    init_values=values, penalty=penalty)
+        values, info = _newton_core(grid.h, grid.n, unk, fixed, fixed_vals, g_vals,
+                                    opts, init_values=values, penalty=penalty)
         total_iters += info["iterations"]
         umin = float(np.nanmin(values[mask.interior]))
         fval = area_functional(

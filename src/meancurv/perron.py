@@ -3,12 +3,14 @@
 A lift replaces a field inside a ball by the minimal graph with the field's
 own sphere values as data; sweeping the lift over a deterministic ball cover
 of the domain and mollifying the result produces the smooth approximating
-sequences that the measure machinery consumes.
+sequences that the measure machinery consumes.  The single lift and the
+sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
+behind ``solve_on_ball`` and the viscosity check) and merge its result into
+the field with a cellwise max.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,15 +20,15 @@ from .field import (
     DomainMask,
     ScalarField,
     SizingError,
-    UndefinedCellError,
     mollify_field,
 )
 from .mco import h1_density
-from .msolve import SolveOptions, solve_on_ball
+from .msolve import SolveOptions, _solve_ball
 
 
 class PerronLiftRefused(RuntimeError):
-    """The inner ball solve did not converge (or sphere data was -inf).
+    """The inner ball solve did not converge, or its sphere data was -inf or
+    fell outside the mask's region.
 
     The unmodified input field is attached, which keeps monotone sweeps
     sound: a caller can continue from exactly where it stopped.
@@ -104,85 +106,46 @@ def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
     The replacement solves the minimal surface equation with u as sphere
     data; inside the ball the output is the cellwise max of the replacement
     and u (the discrete upper-semicontinuous regularization), outside it is
-    u exactly.  -inf sphere data rejects the ball; a non-converging inner
-    solve raises :class:`PerronLiftRefused` carrying the untouched input.
+    u exactly.  -inf sphere data, a data ring leaving the mask's region or
+    a non-converging inner solve raise :class:`PerronLiftRefused` carrying
+    the untouched input.
     """
-    opts = opts or SolveOptions()
-    try:
-        outcome = solve_on_ball(u, mask, center, radius, f=None, opts=opts)
-    except UndefinedCellError as exc:
-        raise PerronLiftRefused(f"ball at {center} rejected: {exc}",
-                                field=u, center=center) from exc
-    if not outcome.converged:
-        raise PerronLiftRefused(
-            f"inner solve did not converge at {center} "
-            f"(residual {outcome.residual_norm:.3e})", field=u, center=center)
     lifted = u.values.copy()
-    inside = np.isfinite(outcome.field.values) & mask.interior
-    old = lifted[inside]
-    new = outcome.field.values[inside]
-    merged = np.where(np.isfinite(old), np.maximum(new, old), new)
-    lifted[inside] = merged
+    try:
+        _lift_inplace(lifted, mask, center, radius, opts or SolveOptions())
+    except PerronLiftRefused as exc:
+        exc.field = u
+        raise
     return ScalarField(grid=u.grid, values=lifted, provenance="lifted",
                        extended=u.extended)
 
 
-def _window_box(grid, center, radius, margin_cells: int = 3):
-    sl = []
-    for k in range(grid.n):
-        lo = int(math.floor((center[k] - radius - grid.origin[k]) / grid.h)) - margin_cells
-        hi = int(math.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + margin_cells + 1
-        sl.append(slice(max(lo, 0), min(hi, grid.extents[k])))
-    return tuple(sl)
-
-
-def _lift_inplace(work: np.ndarray, grid, mask: DomainMask, center, radius,
+def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
                   opts: SolveOptions) -> tuple[float, float, int, int]:
-    """Windowed lift mutating the sweep's working array.
+    """Lift mutating the full-grid array *work* inside the ball's window.
 
     Returns (max_increase, min_increase, iterations, repaired -inf cells);
-    raises PerronLiftRefused like the public lift.
+    raises PerronLiftRefused without a field attached.
     """
-    from scipy import ndimage
-    from .msolve import _newton_core
-    win = _window_box(grid, center, radius)
-    Vw = work[win]
-    axes = [grid.axis_centers(k)[win[k]] for k in range(grid.n)]
-    if grid.n == 1:
-        dist = np.abs(axes[0] - center[0])
-    else:
-        dist = np.hypot(axes[0][:, None] - center[0], axes[1][None, :] - center[1])
-    unknown = mask.interior[win] & (dist < radius)
-    if not unknown.any():
-        return 0.0, 0.0, 0, 0
-    ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
-        & ~unknown
-    if (ring & mask.exterior[win]).any():
-        raise PerronLiftRefused(f"ball at {center} not compactly inside the domain",
-                                center=center)
-    if not np.isfinite(Vw[ring]).all():
-        raise PerronLiftRefused(f"ball at {center} rejected: -inf sphere data",
-                                center=center)
-    f_zero = np.zeros(Vw.shape)
-    warm = Vw if np.isfinite(Vw[unknown]).all() else None
-    vals, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                              init_values=warm)
-    if not info["converged"] and warm is not None:
-        vals, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                                  init_values=None)
+    try:
+        win, unknown, values, info = _solve_ball(work, mask, center, radius, opts)
+    except SizingError:
+        raise
+    except ValueError as exc:
+        raise PerronLiftRefused(f"ball at {center} rejected: {exc}",
+                                center=center) from exc
     if not info["converged"]:
         raise PerronLiftRefused(
             f"inner solve did not converge at {center} "
             f"(residual {info['residual']:.3e})", center=center)
+    Vw = work[win]
     old = Vw[unknown]
-    new = vals[unknown]
+    new = values[unknown]
     repaired = int(np.isneginf(old).sum())
     merged = np.where(np.isfinite(old), np.maximum(new, old), new)
     delta = merged - np.where(np.isfinite(old), old, merged)
     Vw[unknown] = merged
-    inc_max = float(delta.max()) if delta.size else 0.0
-    inc_min = float(delta.min()) if delta.size else 0.0
-    return inc_max, inc_min, info["iterations"], repaired
+    return float(delta.max()), float(delta.min()), info["iterations"], repaired
 
 
 @dataclass
@@ -226,7 +189,7 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     for k, center in enumerate(cover.centers):
         try:
             inc_max, inc_min, iters, repaired = _lift_inplace(
-                work, u.grid, mask, center, cover.radius, opts)
+                work, mask, center, cover.radius, opts)
         except PerronLiftRefused:
             completed = False
             break

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv.field import DomainMask
 
 
 def cone_formula(p):
@@ -20,6 +22,20 @@ def hemisphere_formula(R):
 def unit_disk_64():
     grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 64)
     return grid, mask
+
+
+@pytest.fixture(scope="session")
+def face_layer_disk_64(unit_disk_64):
+    """The unit disk with only the face-adjacent boundary layer.
+
+    make_grid's boundary is the full 8-adjacent layer, which holds the ring
+    of every ball; with this thinner layer a ball reaching the domain
+    boundary has ring cells that carry no data.
+    """
+    grid, mask = unit_disk_64
+    faces = ndimage.binary_dilation(mask.interior) & ~mask.interior
+    return grid, DomainMask(grid=grid, shape=mask.shape, interior=mask.interior,
+                            boundary=faces)
 
 
 @pytest.fixture(scope="session")

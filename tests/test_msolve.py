@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, sample_function
+from meancurv.field import UndefinedCellError, _dist_to
 from meancurv.msolve import (
     SolveOptions,
     UnboundedDescentError,
+    _newton_core,
+    ball_region,
     minimize_prescribed_mc,
     solve_dirichlet,
     solve_on_ball,
@@ -110,7 +114,73 @@ class TestSolveDirichlet:
         assert out.field is not None
 
 
+def reference_ball_solve(u, mask, center, radius, opts):
+    """Full-grid ball mask and ring, Newton, then one harmonic restart.
+
+    The construction the windowed ball kernel replaced, kept as a reference.
+    """
+    grid = mask.grid
+    unknown = mask.interior & (_dist_to(grid.points(), center) < radius)
+    ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
+        & ~unknown
+    assert not (ring & mask.exterior).any()
+    f = np.where(unknown, 0.0, np.nan)
+    init = u.values if np.isfinite(u.values[unknown]).all() else None
+    values, info = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
+                                init_values=init)
+    if not info["converged"] and init is not None:
+        values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
+                                      init_values=None)
+        if info2["converged"] or info2["residual"] < info["residual"]:
+            values, info = values2, info2
+            info["restarted"] = True
+    return values, info
+
+
 class TestSolveOnBall:
+    @pytest.mark.parametrize("case", ["disk", "interval", "kinked_restart"])
+    def test_matches_full_grid_reference(self, case, unit_disk_64, interval_100):
+        opts = SolveOptions()
+        if case == "disk":
+            grid, mask = unit_disk_64
+            u = sample_function(lambda p: np.hypot(p[:, 0], p[:, 1]), grid, mask)
+            ball = ((0.2, 0.1), 0.2)
+        elif case == "interval":
+            grid, mask = interval_100
+            u = sample_function(lambda p: np.abs(p[:, 0]) + 3 * np.abs(p[:, 0] - 0.2),
+                                grid, mask)
+            ball = ((0.3,), 0.4)
+        else:
+            grid, mask = unit_disk_64
+            u = sample_function(lambda p: 6 * np.abs(p[:, 0] - 0.05)
+                                + 4 * np.abs(p[:, 1] + 0.1)
+                                + 3 * np.maximum(p[:, 0] + p[:, 1], 0), grid, mask)
+            ball = ((0.0, 0.0), 0.4)
+            opts = SolveOptions(max_iter=3)   # the warm start stalls
+        out = solve_on_ball(u, mask, *ball, opts=opts)
+        values, info = reference_ball_solve(u, mask, *ball, opts)
+        assert np.array_equal(out.field.values, values, equal_nan=True)
+        assert out.diagnostics == info
+        assert out.diagnostics.get("restarted", False) == (case == "kinked_restart")
+
+    def test_ball_crossing_boundary_is_value_error(self, cone_64, face_layer_disk_64):
+        grid, mask = face_layer_disk_64
+        with pytest.raises(ValueError, match="not compactly inside"):
+            solve_on_ball(cone_64, mask, (0.8, 0.0), 0.3)
+
+    def test_undefined_sphere_cells_are_full_grid(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        ball = ((0.2, -0.1), 0.25)
+        win, unknown, ring = ball_region(mask, *ball)
+        assert all(s.start > 0 for s in win)
+        vals = cone_64.values.copy()
+        vals[win][ring & (np.arange(ring.shape[0])[:, None] < ring.shape[0] // 2)] = NEG_INF
+        u = ScalarField(grid=grid, values=vals, extended=True)
+        with pytest.raises(UndefinedCellError) as caught:
+            solve_on_ball(u, mask, *ball)
+        assert caught.value.cells
+        assert all(vals[cell] == NEG_INF for cell in caught.value.cells)
+
     def test_ball_solve_matches_global_on_harmonic(self, unit_disk_64):
         grid, mask = unit_disk_64
         out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)

@@ -3,7 +3,7 @@ import pytest
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, sample_function
 from meancurv.field import SizingError
-from meancurv.msolve import SolveOptions, solve_dirichlet
+from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet
 from meancurv.perron import (
     BallCover,
     PerronLiftRefused,
@@ -117,14 +117,42 @@ class TestPerronLift:
         assert gaps[1] <= 1.0 / 16 + 1e-9
 
     def test_neg_inf_sphere_rejected(self, unit_disk_64):
-        from meancurv.msolve import ball_region
         grid, mask = unit_disk_64
-        unknown, ring = ball_region(mask, (0.0, 0.0), 0.29)
+        win, unknown, ring = ball_region(mask, (0.0, 0.0), 0.29)
         vals = np.where(mask.region, 1.0, np.nan)
-        vals[tuple(np.argwhere(ring)[0])] = NEG_INF
+        vals[win][tuple(np.argwhere(ring)[0])] = NEG_INF
         u = ScalarField(grid=grid, values=vals, extended=True)
         with pytest.raises(PerronLiftRefused):
             perron_lift(u, mask, (0.0, 0.0), 0.29)
+
+    @pytest.mark.parametrize("case", ["neg_inf_sphere", "not_converged", "crosses_boundary"])
+    def test_refusal_carries_untouched_input(self, case, cone_64, unit_disk_64,
+                                             face_layer_disk_64):
+        grid, mask = unit_disk_64
+        u, ball, opts = cone_64, ((0.0, 0.0), 0.3), SolveOptions()
+        if case == "neg_inf_sphere":
+            win, _, ring = ball_region(mask, *ball)
+            vals = cone_64.values.copy()
+            vals[win][tuple(np.argwhere(ring)[0])] = NEG_INF
+            u = ScalarField(grid=grid, values=vals, extended=True)
+        elif case == "not_converged":
+            opts = SolveOptions(max_iter=1)
+        else:
+            _, mask = face_layer_disk_64
+            ball = ((0.8, 0.0), 0.3)
+        with pytest.raises(PerronLiftRefused) as caught:
+            perron_lift(u, mask, *ball, opts=opts)
+        assert caught.value.field is u
+
+    def test_lift_equals_one_ball_sweep(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions(tol=1e-7)
+        center, radius = (0.2, 0.1), 0.2
+        lifted = perron_lift(cone_64, mask, center, radius, opts=opts)
+        cover = BallCover(level=3, radius=radius, centers=(center,))
+        swept, trace = approximation_sweep(cone_64, mask, 3, opts=opts, cover=cover)
+        assert trace.completed and len(trace.records) == 1
+        assert np.array_equal(lifted.values, swept.values, equal_nan=True)
 
     def test_lift_repairs_interior_neg_inf(self, unit_disk_64):
         grid, mask = unit_disk_64
