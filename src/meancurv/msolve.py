@@ -6,10 +6,12 @@ solves the first-order conditions of the area functional with a smoothed L1
 boundary deviation term, pinning the trace wherever the boundary flux stays
 strictly below one (active-set polish), so attained-trace minimizers agree
 with the Newton solver on the same discrete equations.  All of them run the
-one Newton kernel ``_newton_core``.  Ball replacements (``solve_on_ball``, the
-Perron lift and sweep, the viscosity check) go through one windowed ball
-kernel: ``ball_region`` cuts the ball's window and ring, ``_solve_ball``
-checks the sphere data and owns the warm start and the harmonic restart.
+one Newton kernel ``_newton_core``, whose matrix is assembled analytically
+(penalty rows included) and factored by one symmetric-mode sparse LU.  Ball
+replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
+check) go through one windowed ball kernel: ``ball_region`` cuts the ball's
+window and ring, ``_solve_ball`` checks the sphere data and owns the warm
+start and the harmonic restart.
 """
 
 from __future__ import annotations
@@ -104,118 +106,114 @@ def _residual(V: np.ndarray, h: float, n: int, f_arr: np.ndarray,
     return r, dens, faces
 
 
-def _jacobian_triplets_1d(V, h, unk_id, rows_interior):
+def _jacobian_triplets_1d(V, h, unk_id, rows_interior, pcells):
     g, w, _ = face_gradients_1d(V, h)
     df = 1.0 / w ** 3
     fi = np.arange(g.size)
     rows, cols, vals = [], [], []
-    # face i couples cells L=i and R=i+1; dF/dV_L = -df/h, dF/dV_R = +df/h
-    for row_cell, row_sign in ((fi, 1.0), (fi + 1, -1.0)):
+    # face i couples cells L=i and R=i+1; dF/dV_L = -df/h, dF/dV_R = +df/h.  An
+    # interior row takes the flux with its density sign, a penalty row takes
+    # it sign-flipped through a defined face to a non-penalty cell
+    for row_cell, other, row_sign in ((fi, fi + 1, 1.0), (fi + 1, fi, -1.0)):
+        weight = np.where(rows_interior[row_cell], row_sign,
+                          np.where(pcells[row_cell] & ~pcells[other] & np.isfinite(g),
+                                   -row_sign, 0.0))
         for col_cell, col_sign in ((fi, -1.0), (fi + 1, 1.0)):
-            rows.append(row_cell)
-            cols.append(col_cell)
-            vals.append(row_sign * col_sign * df / (h * h))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    row_ids = np.where(rows_interior, unk_id, -1)
-    r_id = row_ids[rows]
-    c_id = unk_id[cols]
-    keep = (r_id >= 0) & (c_id >= 0) & np.isfinite(vals)
-    return r_id[keep], c_id[keep], vals[keep]
+            keep = (weight != 0) & (unk_id[col_cell] >= 0)
+            rows.append(unk_id[row_cell[keep]])
+            cols.append(unk_id[col_cell[keep]])
+            vals.append(weight[keep] * col_sign * df[keep] / (h * h))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 _STRUCT_CACHE: dict = {}
 
 
-def _jac_structure_cached(shape, unknown, rows_interior, unk_id, interior_rows_id):
-    """Structure lookup keyed by the mask pattern (ball solves repeat it)."""
-    key = (shape, unknown.tobytes(), rows_interior.tobytes())
+def _jac_structure_cached(unk, fix, rows_interior, unk_id, fallback):
+    """Structure lookup keyed by the cell pattern (ball solves repeat it)."""
+    key = (unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes(), fallback)
     hit = _STRUCT_CACHE.get(key)
     if hit is None:
-        hit = _jac_structure_2d(shape, unk_id, interior_rows_id)
+        hit = _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback)
         if len(_STRUCT_CACHE) > 64:
             _STRUCT_CACHE.clear()
         _STRUCT_CACHE[key] = hit
     return hit
 
 
-def _jac_structure_2d(shape, unk_id, interior_rows_id):
-    """Sparsity pattern of the density rows; fixed across Newton iterations.
+# a face flux depends on the normal difference across the face and on the
+# transverse differences of its two sides (0 below, 1 above the face), each
+# as (side, transverse offset, weight); sides and offsets act along the
+# face's normal and transverse axes
+_FACE_DEPS = ((0, 0, -1.0), (1, 0, 1.0), (0, 1, 0.25), (0, -1, -0.25),
+              (1, 1, 0.25), (1, -1, -0.25))
 
-    Returns (rows, cols, plan) where plan lists, per triplet block, the face
-    axis, flat face indices to gather coefficients from, which coefficient
-    (normal or transverse) and the sign/scale to apply.
+
+def _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback):
+    """Sparsity pattern of the Newton matrix; fixed across Newton iterations.
+
+    An interior row takes every face flux of its cell; a penalty row
+    (unknown, not interior) takes, sign-flipped, the flux through each face
+    it shares with a defined non-penalty cell.  With fallback, a transverse
+    difference taken from one side only weighs that side 1/2 instead of 1/4,
+    as in ``face_gradients_2d``.  Returns (rows, cols, (gather, scale)):
+    value k is ``coeff[gather[k]] * scale[k] / h^2`` over the concatenated
+    normal and transverse flux derivatives of ``_jac_values_2d``.
     """
-    nx, ny = shape
-    row_pad = np.full((nx + 2, ny + 2), -1, dtype=np.int64)
-    row_pad[1:-1, 1:-1] = interior_rows_id
-    col_pad = np.full((nx + 2, ny + 2), -1, dtype=np.int64)
-    col_pad[1:-1, 1:-1] = unk_id
-    rows, cols, plan = [], [], []
-    for axis in (0, 1):
-        if axis == 0:
-            fI, fJ = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-            row_offs = ((0, 0), (1, 0))
-            deps = [((0, 0), "n", -1.0), ((1, 0), "n", 1.0),
-                    ((0, 1), "t", 0.25), ((0, -1), "t", -0.25),
-                    ((1, 1), "t", 0.25), ((1, -1), "t", -0.25)]
-        else:
-            fI, fJ = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-            row_offs = ((0, 0), (0, 1))
-            deps = [((0, 0), "n", -1.0), ((0, 1), "n", 1.0),
-                    ((1, 0), "t", 0.25), ((-1, 0), "t", -0.25),
-                    ((1, 1), "t", 0.25), ((-1, 1), "t", -0.25)]
-        fI = fI.ravel()
-        fJ = fJ.ravel()
-        for ro, row_sign in zip(row_offs, (1.0, -1.0)):
-            r_id = row_pad[fI + ro[0] + 1, fJ + ro[1] + 1]
-            for (co, kind, scale) in deps:
-                c_id = col_pad[fI + co[0] + 1, fJ + co[1] + 1]
-                keep = (r_id >= 0) & (c_id >= 0)
-                if keep.any():
-                    rows.append(r_id[keep])
-                    cols.append(c_id[keep])
-                    plan.append((axis, np.nonzero(keep)[0], kind, row_sign * scale))
-    return np.concatenate(rows), np.concatenate(cols), plan
+    defined, interior, pcells = (np.pad(a, 1) for a in
+                                 (unk | fix, rows_interior, unk & ~rows_interior))
+    ids = np.pad(unk_id, 1, constant_values=-1)
+    nx, ny = unk.shape
+    rows, cols, gather, scale = [], [], [], []
+    base = 0
+    for e, t in (((1, 0), (0, 1)), ((0, 1), (1, 0))):   # face normal, transverse
+        fI, fJ = np.indices((nx - e[0], ny - e[1])).reshape(2, -1)
+
+        def at(arr, side, d):
+            return arr[fI + side * e[0] + d * t[0] + 1, fJ + side * e[1] + d * t[1] + 1]
+
+        ok = [at(defined, s, 1) & at(defined, s, -1) for s in (0, 1)]
+        for side, row_sign in ((0, 1.0), (1, -1.0)):
+            weight = np.where(at(interior, side, 0), row_sign,
+                              np.where(at(pcells, side, 0) & ~at(pcells, 1 - side, 0)
+                                       & at(defined, 1 - side, 0), -row_sign, 0.0))
+            r_id = at(ids, side, 0)
+            for s, d, dep in _FACE_DEPS:
+                val = weight * dep
+                if d and fallback:
+                    val = val * (ok[s] * (2 - ok[1 - s]))
+                c_id = at(ids, s, d)
+                keep = (val != 0) & (c_id >= 0)
+                rows.append(r_id[keep])
+                cols.append(c_id[keep])
+                gather.append(np.nonzero(keep)[0] + (base + fI.size if d else base))
+                scale.append(val[keep])
+        base += 2 * fI.size
+    return (np.concatenate(rows), np.concatenate(cols),
+            (np.concatenate(gather), np.concatenate(scale)))
 
 
 def _jac_values_2d(h, faces, plan):
-    (gx, tx, wx, fx), (gy, ty, wy, fy) = faces
-    coeff = {
-        (0, "n"): ((1.0 + tx * tx) / wx ** 3).ravel(),
-        (0, "t"): (-gx * tx / wx ** 3).ravel(),
-        (1, "n"): ((1.0 + ty * ty) / wy ** 3).ravel(),
-        (1, "t"): (-gy * ty / wy ** 3).ravel(),
-    }
-    out = []
-    scale = 1.0 / (h * h)
-    for axis, idx, kind, sign in plan:
-        out.append(coeff[(axis, kind)][idx] * (sign * scale))
-    vals = np.concatenate(out)
-    # faces whose stencil leaves the region only couple fixed cells; their
-    # kept triplets are finite, but guard against stray NaN all the same
-    if np.isnan(vals).any():
-        vals = np.nan_to_num(vals, nan=0.0)
-    return vals
+    gather, scale = plan
+    coeff = np.concatenate([c.ravel() for g, t, w, _ in faces
+                            for c in ((1.0 + t * t) / w ** 3, -g * t / w ** 3)])
+    return coeff[gather] * (scale * (1.0 / (h * h)))
 
 
 def _factorize(ri, ci, vi, m, opts: SolveOptions):
     """Factor the Newton matrix once; returns a solve closure.
 
-    Dense LU below a few hundred unknowns (BLAS beats SuperLU setup there),
-    sparse LU up to the direct limit, diagonally preconditioned Krylov
-    beyond it.
+    Sparse LU up to the direct limit, with minimum-degree ordering on A^T + A
+    and diagonal-preferring pivots (SuperLU's symmetric mode), which suits
+    the near-symmetric 9-point pattern of every Newton matrix here: it about
+    halves the fill of the default column ordering on large systems, and on
+    small ball windows its cheaper back-solves outweigh the sparse set-up
+    that dense LU avoided.  Diagonally preconditioned Krylov beyond the limit.
     """
-    from scipy.linalg import lu_factor, lu_solve
-    if m <= 420:
-        J = np.zeros((m, m))
-        np.add.at(J, (ri, ci), vi)
-        fac = lu_factor(J)
-        return lambda b: lu_solve(fac, b)
     A = sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).tocsc()
     if m <= opts.direct_limit:
-        solver = slinalg.splu(A)
+        solver = slinalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                              options=dict(SymmetricMode=True))
         return lambda b: solver.solve(b)
     diag = A.diagonal()
     diag = np.where(np.abs(diag) > 1e-14, diag, 1.0)
@@ -262,7 +260,8 @@ def _harmonic_extension(n, shape, unknown, fixed, V):
         shape=(m, m)).tocsr()
     try:
         sol = slinalg.spsolve(A.tocsc(), rhs)
-    except Exception:
+    except (RuntimeError, ValueError) as exc:
+        logger.warning("harmonic initializer failed (%s); starting from zero", exc)
         sol = np.zeros(m)
     out = V.copy()
     out[unknown] = sol
@@ -337,17 +336,17 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
 
     def assemble_factorize():
         if n == 1:
-            ri, ci, vi = _jacobian_triplets_1d(V, h, unk_id, rows_interior)
+            ri, ci, vi = _jacobian_triplets_1d(V, h, unk_id, rows_interior,
+                                               unk & ~rows_interior)
         else:
             nonlocal struct_2d
             if struct_2d is None:
-                interior_rows_id = np.where(rows_interior, unk_id, -1)
-                struct_2d = _jac_structure_cached(V.shape, unk, rows_interior,
-                                                  unk_id, interior_rows_id)
-            ri, ci = struct_2d[0], struct_2d[1]
-            vi = _jac_values_2d(h, faces, struct_2d[2])
+                struct_2d = _jac_structure_cached(unk, fix, rows_interior, unk_id,
+                                                  pen is not None)
+            ri, ci, plan = struct_2d
+            vi = _jac_values_2d(h, faces, plan)
         if pen is not None:
-            pr, pc, pv = _penalty_triplets(V, h, n, pen, faces, unk_id)
+            pr, pc, pv = _penalty_triplets(V, h, n, pen, unk_id)
             ri = np.concatenate([ri, pr])
             ci = np.concatenate([ci, pc])
             vi = np.concatenate([vi, pv])
@@ -525,47 +524,17 @@ def _outgoing_flux(V, h, n, pcells, faces):
     return out
 
 
-def _penalty_triplets(V, h, n, pen, faces, unk_id):
-    """Jacobian rows for penalty cells, by central finite differences.
+def _penalty_triplets(V, h, n, pen, unk_id):
+    """Diagonal of the smoothed-L1 term in the penalty rows.
 
-    The penalty stencil is narrow (the cell itself plus face neighbors) and
-    these rows are few, so a numerical row assembly keeps the code honest.
+    The flux part of those rows comes with the face coefficients (see
+    ``_jac_structure_2d`` and ``_jacobian_triplets_1d``).
     """
-    cells = pen["cells"]
-    idx = np.argwhere(cells)
-    rows, cols, vals = [], [], []
-    eps = 1e-7 * (1.0 + np.nanmax(np.abs(V[np.isfinite(V)])) if np.isfinite(V).any() else 1.0)
-    base = _penalty_residual(V, h, n, pen, faces)
-    cell_rows = unk_id[cells]
-    if n == 1:
-        neigh = [(-1,), (0,), (1,)]
-    else:
-        neigh = [(di, dj) for di in (-2, -1, 0, 1, 2) for dj in (-2, -1, 0, 1, 2)
-                 if abs(di) + abs(dj) <= 2]
-    for k, cidx in enumerate(idx):
-        row = unk_id[tuple(cidx)]
-        for off in neigh:
-            tgt = tuple(cidx[d] + off[d] for d in range(n))
-            if any(t < 0 or t >= V.shape[d] for d, t in enumerate(tgt)):
-                continue
-            col = unk_id[tgt]
-            if col < 0 or not np.isfinite(V[tgt]):
-                continue
-            Vp = V.copy()
-            Vp[tgt] += eps
-            if n == 1:
-                fpx = face_gradients_1d(Vp, h)
-                rp = _penalty_residual(Vp, h, n, pen, ((None, None, fpx[2]),))
-            else:
-                fp = face_gradients_2d(Vp, h, True)
-                rp = _penalty_residual(Vp, h, n, pen, fp)
-            d = (rp[k] - base[k]) / eps
-            if d != 0.0 and np.isfinite(d):
-                rows.append(row)
-                cols.append(col)
-                vals.append(d)
-    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=float))
+    cells, kappa = pen["cells"], pen["kappa"]
+    dev = V[cells] - pen["phi"][cells]
+    ids = unk_id[cells]
+    return ids, ids, (pen["length"][cells] * kappa * kappa
+                      / (dev * dev + kappa * kappa) ** 1.5 / h ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +600,10 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
 
 def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Window slices (bounding box plus three cells) and window-local unknown
-    cells and data ring of a ball subregion solve."""
+    cells and data ring of a ball subregion solve.
+
+    ValueError unless every cell of the ball is interior and its ring lies in
+    the mask's region."""
     grid = mask.grid
     win = []
     for k in range(grid.n):
@@ -639,12 +611,14 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
         hi = int(math.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + 3 + 1
         win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
     win = tuple(win)
-    unknown = mask.interior[win] & (_dist_to(grid.points()[win], center) < radius)
+    inside = _dist_to(grid.points()[win], center) < radius
+    unknown = mask.interior[win] & inside
     if not unknown.any():
         raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
     ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
         & ~unknown
-    if (ring & ~(mask.interior[win] | mask.boundary[win])).any():
+    if (inside & ~mask.interior[win]).any() \
+            or (ring & ~(mask.interior[win] | mask.boundary[win])).any():
         raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
     return win, unknown, ring
 

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from scipy import ndimage
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage, sparse
 
-from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, sample_function
+from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
 from meancurv.field import UndefinedCellError, _dist_to
 from meancurv.msolve import (
     SolveOptions,
     UnboundedDescentError,
+    _factorize,
+    _interior_face_count,
     _newton_core,
     ball_region,
     minimize_prescribed_mc,
@@ -163,10 +168,15 @@ class TestSolveOnBall:
         assert out.diagnostics == info
         assert out.diagnostics.get("restarted", False) == (case == "kinked_restart")
 
-    def test_ball_crossing_boundary_is_value_error(self, cone_64, face_layer_disk_64):
-        grid, mask = face_layer_disk_64
-        with pytest.raises(ValueError, match="not compactly inside"):
-            solve_on_ball(cone_64, mask, (0.8, 0.0), 0.3)
+    def test_ball_crossing_boundary_is_value_error(self, cone_64, unit_disk_64,
+                                                   face_layer_disk_64):
+        cases = [(unit_disk_64, ((0.8, 0.0), 0.3)), (face_layer_disk_64, ((0.8, 0.0), 0.3)),
+                 # every ball cell interior, but the ring reaches past the face layer
+                 (face_layer_disk_64, ((0.5, 0.5), 0.29))]
+        for (grid, mask), ball in cases:
+            with pytest.raises(ValueError, match="not compactly inside"):
+                solve_on_ball(cone_64, mask, *ball)
+        assert solve_on_ball(cone_64, unit_disk_64[1], (0.5, 0.5), 0.29).converged
 
     def test_undefined_sphere_cells_are_full_grid(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
@@ -239,3 +249,134 @@ class TestMinimizer:
         with pytest.raises(UnboundedDescentError):
             minimize_prescribed_mc(mask, g=lambda p: np.full(len(p), 4.0), phi=0.0,
                                    opts=SolveOptions(max_iter=25))
+
+
+class _Captured(Exception):
+    pass
+
+
+def newton_system(h, n, unknown, fixed, V, penalty=None):
+    """Residual and Newton-matrix triplets of _newton_core's first step from V."""
+    out = {}
+
+    def capture(ri, ci, vi, m, opts):
+        out["triplets"] = (ri, ci, vi, m)
+
+        def solve(b):
+            out["r"] = -b
+            raise _Captured
+        return solve
+
+    with mock.patch.object(msolve, "_factorize", capture), pytest.raises(_Captured):
+        _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape),
+                     SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty)
+    return out["r"], out["triplets"]
+
+
+def dense(triplets):
+    ri, ci, vi, m = triplets
+    return sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).toarray()
+
+
+def smooth_iterate(grid, rng):
+    """A random smooth field: quadratic plus one sine mode."""
+    c = rng.uniform(-1.5, 1.5, 7)
+    x = grid.points()[..., 0]
+    y = grid.points()[..., 1] if grid.n == 2 else 0.0 * x
+    return (c[0] * x + c[1] * y + c[2] * x * x + c[3] * x * y + c[4] * y * y
+            + 0.3 * np.sin(c[5] * 4 * x + c[6] * 3 * y + 1.0))
+
+
+def newton_case(system, n, seed, radius=0.6):
+    """(h, n, unknown, fixed, V, penalty) of a whole-domain, ball-window or
+    penalized (minimizer) system at a random smooth iterate."""
+    rng = np.random.default_rng(seed)
+    shape = ShapeSpec.interval(-1.0, 1.0) if n == 1 else ShapeSpec.disk((0.0, 0.0), radius)
+    grid, mask = make_grid(shape, 10 if n == 1 else 8)
+    V = np.where(mask.region, smooth_iterate(grid, rng), np.nan)
+    if system == "ball":
+        center = (0.1,) if n == 1 else (0.05, -0.05)
+        win, unknown, ring = msolve.ball_region(mask, center, 0.3)
+        return grid.h, n, unknown, ring, V[win], None
+    if system == "whole":
+        return grid.h, n, mask.interior, mask.boundary, V, None
+    nfaces = _interior_face_count(mask)
+    detached = mask.boundary & (nfaces > 0) & (rng.random(grid.shape) < rng.choice([0.5, 1.0]))
+    phi = np.where(mask.boundary, V + rng.uniform(-3, 3, grid.shape) * grid.h, 0.0)
+    penalty = {"cells": detached, "phi": phi, "length": nfaces * grid.h ** (n - 1),
+               "kappa": grid.h}
+    return (grid.h, n, mask.interior | detached, mask.boundary & ~detached, V, penalty)
+
+
+class TestNewtonMatrix:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matrix_is_residual_jacobian(self, n, system, seed):
+        h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
+        _, triplets = newton_system(h, n, unknown, fixed, V, penalty)
+        J = dense(triplets)
+        order = np.nonzero(unknown)
+        eps = 1e-6
+        fd = np.empty_like(J)
+        for j in range(J.shape[0]):
+            cell = tuple(k[j] for k in order)
+            Vp, Vm = V.copy(), V.copy()
+            Vp[cell] += eps
+            Vm[cell] -= eps
+            fd[:, j] = (newton_system(h, n, unknown, fixed, Vp, penalty)[0]
+                        - newton_system(h, n, unknown, fixed, Vm, penalty)[0]) / (2 * eps)
+        assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+        if penalty is not None and n == 2:
+            # x-faces from a penalty cell to a defined non-penalty cell whose
+            # transverse difference has one side only
+            d = np.pad(unknown | fixed, 1)
+            lo, hi = d[1:-2, 2:] & d[1:-2, :-2], d[2:-1, 2:] & d[2:-1, :-2]
+            pc = penalty["cells"]
+            assert ((lo ^ hi) & d[1:-2, 1:-1] & d[2:-1, 1:-1] & (pc[:-1] ^ pc[1:])).any()
+
+    @pytest.mark.parametrize("radius, sizes", [(0.12, (1, 512)), (0.25, (513, 2048)),
+                                               (0.5, (2049, 8192)), ("penalized", (513, 2048))])
+    def test_factorize_matches_dense_solve(self, radius, sizes, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        if radius == "penalized":      # the minimizer's system on a radius-2 disk
+            *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
+            _, triplets = newton_system(*system, penalty=penalty)
+        else:
+            win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
+            V = cone_64.values[win]
+            _, triplets = newton_system(grid.h, 2, unknown, ring, V)
+        assert sizes[0] <= triplets[3] <= sizes[1]
+        b = np.random.default_rng(0).standard_normal(triplets[3])
+        x = _factorize(*triplets, SolveOptions())(b)
+        ref = np.linalg.solve(dense(triplets), b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestReportedFallbacks:
+    def test_nan_jacobian_entry_is_reported(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        fill = msolve._jac_values_2d
+
+        def nan_fill(*args):
+            vals = fill(*args)
+            vals[len(vals) // 2] = np.nan
+            return vals
+
+        with mock.patch.object(msolve, "_jac_values_2d", nan_fill):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert not out.converged
+        assert "error" in out.diagnostics
+
+    def test_failed_harmonic_initializer_is_logged(self, unit_disk_64, caplog):
+        grid, mask = unit_disk_64
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("factor is exactly singular")
+
+        with mock.patch.object(msolve.slinalg, "spsolve", broken), \
+                caplog.at_level("WARNING", logger="meancurv"):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert out.converged
+        assert "harmonic initializer failed" in caplog.text

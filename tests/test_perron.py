@@ -125,7 +125,8 @@ class TestPerronLift:
         with pytest.raises(PerronLiftRefused):
             perron_lift(u, mask, (0.0, 0.0), 0.29)
 
-    @pytest.mark.parametrize("case", ["neg_inf_sphere", "not_converged", "crosses_boundary"])
+    @pytest.mark.parametrize("case", ["neg_inf_sphere", "not_converged", "crosses_boundary",
+                                      "crosses_boundary_unit_disk"])
     def test_refusal_carries_untouched_input(self, case, cone_64, unit_disk_64,
                                              face_layer_disk_64):
         grid, mask = unit_disk_64
@@ -138,7 +139,8 @@ class TestPerronLift:
         elif case == "not_converged":
             opts = SolveOptions(max_iter=1)
         else:
-            _, mask = face_layer_disk_64
+            if case == "crosses_boundary":
+                _, mask = face_layer_disk_64
             ball = ((0.8, 0.0), 0.3)
         with pytest.raises(PerronLiftRefused) as caught:
             perron_lift(u, mask, *ball, opts=opts)
