@@ -27,7 +27,7 @@ from .field import (
     _dist_to,
     mollifier_kernel,
 )
-from .measure import BallFamily, ball_flux
+from .measure import BallFamily, ball_fluxes
 from .msolve import SolveOptions, solve_dirichlet
 
 
@@ -399,8 +399,8 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
     if validate_balls is not None and converged:
         mass_rows = []
         deltas = [s.delta for s in stages]
-        for center, radius in validate_balls:
-            fluxes = [ball_flux(f, center, radius) for f in stage_fields]
+        for (center, radius), fluxes in zip(validate_balls,
+                                            ball_fluxes(stage_fields, validate_balls)):
             recovered = _delta_extrapolate(deltas, fluxes)
             exact = nu.ball_mass(mask, center, radius)
             mass_rows.append((tuple(center), radius, recovered, exact))

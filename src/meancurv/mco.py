@@ -209,18 +209,18 @@ class PairInterface:
         return f"pair({self.a}, {self.b})"
 
 
-def boundary_flux(u: ScalarField, interface) -> float:
+def boundary_flux(u, interface) -> float:
     """Outward flux of Du/W through a closed interface.
 
-    Exactly equals the h1_density sum over the enclosed cells (discrete
-    divergence theorem); faces with undefined flux along the interface raise.
+    *u* is a field or its ``flux_field``.  Exactly equals the h1_density sum
+    over the enclosed cells (discrete divergence theorem); faces with
+    undefined flux along the interface raise.
     """
-    grid = u.grid
-    h = grid.h
-    pts = grid.points()
-    inside = interface.inside(pts)
+    ff = u if isinstance(u, FluxField) else flux_field(u)
+    grid = ff.grid
+    inside = interface.inside(grid.points())
     if grid.n == 1:
-        _, _, f = face_gradients_1d(u.values, h)
+        f = ff.fx
         cut = inside[1:] != inside[:-1]
         bad = cut & np.isnan(f)
         if bad.any():
@@ -228,7 +228,7 @@ def boundary_flux(u: ScalarField, interface) -> float:
                                      [(int(i),) for i in np.nonzero(bad)[0]])
         sign = np.where(inside[:-1], 1.0, -1.0)
         return float((f[cut] * sign[cut]).sum())
-    (_, _, _, fx), (_, _, _, fy) = face_gradients_2d(u.values, h)
+    fx, fy = ff.fx, ff.fy
     cut_x = inside[1:, :] != inside[:-1, :]
     cut_y = inside[:, 1:] != inside[:, :-1]
     bad_cells = []
@@ -241,7 +241,7 @@ def boundary_flux(u: ScalarField, interface) -> float:
     sign_x = np.where(inside[:-1, :], 1.0, -1.0)
     sign_y = np.where(inside[:, :-1], 1.0, -1.0)
     total = (fx[cut_x] * sign_x[cut_x]).sum() + (fy[cut_y] * sign_y[cut_y]).sum()
-    return float(total * h)
+    return float(total * grid.h)
 
 
 def enclosed_density_sum(u: ScalarField, interface) -> float:

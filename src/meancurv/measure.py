@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import DomainMask, ScalarField, SizingError
-from .mco import CircleInterface, PairInterface, boundary_flux, h1_density
+from .mco import CircleInterface, PairInterface, boundary_flux, flux_field, h1_density
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,19 @@ def _interface_for(grid_n: int, center, radius):
     return CircleInterface(tuple(center), radius)
 
 
-def ball_flux(u: ScalarField, center, radius) -> float:
+def ball_flux(u, center, radius) -> float:    # u: a field or its flux_field
     return boundary_flux(u, _interface_for(u.grid.n, center, radius))
+
+
+def ball_fluxes(fields, balls) -> list:
+    """Per ball, the list of the fields' sphere fluxes; each field's flux_field
+    is computed once and dropped before the next one's."""
+    out = [[] for _ in balls]
+    for f in fields:
+        flux = flux_field(f)
+        for per, (center, radius) in zip(out, balls):
+            per.append(ball_flux(flux, center, radius))
+    return out
 
 
 @dataclass
@@ -151,10 +162,11 @@ def ball_measure_table(u_or_sequence, balls: BallFamily,
         dens = h1_density(u).values
         hv = u.grid.cell_volume
         pts = u.grid.points()
+        flux = flux_field(u) if method == "flux" else None
         rows = []
         for center, radius in balls:
             if method == "flux":
-                mu = ball_flux(u, center, radius)
+                mu = ball_flux(flux, center, radius)
             else:
                 inter = _interface_for(u.grid.n, center, radius)
                 inside = inter.inside(pts)
@@ -170,22 +182,18 @@ def ball_measure_table(u_or_sequence, balls: BallFamily,
     if not fields:
         raise ValueError("empty approximating sequence")
     rows = []
-    total_terms = []
-    for center, radius in balls:
-        per = [ball_flux(f, center, radius) for f in fields]
+    for (center, radius), per in zip(balls, ball_fluxes(fields, balls)):
         mu, spread = extrapolate_tail(per)
         scale = max(abs(mu), 0.2)
         rows.append(BallMeasureRow(center=tuple(center), radius=radius, mu=mu,
                                    band=spread, converged=spread <= rel_band * scale,
                                    per_term=tuple(per)))
-    for f in fields[-1:]:
-        dens = h1_density(f).values
-        total_terms.append(float(np.nansum(dens) * f.grid.cell_volume))
     volumes = [math.pi * r * r if fields[0].grid.n == 2 else 2 * r
                for (_, r) in balls]
     eps_neg = defect * max(volumes) + 1e-12
+    total = float(np.nansum(h1_density(fields[-1]).values) * fields[-1].grid.cell_volume)
     return BallMeasureTable(rows=rows, method="limit-of-sequence",
-                            eps_neg=eps_neg, total_mass=total_terms[-1])
+                            eps_neg=eps_neg, total_mass=total)
 
 
 @dataclass
@@ -228,14 +236,16 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
         raise ValueError(f"sequences disagree in L1 (mean gap {l1:.3g} > {l1_tol});"
                          " sandwich check refused")
     eps_neg = (max(defect_a, defect_b)) + 1e-12
+    spheres = [*balls, *((center, radius + gap) for center, radius in balls)]
+    per_a, per_b = ball_fluxes(fa, spheres), ball_fluxes(fb, spheres)
     rows = []
     worst = None
     worst_slack = -np.inf
-    for center, radius in balls:
-        mu_a_r, _ = extrapolate_tail([ball_flux(f, center, radius) for f in fa])
-        mu_b_r, _ = extrapolate_tail([ball_flux(f, center, radius) for f in fb])
-        mu_a_i, _ = extrapolate_tail([ball_flux(f, center, radius + gap) for f in fa])
-        mu_b_i, _ = extrapolate_tail([ball_flux(f, center, radius + gap) for f in fb])
+    for k, (center, radius) in enumerate(balls):
+        mu_a_r, _ = extrapolate_tail(per_a[k])
+        mu_b_r, _ = extrapolate_tail(per_b[k])
+        mu_a_i, _ = extrapolate_tail(per_a[k + len(balls)])
+        mu_b_i, _ = extrapolate_tail(per_b[k + len(balls)])
         allow_ab = tol * max(abs(mu_b_i), 0.05) + eps_neg
         allow_ba = tol * max(abs(mu_a_i), 0.05) + eps_neg
         slack_ab = mu_a_r - mu_b_i - allow_ab
@@ -278,15 +288,16 @@ def interface_singular_mass(u: ScalarField, jump, widths: Sequence[float],
     if widths[0] < 2 * u.grid.h:
         raise SizingError("smallest shell width under-resolved (< 2h)")
     samples = []
+    flux = flux_field(u)
     for w in widths:
         if "circle" in jump:
             center, radius = jump["circle"]
-            outer = ball_flux(u, center, radius + w)
-            inner = ball_flux(u, center, radius - w)
+            outer = ball_flux(flux, center, radius + w)
+            inner = ball_flux(flux, center, radius - w)
             samples.append((w, outer - inner))
         elif "point" in jump:
             x0 = jump["point"]
-            samples.append((w, ball_flux(u, (x0,), w)))
+            samples.append((w, ball_flux(flux, (x0,), w)))
         else:
             raise ValueError("jump must declare a circle or a point")
     ws = np.array([s[0] for s in samples])

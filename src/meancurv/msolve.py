@@ -7,7 +7,8 @@ boundary deviation term, pinning the trace wherever the boundary flux stays
 strictly below one (active-set polish), so attained-trace minimizers agree
 with the Newton solver on the same discrete equations.  All of them run the
 one Newton kernel ``_newton_core``, whose matrix is assembled analytically
-(penalty rows included) and factored by one symmetric-mode sparse LU.  Ball
+(penalty rows included) and factored by one symmetric-mode sparse LU, whose
+ordering and CSC slots a cached plan per cell pattern keeps.  Ball
 replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
 check) go through one windowed ball kernel: ``ball_region`` cuts the ball's
 window and ring, ``_solve_ball`` checks the sphere data and owns the warm
@@ -16,10 +17,11 @@ start and the harmonic restart.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as _dcfield, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -82,13 +84,6 @@ class SolveOutcome:
 # core Newton machinery (operates on a sliced window around the region)
 
 
-def _window(unknown: np.ndarray, fixed: np.ndarray):
-    both = unknown | fixed
-    idx = np.nonzero(both)
-    slices = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
-    return slices
-
-
 def _residual(V: np.ndarray, h: float, n: int, f_arr: np.ndarray,
               rows_interior: np.ndarray, fallback: bool):
     if n == 1:
@@ -124,21 +119,6 @@ def _jacobian_triplets_1d(V, h, unk_id, rows_interior, pcells):
             cols.append(unk_id[col_cell[keep]])
             vals.append(weight[keep] * col_sign * df[keep] / (h * h))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-_STRUCT_CACHE: dict = {}
-
-
-def _jac_structure_cached(unk, fix, rows_interior, unk_id, fallback):
-    """Structure lookup keyed by the cell pattern (ball solves repeat it)."""
-    key = (unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes(), fallback)
-    hit = _STRUCT_CACHE.get(key)
-    if hit is None:
-        hit = _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback)
-        if len(_STRUCT_CACHE) > 64:
-            _STRUCT_CACHE.clear()
-        _STRUCT_CACHE[key] = hit
-    return hit
 
 
 # a face flux depends on the normal difference across the face and on the
@@ -200,66 +180,119 @@ def _jac_values_2d(h, faces, plan):
     return coeff[gather] * (scale * (1.0 / (h * h)))
 
 
-def _factorize(ri, ci, vi, m, opts: SolveOptions):
-    """Factor the Newton matrix once; returns a solve closure.
+class _Triplets(NamedTuple):
+    """Triplet rows and columns, the full diagonal last, and the column
+    ordering (``SuperLU.perm_c``) once the first factorization found it."""
+    rows: np.ndarray
+    cols: np.ndarray
+    perm: Optional[np.ndarray] = None
 
-    Sparse LU up to the direct limit, with minimum-degree ordering on A^T + A
-    and diagonal-preferring pivots (SuperLU's symmetric mode), which suits
-    the near-symmetric 9-point pattern of every Newton matrix here: it about
-    halves the fill of the default column ordering on large systems, and on
-    small ball windows its cheaper back-solves outweigh the sparse set-up
-    that dense LU avoided.  Diagonally preconditioned Krylov beyond the limit.
+
+class _Ordered(NamedTuple):
+    """CSC pattern of the matrix permuted symmetrically by ``perm`` (unknown k
+    moves to perm[k], ``order`` inverts it) and each triplet's int32 slot."""
+    perm: np.ndarray
+    order: np.ndarray
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+class _NewtonPlan:
+    """What the Newton matrices of one cell pattern share: the (gather, scale)
+    ``values`` plan of ``_jac_values_2d`` (None in 1d) and a ``pattern``, a
+    ``_Triplets`` until the second factorization replaces it, whole, by an
+    ``_Ordered``: racing solves may repeat a step but never see half of one."""
+
+    def __init__(self, ri, ci, m, values=None):
+        self.pattern = _Triplets(*(np.concatenate([a, np.arange(m)]) for a in (ri, ci)))
+        self.values = values
+
+
+@functools.lru_cache(maxsize=64)
+def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
+    """Plan of a 2d cell pattern given by the bytes of its masks, cached (and
+    thread-safe) because the translated balls of a sweep level repeat it."""
+    unk, fix, rows_interior = (np.frombuffer(b, bool).reshape(shape)
+                               for b in (unk, fix, rows_interior))
+    unk_id = np.full(shape, -1)
+    unk_id[unk] = np.arange(np.count_nonzero(unk))
+    ri, ci, values = _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback)
+    return _NewtonPlan(ri, ci, np.count_nonzero(unk), values)
+
+
+def _factorize(plan: _NewtonPlan, vals, diag, m, opts: SolveOptions):
+    """Factor one Newton matrix (the plan's triplets, values ``vals`` then the
+    diagonal ``diag``); returns a solve closure.
+
+    Sparse LU with diagonal-preferring pivots (SuperLU's symmetric mode) up to
+    the direct limit.  A pattern's first factorization orders it by minimum
+    degree on A^T + A; from the second on, the matrix is scattered into its CSC
+    form in that ordering and factored in natural order, with the same fill
+    and pivots.  Diagonally preconditioned Krylov beyond the limit.
     """
-    A = sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).tocsc()
+    pat = plan.pattern
+    if isinstance(pat, _Triplets) and pat.perm is not None:
+        # second factorization: no LU of the pattern is alive for this sort
+        keys, slot = np.unique(pat.perm[pat.cols] * np.int64(m) + pat.perm[pat.rows],
+                               return_inverse=True)
+        pat = _Ordered(pat.perm, np.argsort(pat.perm), slot.astype(np.int32),
+                       np.searchsorted(keys, np.arange(m + 1) * m).astype(np.int32),
+                       (keys % m).astype(np.int32))
+        plan.pattern = pat
+    if isinstance(pat, _Ordered):   # joined values stay unnamed: freed before the LU
+        data = np.bincount(pat.slot, np.concatenate([vals, diag]), pat.indices.size)
+        A = sparse.csc_matrix((data, pat.indices, pat.indptr), shape=(m, m))
+        order, perm = pat.order, pat.perm
+    else:
+        A = sparse.coo_matrix((np.concatenate([vals, diag]), (pat.rows, pat.cols)),
+                              shape=(m, m)).tocsc()
+        order = perm = slice(None)
     if m <= opts.direct_limit:
-        solver = slinalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
-                              options=dict(SymmetricMode=True))
-        return lambda b: solver.solve(b)
+        lu = slinalg.splu(A, permc_spec="NATURAL" if isinstance(pat, _Ordered)
+                          else "MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                          options=dict(SymmetricMode=True))
+        if plan.pattern is pat and isinstance(pat, _Triplets):
+            plan.pattern = pat._replace(perm=lu.perm_c.copy())   # a view keeps the LU alive
+        return lambda b: lu.solve(b[order])[perm]
     diag = A.diagonal()
     diag = np.where(np.abs(diag) > 1e-14, diag, 1.0)
     precond = slinalg.LinearOperator(A.shape, matvec=lambda x: x / diag)
 
     def krylov(b):
-        x, code = slinalg.bicgstab(A, b, rtol=1e-10, atol=0.0, maxiter=8000,
+        x, code = slinalg.bicgstab(A, b[order], rtol=1e-10, atol=0.0, maxiter=8000,
                                    M=precond)
         if code != 0:
             raise RuntimeError(f"iterative linear solve failed (info={code})")
-        return x
+        return x[perm]
 
     return krylov
 
 
 def _harmonic_extension(n, shape, unknown, fixed, V):
     """5-point Laplace solve with the fixed values as data (cheap initializer)."""
-    unk_id = np.full(shape, -1, dtype=np.int64)
-    unk_id[unknown] = np.arange(int(unknown.sum()))
     m = int(unknown.sum())
-    rows, cols, vals = [], [], []
+    ids = np.full([k + 2 for k in shape], -1)     # unknown ids, padded by one cell
+    ids[(slice(1, -1),) * n][unknown] = np.arange(m)
+    data = np.pad(np.where(fixed & ~unknown, V, 0.0), 1)
+    cells = np.nonzero(unknown)
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, -float(2 * n))]
     rhs = np.zeros(m)
-    offsets = [(-1,), (1,)] if n == 1 else [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    idx = np.nonzero(unknown)
-    base = unk_id[unknown]
-    rows.append(base)
-    cols.append(base)
-    vals.append(np.full(m, -float(2 * n)))
-    for off in offsets:
-        nb = tuple(idx[k] + off[k] for k in range(n))
-        ok = np.ones(m, bool)
-        for k in range(n):
-            ok &= (nb[k] >= 0) & (nb[k] < shape[k])
-        nb_idx = tuple(np.where(ok, nb[k], 0) for k in range(n))
-        nb_unk = np.where(ok, unk_id[nb_idx], -1)
-        nb_fix = ok & (nb_unk < 0) & fixed[nb_idx]
-        inner = ok & (nb_unk >= 0)
-        rows.append(base[inner])
-        cols.append(nb_unk[inner])
-        vals.append(np.ones(int(inner.sum())))
-        np.subtract.at(rhs, base[nb_fix], V[tuple(c[nb_fix] for c in nb_idx)])
+    for axis in range(n):
+        for step in (-1, 1):
+            nb = tuple(c + 1 + step * (k == axis) for k, c in enumerate(cells))
+            inner = ids[nb] >= 0
+            rows.append(np.nonzero(inner)[0])
+            cols.append(ids[nb][inner])
+            vals.append(np.ones(len(rows[-1])))
+            rhs -= data[nb]
     A = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m)).tocsr()
+        shape=(m, m)).tocsc()
     try:
-        sol = slinalg.spsolve(A.tocsc(), rhs)
+        sol = slinalg.spsolve(A, rhs)
+        if not np.isfinite(sol).all():   # spsolve only warns on a singular matrix
+            raise RuntimeError("the Laplace solve returned non-finite values")
     except (RuntimeError, ValueError) as exc:
         logger.warning("harmonic initializer failed (%s); starting from zero", exc)
         sol = np.zeros(m)
@@ -273,7 +306,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                  opts: SolveOptions, init_values: Optional[np.ndarray] = None,
                  penalty: Optional[dict] = None) -> tuple[np.ndarray, dict]:
     """Newton iteration on arrays; slices its own tight window internally."""
-    win = _window(unknown, fixed)
+    win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
     unk = unknown[win]
     fix = fixed[win]
     V = np.full(unk.shape, np.nan)
@@ -310,18 +343,18 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         V[~(unk | fix)] = np.nan
         V = _harmonic_extension(n, unk.shape, unk, fix, V)
 
-    unk_id = np.full(unk.shape, -1, dtype=np.int64)
-    order = np.nonzero(unk)
-    unk_id[order] = np.arange(int(unk.sum()))
     m = int(unk.sum())
+    unk_id = np.full(unk.shape, -1)
+    unk_id[unk] = np.arange(m)
+    int_ids = unk_id[rows_interior]
+    pen_ids = unk_id[pen["cells"]] if pen is not None else None
 
     def full_residual(Vcur):
         r_int, dens, faces = _residual(Vcur, h, n, f_arr, rows_interior, pen is not None)
         r = np.zeros(m)
-        r[unk_id[rows_interior]] = r_int
+        r[int_ids] = r_int
         if pen is not None:
-            rp = _penalty_residual(Vcur, h, n, pen, faces)
-            r[unk_id[pen["cells"]]] = rp
+            r[pen_ids] = _penalty_residual(Vcur, h, n, pen, faces)
         return r, dens, faces
 
     r, dens, faces = full_residual(V)
@@ -331,26 +364,24 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                                      np.where(rows_interior, dens, 0.0))))))
     best = (np.max(np.abs(r)), V.copy())
     info = {"iterations": 0, "converged": False, "line_search_failures": 0}
-    struct_2d = None
+    plan = None
     lu = None  # frozen factorization, reused while it keeps contracting
 
     def assemble_factorize():
-        if n == 1:
+        nonlocal plan
+        if n == 1:   # a fresh plan each time: 1d systems are small
             ri, ci, vi = _jacobian_triplets_1d(V, h, unk_id, rows_interior,
                                                unk & ~rows_interior)
+            plan = _NewtonPlan(ri, ci, m)
         else:
-            nonlocal struct_2d
-            if struct_2d is None:
-                struct_2d = _jac_structure_cached(unk, fix, rows_interior, unk_id,
-                                                  pen is not None)
-            ri, ci, plan = struct_2d
-            vi = _jac_values_2d(h, faces, plan)
+            if plan is None:
+                plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
+                                    rows_interior.tobytes(), pen is not None)
+            vi = _jac_values_2d(h, faces, plan.values)
+        diag = np.zeros(m)
         if pen is not None:
-            pr, pc, pv = _penalty_triplets(V, h, n, pen, unk_id)
-            ri = np.concatenate([ri, pr])
-            ci = np.concatenate([ci, pc])
-            vi = np.concatenate([vi, pv])
-        return _factorize(ri, ci, vi, m, opts)
+            diag[pen_ids] = _penalty_triplets(V, h, n, pen)
+        return _factorize(plan, vi, diag, m, opts)
 
     for it in range(opts.max_iter):
         rnorm_inf = float(np.max(np.abs(r))) if m else 0.0
@@ -376,7 +407,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         accepted = False
         while alpha >= opts.alpha_min:
             V_try = V.copy()
-            V_try[unk] = V[unk] + alpha * du[unk_id[unk]]
+            V_try[unk] = V[unk] + alpha * du
             r_try, dens, faces_try = full_residual(V_try)
             merit_try = 0.5 * float(r_try @ r_try)
             if np.isfinite(merit_try) and merit_try <= (1 - 2 * opts.sigma * alpha) * merit:
@@ -524,17 +555,15 @@ def _outgoing_flux(V, h, n, pcells, faces):
     return out
 
 
-def _penalty_triplets(V, h, n, pen, unk_id):
-    """Diagonal of the smoothed-L1 term in the penalty rows.
+def _penalty_triplets(V, h, n, pen):
+    """Diagonal of the smoothed-L1 term in the penalty rows, cell by cell.
 
     The flux part of those rows comes with the face coefficients (see
     ``_jac_structure_2d`` and ``_jacobian_triplets_1d``).
     """
     cells, kappa = pen["cells"], pen["kappa"]
     dev = V[cells] - pen["phi"][cells]
-    ids = unk_id[cells]
-    return ids, ids, (pen["length"][cells] * kappa * kappa
-                      / (dev * dev + kappa * kappa) ** 1.5 / h ** n)
+    return pen["length"][cells] * kappa * kappa / (dev * dev + kappa * kappa) ** 1.5 / h ** n
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -255,12 +258,21 @@ class _Captured(Exception):
     pass
 
 
+@contextmanager
+def cold_plans():
+    """An empty Newton-plan cache for the block."""
+    msolve._newton_plan.cache_clear()
+    yield msolve._newton_plan.cache_info
+
+
 def newton_system(h, n, unknown, fixed, V, penalty=None):
-    """Residual and Newton-matrix triplets of _newton_core's first step from V."""
+    """Residual, Newton-matrix triplets and _factorize arguments of
+    _newton_core's first step from V."""
     out = {}
 
-    def capture(ri, ci, vi, m, opts):
-        out["triplets"] = (ri, ci, vi, m)
+    def capture(plan, vals, diag, m, opts):
+        out["triplets"] = (*plan_triplets(plan, m), np.concatenate([vals, diag]), m)
+        out["args"] = (plan, vals, diag, m)
 
         def solve(b):
             out["r"] = -b
@@ -270,7 +282,16 @@ def newton_system(h, n, unknown, fixed, V, penalty=None):
     with mock.patch.object(msolve, "_factorize", capture), pytest.raises(_Captured):
         _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape),
                      SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty)
-    return out["r"], out["triplets"]
+    return out["r"], out["triplets"], out["args"]
+
+
+def plan_triplets(plan, m):
+    """Triplet rows and columns of a Newton plan, unknowns in their own order."""
+    pat = plan.pattern
+    if isinstance(pat, msolve._Ordered):
+        cols = np.repeat(np.arange(m), np.diff(pat.indptr))
+        return pat.order[pat.indices[pat.slot]], pat.order[cols[pat.slot]]
+    return pat.rows, pat.cols
 
 
 def dense(triplets):
@@ -315,7 +336,7 @@ class TestNewtonMatrix:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matrix_is_residual_jacobian(self, n, system, seed):
         h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
-        _, triplets = newton_system(h, n, unknown, fixed, V, penalty)
+        _, triplets, _ = newton_system(h, n, unknown, fixed, V, penalty)
         J = dense(triplets)
         order = np.nonzero(unknown)
         eps = 1e-6
@@ -340,18 +361,82 @@ class TestNewtonMatrix:
                                                (0.5, (2049, 8192)), ("penalized", (513, 2048))])
     def test_factorize_matches_dense_solve(self, radius, sizes, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
-        if radius == "penalized":      # the minimizer's system on a radius-2 disk
-            *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
-            _, triplets = newton_system(*system, penalty=penalty)
-        else:
-            win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
-            V = cone_64.values[win]
-            _, triplets = newton_system(grid.h, 2, unknown, ring, V)
+        with cold_plans():
+            if radius == "penalized":      # the minimizer's system on a radius-2 disk
+                *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
+                _, triplets, args = newton_system(*system, penalty=penalty)
+            else:
+                win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
+                V = cone_64.values[win]
+                _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
         assert sizes[0] <= triplets[3] <= sizes[1]
         b = np.random.default_rng(0).standard_normal(triplets[3])
-        x = _factorize(*triplets, SolveOptions())(b)
         ref = np.linalg.solve(dense(triplets), b)
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        plan = args[0]
+        # the ordering factorization, the one that builds the slot map, a cached one
+        for ordered in (False, True, True):
+            x = _factorize(*args, SolveOptions())(b)
+            assert isinstance(plan.pattern, msolve._Ordered) == ordered
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert plan.pattern.slot.dtype == np.int32
+
+
+class TestNewtonPlan:
+    def test_equal_unknown_counts_never_share_a_plan(self):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 16)
+        V = smooth_iterate(grid, np.random.default_rng(3))
+        blocks = [np.zeros(grid.shape, bool) for _ in range(2)]
+        blocks[0][6:9, 5:9] = True              # 3 x 4 and 4 x 3 unknowns
+        blocks[1][5:9, 6:9] = True
+        systems = []
+        with cold_plans():
+            for unknown in blocks:
+                ring = ndimage.binary_dilation(unknown, np.ones((3, 3), bool)) & ~unknown
+                _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
+                systems.append((np.linalg.solve(dense(triplets), np.ones(12)), args))
+        assert systems[0][1][0] is not systems[1][1][0]
+        assert not np.allclose(systems[0][0], systems[1][0])
+        for _ in range(3):                     # interleaved, through every plan state
+            for ref, args in systems:
+                assert np.allclose(_factorize(*args, SolveOptions())(np.ones(12)), ref,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_warm_plan_solve_equals_cold(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        ball = ((0.1, -0.05), 0.3)
+        with cold_plans() as plans:
+            cold = solve_on_ball(cone_64, mask, *ball)
+            assert plans().currsize == 1
+            win, unknown, ring = ball_region(mask, *ball)
+            plan = newton_system(grid.h, 2, unknown, ring, cone_64.values[win])[2][0]
+            assert isinstance(plan.pattern, msolve._Ordered)
+            warm = solve_on_ball(cone_64, mask, *ball)
+            assert plans().misses == 1
+        assert cold.converged and warm.iterations == cold.iterations
+        assert np.nanmax(np.abs(warm.field.values - cold.field.values)) <= 1e-12
+
+    def test_threads_match_sequential(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        # translates by whole cells share their cell pattern, hence one plan
+        balls = [((-0.02 + 9 * grid.h * i, 0.03 - 7 * grid.h * j), 0.2)
+                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+        def solve(ball):
+            return solve_on_ball(cone_64, mask, *ball)
+
+        with cold_plans() as plans:
+            sequential = [solve(ball) for ball in balls]
+            assert plans().currsize < len(balls)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the threads as often as possible
+        try:
+            with cold_plans(), ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(solve, balls, timeout=300))
+        finally:
+            sys.setswitchinterval(switch)
+        for one, other in zip(sequential, threaded):
+            assert one.converged and one.iterations == other.iterations
+            assert np.nanmax(np.abs(one.field.values - other.field.values)) <= 1e-12
 
 
 class TestReportedFallbacks:
@@ -376,6 +461,18 @@ class TestReportedFallbacks:
             raise RuntimeError("factor is exactly singular")
 
         with mock.patch.object(msolve.slinalg, "spsolve", broken), \
+                caplog.at_level("WARNING", logger="meancurv"):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert out.converged
+        assert "harmonic initializer failed" in caplog.text
+
+    def test_non_finite_harmonic_solve_is_logged(self, unit_disk_64, caplog):
+        grid, mask = unit_disk_64
+
+        def singular(A, b):     # what spsolve returns for a singular matrix
+            return np.full(b.shape, np.nan)
+
+        with mock.patch.object(msolve.slinalg, "spsolve", singular), \
                 caplog.at_level("WARNING", logger="meancurv"):
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
         assert out.converged
