@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -155,6 +155,7 @@ class ExperimentConfig:
     out: str = "run"
 
     KINDS = ("solve", "perron", "measure", "harnack", "dirichlet", "verify", "report")
+    OPTION_KEYS = ("max_iter", "tol", "damping", "init")
 
     @staticmethod
     def from_json(d: dict) -> "ExperimentConfig":
@@ -166,8 +167,18 @@ class ExperimentConfig:
         res = d.get("resolutions", [32])
         if not res:
             raise ConfigError("resolution list must be nonempty")
+        params = d.get("params", {})
+        options = params.get("options", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"params.options must be an object, got {options!r}")
+        unknown = sorted(set(options) - set(ExperimentConfig.OPTION_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown solver options {unknown}; "
+                              f"known are {ExperimentConfig.OPTION_KEYS}")
+        if options.get("init", "harmonic") != "harmonic":
+            raise ConfigError(f"options.init must be 'harmonic', got {options['init']!r}")
         return ExperimentConfig(kind=kind, domain=d.get("domain", {}),
-                                resolutions=list(res), params=d.get("params", {}),
+                                resolutions=list(res), params=params,
                                 seed=int(d.get("seed", 0)), out=d.get("out", "run"))
 
     def canonical(self) -> str:
@@ -208,8 +219,7 @@ def _solve_opts(params: dict) -> SolveOptions:
     o = params.get("options", {})
     return SolveOptions(max_iter=int(o.get("max_iter", 40)),
                         tol=float(o.get("tol", 1e-8)),
-                        sigma=float(o.get("damping", 1e-4)),
-                        init=o.get("init", "harmonic"))
+                        sigma=float(o.get("damping", 1e-4)))
 
 
 def _run_solve(config: ExperimentConfig, out_dir: Path):
@@ -224,13 +234,11 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
     prev_field = None
     for res in config.resolutions:
         grid, mask = make_grid(shape, res)
-        opts = _solve_opts(params)
+        init = None
         if prev_field is not None:
-            iv = _resample(prev_field, grid, mask)
-            opts = replace(opts, init="provided",
-                           init_field=ScalarField(grid=grid, values=iv))
+            init = ScalarField(grid=grid, values=_resample(prev_field, grid, mask))
         out = solve_dirichlet(mask, f=formula(f_spec) if f_spec is not None else None,
-                              phi=formula(phi_spec), opts=opts)
+                              phi=formula(phi_spec), opts=_solve_opts(params), init=init)
         err = float("nan")
         if exact_spec is not None:
             ex = sample_function(formula(exact_spec), grid, mask)
@@ -262,15 +270,13 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
 
 
 def _resample(field: ScalarField, grid, mask) -> np.ndarray:
+    """Multilinear interpolation of a field onto the interior cells of a new
+    grid (NaN elsewhere); undefined and out-of-grid values read as zero."""
     from scipy.interpolate import RegularGridInterpolator
     old = field.grid
-    vals = np.nan_to_num(field.values, nan=0.0)
-    if old.n == 1:
-        rgi = RegularGridInterpolator((old.axis_centers(0),), vals,
-                                      bounds_error=False, fill_value=0.0)
-    else:
-        rgi = RegularGridInterpolator((old.axis_centers(0), old.axis_centers(1)),
-                                      vals, bounds_error=False, fill_value=0.0)
+    rgi = RegularGridInterpolator(tuple(old.axis_centers(k) for k in range(old.n)),
+                                  np.nan_to_num(field.values, nan=0.0),
+                                  bounds_error=False, fill_value=0.0)
     out = np.full(grid.shape, np.nan)
     out[mask.interior] = rgi(grid.points()[mask.interior])
     return out
@@ -349,10 +355,9 @@ def _run_harnack(config: ExperimentConfig, out_dir: Path):
     grid, mask = make_grid(shape, res)
     family = params.get("family", [{"name": "boundary_peak", "M": m} for m in (2, 4, 8)])
     rows = []
-    prev = None
     for k, phi_spec in enumerate(family):
         out = solve_dirichlet(mask, f=None, phi=formula(phi_spec),
-                              opts=_solve_opts(params), region=None)
+                              opts=_solve_opts(params))
         rep = harnack_report(out.field, mask, r=r)
         rows.append((k, json.dumps(phi_spec, sort_keys=True), rep.sup_half,
                      rep.inf_half, rep.ratio))
@@ -393,7 +398,7 @@ def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
     grid, mask = make_grid(shape, res)
     deltas = params.get("deltas")
     schedule = (ContinuationSchedule(deltas=tuple(deltas)) if deltas
-                else ContinuationSchedule.default(grid.h))
+                else ContinuationSchedule.default())
     balls = None
     if "check_balls" in params:
         balls = BallFamily(balls=tuple((tuple(c), float(r))

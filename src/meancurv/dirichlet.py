@@ -13,7 +13,7 @@ from the stage sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -272,8 +272,6 @@ class ContinuationSchedule:
     """Strictly decreasing relaxation factors with mollification widths."""
 
     deltas: tuple
-    eps_of_delta: Optional[Callable] = None
-    warm_start: bool = True
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.deltas)
@@ -286,15 +284,12 @@ class ContinuationSchedule:
         object.__setattr__(self, "deltas", d)
 
     def eps(self, delta: float, h: float) -> float:
-        if self.eps_of_delta is not None:
-            return max(2 * h, float(self.eps_of_delta(delta)))
         return max(2 * h, delta / 4.0)
 
     @staticmethod
-    def default(h: float, floor: float = 0.08, start: float = 0.5,
-                stages: int = 6) -> "ContinuationSchedule":
-        deltas = np.geomspace(start, floor, stages)
-        return ContinuationSchedule(deltas=tuple(deltas))
+    def default() -> "ContinuationSchedule":
+        """Six geometric stages from delta = 0.5 down to 0.08."""
+        return ContinuationSchedule(deltas=tuple(np.geomspace(0.5, 0.08, 6)))
 
 
 @dataclass
@@ -317,7 +312,6 @@ class PipelineResult:
     extrapolation_gap: float
     diagnosis: str
     mass_check: Optional[list] = None   # (center, r, recovered, exact) rows
-    stage_fields: Optional[list] = None
 
     def to_csv_rows(self):
         for s in self.stages:
@@ -328,8 +322,7 @@ class PipelineResult:
 def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                             schedule: Optional[ContinuationSchedule] = None,
                             opts: Optional[SolveOptions] = None,
-                            validate_balls: Optional[BallFamily] = None,
-                            keep_stage_fields: bool = True) -> PipelineResult:
+                            validate_balls: Optional[BallFamily] = None) -> PipelineResult:
     """Relaxation continuation toward the measure-data solution.
 
     Solves the equation with right side (1-delta) * mollified measure down
@@ -341,13 +334,12 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
     """
     opts = opts or SolveOptions()
     grid = mask.grid
-    schedule = schedule or ContinuationSchedule.default(grid.h)
+    schedule = schedule or ContinuationSchedule.default()
     nu.validate(mask)
 
     stages = []
     stage_fields = []
     prev_field = None
-    prev_vals = None
     diagnosis = "completed"
     converged = True
     for delta in schedule.deltas:
@@ -358,14 +350,12 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                                           (1.0 - delta) * np.nan_to_num(g_eps.values),
                                           np.nan),
                           provenance="derived")
-        stage_opts = opts
-        if schedule.warm_start and prev_field is not None:
-            stage_opts = replace(opts, init="provided", init_field=prev_field)
-        out = solve_dirichlet(mask, f=rhs, phi=phi, opts=stage_opts)
+        out = solve_dirichlet(mask, f=rhs, phi=phi, opts=opts, init=prev_field)
         viol = 0
-        if prev_vals is not None:
+        if prev_field is not None:
             both = mask.interior
-            viol = int((out.field.values[both] > prev_vals[both] + 10 * opts.tol).sum())
+            viol = int((out.field.values[both] > prev_field.values[both]
+                        + 10 * opts.tol).sum())
         vals_in = out.field.values[mask.interior]
         stages.append(StageRecord(delta=float(delta), eps=float(eps),
                                   iterations=out.iterations,
@@ -382,7 +372,6 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                 stage_fields.append(out.field)
             break
         prev_field = out.field
-        prev_vals = out.field.values
         stage_fields.append(out.field)
 
     final = stage_fields[-1] if stage_fields else None
@@ -407,8 +396,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
 
     return PipelineResult(field=final, stages=stages, converged=converged,
                           extrapolation_gap=gap, diagnosis=diagnosis,
-                          mass_check=mass_rows,
-                          stage_fields=stage_fields if keep_stage_fields else None)
+                          mass_check=mass_rows)
 
 
 def _delta_extrapolate(deltas: Sequence[float], values: Sequence[float]) -> float:

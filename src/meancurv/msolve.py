@@ -6,13 +6,14 @@ solves the first-order conditions of the area functional with a smoothed L1
 boundary deviation term, pinning the trace wherever the boundary flux stays
 strictly below one (active-set polish), so attained-trace minimizers agree
 with the Newton solver on the same discrete equations.  All of them run the
-one Newton kernel ``_newton_core``, whose matrix is assembled analytically
-(penalty rows included) and factored by one symmetric-mode sparse LU, whose
-ordering and CSC slots a cached plan per cell pattern keeps.  Ball
-replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
-check) go through one windowed ball kernel: ``ball_region`` cuts the ball's
-window and ring, ``_solve_ball`` checks the sphere data and owns the warm
-start and the harmonic restart.
+one Newton kernel ``_newton_core``, which starts from a given field or else
+from the harmonic extension of the data, and whose matrix is assembled
+analytically (penalty rows included) and factored at every size by one
+symmetric-mode sparse LU, whose ordering and CSC slots a cached plan per cell
+pattern keeps.  Ball replacements (``solve_on_ball``, the Perron lift and
+sweep, the viscosity check) go through one windowed ball kernel:
+``ball_region`` cuts the ball's window and ring, ``_solve_ball`` checks the
+sphere data and owns the warm start and the harmonic restart.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field as _dcfield, replace
+from dataclasses import dataclass, field as _dcfield
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -59,9 +60,6 @@ class SolveOptions:
     tol: float = 1e-8               # residual tolerance, density units, max-norm
     sigma: float = 1e-4             # Armijo sufficient-decrease fraction
     alpha_min: float = 2.0 ** -24
-    init: str = "harmonic"          # harmonic | zero | provided
-    init_field: Optional[ScalarField] = None
-    direct_limit: int = 400_000     # unknown count above which Newton steps go iterative
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -221,15 +219,15 @@ def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
     return _NewtonPlan(ri, ci, np.count_nonzero(unk), values)
 
 
-def _factorize(plan: _NewtonPlan, vals, diag, m, opts: SolveOptions):
+def _factorize(plan: _NewtonPlan, vals, diag, m):
     """Factor one Newton matrix (the plan's triplets, values ``vals`` then the
     diagonal ``diag``); returns a solve closure.
 
-    Sparse LU with diagonal-preferring pivots (SuperLU's symmetric mode) up to
-    the direct limit.  A pattern's first factorization orders it by minimum
+    One sparse LU with diagonal-preferring pivots (SuperLU's symmetric mode)
+    serves every size.  A pattern's first factorization orders it by minimum
     degree on A^T + A; from the second on, the matrix is scattered into its CSC
     form in that ordering and factored in natural order, with the same fill
-    and pivots.  Diagonally preconditioned Krylov beyond the limit.
+    and pivots.
     """
     pat = plan.pattern
     if isinstance(pat, _Triplets) and pat.perm is not None:
@@ -248,25 +246,12 @@ def _factorize(plan: _NewtonPlan, vals, diag, m, opts: SolveOptions):
         A = sparse.coo_matrix((np.concatenate([vals, diag]), (pat.rows, pat.cols)),
                               shape=(m, m)).tocsc()
         order = perm = slice(None)
-    if m <= opts.direct_limit:
-        lu = slinalg.splu(A, permc_spec="NATURAL" if isinstance(pat, _Ordered)
-                          else "MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
-                          options=dict(SymmetricMode=True))
-        if plan.pattern is pat and isinstance(pat, _Triplets):
-            plan.pattern = pat._replace(perm=lu.perm_c.copy())   # a view keeps the LU alive
-        return lambda b: lu.solve(b[order])[perm]
-    diag = A.diagonal()
-    diag = np.where(np.abs(diag) > 1e-14, diag, 1.0)
-    precond = slinalg.LinearOperator(A.shape, matvec=lambda x: x / diag)
-
-    def krylov(b):
-        x, code = slinalg.bicgstab(A, b[order], rtol=1e-10, atol=0.0, maxiter=8000,
-                                   M=precond)
-        if code != 0:
-            raise RuntimeError(f"iterative linear solve failed (info={code})")
-        return x[perm]
-
-    return krylov
+    lu = slinalg.splu(A, permc_spec="NATURAL" if isinstance(pat, _Ordered)
+                      else "MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                      options=dict(SymmetricMode=True))
+    if plan.pattern is pat and isinstance(pat, _Triplets):
+        plan.pattern = pat._replace(perm=lu.perm_c.copy())   # a view keeps the LU alive
+    return lambda b: lu.solve(b[order])[perm]
 
 
 def _harmonic_extension(n, shape, unknown, fixed, V):
@@ -331,14 +316,6 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         V[unk] = init_values[win][unk]
         if np.isnan(V[unk]).any() or np.isneginf(V[unk]).any():
             V = _repair_init(V, unk, fix)
-    elif opts.init == "zero":
-        V[unk] = 0.0
-    elif opts.init == "provided":
-        if opts.init_field is None:
-            raise ValueError("init='provided' needs init_field")
-        V[unk] = opts.init_field.values[win][unk]
-        if np.isnan(V[unk]).any():
-            raise ValueError("provided initial field undefined on unknowns")
     else:
         V[~(unk | fix)] = np.nan
         V = _harmonic_extension(n, unk.shape, unk, fix, V)
@@ -381,7 +358,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         diag = np.zeros(m)
         if pen is not None:
             diag[pen_ids] = _penalty_triplets(V, h, n, pen)
-        return _factorize(plan, vi, diag, m, opts)
+        return _factorize(plan, vi, diag, m)
 
     for it in range(opts.max_iter):
         rnorm_inf = float(np.max(np.abs(r))) if m else 0.0
@@ -589,28 +566,23 @@ def _as_values(grid: Grid, mask: DomainMask, data, where: np.ndarray) -> np.ndar
 
 def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                     opts: Optional[SolveOptions] = None,
-                    region: Optional[tuple] = None) -> SolveOutcome:
+                    init: Optional[ScalarField] = None) -> SolveOutcome:
     """Solve the prescribed mean curvature Dirichlet problem on the mask.
 
     f is the target density (None means the minimal surface equation), phi
     supplies boundary-cell data (scalar, callable on points, or a field).
+    Newton starts from ``init`` on the interior when given (undefined cells
+    take the lowest boundary value), else from the harmonic extension of phi.
     Non-convergence is a reportable outcome carrying the best iterate, never
     an exception.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
-    if region is None:
-        unknown, fixed = mask.interior, mask.boundary
-    else:
-        unknown, fixed = region
+    unknown, fixed = mask.interior, mask.boundary
     phi_vals = _as_values(grid, mask, phi, fixed)
     f_vals = _as_values(grid, mask, f, unknown)
-    init_values = None
-    if opts.init == "provided" and opts.init_field is not None:
-        init_values = opts.init_field.values
-        opts = replace(opts, init="harmonic", init_field=None)
     values, info = _newton_core(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
-                                opts, init_values=init_values)
+                                opts, init_values=None if init is None else init.values)
     fld = ScalarField(grid=grid, values=values, provenance="solved")
     certificate = None
     if f is None or (np.asarray(f_vals[unknown]) == 0).all():
@@ -696,9 +668,11 @@ def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
                         diagnostics=info)
 
 
+_ACTIVE_SET_ROUNDS = 3   # pinning rounds after the fully penalized first solve
+
+
 def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
-                           opts: Optional[SolveOptions] = None,
-                           max_active_set_rounds: int = 3) -> SolveOutcome:
+                           opts: Optional[SolveOptions] = None) -> SolveOutcome:
     """First-order stationarity for area - load + L1 boundary deviation.
 
     Stage one solves with the boundary deviation smoothed as
@@ -736,7 +710,7 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     phi_field = ScalarField(grid=grid, values=np.where(mask.boundary, phi_vals, np.nan))
     g_field = ScalarField(grid=grid, values=np.where(mask.interior, g_vals, 0.0))
     func_trace = []
-    for round_ in range(max_active_set_rounds + 1):
+    for round_ in range(_ACTIVE_SET_ROUNDS + 1):
         pinned = (mask.boundary & ~detached) | always_pinned
         unk = mask.interior | detached
         fixed = pinned

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meancurv import ScalarField, ShapeSpec, make_grid, sample_function
+from meancurv.cli import _resample
 from meancurv.mco import (
     CircleInterface,
     RectInterface,
@@ -64,17 +65,6 @@ def uc_formula(c: float):
                         -b * (1 - np.minimum(r, 1.0)) ** sigma - c)
 
     return uc
-
-
-def resample(field, grid, mask):
-    from scipy.interpolate import RegularGridInterpolator
-    old = field.grid
-    rgi = RegularGridInterpolator((old.axis_centers(0), old.axis_centers(1)),
-                                  np.nan_to_num(field.values), bounds_error=False,
-                                  fill_value=0.0)
-    out = np.full(grid.shape, np.nan)
-    out[mask.interior] = rgi(grid.points()[mask.interior])
-    return out
 
 
 # -- shared heavy fixtures ---------------------------------------------------
@@ -142,12 +132,11 @@ def test_acceptance_01_solver_regression():
         prev_field = None
         for res in (32, 64, 128):
             grid, mask = make_grid(case["shape"], res)
-            opts = SolveOptions()
+            init = None
             if prev_field is not None:
-                opts = SolveOptions(init="provided", init_field=ScalarField(
-                    grid=grid, values=resample(prev_field, grid, mask)))
+                init = ScalarField(grid=grid, values=_resample(prev_field, grid, mask))
             t0 = time.time()
-            out = solve_dirichlet(mask, f=case["f"], phi=case["exact"], opts=opts)
+            out = solve_dirichlet(mask, f=case["f"], phi=case["exact"], init=init)
             seconds = time.time() - t0
             ok &= out.converged and seconds < 30.0
             ex = sample_function(case["exact"], grid, mask)
@@ -301,10 +290,7 @@ def test_acceptance_06_harnack_behavior():
         def phi_m(p, M=M):
             return 0.05 + M * np.maximum((p[:, 0] - 0.5) / 0.5, 0.0) ** 4
 
-        opts = SolveOptions()
-        if prev is not None:
-            opts = SolveOptions(init="provided", init_field=prev)
-        out = solve_dirichlet(mask, f=None, phi=phi_m, opts=opts)
+        out = solve_dirichlet(mask, f=None, phi=phi_m, init=prev)
         rep = harnack_report(out.field, mask, r=1.0)
         peak_ratios.append(rep.ratio)
         center_cell = tuple(e // 2 for e in grid.extents)

@@ -30,6 +30,24 @@ class TestConfig:
         cfg.write_text(json.dumps({"kind": "solve"}), encoding="utf-8")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("options", [{"max_iter": 40, "damp": 1e-4},
+                                         {"init": "harmonc"}])
+    def test_bad_solver_options_exit_code_2(self, tmp_path, options):
+        raw = dict(TestSolveExperiment.CONFIG,
+                   params=dict(TestSolveExperiment.CONFIG["params"], options=options))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_documented_solver_options_validate(self):
+        options = {"max_iter": 40, "tol": 1e-8, "damping": 1e-4, "init": "harmonic"}
+        raw = dict(TestSolveExperiment.CONFIG,
+                   params=dict(TestSolveExperiment.CONFIG["params"], options=options))
+        assert ExperimentConfig.from_json(raw).params["options"] == options
+
 
 class TestVerify:
     def test_all_pass(self, tmp_path):

@@ -113,7 +113,7 @@ class TestSchedule:
             ContinuationSchedule(deltas=(0.5, 0.5))
         with pytest.raises(ValueError):
             ContinuationSchedule(deltas=(0.5, 0.0))
-        sch = ContinuationSchedule.default(1 / 64)
+        sch = ContinuationSchedule.default()
         assert sch.eps(0.5, 1 / 64) == 0.125
         assert sch.eps(0.01, 1 / 64) == 2 / 64
 

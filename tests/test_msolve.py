@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage, sparse
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
+from meancurv.cli import _resample
 from meancurv.field import UndefinedCellError, _dist_to
 from meancurv.msolve import (
     SolveOptions,
@@ -53,6 +54,27 @@ class TestSolveDirichlet:
             errs.append(np.nanmax(np.abs(out.field.values[mask.interior]
                                          - ex.values[mask.interior])))
         assert errs[0] / errs[1] >= 3.0
+
+    def test_init_equals_newton_init_values(self):
+        R = 4.0
+        hemi = hemisphere_formula(R)
+        f = lambda p: np.full(len(p), 2.0 / R)
+        coarse = solve_dirichlet(make_grid(ShapeSpec.disk((0, 0), 2.0), 32)[1],
+                                 f=f, phi=hemi).field
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 2.0), 64)
+        init = ScalarField(grid=grid, values=_resample(coarse, grid, mask))
+        with cold_plans():      # both start from the same plan state
+            warm = solve_dirichlet(mask, f=f, phi=hemi, init=init)
+        with cold_plans():
+            values, info = _newton_core(grid.h, 2, mask.interior, mask.boundary,
+                                        msolve._as_values(grid, mask, hemi, mask.boundary),
+                                        msolve._as_values(grid, mask, f, mask.interior),
+                                        SolveOptions(), init_values=init.values)
+        assert np.array_equal(warm.field.values, values, equal_nan=True)
+        assert warm.iterations == info["iterations"]
+        cold = solve_dirichlet(mask, f=f, phi=hemi)
+        assert warm.converged and cold.converged
+        assert warm.iterations < cold.iterations
 
     def test_scherk_second_order(self):
         errs = []
@@ -270,7 +292,7 @@ def newton_system(h, n, unknown, fixed, V, penalty=None):
     _newton_core's first step from V."""
     out = {}
 
-    def capture(plan, vals, diag, m, opts):
+    def capture(plan, vals, diag, m):
         out["triplets"] = (*plan_triplets(plan, m), np.concatenate([vals, diag]), m)
         out["args"] = (plan, vals, diag, m)
 
@@ -375,7 +397,7 @@ class TestNewtonMatrix:
         plan = args[0]
         # the ordering factorization, the one that builds the slot map, a cached one
         for ordered in (False, True, True):
-            x = _factorize(*args, SolveOptions())(b)
+            x = _factorize(*args)(b)
             assert isinstance(plan.pattern, msolve._Ordered) == ordered
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert plan.pattern.slot.dtype == np.int32
@@ -398,7 +420,7 @@ class TestNewtonPlan:
         assert not np.allclose(systems[0][0], systems[1][0])
         for _ in range(3):                     # interleaved, through every plan state
             for ref, args in systems:
-                assert np.allclose(_factorize(*args, SolveOptions())(np.ones(12)), ref,
+                assert np.allclose(_factorize(*args)(np.ones(12)), ref,
                                    rtol=1e-12, atol=0.0)
 
     def test_warm_plan_solve_equals_cold(self, cone_64, unit_disk_64):
