@@ -14,6 +14,12 @@ pattern keeps.  Ball replacements (``solve_on_ball``, the Perron lift and
 sweep, the viscosity check) go through one windowed ball kernel:
 ``ball_region`` cuts the ball's window and ring, ``_solve_ball`` checks the
 sphere data and owns the warm start and the harmonic restart.
+
+A Newton solve's first LU is factored fresh, except in a Perron sweep: there
+each ball's warm-started solve may start on the last LU of the ball before it
+(a chord matrix lagged across solves), handed over in a holder that the sweep
+owns, and only when both balls share one cached plan.  LUs are never kept on
+the shared plan, so a solve's iterates never depend on other threads.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field as _dcfield
 from typing import NamedTuple, Optional
 
@@ -207,10 +214,16 @@ class _NewtonPlan:
         self.values = values
 
 
+# held around every plan lookup: lru_cache alone lets concurrent misses build
+# and hand out two plans for one pattern, and a carried LU is matched to its
+# pattern by the identity of the plan
+_PLAN_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=64)
 def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
-    """Plan of a 2d cell pattern given by the bytes of its masks, cached (and
-    thread-safe) because the translated balls of a sweep level repeat it."""
+    """Plan of a 2d cell pattern given by the bytes of its masks, cached
+    because the translated balls of a sweep level repeat it."""
     unk, fix, rows_interior = (np.frombuffer(b, bool).reshape(shape)
                                for b in (unk, fix, rows_interior))
     unk_id = np.full(shape, -1)
@@ -289,8 +302,20 @@ def _harmonic_extension(n, shape, unknown, fixed, V):
 def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                  fixed_values: np.ndarray, f_values: np.ndarray,
                  opts: SolveOptions, init_values: Optional[np.ndarray] = None,
-                 penalty: Optional[dict] = None) -> tuple[np.ndarray, dict]:
-    """Newton iteration on arrays; slices its own tight window internally."""
+                 penalty: Optional[dict] = None,
+                 carry: Optional[list] = None) -> tuple[np.ndarray, dict]:
+    """Damped Newton on arrays; slices its own tight window internally.
+
+    Each fresh LU stays frozen as the chord matrix of later steps while they
+    keep contracting; a failed line search, slow contraction, or a back-solve
+    that raises or returns non-finite values drops it and refactors (and ends
+    the solve with ``info["error"]`` when the LU was fresh).  The first LU is
+    fresh unless ``carry``, a holder of the last fresh ``[plan, solve]`` pair
+    of an earlier solve, holds this pattern's cached plan: the solve then
+    starts on that LU.  Every fresh LU replaces the pair in ``carry``.
+    ``info`` counts ``factorizations`` (fresh LUs) and says whether the solve
+    ``carried`` (started on a carried LU).
+    """
     win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
     unk = unknown[win]
     fix = fixed[win]
@@ -340,9 +365,19 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                                  list(zip(*np.nonzero(unk & np.isnan(
                                      np.where(rows_interior, dens, 0.0))))))
     best = (np.max(np.abs(r)), V.copy())
-    info = {"iterations": 0, "converged": False, "line_search_failures": 0}
-    plan = None
-    lu = None  # frozen factorization, reused while it keeps contracting
+
+    def pattern_plan():
+        with _PLAN_LOCK:
+            return _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
+                                rows_interior.tobytes(), pen is not None)
+
+    plan = lu = None  # lu: frozen factorization, reused while it keeps contracting
+    if carry and n == 2:
+        plan = pattern_plan()
+        if carry[0] is plan:
+            lu = carry[1]
+    info = {"iterations": 0, "converged": False, "line_search_failures": 0,
+            "factorizations": 0, "carried": lu is not None}
 
     def assemble_factorize():
         nonlocal plan
@@ -352,8 +387,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             plan = _NewtonPlan(ri, ci, m)
         else:
             if plan is None:
-                plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
-                                    rows_interior.tobytes(), pen is not None)
+                plan = pattern_plan()
             vi = _jac_values_2d(h, faces, plan.values)
         diag = np.zeros(m)
         if pen is not None:
@@ -372,12 +406,19 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             except Exception as exc:
                 info["error"] = f"linear solve failed: {exc}"
                 break
-        du = lu(-r)
-        if not np.all(np.isfinite(du)):
+            info["factorizations"] += 1
+            if carry is not None:
+                carry[:] = (plan, lu)
+        try:
+            du = lu(-r)
+            failure = None if np.all(np.isfinite(du)) else "non-finite Newton direction"
+        except (RuntimeError, SystemError, ValueError) as exc:   # what SuperLU raises
+            failure = f"back-solve failed: {exc}"
+        if failure is not None:
             if not fresh:
-                lu = None
+                lu = None   # a carried or frozen LU unfit for this system: refactor
                 continue
-            info["error"] = "non-finite Newton direction"
+            info["error"] = failure
             break
         merit = 0.5 * float(r @ r)
         alpha = 1.0
@@ -624,12 +665,15 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
     return win, unknown, ring
 
 
-def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions):
+def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
+                carry: Optional[list] = None):
     """Minimal-graph replacement of the full-grid array V inside a ball.
 
-    Warm-starts from V when it is finite on the unknowns; a warm start that
-    does not converge gets one harmonic restart, kept when it converges or
-    lowers the residual.  Returns (win, unknown, window values, info).
+    Warm-starts from V when it is finite on the unknowns, passing ``carry``
+    (see ``_newton_core``) to that solve only; a warm start that does not
+    converge gets one harmonic restart with a fresh LU, kept when it
+    converges or lowers the residual.  Returns (win, unknown, window values,
+    info); after a restart, ``info["factorizations"]`` counts both solves.
     """
     grid = mask.grid
     win, unknown, ring = ball_region(mask, center, radius)
@@ -641,14 +685,16 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
     f_zero = np.zeros(Vw.shape)
     warm = Vw if np.isfinite(Vw[unknown]).all() else None
     values, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                                init_values=warm)
+                                init_values=warm, carry=carry)
     if not info["converged"] and warm is not None:
         # kinked warm starts can stall the line search; harmonic restart
         values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
                                       init_values=None)
+        factorizations = info["factorizations"] + info2["factorizations"]
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
             info["restarted"] = True
+        info["factorizations"] = factorizations
     return win, unknown, values, info
 
 

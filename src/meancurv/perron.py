@@ -6,7 +6,10 @@ of the domain and mollifying the result produces the smooth approximating
 sequences that the measure machinery consumes.  The single lift and the
 sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
 behind ``solve_on_ball`` and the viscosity check) and merge its result into
-the field with a cellwise max.
+the field with a cellwise max.  A single lift factors its Newton matrices
+fresh; a sweep hands the last LU of each ball solve to the next one, whose
+warm-started Newton run starts on it as a chord matrix when the two balls
+share a cell pattern (translates by whole cells do).
 """
 
 from __future__ import annotations
@@ -121,14 +124,16 @@ def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
 
 
 def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
-                  opts: SolveOptions) -> tuple[float, float, int, int]:
+                  opts: SolveOptions, carry: Optional[list] = None
+                  ) -> tuple[float, float, int, int, int]:
     """Lift mutating the full-grid array *work* inside the ball's window.
 
-    Returns (max_increase, min_increase, iterations, repaired -inf cells);
-    raises PerronLiftRefused without a field attached.
+    ``carry`` is passed to ``msolve._solve_ball``.  Returns (max_increase,
+    min_increase, iterations, repaired -inf cells, factorizations); raises
+    PerronLiftRefused without a field attached.
     """
     try:
-        win, unknown, values, info = _solve_ball(work, mask, center, radius, opts)
+        win, unknown, values, info = _solve_ball(work, mask, center, radius, opts, carry)
     except SizingError:
         raise
     except ValueError as exc:
@@ -145,7 +150,8 @@ def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
     merged = np.where(np.isfinite(old), np.maximum(new, old), new)
     delta = merged - np.where(np.isfinite(old), old, merged)
     Vw[unknown] = merged
-    return float(delta.max()), float(delta.min()), info["iterations"], repaired
+    return (float(delta.max()), float(delta.min()), info["iterations"], repaired,
+            info["factorizations"])
 
 
 @dataclass
@@ -156,6 +162,7 @@ class SweepRecord:
     min_increase: float
     iterations: int
     repaired_cells: int
+    factorizations: int       # fresh LUs built for this lift
 
 
 @dataclass
@@ -165,6 +172,11 @@ class SweepTrace:
     sup_change: float
     completed: bool
     monotone_within: float
+
+    @property
+    def factorizations(self) -> int:
+        """Fresh LUs built over the level's recorded lifts."""
+        return sum(r.factorizations for r in self.records)
 
     def to_csv_rows(self):
         for r in self.records:
@@ -179,23 +191,26 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
 
     The output dominates u; a refused lift aborts the sweep at that ball and
     returns the partial output with the trace collected so far (completed
-    stays False), so a deterministic restart is possible.
+    stays False), so a deterministic restart is possible.  Each ball solve
+    may start on the last LU of the one before (see ``msolve._newton_core``).
     """
     opts = opts or SolveOptions()
     cover = cover or build_ball_cover(mask, level)
     work = u.values.copy()
     records = []
     completed = True
+    carry = []   # this sweep's last fresh (plan, LU) pair
     for k, center in enumerate(cover.centers):
         try:
-            inc_max, inc_min, iters, repaired = _lift_inplace(
-                work, mask, center, cover.radius, opts)
+            inc_max, inc_min, iters, repaired, factorizations = _lift_inplace(
+                work, mask, center, cover.radius, opts, carry)
         except PerronLiftRefused:
             completed = False
             break
         records.append(SweepRecord(index=k, center=tuple(center),
                                    max_increase=inc_max, min_increase=inc_min,
-                                   iterations=iters, repaired_cells=repaired))
+                                   iterations=iters, repaired_cells=repaired,
+                                   factorizations=factorizations))
     both = np.isfinite(u.values) & np.isfinite(work)
     sup_change = float(np.max(np.abs(work[both] - u.values[both]))) \
         if both.any() else 0.0

@@ -147,7 +147,8 @@ class TestSolveDirichlet:
 def reference_ball_solve(u, mask, center, radius, opts):
     """Full-grid ball mask and ring, Newton, then one harmonic restart.
 
-    The construction the windowed ball kernel replaced, kept as a reference.
+    The construction the windowed ball kernel replaced, kept as a reference;
+    a restarted solve counts the factorizations of both Newton runs.
     """
     grid = mask.grid
     unknown = mask.interior & (_dist_to(grid.points(), center) < radius)
@@ -161,9 +162,11 @@ def reference_ball_solve(u, mask, center, radius, opts):
     if not info["converged"] and init is not None:
         values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
                                       init_values=None)
+        factorizations = info["factorizations"] + info2["factorizations"]
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
             info["restarted"] = True
+        info["factorizations"] = factorizations
     return values, info
 
 
@@ -466,6 +469,28 @@ class TestNewtonPlan:
             assert np.nanmax(np.abs(one.field.values - other.field.values)) <= 1e-12
 
 
+    def test_concurrent_misses_build_one_plan_per_pattern(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        balls = [((-0.02 + 9 * grid.h * i, 0.03 - 7 * grid.h * j), 0.2)
+                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
+
+        def solve(ball):
+            return solve_on_ball(cone_64, mask, *ball)
+
+        with cold_plans() as plans:
+            for ball in balls:
+                solve(ball)
+            patterns = plans().misses
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cold_plans() as plans, ThreadPoolExecutor(len(balls)) as pool:
+                assert all(out.converged for out in pool.map(solve, balls, timeout=300))
+                assert plans().misses == patterns
+        finally:
+            sys.setswitchinterval(switch)
+
+
 class TestReportedFallbacks:
     def test_nan_jacobian_entry_is_reported(self, unit_disk_64):
         grid, mask = unit_disk_64
@@ -504,3 +529,67 @@ class TestReportedFallbacks:
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
         assert out.converged
         assert "harmonic initializer failed" in caplog.text
+
+    @pytest.mark.parametrize("lu", ["fresh", "frozen"])
+    def test_raising_back_solve_is_reported(self, lu, unit_disk_64):
+        grid, mask = unit_disk_64
+        factorize = msolve._factorize
+        raised = []
+
+        def spy(*args):
+            solve, calls = factorize(*args), []
+
+            def first_raises(b):   # a fresh LU's first solve, or its first frozen reuse
+                calls.append(b)
+                if len(calls) == (1 if lu == "fresh" else 2):
+                    raised.append(b)
+                    raise SystemError("gstrs was called with invalid arguments")
+                return solve(b)
+            return first_raises
+
+        with mock.patch.object(msolve, "_factorize", spy):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert raised
+        if lu == "fresh":
+            assert not out.converged and len(raised) == 1
+            assert out.diagnostics["error"].startswith("back-solve failed: gstrs")
+        else:       # the frozen LU is dropped and the matrix refactored
+            assert out.converged and "error" not in out.diagnostics
+            assert out.diagnostics["factorizations"] > len(raised)
+
+
+class TestCarriedLU:
+    """A sweep's ball solve may start on the last LU of the solve before it."""
+
+    ball = ((0.1, -0.05), 0.3)
+
+    def test_foreign_plan_is_ignored(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions()
+        for _ in range(2):      # the pattern's plan is ordered, as a sweep meets it
+            ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        carry = []
+        msolve._solve_ball(cone_64.values, mask, (0.0, 0.1), 0.2, opts, carry)
+        foreign = carry[0]
+        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        assert np.array_equal(got[2], ref[2], equal_nan=True)
+        assert got[3] == ref[3] and ref[3]["converged"] and not got[3]["carried"]
+        assert carry[0] is not foreign      # the holder now carries this ball's pair
+
+    def test_raising_carried_solve_refactors(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions()
+        carry = []
+        msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+
+        def raising(b):
+            raise SystemError("gstrs was called with invalid arguments")
+
+        carry[1] = raising
+        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
+        assert got[3]["factorizations"] == ref[3]["factorizations"]
+        assert carry[1] is not raising
+        assert np.array_equal(got[2], ref[2], equal_nan=True)
+

@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, sample_function
+from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
 from meancurv.field import SizingError
 from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet
 from meancurv.perron import (
@@ -210,6 +214,66 @@ class TestSweep:
         b, _ = approximation_sweep(cone_64, mask, j, opts=opts, cover=rev)
         gap = np.nanmax(np.abs(a.values[mask.interior] - b.values[mask.interior]))
         assert gap <= 2 * 2.0 ** (-j)
+
+
+class TestCarriedLU:
+    """Each ball solve of a sweep may start on the previous ball's LU."""
+
+    def test_factorizations_are_counted(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        factorize = msolve._factorize
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return factorize(*args)
+
+        with mock.patch.object(msolve, "_factorize", counted):
+            _, trace = approximation_sweep(cone_64, mask, 3, opts=SolveOptions(tol=1e-7))
+        assert trace.completed
+        assert trace.factorizations == len(calls) < len(trace.records)
+        assert min(r.factorizations for r in trace.records) == 0
+
+    def test_sweep_matches_lift_by_lift(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions(tol=1e-7)
+        cover = build_ball_cover(mask, 3)
+        swept, trace = approximation_sweep(cone_64, mask, 3, opts=opts, cover=cover)
+        assert trace.completed and len(trace.records) == len(cover)
+        lifted = cone_64          # every ball factored fresh
+        for center in cover.centers:
+            lifted = perron_lift(lifted, mask, center, cover.radius, opts=opts)
+        assert np.array_equal(np.isnan(swept.values), np.isnan(lifted.values))
+        assert np.nanmax(np.abs(swept.values - lifted.values)) <= 1e-9
+
+    def test_threaded_sweeps_match_sequential(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions(tol=1e-7)
+        y = grid.points()[..., 1]
+        # three sweeps sharing one plan, one thread each
+        fields = [cone_64.with_values(cone_64.values + a * np.sin(4 * y))
+                  for a in (0.0, 0.05, -0.05)]
+        full = build_ball_cover(mask, 3)
+        cover = BallCover(level=3, radius=full.radius, centers=full.centers[:200])
+
+        def sweep(u):
+            return approximation_sweep(u, mask, 3, opts=opts, cover=cover)
+
+        msolve._newton_plan.cache_clear()
+        sequential = [sweep(u) for u in fields]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the threads as often as possible
+        try:
+            msolve._newton_plan.cache_clear()
+            with ThreadPoolExecutor(len(fields)) as pool:
+                threaded = list(pool.map(sweep, fields, timeout=300))
+        finally:
+            sys.setswitchinterval(switch)
+        for (one, one_trace), (other, other_trace) in zip(sequential, threaded):
+            assert one_trace.completed and other_trace.completed
+            assert ([r.iterations for r in one_trace.records]
+                    == [r.iterations for r in other_trace.records])
+            assert np.nanmax(np.abs(one.values - other.values)) <= 1e-12
 
 
 class TestSmoothSequence:
