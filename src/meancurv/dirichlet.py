@@ -24,6 +24,7 @@ from .field import (
     ScalarField,
     ShapeSpec,
     SizingError,
+    UndefinedCellError,
     _dist_to,
     mollifier_kernel,
 )
@@ -94,6 +95,8 @@ class MeasureSpec:
             raise ValueError("density must be nonnegative")
 
     def density_values(self, mask: DomainMask) -> np.ndarray:
+        """The density on interior cells, zero elsewhere; a NaN on an interior
+        cell raises, while a field's non-finite values count as zero."""
         grid = mask.grid
         out = np.zeros(grid.shape)
         if self.density is None:
@@ -105,6 +108,10 @@ class MeasureSpec:
             vals = np.asarray(self.density(pts), dtype=float).reshape(grid.shape)
         else:
             vals = np.full(grid.shape, float(self.density))
+        nan_cells = mask.interior & np.isnan(vals)
+        if nan_cells.any():
+            raise UndefinedCellError("density returned NaN at interior cells",
+                                     list(zip(*np.nonzero(nan_cells))))
         out[mask.interior] = vals[mask.interior]
         if (out < 0).any():
             raise ValueError("density must be nonnegative")

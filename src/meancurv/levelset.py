@@ -4,7 +4,9 @@ Superlevel sets of a field inside clip balls are measured with the subcell
 interface machinery; from those come the interior/boundary interface split,
 the geodesic radius of the spherical trace, co-area consistency tables, the
 measure-vs-perimeter margin of a set family, and the decay-threshold check
-behind uniform lower bounds.
+behind uniform lower bounds.  The margin reduces the measure to one per-cell
+mass array and sums it over each member of the family, rectangles and
+intervals through a summed-area table.
 """
 
 from __future__ import annotations
@@ -369,7 +371,6 @@ class SetFamily:
 
     rectangles: bool = True
     rect_stride: int = 1
-    rect_max: Optional[int] = None
     ball_radii: tuple = ()
     ball_stride: int = 4
     annuli: tuple = ()          # ((center, r_in, r_out), ...)
@@ -380,25 +381,31 @@ class SetFamily:
 def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
     """Largest measure/perimeter ratio over the family; eta* = 1 - max ratio.
 
-    nu is a density field (mass = cell sums) or a measure specification with
-    density, curve and atom parts.  Rectangles use their exact perimeter,
-    balls and annuli the analytic circumference of their continuum proxies,
-    superlevel sets their reconstructed interface length.  Zero-perimeter
-    members are excluded with a count.
+    nu is a density field, a measure specification with density, curve and
+    atom parts, or None.  It is reduced to one per-cell mass array: the
+    density times the cell volume on interior cells, each curve sampled at
+    arc step h/2 with every sample's mass put in its nearest cell, each atom
+    in its nearest cell.  A member's nu is the sum of that array over its
+    cells (rectangles and intervals read it from a summed-area table).
+    Rectangles use their exact perimeter, balls and annuli the analytic
+    circumference of their continuum proxies, superlevel sets their
+    reconstructed interface length.  Zero-perimeter members are excluded
+    with a count.
     """
     grid = mask.grid
-    evaluator = _measure_evaluator(nu, mask)
+    mass = _cell_masses(nu, mask)
     members = []
     excluded = 0
 
     if family.rectangles and grid.n == 2:
-        members.extend(_rect_members(evaluator, mask, family))
+        members.extend(_rect_members(mass, mask, family))
     if family.rectangles and grid.n == 1:
-        members.extend(_interval_members(evaluator, mask, family))
+        members.extend(_interval_members(mass, mask, family))
     for radius in family.ball_radii:
-        members.extend(_ball_members(evaluator, mask, radius, family.ball_stride))
+        members.extend(_ball_members(mass, mask, radius, family.ball_stride))
     for center, r_in, r_out in family.annuli:
-        nu_val = evaluator.annulus(center, r_in, r_out)
+        dist = _dist_to(grid.points(), center)
+        nu_val = float(mass[(dist > r_in) & (dist < r_out) & mask.interior].sum())
         per = 2 * math.pi * (r_in + r_out) if grid.n == 2 else 4.0
         members.append(FamilyMember(kind="annulus", descriptor=(center, r_in, r_out),
                                     nu=nu_val, perimeter=per))
@@ -412,9 +419,8 @@ def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
             if per <= 0:
                 excluded += 1
                 continue
-            nu_val = evaluator.cells(s.member)
             members.append(FamilyMember(kind="superlevel", descriptor=(float(t),),
-                                        nu=nu_val, perimeter=per))
+                                        nu=float(mass[s.member].sum()), perimeter=per))
 
     members = [m for m in members if m.perimeter > 0]
     if not members:
@@ -425,72 +431,43 @@ def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
                            worst=worst)
 
 
-class _measure_evaluator:
-    """nu(set) for density fields and measure specifications."""
-
-    def __init__(self, nu, mask: DomainMask):
-        self.mask = mask
-        self.grid = mask.grid
-        self.density = None
-        self.curves = []
-        self.atoms = []
-        if isinstance(nu, ScalarField):
-            self.density = np.where(np.isfinite(nu.values), nu.values, 0.0)
-        elif nu is None:
-            pass
-        else:  # MeasureSpec-like object
-            dens = getattr(nu, "density", None)
-            if dens is not None:
-                from .field import sample_function
-                if callable(dens):
-                    fld = sample_function(dens, self.grid, mask)
-                    self.density = np.where(np.isfinite(fld.values), fld.values, 0.0)
-                elif isinstance(dens, ScalarField):
-                    self.density = np.where(np.isfinite(dens.values), dens.values, 0.0)
-                else:
-                    self.density = np.full(self.grid.shape, float(dens))
-            for curve in getattr(nu, "curves", ()):
-                self.curves.append(curve)
-            for atom in getattr(nu, "atoms", ()):
-                self.atoms.append(atom)
-        self._arc_cache = []
-        h = self.grid.h
-        for curve in self.curves:
-            step = h / 2.0
-            npts = max(8, int(math.ceil(2 * math.pi * curve.radius / step)))
-            ang = (np.arange(npts) + 0.5) * 2 * math.pi / npts
-            pts = np.stack([curve.center[0] + curve.radius * np.cos(ang),
-                            curve.center[1] + curve.radius * np.sin(ang)], axis=1)
-            w = curve.lam * 2 * math.pi * curve.radius / npts
-            # the cells holding the arc sample points, rounded once
-            cells = tuple(np.clip(np.round((pts[:, k] - self.grid.origin[k]) / h),
-                                  0, self.grid.extents[k] - 1).astype(np.int64)
-                          for k in range(2))
-            self._arc_cache.append((cells, w))
-
-    def cells(self, member: np.ndarray) -> float:
-        total = 0.0
-        if self.density is not None:
-            total += float(self.density[member & self.mask.interior].sum()
-                           * self.grid.cell_volume)
-        for cells, w in self._arc_cache:
-            total += float(member[cells].sum() * w)
-        for x0, mass in self.atoms:
-            i = int(round((x0 - self.grid.origin[0]) / self.grid.h))
-            if 0 <= i < self.grid.extents[0] and member[i]:
-                total += mass
-        return total
-
-    def annulus(self, center, r_in, r_out) -> float:
-        dist = _dist_to(self.grid.points(), center)
-        return self.cells((dist > r_in) & (dist < r_out) & self.mask.interior)
-
-    def ball(self, center, radius) -> float:
-        dist = _dist_to(self.grid.points(), center)
-        return self.cells((dist < radius) & self.mask.interior)
+def _cell_masses(nu, mask: DomainMask) -> np.ndarray:
+    """Mass of nu in every cell of the grid (see eta_margin)."""
+    grid = mask.grid
+    if nu is None:
+        return np.zeros(grid.shape)
+    if isinstance(nu, ScalarField):
+        keep = mask.interior & np.isfinite(nu.values)
+        return np.where(keep, nu.values, 0.0) * grid.cell_volume
+    mass = nu.density_values(mask) * grid.cell_volume
+    h = grid.h
+    for curve in nu.curves:
+        npts = max(8, int(math.ceil(2 * math.pi * curve.radius / (h / 2.0))))
+        ang = (np.arange(npts) + 0.5) * 2 * math.pi / npts
+        pts = (curve.center[0] + curve.radius * np.cos(ang),
+               curve.center[1] + curve.radius * np.sin(ang))
+        cells = tuple(np.clip(np.round((pts[k] - grid.origin[k]) / h),
+                              0, grid.extents[k] - 1).astype(np.int64)
+                      for k in range(2))
+        np.add.at(mass, cells, curve.lam * 2 * math.pi * curve.radius / npts)
+    for x0, m in nu.atoms:
+        i = int(round((x0 - grid.origin[0]) / h))
+        if 0 <= i < grid.extents[0]:
+            mass[i] += m
+    return mass
 
 
-def _rect_members(ev, mask: DomainMask, family: SetFamily):
+def _summed_area(values: np.ndarray) -> np.ndarray:
+    """Table S with S[i, j] = values[:i, :j].sum() (S[i] = values[:i].sum() in 1d)."""
+    acc = values
+    for axis in range(values.ndim):
+        acc = np.cumsum(acc, axis=axis)
+    table = np.zeros(tuple(k + 1 for k in values.shape), dtype=acc.dtype)
+    table[(slice(1, None),) * values.ndim] = acc
+    return table
+
+
+def _rect_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
     grid = mask.grid
     inter = mask.interior
     idx = np.argwhere(inter)
@@ -498,53 +475,38 @@ def _rect_members(ev, mask: DomainMask, family: SetFamily):
     i1, j1 = idx.max(axis=0)
     h = grid.h
     stride = max(1, family.rect_stride)
-    csum = np.zeros((grid.extents[0] + 1, grid.extents[1] + 1))
-    dens = ev.density if ev.density is not None else np.zeros(grid.shape)
-    csum[1:, 1:] = np.cumsum(np.cumsum(np.where(inter, dens, 0.0), axis=0), axis=1)
+    mass_sat, inter_sat, held_sat = (_summed_area(v) for v in (mass, inter, mass != 0))
+
+    def box(sat, a, b, c, d):
+        return sat[b + 1, d + 1] - sat[a, d + 1] - sat[b + 1, c] + sat[a, c]
+
     members = []
-    count = 0
-    has_sing = bool(ev._arc_cache or ev.atoms)
     for a in range(i0, i1 + 1, stride):
         for b in range(a, i1 + 1, stride):
             for c in range(j0, j1 + 1, stride):
                 for d in range(c, j1 + 1, stride):
-                    block = inter[a:b + 1, c:d + 1]
-                    if not block.all():
+                    if box(inter_sat, a, b, c, d) < (b - a + 1) * (d - c + 1):
                         continue
-                    count += 1
-                    if family.rect_max is not None and count > family.rect_max:
-                        return members
-                    w = (b - a + 1) * h
-                    v = (d - c + 1) * h
-                    per = 2.0 * (w + v)
-                    nu_val = float(csum[b + 1, d + 1] - csum[a, d + 1]
-                                   - csum[b + 1, c] + csum[a, c]) * grid.cell_volume
-                    if has_sing:
-                        member = np.zeros(grid.shape, bool)
-                        member[a:b + 1, c:d + 1] = True
-                        nu_val = ev.cells(member)
-                    members.append(FamilyMember(
-                        kind="rectangle", descriptor=(a, b, c, d),
-                        nu=nu_val, perimeter=per))
+                    per = 2.0 * ((b - a + 1) * h + (d - c + 1) * h)
+                    # a rectangle holding no mass gets 0, not the table's rounding residue
+                    nu_val = (float(box(mass_sat, a, b, c, d))
+                              if box(held_sat, a, b, c, d) else 0.0)
+                    members.append(FamilyMember(kind="rectangle", descriptor=(a, b, c, d),
+                                                nu=nu_val, perimeter=per))
     return members
 
 
-def _interval_members(ev, mask: DomainMask, family: SetFamily):
-    inter = mask.interior
-    idx = np.nonzero(inter)[0]
+def _interval_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
+    idx = np.nonzero(mask.interior)[0]
     i0, i1 = int(idx.min()), int(idx.max())
     stride = max(1, family.rect_stride)
-    members = []
-    for a in range(i0, i1 + 1, stride):
-        for b in range(a, i1 + 1, stride):
-            member = np.zeros(mask.grid.shape, bool)
-            member[a:b + 1] = True
-            members.append(FamilyMember(kind="interval", descriptor=(a, b),
-                                        nu=ev.cells(member), perimeter=2.0))
-    return members
+    sat = _summed_area(mass)
+    return [FamilyMember(kind="interval", descriptor=(a, b),
+                         nu=float(sat[b + 1] - sat[a]), perimeter=2.0)
+            for a in range(i0, i1 + 1, stride) for b in range(a, i1 + 1, stride)]
 
 
-def _ball_members(ev, mask: DomainMask, radius: float, stride: int):
+def _ball_members(mass: np.ndarray, mask: DomainMask, radius: float, stride: int):
     grid = mask.grid
     pts = grid.points()
     sdist = mask.shape.signed_distance(pts)
@@ -558,8 +520,9 @@ def _ball_members(ev, mask: DomainMask, radius: float, stride: int):
     per = 2 * math.pi * radius if grid.n == 2 else 2.0
     for cidx in np.argwhere(ok & lattice):
         center = tuple(grid.cell_center(tuple(cidx)))
+        inside = (_dist_to(pts, center) < radius) & mask.interior
         members.append(FamilyMember(kind="ball", descriptor=(center, radius),
-                                    nu=ev.ball(center, radius), perimeter=per))
+                                    nu=float(mass[inside].sum()), perimeter=per))
     return members
 
 

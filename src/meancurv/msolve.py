@@ -313,8 +313,9 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     fresh unless ``carry``, a holder of the last fresh ``[plan, solve]`` pair
     of an earlier solve, holds this pattern's cached plan: the solve then
     starts on that LU.  Every fresh LU replaces the pair in ``carry``.
-    ``info`` counts ``factorizations`` (fresh LUs) and says whether the solve
-    ``carried`` (started on a carried LU).
+    ``info`` counts ``iterations`` (Newton steps, at most ``opts.max_iter``;
+    a pass that only drops an LU is not one) and ``factorizations`` (fresh
+    LUs), and says whether the solve ``carried`` (started on a carried LU).
     """
     win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
     unk = unknown[win]
@@ -394,7 +395,9 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             diag[pen_ids] = _penalty_triplets(V, h, n, pen)
         return _factorize(plan, vi, diag, m)
 
-    for it in range(opts.max_iter):
+    # a pass that only drops a carried or frozen LU takes no step and is not
+    # counted; the fresh LU after it either steps or ends the solve
+    while info["iterations"] < opts.max_iter:
         rnorm_inf = float(np.max(np.abs(r))) if m else 0.0
         if rnorm_inf <= opts.tol:
             info["converged"] = True
@@ -433,11 +436,11 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                 accepted = True
                 break
             alpha *= 0.5
-        info["iterations"] = it + 1
+        if not accepted and not fresh:
+            lu = None  # frozen direction went stale, rebuild and retry
+            continue
+        info["iterations"] += 1
         if not accepted:
-            if not fresh:
-                lu = None  # frozen direction went stale, rebuild and retry
-                continue
             info["line_search_failures"] += 1
             break
         merit_new = 0.5 * float(r @ r)
@@ -446,8 +449,6 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         cur = float(np.max(np.abs(r))) if m else 0.0
         if cur < best[0]:
             best = (cur, V.copy())
-    else:
-        info["iterations"] = opts.max_iter
 
     rfinal = float(np.max(np.abs(r))) if m else 0.0
     if rfinal <= opts.tol:

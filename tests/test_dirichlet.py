@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meancurv import ShapeSpec, make_grid, sample_function
-from meancurv.field import SizingError
+from meancurv.field import ScalarField, SizingError, UndefinedCellError
 from meancurv.dirichlet import (
     AtomRejectionError,
     ContinuationSchedule,
@@ -43,6 +43,27 @@ class TestMeasureSpec:
         nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.999, 1.0),))
         nu.validate(mask)
         assert nu.unsupported_by_theory
+
+    def test_nan_density_raises_everywhere(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        nu = MeasureSpec(density=lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
+        entry_points = (lambda: nu.density_values(mask),
+                        lambda: nu.total_mass(mask),
+                        lambda: mollify_measure(nu, 0.12, mask),
+                        lambda: eta_margin(nu, mask, SetFamily(rectangles=True,
+                                                               rect_stride=8)))
+        for call in entry_points:
+            with pytest.raises(UndefinedCellError, match="NaN at interior cells") as exc:
+                call()
+            assert all(mask.interior[c] and grid.cell_center(c)[0] > 0.5
+                       for c in exc.value.cells)
+
+    def test_field_density_keeps_non_finite_as_zero(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        vals = np.where(grid.points()[..., 0] > 0.5, np.nan, 1.0)
+        nu = MeasureSpec(density=ScalarField(grid=grid, values=vals))
+        dens = nu.density_values(mask)
+        assert np.array_equal(dens, np.where(mask.interior & np.isfinite(vals), 1.0, 0.0))
 
     def test_ball_mass(self, unit_disk_64):
         grid, mask = unit_disk_64

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv import levelset
+from meancurv.dirichlet import CurveSpec, MeasureSpec
 from meancurv.levelset import (
     SetFamily,
     coarea_profile,
@@ -213,6 +215,136 @@ class TestEtaMargin:
         small = eta_margin(dens, mask, SetFamily(rectangles=True, rect_stride=3))
         large = eta_margin(dens, mask, SetFamily(rectangles=True, rect_stride=1))
         assert large.eta_star <= small.eta_star + 1e-12
+
+
+def _recorded_members(monkeypatch, nu, mask, family):
+    """Every member eta_margin builds, in order."""
+    made = []
+
+    class Recorded(levelset.FamilyMember):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(levelset, "FamilyMember", Recorded)
+    eta_margin(nu, mask, family)
+    return made
+
+
+def _oracle_cells(member, mask, family, inside):
+    """The cells of a member, by plain loops over the interior cells."""
+    grid = mask.grid
+    if member.kind == "rectangle":
+        a, b, c, d = member.descriptor
+        return {(i, j) for i in range(a, b + 1) for j in range(c, d + 1)}
+    if member.kind == "interval":
+        a, b = member.descriptor
+        return {(i,) for i in range(a, b + 1)}
+    if member.kind == "ball":
+        center, r = member.descriptor
+        return {c for c in inside if math.dist(grid.cell_center(c), center) < r}
+    if member.kind == "annulus":
+        center, r_in, r_out = member.descriptor
+        return {c for c in inside
+                if r_in < math.dist(grid.cell_center(c), center) < r_out}
+    (t,) = member.descriptor
+    vals = family.superlevel_field.values
+    return {c for c in inside if np.isfinite(vals[c]) and vals[c] > t}
+
+
+def _oracle_parts(nu, mask, inside):
+    """Density times cell volume per interior cell, and (rounded cell, mass)
+    of every arc sample (step h/2) and atom."""
+    grid = mask.grid
+    h = grid.h
+    dens = {c: float(nu.density(np.array([grid.cell_center(c)]))[0]) * grid.cell_volume
+            for c in inside}
+    points = []
+    for curve in nu.curves:
+        npts = max(8, math.ceil(2 * math.pi * curve.radius / (h / 2)))
+        for k in range(npts):
+            ang = (k + 0.5) * 2 * math.pi / npts
+            pt = (curve.center[0] + curve.radius * math.cos(ang),
+                  curve.center[1] + curve.radius * math.sin(ang))
+            cell = tuple(min(max(round((pt[d] - grid.origin[d]) / h), 0),
+                             grid.extents[d] - 1) for d in range(2))
+            points.append((cell, curve.lam * 2 * math.pi * curve.radius / npts))
+    points += [((round((x0 - grid.origin[0]) / h),), m) for x0, m in nu.atoms]
+    return dens, points
+
+
+def _oracle_descriptors(mask, family):
+    """The family's members (kind, descriptor) in enumeration order."""
+    grid = mask.grid
+    inter = mask.interior
+    out = []
+    if family.rectangles:
+        idx = np.argwhere(inter)
+        lo, hi = idx.min(axis=0), idx.max(axis=0)
+        s = family.rect_stride
+        if grid.n == 1:
+            out += [("interval", (a, b)) for a in range(lo[0], hi[0] + 1, s)
+                    for b in range(a, hi[0] + 1, s)]
+        else:
+            for a in range(lo[0], hi[0] + 1, s):
+                for b in range(a, hi[0] + 1, s):
+                    for c in range(lo[1], hi[1] + 1, s):
+                        for d in range(c, hi[1] + 1, s):
+                            if all(inter[i, j] for i in range(a, b + 1)
+                                   for j in range(c, d + 1)):
+                                out.append(("rectangle", (a, b, c, d)))
+    for r in family.ball_radii:
+        for i, j in np.ndindex(*grid.extents):
+            center = grid.cell_center((i, j))
+            sd = float(mask.shape.signed_distance(np.array([center]))[0])
+            if (i % family.ball_stride == 0 and j % family.ball_stride == 0
+                    and inter[i, j] and sd >= r):
+                out.append(("ball", (center, r)))
+    out += [("annulus", a) for a in family.annuli]
+    if family.superlevel_field is not None:
+        vals = family.superlevel_field.values
+        out += [("superlevel", (float(t),)) for t in family.superlevel_thresholds
+                if (inter & np.isfinite(vals) & (vals > t)).any()]
+    return out
+
+
+class TestEtaMarginSingularParts:
+    """Member masses of measures with curve and atom parts, against plain loops."""
+
+    def _check(self, monkeypatch, nu, mask, family):
+        made = _recorded_members(monkeypatch, nu, mask, family)
+        assert [(m.kind, m.descriptor) for m in made] == _oracle_descriptors(mask, family)
+        inside = [c for c in np.ndindex(*mask.grid.extents) if mask.interior[c]]
+        dens, points = _oracle_parts(nu, mask, inside)
+        for m in made:
+            cells = _oracle_cells(m, mask, family, inside)
+            want = (sum(dens[c] for c in cells if c in dens)
+                    + sum(w for c, w in points if c in cells))
+            assert abs(m.nu - want) <= 1e-12 * abs(want), (m, want)
+        return made
+
+    def test_ring_plus_density_2d(self, monkeypatch):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 24)
+        nu = MeasureSpec(density=lambda p: 1 + p[:, 0] ** 2,
+                         curves=(CurveSpec.circle((0.1, 0.0), 0.45, 0.7),
+                                 CurveSpec.circle((-0.3, 0.2), 0.25, 1.3)))
+        family = SetFamily(
+            rectangles=True, rect_stride=3, ball_radii=(0.3, 0.5), ball_stride=5,
+            annuli=(((0.1, 0.0), 0.35, 0.55), ((0.0, 0.0), 0.2, 0.7)),
+            superlevel_field=sample_function(lambda p: -np.hypot(p[:, 0], p[:, 1]),
+                                             grid, mask),
+            superlevel_thresholds=(-0.8, -0.5, -0.2))
+        made = self._check(monkeypatch, nu, mask, family)
+        assert {m.kind for m in made} == {"rectangle", "ball", "annulus", "superlevel"}
+
+    def test_atoms_1d(self, monkeypatch):
+        grid, mask = make_grid(ShapeSpec.interval(-1.0, 1.0), 24)
+        # two atoms share a cell, one lies off the grid
+        nu = MeasureSpec(density=lambda p: 0.5 + p[:, 0] ** 2,
+                         atoms=((0.3, 0.2), (-0.55, 0.1), (0.3, 0.05), (5.0, 1.0)))
+        made = self._check(monkeypatch, nu, mask, SetFamily(rectangles=True,
+                                                            rect_stride=2))
+        assert made and all(m.kind == "interval" for m in made)
 
 
 class TestDecayBound:

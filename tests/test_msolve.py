@@ -590,6 +590,8 @@ class TestCarriedLU:
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert got[3]["factorizations"] == ref[3]["factorizations"]
+        # the pass that only dropped the raising LU took no step
+        assert got[3]["iterations"] == ref[3]["iterations"]
         assert carry[1] is not raising
         assert np.array_equal(got[2], ref[2], equal_nan=True)
 
