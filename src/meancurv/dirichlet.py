@@ -95,8 +95,9 @@ class MeasureSpec:
             raise ValueError("density must be nonnegative")
 
     def density_values(self, mask: DomainMask) -> np.ndarray:
-        """The density on interior cells, zero elsewhere; a NaN on an interior
-        cell raises, while a field's non-finite values count as zero."""
+        """The density on interior cells, zero elsewhere; a NaN or infinite
+        value on an interior cell raises, while a field's non-finite values
+        count as zero."""
         grid = mask.grid
         out = np.zeros(grid.shape)
         if self.density is None:
@@ -108,10 +109,10 @@ class MeasureSpec:
             vals = np.asarray(self.density(pts), dtype=float).reshape(grid.shape)
         else:
             vals = np.full(grid.shape, float(self.density))
-        nan_cells = mask.interior & np.isnan(vals)
-        if nan_cells.any():
-            raise UndefinedCellError("density returned NaN at interior cells",
-                                     list(zip(*np.nonzero(nan_cells))))
+        bad = mask.interior & ~np.isfinite(vals)
+        if bad.any():
+            raise UndefinedCellError("density returned inf or NaN at interior cells",
+                                     list(zip(*np.nonzero(bad))))
         out[mask.interior] = vals[mask.interior]
         if (out < 0).any():
             raise ValueError("density must be nonnegative")

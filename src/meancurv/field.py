@@ -739,11 +739,3 @@ def _reconstruct_geometry(s: DiscreteSet) -> SetGeometry:
                        wall_length=float(length[segs.kind == WALL].sum()),
                        segment_count=len(segs))
 
-
-def domain_boundary_segments(mask: DomainMask) -> InterfaceSegments:
-    """Reconstruction of the domain boundary itself as interface segments."""
-    grid = mask.grid
-    sd = mask.shape.signed_distance(grid.points())
-    probe = DiscreteSet(grid=grid, member=mask.interior.copy(), mask=mask,
-                        clip=None, level_source=(sd, 0.0))
-    return interface_segments(probe)

@@ -28,7 +28,7 @@ from .field import (
     interface_segments,
     superlevel_set,
 )
-from .mco import cell_gradients
+from .mco import cell_gradients, face_gradients, face_sides
 
 
 #: default threshold parameter for the steep-gradient interface fraction
@@ -112,14 +112,9 @@ def _level_exactly_attained(u: ScalarField, s: DiscreteSet, t: float) -> bool:
     member = s.member
     vals = u.values
     hit = np.zeros(member.shape, bool)
-    if u.grid.n == 1:
-        hit[1:] |= member[:-1] & ~member[1:] & (vals[1:] == t)
-        hit[:-1] |= member[1:] & ~member[:-1] & (vals[:-1] == t)
-    else:
-        hit[1:, :] |= member[:-1, :] & ~member[1:, :] & (vals[1:, :] == t)
-        hit[:-1, :] |= member[1:, :] & ~member[:-1, :] & (vals[:-1, :] == t)
-        hit[:, 1:] |= member[:, :-1] & ~member[:, 1:] & (vals[:, 1:] == t)
-        hit[:, :-1] |= member[:, 1:] & ~member[:, :-1] & (vals[:, :-1] == t)
+    for lo, hi in face_sides(u.grid.n):
+        hit[hi] |= member[lo] & ~member[hi] & (vals[hi] == t)
+        hit[lo] |= member[hi] & ~member[lo] & (vals[lo] == t)
     return bool(hit.any())
 
 
@@ -512,10 +507,7 @@ def _ball_members(mass: np.ndarray, mask: DomainMask, radius: float, stride: int
     sdist = mask.shape.signed_distance(pts)
     ok = mask.interior & (sdist >= radius)
     lattice = np.zeros(grid.shape, bool)
-    if grid.n == 1:
-        lattice[::stride] = True
-    else:
-        lattice[::stride, ::stride] = True
+    lattice[(slice(None, None, stride),) * grid.n] = True
     members = []
     per = 2 * math.pi * radius if grid.n == 2 else 2.0
     for cidx in np.argwhere(ok & lattice):
@@ -620,15 +612,9 @@ def truncated_bv_norm(u: ScalarField, t: float, window: np.ndarray) -> float:
     h = grid.h
     vals = np.where(np.isnan(u.values), np.nan, np.maximum(u.values, -t))
     n = grid.n
-    if n == 1:
-        g = (vals[1:] - vals[:-1]) / h
-        faces_in = window[1:] & window[:-1] & np.isfinite(g)
-        return float(np.abs(g[faces_in]).sum() * grid.cell_volume)
-    from .mco import face_gradients_2d
-    (gx, tx, wx, fx), (gy, ty, wy, fy) = face_gradients_2d(vals, h, fallback_transverse=True)
-    mag_x = np.hypot(gx, np.where(np.isfinite(tx), tx, 0.0))
-    mag_y = np.hypot(gy, np.where(np.isfinite(ty), ty, 0.0))
-    fin_x = window[1:, :] & window[:-1, :] & np.isfinite(mag_x)
-    fin_y = window[:, 1:] & window[:, :-1] & np.isfinite(mag_y)
-    total = float(mag_x[fin_x].sum() + mag_y[fin_y].sum()) * grid.cell_volume
-    return total / n
+    total = 0.0
+    faces = face_gradients(vals, h, fallback_transverse=True)
+    for (lo, hi), (g, t, _, _) in zip(face_sides(n), faces):
+        mag = np.hypot(g, np.where(np.isfinite(t), t, 0.0))
+        total += mag[window[lo] & window[hi] & np.isfinite(mag)].sum()
+    return float(total) * grid.cell_volume / n

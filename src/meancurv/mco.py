@@ -7,10 +7,20 @@ the four surrounding cell differences, and the cell density is the exact
 discrete divergence of the face fluxes.  Flux integrals over closed
 interfaces therefore satisfy the discrete divergence theorem to rounding,
 which is what all the measure bookkeeping downstream leans on.
+
+Every face quantity has one layout in 1d and 2d: per face axis a tuple
+(g, t, w, f) of normal gradient, transverse gradient (0 in 1d), weight
+sqrt(1 + g^2 + t^2) and flux g / w.  ``face_gradients`` hands a 1d array to
+the 1d kernel and any other to the 2d one; everything downstream (flux
+fields, the density, interface fluxes, the solver's residual and Newton
+matrix) loops over the axes.  The discrete boundary length is the face
+count of the boundary, ``_interior_face_count`` times h^(n-1), for both the
+area functional and the minimizer's stationarity rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,7 +33,6 @@ from .field import (
     ScalarField,
     UndefinedCellError,
     _dist_to,
-    domain_boundary_segments,
 )
 
 
@@ -31,12 +40,32 @@ from .field import (
 # staggered face gradients and fluxes
 
 
+def _along(n: int, axis: int, s: slice, rest: slice = slice(None)) -> tuple:
+    """Index tuple taking *s* on *axis* and *rest* on every other axis."""
+    return tuple(s if k == axis else rest for k in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def face_sides(n: int) -> tuple:
+    """Per face axis, the index tuples of the cells below and above its faces."""
+    return tuple((_along(n, a, slice(None, -1)), _along(n, a, slice(1, None)))
+                 for a in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _divergence_index(n: int) -> tuple:
+    """Inner cells, and per axis the faces below and above each inner cell."""
+    inner = slice(1, -1)
+    return (inner,) * n, tuple((_along(n, a, slice(None, -1), inner),
+                                _along(n, a, slice(1, None), inner)) for a in range(n))
+
+
 def face_gradients_1d(values: np.ndarray, h: float):
-    """Face slope, weight and flux between consecutive cells."""
+    """The one face axis of a 1d array: ((g, t, w, f),) with t = 0."""
     v = np.where(np.isfinite(values), values, np.nan)
     g = (v[1:] - v[:-1]) / h
     w = np.sqrt(1.0 + g * g)
-    return g, w, g / w
+    return ((g, np.zeros_like(g), w, g / w),)
 
 
 def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = False):
@@ -49,40 +78,45 @@ def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = 
     the boundary-penalized solver stage).
     """
     v = np.where(np.isfinite(values), values, np.nan)
-    nx, ny = v.shape
+    faces = []
+    for axis, (lo, hi) in enumerate(face_sides(2)):
+        inner, up, down = (_along(2, 1 - axis, s)
+                           for s in (slice(1, -1), slice(2, None), slice(None, -2)))
+        g = (v[hi] - v[lo]) / h
+        # transverse differences of the cells below (dl) and above (dr) the face
+        dl, dr = np.full_like(g, np.nan), np.full_like(g, np.nan)
+        for d, cells in ((dl, v[lo]), (dr, v[hi])):
+            d[inner] = cells[up] - cells[down]
+        t = np.full_like(g, np.nan)
+        t[inner] = (dl[inner] + dr[inner]) / (4.0 * h)
+        if fallback_transverse:
+            only_l = np.isfinite(dl) & ~np.isfinite(dr)
+            only_r = np.isfinite(dr) & ~np.isfinite(dl)
+            t = np.where(only_l, dl / (2.0 * h), t)
+            t = np.where(only_r, dr / (2.0 * h), t)
+            t = np.where(np.isnan(t) & np.isfinite(g), 0.0, t)
+        w = np.sqrt(1.0 + g * g + t * t)
+        faces.append((g, t, w, g / w))
+    return tuple(faces)
 
-    gx = (v[1:, :] - v[:-1, :]) / h
-    tx = np.full_like(gx, np.nan)
-    dl = np.full_like(gx, np.nan)
-    dr = np.full_like(gx, np.nan)
-    dl[:, 1:-1] = v[:-1, 2:] - v[:-1, :-2]
-    dr[:, 1:-1] = v[1:, 2:] - v[1:, :-2]
-    tx[:, 1:-1] = (dl[:, 1:-1] + dr[:, 1:-1]) / (4.0 * h)
-    if fallback_transverse:
-        only_l = np.isfinite(dl) & ~np.isfinite(dr)
-        only_r = np.isfinite(dr) & ~np.isfinite(dl)
-        tx = np.where(only_l, dl / (2.0 * h), tx)
-        tx = np.where(only_r, dr / (2.0 * h), tx)
-        tx = np.where(np.isnan(tx) & np.isfinite(gx), 0.0, tx)
-    wx = np.sqrt(1.0 + gx * gx + tx * tx)
-    fx = gx / wx
 
-    gy = (v[:, 1:] - v[:, :-1]) / h
-    ty = np.full_like(gy, np.nan)
-    db = np.full_like(gy, np.nan)
-    dt = np.full_like(gy, np.nan)
-    db[1:-1, :] = v[2:, :-1] - v[:-2, :-1]
-    dt[1:-1, :] = v[2:, 1:] - v[:-2, 1:]
-    ty[1:-1, :] = (db[1:-1, :] + dt[1:-1, :]) / (4.0 * h)
-    if fallback_transverse:
-        only_b = np.isfinite(db) & ~np.isfinite(dt)
-        only_t = np.isfinite(dt) & ~np.isfinite(db)
-        ty = np.where(only_b, db / (2.0 * h), ty)
-        ty = np.where(only_t, dt / (2.0 * h), ty)
-        ty = np.where(np.isnan(ty) & np.isfinite(gy), 0.0, ty)
-    wy = np.sqrt(1.0 + gy * gy + ty * ty)
-    fy = gy / wy
-    return (gx, tx, wx, fx), (gy, ty, wy, fy)
+def face_gradients(values: np.ndarray, h: float, fallback_transverse: bool = False):
+    """Per face axis (g, t, w, f) of a 1d or 2d cell array."""
+    if values.ndim == 1:
+        return face_gradients_1d(values, h)
+    return face_gradients_2d(values, h, fallback_transverse)
+
+
+def _divergence(faces, h: float) -> np.ndarray:
+    """Cell density of per-axis face fluxes; NaN on the outermost cells."""
+    inner, sides = _divergence_index(len(faces))
+    f0 = faces[0][3]
+    dens = np.full((f0.shape[0] + 1,) + f0.shape[1:], np.nan)
+    total = None
+    for (lo, hi), (_, _, _, f) in zip(sides, faces):
+        total = f[hi] - f[lo] if total is None else total + f[hi] - f[lo]
+    dens[inner] = total / h
+    return dens
 
 
 @dataclass
@@ -93,10 +127,13 @@ class FluxField:
     fx: np.ndarray
     fy: Optional[np.ndarray] = None
 
+    @property
+    def axes(self) -> tuple:
+        """The flux arrays, one per face axis."""
+        return tuple(f for f in (self.fx, self.fy) if f is not None)
+
     def max_magnitude(self) -> float:
-        vals = [np.nanmax(np.abs(self.fx))] if np.isfinite(self.fx).any() else []
-        if self.fy is not None and np.isfinite(self.fy).any():
-            vals.append(np.nanmax(np.abs(self.fy)))
+        vals = [np.nanmax(np.abs(f)) for f in self.axes if np.isfinite(f).any()]
         return float(max(vals)) if vals else 0.0
 
     def to_json(self) -> dict:
@@ -110,11 +147,8 @@ class FluxField:
 
 
 def flux_field(u: ScalarField) -> FluxField:
-    if u.grid.n == 1:
-        _, _, f = face_gradients_1d(u.values, u.grid.h)
-        return FluxField(grid=u.grid, fx=f)
-    (_, _, _, fx), (_, _, _, fy) = face_gradients_2d(u.values, u.grid.h)
-    return FluxField(grid=u.grid, fx=fx, fy=fy)
+    faces = face_gradients(u.values, u.grid.h)
+    return FluxField(u.grid, *(f for _, _, _, f in faces))
 
 
 def h1_density(u: ScalarField) -> ScalarField:
@@ -123,18 +157,8 @@ def h1_density(u: ScalarField) -> ScalarField:
     Cells whose stencil touches an undefined or -inf value are NaN; callers
     integrating the density must skip and count them.
     """
-    grid = u.grid
-    h = grid.h
-    if grid.n == 1:
-        _, _, f = face_gradients_1d(u.values, h)
-        dens = np.full(grid.shape, np.nan)
-        dens[1:-1] = (f[1:] - f[:-1]) / h
-    else:
-        (_, _, _, fx), (_, _, _, fy) = face_gradients_2d(u.values, h)
-        dens = np.full(grid.shape, np.nan)
-        dens[1:-1, 1:-1] = (fx[1:, 1:-1] - fx[:-1, 1:-1]
-                            + fy[1:-1, 1:] - fy[1:-1, :-1]) / h
-    return ScalarField(grid=grid, values=dens, provenance="derived")
+    dens = _divergence(face_gradients(u.values, u.grid.h), u.grid.h)
+    return ScalarField(grid=u.grid, values=dens, provenance="derived")
 
 
 def density_integral(u: ScalarField, inside: np.ndarray,
@@ -219,29 +243,15 @@ def boundary_flux(u, interface) -> float:
     ff = u if isinstance(u, FluxField) else flux_field(u)
     grid = ff.grid
     inside = interface.inside(grid.points())
-    if grid.n == 1:
-        f = ff.fx
-        cut = inside[1:] != inside[:-1]
-        bad = cut & np.isnan(f)
-        if bad.any():
-            raise UndefinedCellError("interface crosses undefined faces",
-                                     [(int(i),) for i in np.nonzero(bad)[0]])
-        sign = np.where(inside[:-1], 1.0, -1.0)
-        return float((f[cut] * sign[cut]).sum())
-    fx, fy = ff.fx, ff.fy
-    cut_x = inside[1:, :] != inside[:-1, :]
-    cut_y = inside[:, 1:] != inside[:, :-1]
-    bad_cells = []
-    if (cut_x & np.isnan(fx)).any():
-        bad_cells += list(zip(*np.nonzero(cut_x & np.isnan(fx))))
-    if (cut_y & np.isnan(fy)).any():
-        bad_cells += list(zip(*np.nonzero(cut_y & np.isnan(fy))))
+    total, bad_cells = None, []
+    for (lo, hi), f in zip(face_sides(grid.n), ff.axes):
+        cut = inside[hi] != inside[lo]
+        bad_cells += list(zip(*np.nonzero(cut & np.isnan(f))))
+        part = (f[cut] * np.where(inside[lo], 1.0, -1.0)[cut]).sum()
+        total = part if total is None else total + part
     if bad_cells:
         raise UndefinedCellError("interface crosses undefined faces", bad_cells)
-    sign_x = np.where(inside[:-1, :], 1.0, -1.0)
-    sign_y = np.where(inside[:, :-1], 1.0, -1.0)
-    total = (fx[cut_x] * sign_x[cut_x]).sum() + (fy[cut_y] * sign_y[cut_y]).sum()
-    return float(total * grid.h)
+    return float(total * grid.h ** (grid.n - 1))
 
 
 def enclosed_density_sum(u: ScalarField, interface) -> float:
@@ -257,23 +267,33 @@ def enclosed_density_sum(u: ScalarField, interface) -> float:
 def cell_gradients(u: ScalarField) -> np.ndarray:
     """Cell-centered gradient by central differences; NaN where incomplete."""
     v = np.where(np.isfinite(u.values), u.values, np.nan)
-    h = u.grid.h
-    if u.grid.n == 1:
-        g = np.full(v.shape + (1,), np.nan)
-        g[1:-1, 0] = (v[2:] - v[:-2]) / (2 * h)
-        return g
-    g = np.full(v.shape + (2,), np.nan)
-    g[1:-1, :, 0] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    g[:, 1:-1, 1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    n, h = u.grid.n, u.grid.h
+    g = np.full(v.shape + (n,), np.nan)
+    for a in range(n):
+        g[_along(n, a, slice(1, -1)) + (a,)] = (
+            v[_along(n, a, slice(2, None))] - v[_along(n, a, slice(None, -2))]) / (2 * h)
     return g
+
+
+def _interior_face_count(mask: DomainMask) -> np.ndarray:
+    """Per-cell count of faces shared with an interior cell."""
+    inter = mask.interior
+    count = np.zeros(mask.grid.shape, dtype=float)
+    for lo, hi in face_sides(mask.grid.n):
+        count[hi] += inter[lo]
+        count[lo] += inter[hi]
+    return count
 
 
 def area_functional(u: ScalarField, g: Optional[ScalarField],
                     phi: ScalarField, mask: DomainMask) -> float:
-    """Graph area - forcing pairing + boundary deviation, midpoint quadrature.
+    """The minimizer's discrete functional: graph area - forcing pairing +
+    boundary deviation.
 
-    integral sqrt(1+|Du|^2) over interior cells, minus integral g*u, plus the
-    reconstructed boundary length element against |u - phi| on boundary cells.
+    Midpoint quadrature of sqrt(1+|Du|^2) over interior cells, minus
+    integral g*u, plus |u - phi| on boundary cells against the boundary
+    length the stationarity rows use: each cell's face count with the
+    interior times h^(n-1).
     """
     grid = u.grid
     hv = grid.cell_volume
@@ -284,29 +304,10 @@ def area_functional(u: ScalarField, g: Optional[ScalarField],
     load = 0.0
     if g is not None:
         load = float((g.values[mask.interior] * u.values[mask.interior]).sum() * hv)
-    lengths = boundary_length_elements(mask)
+    lengths = _interior_face_count(mask) * grid.h ** (grid.n - 1)
     dev = np.abs(u.values - phi.values)
     pen = float(np.nansum(dev[mask.boundary] * lengths[mask.boundary]))
     return area - load + pen
-
-
-def boundary_length_elements(mask: DomainMask) -> np.ndarray:
-    """Length of the reconstructed domain boundary assigned per boundary cell."""
-    grid = mask.grid
-    out = np.zeros(grid.shape)
-    if grid.n == 1:
-        out[mask.boundary] = 1.0
-        return out
-    segs = domain_boundary_segments(mask)
-    bidx = np.argwhere(mask.boundary)
-    bx = grid.axis_centers(0)[bidx[:, 0]]
-    by = grid.axis_centers(1)[bidx[:, 1]]
-    mid = segs.midpoint
-    # each segment goes to its nearest boundary cell, the first one on ties
-    d2 = (bx - mid[:, :1]) ** 2 + (by - mid[:, 1:]) ** 2
-    nearest = bidx[np.argmin(d2, axis=1)]
-    np.add.at(out, tuple(nearest.T), segs.length)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .field import DomainMask, ScalarField, SizingError
-from .mco import CircleInterface, PairInterface, boundary_flux, flux_field, h1_density
+from .mco import (CircleInterface, PairInterface, _interior_face_count, boundary_flux,
+                  flux_field, h1_density)
 
 
 @dataclass(frozen=True)
@@ -332,12 +333,6 @@ def total_mass_bound(u: ScalarField, mask: DomainMask) -> tuple[float, float]:
     dens = h1_density(u).values
     have = mask.interior & ~np.isnan(dens)
     total = float(dens[have].sum() * u.grid.cell_volume)
-    inter = mask.interior
-    n = u.grid.n
-    faces = 0
-    if n == 1:
-        faces += int((inter[1:] != inter[:-1]).sum())
-    else:
-        faces += int((inter[1:, :] != inter[:-1, :]).sum())
-        faces += int((inter[:, 1:] != inter[:, :-1]).sum())
-    return total, faces * u.grid.h ** (n - 1)
+    # every face between an interior and a non-interior cell, counted once
+    faces = _interior_face_count(mask)[~mask.interior].sum()
+    return total, float(faces) * u.grid.h ** (u.grid.n - 1)

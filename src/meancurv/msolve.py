@@ -10,10 +10,13 @@ one Newton kernel ``_newton_core``, which starts from a given field or else
 from the harmonic extension of the data, and whose matrix is assembled
 analytically (penalty rows included) and factored at every size by one
 symmetric-mode sparse LU, whose ordering and CSC slots a cached plan per cell
-pattern keeps.  Ball replacements (``solve_on_ball``, the Perron lift and
-sweep, the viscosity check) go through one windowed ball kernel:
-``ball_region`` cuts the ball's window and ring, ``_solve_ball`` checks the
-sphere data and owns the warm start and the harmonic restart.
+pattern keeps.  The residual and the matrix take the per-axis face layout of
+``mco.face_gradients`` and loop over the face axes, so 1d and 2d solves run
+the same code, plan cache and carried LU included.  Ball replacements
+(``solve_on_ball``, the Perron lift and sweep, the viscosity check) go
+through one windowed ball kernel: ``ball_region`` cuts the ball's window and
+ring, ``_solve_ball`` checks the sphere data and owns the warm start and the
+harmonic restart.
 
 A Newton solve's first LU is factored fresh, except in a Perron sweep: there
 each ball's warm-started solve may start on the last LU of the ball before it
@@ -37,11 +40,7 @@ from scipy.sparse import linalg as slinalg
 
 from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
                     _dist_to)
-from .mco import (
-    face_gradients_1d,
-    face_gradients_2d,
-    area_functional,
-)
+from .mco import _divergence, _interior_face_count, area_functional, face_gradients, face_sides
 
 logger = logging.getLogger("meancurv")
 
@@ -89,41 +88,11 @@ class SolveOutcome:
 # core Newton machinery (operates on a sliced window around the region)
 
 
-def _residual(V: np.ndarray, h: float, n: int, f_arr: np.ndarray,
-              rows_interior: np.ndarray, fallback: bool):
-    if n == 1:
-        _, _, fx = face_gradients_1d(V, h)
-        dens = np.full(V.shape, np.nan)
-        dens[1:-1] = (fx[1:] - fx[:-1]) / h
-        faces = ((None, None, fx),)
-    else:
-        (gx, tx, wx, fx), (gy, ty, wy, fy) = face_gradients_2d(V, h, fallback)
-        dens = np.full(V.shape, np.nan)
-        dens[1:-1, 1:-1] = (fx[1:, 1:-1] - fx[:-1, 1:-1]
-                            + fy[1:-1, 1:] - fy[1:-1, :-1]) / h
-        faces = ((gx, tx, wx, fx), (gy, ty, wy, fy))
-    r = dens[rows_interior] - f_arr[rows_interior]
-    return r, dens, faces
-
-
-def _jacobian_triplets_1d(V, h, unk_id, rows_interior, pcells):
-    g, w, _ = face_gradients_1d(V, h)
-    df = 1.0 / w ** 3
-    fi = np.arange(g.size)
-    rows, cols, vals = [], [], []
-    # face i couples cells L=i and R=i+1; dF/dV_L = -df/h, dF/dV_R = +df/h.  An
-    # interior row takes the flux with its density sign, a penalty row takes
-    # it sign-flipped through a defined face to a non-penalty cell
-    for row_cell, other, row_sign in ((fi, fi + 1, 1.0), (fi + 1, fi, -1.0)):
-        weight = np.where(rows_interior[row_cell], row_sign,
-                          np.where(pcells[row_cell] & ~pcells[other] & np.isfinite(g),
-                                   -row_sign, 0.0))
-        for col_cell, col_sign in ((fi, -1.0), (fi + 1, 1.0)):
-            keep = (weight != 0) & (unk_id[col_cell] >= 0)
-            rows.append(unk_id[row_cell[keep]])
-            cols.append(unk_id[col_cell[keep]])
-            vals.append(weight[keep] * col_sign * df[keep] / (h * h))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+def _residual(V: np.ndarray, h: float, f_arr: np.ndarray, rows_interior: np.ndarray,
+              fallback: bool):
+    faces = face_gradients(V, h, fallback)
+    dens = _divergence(faces, h)
+    return dens[rows_interior] - f_arr[rows_interior], dens, faces
 
 
 # a face flux depends on the normal difference across the face and on the
@@ -134,51 +103,61 @@ _FACE_DEPS = ((0, 0, -1.0), (1, 0, 1.0), (0, 1, 0.25), (0, -1, -0.25),
               (1, 1, 0.25), (1, -1, -0.25))
 
 
-def _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback):
+def _jac_structure(unk, fix, rows_interior, unk_id, fallback):
     """Sparsity pattern of the Newton matrix; fixed across Newton iterations.
 
     An interior row takes every face flux of its cell; a penalty row
     (unknown, not interior) takes, sign-flipped, the flux through each face
-    it shares with a defined non-penalty cell.  With fallback, a transverse
-    difference taken from one side only weighs that side 1/2 instead of 1/4,
-    as in ``face_gradients_2d``.  Returns (rows, cols, (gather, scale)):
-    value k is ``coeff[gather[k]] * scale[k] / h^2`` over the concatenated
-    normal and transverse flux derivatives of ``_jac_values_2d``.
+    it shares with a defined non-penalty cell.  A 1d face has no transverse
+    axis, so its flux depends on its two cells only.  With fallback, a
+    transverse difference taken from one side only weighs that side 1/2
+    instead of 1/4, as in ``face_gradients_2d``.  Returns (rows, cols,
+    (gather, scale)): value k is ``coeff[gather[k]] * scale[k] / h^2`` over
+    the concatenated normal and transverse flux derivatives of
+    ``_jac_values_2d``.
     """
+    n = unk.ndim
     defined, interior, pcells = (np.pad(a, 1) for a in
                                  (unk | fix, rows_interior, unk & ~rows_interior))
     ids = np.pad(unk_id, 1, constant_values=-1)
-    nx, ny = unk.shape
+    unit = np.eye(n, dtype=int)
     rows, cols, gather, scale = [], [], [], []
     base = 0
-    for e, t in (((1, 0), (0, 1)), ((0, 1), (1, 0))):   # face normal, transverse
-        fI, fJ = np.indices((nx - e[0], ny - e[1])).reshape(2, -1)
+    for axis in range(n):
+        e = unit[axis]
+        face = np.indices(np.subtract(unk.shape, e)).reshape(n, -1) + 1   # padded
 
-        def at(arr, side, d):
-            return arr[fI + side * e[0] + d * t[0] + 1, fJ + side * e[1] + d * t[1] + 1]
+        def at(arr, offset):
+            return arr[tuple(face + offset[:, None])]
 
-        ok = [at(defined, s, 1) & at(defined, s, -1) for s in (0, 1)]
+        nf = face.shape[1]
+        # (offset of the column cell, weight, fallback factor, coefficient block)
+        deps = [(s * e, dep, 1.0, base) for s, d, dep in _FACE_DEPS if not d]
+        for t in unit[np.arange(n) != axis]:     # the transverse axis, none in 1d
+            ok = [at(defined, s * e + t) & at(defined, s * e - t) for s in (0, 1)]
+            deps += [(s * e + d * t, dep, ok[s] * (2 - ok[1 - s]) if fallback else 1.0,
+                      base + nf) for s, d, dep in _FACE_DEPS if d]
         for side, row_sign in ((0, 1.0), (1, -1.0)):
-            weight = np.where(at(interior, side, 0), row_sign,
-                              np.where(at(pcells, side, 0) & ~at(pcells, 1 - side, 0)
-                                       & at(defined, 1 - side, 0), -row_sign, 0.0))
-            r_id = at(ids, side, 0)
-            for s, d, dep in _FACE_DEPS:
-                val = weight * dep
-                if d and fallback:
-                    val = val * (ok[s] * (2 - ok[1 - s]))
-                c_id = at(ids, s, d)
+            here, there = side * e, (1 - side) * e
+            weight = np.where(at(interior, here), row_sign,
+                              np.where(at(pcells, here) & ~at(pcells, there)
+                                       & at(defined, there), -row_sign, 0.0))
+            r_id = at(ids, here)
+            for offset, dep, factor, block in deps:
+                val = weight * dep * factor
+                c_id = at(ids, offset)
                 keep = (val != 0) & (c_id >= 0)
                 rows.append(r_id[keep])
                 cols.append(c_id[keep])
-                gather.append(np.nonzero(keep)[0] + (base + fI.size if d else base))
+                gather.append(np.nonzero(keep)[0] + block)
                 scale.append(val[keep])
-        base += 2 * fI.size
+        base += 2 * nf
     return (np.concatenate(rows), np.concatenate(cols),
             (np.concatenate(gather), np.concatenate(scale)))
 
 
 def _jac_values_2d(h, faces, plan):
+    """Newton matrix values from the per-axis faces and a plan's (gather, scale)."""
     gather, scale = plan
     coeff = np.concatenate([c.ravel() for g, t, w, _ in faces
                             for c in ((1.0 + t * t) / w ** 3, -g * t / w ** 3)])
@@ -205,11 +184,11 @@ class _Ordered(NamedTuple):
 
 class _NewtonPlan:
     """What the Newton matrices of one cell pattern share: the (gather, scale)
-    ``values`` plan of ``_jac_values_2d`` (None in 1d) and a ``pattern``, a
+    ``values`` plan of ``_jac_values_2d`` and a ``pattern``, a
     ``_Triplets`` until the second factorization replaces it, whole, by an
     ``_Ordered``: racing solves may repeat a step but never see half of one."""
 
-    def __init__(self, ri, ci, m, values=None):
+    def __init__(self, ri, ci, m, values):
         self.pattern = _Triplets(*(np.concatenate([a, np.arange(m)]) for a in (ri, ci)))
         self.values = values
 
@@ -222,13 +201,13 @@ _PLAN_LOCK = threading.Lock()
 
 @functools.lru_cache(maxsize=64)
 def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
-    """Plan of a 2d cell pattern given by the bytes of its masks, cached
+    """Plan of a cell pattern given by the bytes of its masks, cached
     because the translated balls of a sweep level repeat it."""
     unk, fix, rows_interior = (np.frombuffer(b, bool).reshape(shape)
                                for b in (unk, fix, rows_interior))
     unk_id = np.full(shape, -1)
     unk_id[unk] = np.arange(np.count_nonzero(unk))
-    ri, ci, values = _jac_structure_2d(unk, fix, rows_interior, unk_id, fallback)
+    ri, ci, values = _jac_structure(unk, fix, rows_interior, unk_id, fallback)
     return _NewtonPlan(ri, ci, np.count_nonzero(unk), values)
 
 
@@ -353,7 +332,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     pen_ids = unk_id[pen["cells"]] if pen is not None else None
 
     def full_residual(Vcur):
-        r_int, dens, faces = _residual(Vcur, h, n, f_arr, rows_interior, pen is not None)
+        r_int, dens, faces = _residual(Vcur, h, f_arr, rows_interior, pen is not None)
         r = np.zeros(m)
         r[int_ids] = r_int
         if pen is not None:
@@ -373,7 +352,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                                 rows_interior.tobytes(), pen is not None)
 
     plan = lu = None  # lu: frozen factorization, reused while it keeps contracting
-    if carry and n == 2:
+    if carry:
         plan = pattern_plan()
         if carry[0] is plan:
             lu = carry[1]
@@ -382,14 +361,9 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
 
     def assemble_factorize():
         nonlocal plan
-        if n == 1:   # a fresh plan each time: 1d systems are small
-            ri, ci, vi = _jacobian_triplets_1d(V, h, unk_id, rows_interior,
-                                               unk & ~rows_interior)
-            plan = _NewtonPlan(ri, ci, m)
-        else:
-            if plan is None:
-                plan = pattern_plan()
-            vi = _jac_values_2d(h, faces, plan.values)
+        if plan is None:
+            plan = pattern_plan()
+        vi = _jac_values_2d(h, faces, plan.values)
         diag = np.zeros(m)
         if pen is not None:
             diag[pen_ids] = _penalty_triplets(V, h, n, pen)
@@ -464,7 +438,12 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
 
 
 def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
-    """Coarse measure-vs-perimeter margin screen for the minimizer data."""
+    """Coarse measure-vs-perimeter margin screen for the minimizer data.
+
+    A screen that cannot run (``ScalarField`` or ``eta_margin`` raising
+    ``ValueError``) is logged at WARNING with its reason; any other
+    exception propagates.
+    """
     try:
         from .levelset import SetFamily, eta_margin
         dens = ScalarField(grid=mask.grid,
@@ -477,8 +456,8 @@ def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
                 "prescribed density fails the measure/perimeter margin on the "
                 "screened family (eta* = %.3f); the minimizer may be unbounded",
                 rep.eta_star)
-    except Exception:
-        logger.debug("margin screen skipped", exc_info=True)
+    except ValueError as exc:
+        logger.warning("measure/perimeter margin screen skipped: %s", exc)
 
 
 def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
@@ -516,22 +495,6 @@ def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
     return worst if worst[1] < 0 else None
 
 
-def _interior_face_count(mask: DomainMask) -> np.ndarray:
-    """Per-cell count of faces shared with an interior cell."""
-    inter = mask.interior
-    n = mask.grid.n
-    count = np.zeros(mask.grid.shape, dtype=float)
-    if n == 1:
-        count[1:] += inter[:-1]
-        count[:-1] += inter[1:]
-    else:
-        count[1:, :] += inter[:-1, :]
-        count[:-1, :] += inter[1:, :]
-        count[:, 1:] += inter[:, :-1]
-        count[:, :-1] += inter[:, 1:]
-    return count
-
-
 def _repair_init(V, unk, fix):
     fill = np.nanmin(V[fix]) if fix.any() else 0.0
     bad = unk & ~np.isfinite(V)
@@ -548,29 +511,20 @@ def _penalty_residual(V, h, n, pen, faces):
     ell = pen["length"]
     kappa = pen["kappa"]
     hn = h ** n
-    out_flux = _outgoing_flux(V, h, n, cells, faces)
+    out_flux = _outgoing_flux(cells, faces)
     dev = V - phi
     sprime = dev / np.sqrt(dev * dev + kappa * kappa)
     r = (out_flux * h ** (n - 1) + ell * sprime) / hn
     return r[cells]
 
 
-def _outgoing_flux(V, h, n, pcells, faces):
+def _outgoing_flux(pcells, faces):
     """Sum of face fluxes oriented from non-penalty cells into penalty cells."""
-    out = np.zeros(V.shape)
-    if n == 1:
-        fx = faces[0][2]
-        flux = np.where(np.isfinite(fx), fx, 0.0)
-        # face i between cells i, i+1; into cell i+1 is +flux, into cell i is -flux
-        out[1:] += np.where(pcells[1:] & ~pcells[:-1], flux, 0.0)
-        out[:-1] += np.where(pcells[:-1] & ~pcells[1:], -flux, 0.0)
-        return out
-    fx = np.where(np.isfinite(faces[0][3]), faces[0][3], 0.0)
-    fy = np.where(np.isfinite(faces[1][3]), faces[1][3], 0.0)
-    out[1:, :] += np.where(pcells[1:, :] & ~pcells[:-1, :], fx, 0.0)
-    out[:-1, :] += np.where(pcells[:-1, :] & ~pcells[1:, :], -fx, 0.0)
-    out[:, 1:] += np.where(pcells[:, 1:] & ~pcells[:, :-1], fy, 0.0)
-    out[:, :-1] += np.where(pcells[:, :-1] & ~pcells[:, 1:], -fy, 0.0)
+    out = np.zeros(pcells.shape)
+    for (lo, hi), (_, _, _, f) in zip(face_sides(pcells.ndim), faces):
+        flux = np.where(np.isfinite(f), f, 0.0)
+        out[hi] += np.where(pcells[hi] & ~pcells[lo], flux, 0.0)
+        out[lo] += np.where(pcells[lo] & ~pcells[hi], -flux, 0.0)
     return out
 
 
@@ -578,7 +532,7 @@ def _penalty_triplets(V, h, n, pen):
     """Diagonal of the smoothed-L1 term in the penalty rows, cell by cell.
 
     The flux part of those rows comes with the face coefficients (see
-    ``_jac_structure_2d`` and ``_jacobian_triplets_1d``).
+    ``_jac_structure``).
     """
     cells, kappa = pen["cells"], pen["kappa"]
     dev = V[cells] - pen["phi"][cells]
@@ -600,9 +554,10 @@ def _as_values(grid: Grid, mask: DomainMask, data, where: np.ndarray) -> np.ndar
         out[where] = np.asarray(data(pts.reshape(-1, grid.n)), dtype=float)
     else:
         out[where] = float(data)
-    if np.isnan(out[where]).any():
-        raise UndefinedCellError("data undefined on required cells",
-                                 list(zip(*np.nonzero(where & np.isnan(out)))))
+    bad = where & ~np.isfinite(out)
+    if bad.any():
+        raise UndefinedCellError("data undefined or infinite on required cells",
+                                 list(zip(*np.nonzero(bad))))
     return out
 
 

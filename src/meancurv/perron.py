@@ -75,10 +75,7 @@ def build_ball_cover(mask: DomainMask, level: int) -> BallCover:
     # field's gradient sheets weak enough that mollification defects decay
     stride = max(1, int(round(radius / (2 * grid.h))))
     lattice = np.zeros(grid.shape, bool)
-    if grid.n == 1:
-        lattice[::stride] = True
-    else:
-        lattice[::stride, ::stride] = True
+    lattice[(slice(None, None, stride),) * grid.n] = True
     chosen = admissible & lattice
 
     target = mask.interior & (sdist > radius / 2.0)
@@ -231,6 +228,14 @@ class SequenceTerm:
     defect: float
 
 
+def _sequence_term(smooth: ScalarField, level: int, eps: float) -> SequenceTerm:
+    """A sequence term and its defect, the largest negative density of *smooth*."""
+    dens = h1_density(smooth).values
+    have = ~np.isnan(dens)
+    defect = float(max(0.0, -dens[have].min())) if have.any() else 0.0
+    return SequenceTerm(field=smooth, level=level, eps=eps, defect=defect)
+
+
 def smooth_subharmonic_sequence(u: ScalarField, mask: DomainMask,
                                 levels: Sequence[tuple],
                                 opts: Optional[SolveOptions] = None
@@ -251,11 +256,7 @@ def smooth_subharmonic_sequence(u: ScalarField, mask: DomainMask,
         swept, trace = approximation_sweep(u, mask, level, opts=opts)
         if not trace.completed:
             raise PerronLiftRefused(f"sweep at level {level} aborted", field=swept)
-        smooth = mollify_field(swept, eps)
-        dens = h1_density(smooth).values
-        have = ~np.isnan(dens)
-        defect = float(max(0.0, -dens[have].min())) if have.any() else 0.0
-        out.append(SequenceTerm(field=smooth, level=level, eps=eps, defect=defect))
+        out.append(_sequence_term(mollify_field(swept, eps), level, eps))
     return out
 
 
@@ -267,11 +268,4 @@ def direct_mollified_sequence(u: ScalarField, eps_list: Sequence[float]
     merely subharmonic fields the defect is reported per term just like the
     sweep route.
     """
-    out = []
-    for eps in eps_list:
-        smooth = mollify_field(u, eps)
-        dens = h1_density(smooth).values
-        have = ~np.isnan(dens)
-        defect = float(max(0.0, -dens[have].min())) if have.any() else 0.0
-        out.append(SequenceTerm(field=smooth, level=-1, eps=eps, defect=defect))
-    return out
+    return [_sequence_term(mollify_field(u, eps), -1, eps) for eps in eps_list]

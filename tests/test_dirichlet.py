@@ -46,17 +46,18 @@ class TestMeasureSpec:
 
     def test_nan_density_raises_everywhere(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
-        nu = MeasureSpec(density=lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0))
-        entry_points = (lambda: nu.density_values(mask),
-                        lambda: nu.total_mass(mask),
-                        lambda: mollify_measure(nu, 0.12, mask),
-                        lambda: eta_margin(nu, mask, SetFamily(rectangles=True,
-                                                               rect_stride=8)))
-        for call in entry_points:
-            with pytest.raises(UndefinedCellError, match="NaN at interior cells") as exc:
-                call()
-            assert all(mask.interior[c] and grid.cell_center(c)[0] > 0.5
-                       for c in exc.value.cells)
+        for bad in (np.nan, np.inf):
+            nu = MeasureSpec(density=lambda p: np.where(p[:, 0] > 0.5, bad, 1.0))
+            entry_points = (lambda: nu.density_values(mask),
+                            lambda: nu.total_mass(mask),
+                            lambda: mollify_measure(nu, 0.12, mask),
+                            lambda: eta_margin(nu, mask, SetFamily(rectangles=True,
+                                                                   rect_stride=8)))
+            for call in entry_points:
+                with pytest.raises(UndefinedCellError, match="NaN at interior cells") as exc:
+                    call()
+                assert all(mask.interior[c] and grid.cell_center(c)[0] > 0.5
+                           for c in exc.value.cells)
 
     def test_field_density_keeps_non_finite_as_zero(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)

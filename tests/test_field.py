@@ -24,8 +24,6 @@ from meancurv.field import (
     LEVEL,
     TOL_ISO,
     WALL,
-    InterfaceSegments,
-    domain_boundary_segments,
     interface_segments,
     isoperimetric_floor,
     mollifier_kernel,
@@ -444,12 +442,6 @@ class TestInterfaceKernel:
             segs = assert_matches_reference(superlevel_set(u, mask, float(t), r=r))
             assert segs.p1.shape == (len(segs), 1)
             assert np.array_equal(segs.p1, segs.p2)
-
-    def test_domain_boundary_same_type_in_1d_and_2d(self, unit_disk_64, interval_100):
-        for grid, mask in (unit_disk_64, interval_100):
-            segs = domain_boundary_segments(mask)
-            assert isinstance(segs, InterfaceSegments)
-            assert segs.p1.shape == (len(segs), grid.n)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), level=st.booleans(), clip=st.booleans())

@@ -90,12 +90,6 @@ class TestFluxBound:
             ff = flux_field(u)
             assert ff.max_magnitude() < 1.0
 
-    def test_total_mass_below_boundary_measure(self, cone_64, unit_disk_64):
-        from meancurv.measure import total_mass_bound
-        grid, mask = unit_disk_64
-        total, bdry = total_mass_bound(cone_64, mask)
-        assert total <= bdry + 1e-9
-
     def test_ellipticity_eigenvalues(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -177,6 +171,15 @@ class TestAreaFunctional:
         val = area_functional(u, None, phi, mask)
         expect = math.sqrt(1 + s * s)
         assert abs(val - expect) < 0.02 * expect
+
+    def test_boundary_term_is_face_count_length(self):
+        # the stationarity rows' length: 252 faces of h = 1/32 on the unit disk,
+        # not the Euclidean 2 pi
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        u = sample_function(lambda p: np.zeros(len(p)), grid, mask)
+        phi = sample_function(lambda p: np.ones(len(p)), grid, mask)
+        val = area_functional(u, None, phi, mask)
+        assert abs(val - mask.interior_volume() - 7.875) < 1e-12
 
 
 class TestSubharmonicCheck:

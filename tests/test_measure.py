@@ -99,10 +99,12 @@ class TestBallMeasureTable:
         tab = ball_measure_table(sm, fam)
         assert all(r.mu >= -1e-12 for r in tab.rows)
 
-    def test_global_bound(self, cone_64, unit_disk_64):
-        grid, mask = unit_disk_64
-        total, bdry = total_mass_bound(cone_64, mask)
-        assert 0 < total <= bdry + 1e-9
+    def test_global_bound(self, cone_64, unit_disk_64, interval_100):
+        grid, mask = interval_100
+        cone_1d = sample_function(cone_formula, grid, mask)
+        for u, (_, mask) in ((cone_64, unit_disk_64), (cone_1d, interval_100)):
+            total, bdry = total_mass_bound(u, mask)
+            assert 0 < total <= bdry + 1e-9
 
 
 class TestExtrapolateTail:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage, sparse
 
-from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
+from meancurv import NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, sample_function
 from meancurv.cli import _resample
 from meancurv.field import UndefinedCellError, _dist_to
 from meancurv.msolve import (
@@ -492,6 +492,27 @@ class TestNewtonPlan:
 
 
 class TestReportedFallbacks:
+    def test_infinite_forcing_raises(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        f = lambda p: np.where(p[:, 0] > 0.5, np.inf, 0.0)
+        with pytest.raises(UndefinedCellError, match="infinite") as exc:
+            solve_dirichlet(mask, f=f, phi=0.0)
+        assert exc.value.cells
+        assert all(mask.interior[c] and grid.cell_center(c)[0] > 0.5
+                   for c in exc.value.cells)
+
+    def test_margin_screen_logs_value_errors_only(self, caplog):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        g = np.ones(grid.shape)
+        with mock.patch.object(levelset, "eta_margin", side_effect=ValueError("no members")), \
+                caplog.at_level("WARNING", logger="meancurv"):
+            msolve._warn_if_margin_fails(mask, g)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "margin screen skipped: no members" in caplog.text
+        with mock.patch.object(levelset, "eta_margin", side_effect=TypeError("bad family")), \
+                pytest.raises(TypeError, match="bad family"):
+            msolve._warn_if_margin_fails(mask, g)
+
     def test_nan_jacobian_entry_is_reported(self, unit_disk_64):
         grid, mask = unit_disk_64
         fill = msolve._jac_values_2d

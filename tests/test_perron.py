@@ -216,35 +216,44 @@ class TestSweep:
         assert gap <= 2 * 2.0 ** (-j)
 
 
+def cones(cone_64, unit_disk_64, interval_100):
+    """The cone on the unit disk at 64 and |x| on [-1, 1] at 100, with masks."""
+    grid, mask = interval_100
+    return ((cone_64, unit_disk_64[1]),
+            (sample_function(cone_formula, grid, mask), mask))
+
+
 class TestCarriedLU:
     """Each ball solve of a sweep may start on the previous ball's LU."""
 
-    def test_factorizations_are_counted(self, cone_64, unit_disk_64):
-        grid, mask = unit_disk_64
+    def test_factorizations_are_counted(self, cone_64, unit_disk_64, interval_100):
         factorize = msolve._factorize
-        calls = []
+        for u, mask in cones(cone_64, unit_disk_64, interval_100):
+            calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return factorize(*args)
+            def counted(*args):
+                calls.append(args)
+                return factorize(*args)
 
-        with mock.patch.object(msolve, "_factorize", counted):
-            _, trace = approximation_sweep(cone_64, mask, 3, opts=SolveOptions(tol=1e-7))
-        assert trace.completed
-        assert trace.factorizations == len(calls) < len(trace.records)
-        assert min(r.factorizations for r in trace.records) == 0
+            with mock.patch.object(msolve, "_factorize", counted):
+                _, trace = approximation_sweep(u, mask, 3, opts=SolveOptions(tol=1e-7))
+            assert trace.completed
+            assert trace.factorizations == len(calls) < len(trace.records)
+            assert min(r.factorizations for r in trace.records) == 0
+            # some lift took Newton steps on the LU carried from the ball before
+            assert any(r.iterations and not r.factorizations for r in trace.records)
 
-    def test_sweep_matches_lift_by_lift(self, cone_64, unit_disk_64):
-        grid, mask = unit_disk_64
+    def test_sweep_matches_lift_by_lift(self, cone_64, unit_disk_64, interval_100):
         opts = SolveOptions(tol=1e-7)
-        cover = build_ball_cover(mask, 3)
-        swept, trace = approximation_sweep(cone_64, mask, 3, opts=opts, cover=cover)
-        assert trace.completed and len(trace.records) == len(cover)
-        lifted = cone_64          # every ball factored fresh
-        for center in cover.centers:
-            lifted = perron_lift(lifted, mask, center, cover.radius, opts=opts)
-        assert np.array_equal(np.isnan(swept.values), np.isnan(lifted.values))
-        assert np.nanmax(np.abs(swept.values - lifted.values)) <= 1e-9
+        for u, mask in cones(cone_64, unit_disk_64, interval_100):
+            cover = build_ball_cover(mask, 3)
+            swept, trace = approximation_sweep(u, mask, 3, opts=opts, cover=cover)
+            assert trace.completed and len(trace.records) == len(cover)
+            lifted = u            # every ball factored fresh
+            for center in cover.centers:
+                lifted = perron_lift(lifted, mask, center, cover.radius, opts=opts)
+            assert np.array_equal(np.isnan(swept.values), np.isnan(lifted.values))
+            assert np.nanmax(np.abs(swept.values - lifted.values)) <= 1e-9
 
     def test_threaded_sweeps_match_sequential(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
