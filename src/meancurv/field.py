@@ -294,8 +294,7 @@ def make_grid(shape: ShapeSpec, resolution: int) -> tuple[Grid, DomainMask]:
 
     pts = grid.points()
     inside = shape.signed_distance(pts) > 0
-    ring = ndimage.binary_dilation(inside, structure=np.ones((3,) * grid.n, bool)) & ~inside
-    mask = DomainMask(grid=grid, shape=shape, interior=inside, boundary=ring)
+    mask = DomainMask(grid=grid, shape=shape, interior=inside, boundary=_ring(inside))
     mask.validate()
     return grid, mask
 
@@ -590,6 +589,11 @@ def _shape_center(shape: ShapeSpec):
         (x0, x1), (y0, y1) = shape.bounds
         return (0.5 * (x0 + x1), 0.5 * (y0 + y1))
     return shape.center
+
+
+def _ring(cells: np.ndarray) -> np.ndarray:
+    """Cells sharing a face or a corner with *cells*, outside them."""
+    return ndimage.binary_dilation(cells, structure=np.ones((3,) * cells.ndim, bool)) & ~cells
 
 
 def _dist_to(pts: np.ndarray, center) -> np.ndarray:

@@ -10,10 +10,11 @@ which is what all the measure bookkeeping downstream leans on.
 
 Every face quantity has one layout in 1d and 2d: per face axis a tuple
 (g, t, w, f) of normal gradient, transverse gradient (0 in 1d), weight
-sqrt(1 + g^2 + t^2) and flux g / w.  ``face_gradients`` hands a 1d array to
-the 1d kernel and any other to the 2d one; everything downstream (flux
-fields, the density, interface fluxes, the solver's residual and Newton
-matrix) loops over the axes.  The discrete boundary length is the face
+sqrt(1 + g^2 + t^2) and flux g / w, written down once in ``face_formula``.
+``face_gradients`` hands a 1d array to the 1d kernel and any other to the 2d
+one; everything downstream (flux fields, the density, interface fluxes)
+loops over the axes.  The solver's residual applies ``face_formula`` to the
+gathered faces of its rows instead of whole face arrays.  The discrete boundary length is the face
 count of the boundary, ``_interior_face_count`` times h^(n-1), for both the
 area functional and the minimizer's stationarity rows.
 """
@@ -60,12 +61,34 @@ def _divergence_index(n: int) -> tuple:
                                 _along(n, a, slice(1, None), inner)) for a in range(n))
 
 
+def face_formula(lo, hi, dl, dr, h: float, fallback_transverse: bool = False):
+    """(g, t, w, f) of faces from the values of their lower and upper cells
+    and the transverse differences dl, dr of those cells (zero in 1d, NaN
+    where a cell lacks a neighbour).
+
+    The one place the scheme's face quantities are written down: the grid
+    kernels below apply it to whole face arrays, the Newton residual
+    (``msolve._residual``) to the gathered faces of its rows.  With
+    fallback_transverse a transverse difference known on one side only is
+    taken from that side, and faces without one get t = 0.
+    """
+    g = (hi - lo) / h
+    t = (dl + dr) / (4.0 * h)
+    if fallback_transverse:
+        only_l = np.isfinite(dl) & ~np.isfinite(dr)
+        only_r = np.isfinite(dr) & ~np.isfinite(dl)
+        t = np.where(only_l, dl / (2.0 * h), t)
+        t = np.where(only_r, dr / (2.0 * h), t)
+        t = np.where(np.isnan(t) & np.isfinite(g), 0.0, t)
+    w = np.sqrt(1.0 + g * g + t * t)
+    return g, t, w, g / w
+
+
 def face_gradients_1d(values: np.ndarray, h: float):
     """The one face axis of a 1d array: ((g, t, w, f),) with t = 0."""
     v = np.where(np.isfinite(values), values, np.nan)
-    g = (v[1:] - v[:-1]) / h
-    w = np.sqrt(1.0 + g * g)
-    return ((g, np.zeros_like(g), w, g / w),)
+    zero = np.zeros(v.size - 1)
+    return (face_formula(v[:-1], v[1:], zero, zero, h),)
 
 
 def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = False):
@@ -82,21 +105,11 @@ def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = 
     for axis, (lo, hi) in enumerate(face_sides(2)):
         inner, up, down = (_along(2, 1 - axis, s)
                            for s in (slice(1, -1), slice(2, None), slice(None, -2)))
-        g = (v[hi] - v[lo]) / h
         # transverse differences of the cells below (dl) and above (dr) the face
-        dl, dr = np.full_like(g, np.nan), np.full_like(g, np.nan)
+        dl, dr = (np.full(v[lo].shape, np.nan) for _ in range(2))
         for d, cells in ((dl, v[lo]), (dr, v[hi])):
             d[inner] = cells[up] - cells[down]
-        t = np.full_like(g, np.nan)
-        t[inner] = (dl[inner] + dr[inner]) / (4.0 * h)
-        if fallback_transverse:
-            only_l = np.isfinite(dl) & ~np.isfinite(dr)
-            only_r = np.isfinite(dr) & ~np.isfinite(dl)
-            t = np.where(only_l, dl / (2.0 * h), t)
-            t = np.where(only_r, dr / (2.0 * h), t)
-            t = np.where(np.isnan(t) & np.isfinite(g), 0.0, t)
-        w = np.sqrt(1.0 + g * g + t * t)
-        faces.append((g, t, w, g / w))
+        faces.append(face_formula(v[lo], v[hi], dl, dr, h, fallback_transverse))
     return tuple(faces)
 
 

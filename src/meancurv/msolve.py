@@ -10,13 +10,16 @@ one Newton kernel ``_newton_core``, which starts from a given field or else
 from the harmonic extension of the data, and whose matrix is assembled
 analytically (penalty rows included) and factored at every size by one
 symmetric-mode sparse LU, whose ordering and CSC slots a cached plan per cell
-pattern keeps.  The residual and the matrix take the per-axis face layout of
-``mco.face_gradients`` and loop over the face axes, so 1d and 2d solves run
-the same code, plan cache and carried LU included.  Ball replacements
-(``solve_on_ball``, the Perron lift and sweep, the viscosity check) go
-through one windowed ball kernel: ``ball_region`` cuts the ball's window and
-ring, ``_solve_ball`` checks the sphere data and owns the warm start and the
-harmonic restart.
+pattern keeps.  The plan also indexes every Newton step: ``_residual``
+gathers only the faces that touch the unknown rows from the flat window,
+applies ``mco.face_formula`` (the formula of the grid kernels) and sums the
+divergence as ``mco._divergence`` does, so each row equals the grid density
+bit for bit; the matrix reads the same faces, and 1d and 2d solves run the
+same code.  Ball replacements (``solve_on_ball``, the Perron lift and sweep,
+the viscosity check) go through one windowed ball kernel: ``ball_region``
+cuts the ball's window and takes its ball and ring masks from a bounded
+cache, ``_solve_ball`` checks the sphere data and owns the warm start and
+the harmonic restart.
 
 A Newton solve's first LU is factored fresh, except in a Perron sweep: there
 each ball's warm-started solve may start on the last LU of the ball before it
@@ -35,12 +38,12 @@ from dataclasses import dataclass, field as _dcfield
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
 from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
-                    _dist_to)
-from .mco import _divergence, _interior_face_count, area_functional, face_gradients, face_sides
+                    _dist_to, _ring)
+from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
 logger = logging.getLogger("meancurv")
 
@@ -88,11 +91,23 @@ class SolveOutcome:
 # core Newton machinery (operates on a sliced window around the region)
 
 
-def _residual(V: np.ndarray, h: float, f_arr: np.ndarray, rows_interior: np.ndarray,
+def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan",
               fallback: bool):
-    faces = face_gradients(V, h, fallback)
-    dens = _divergence(faces, h)
-    return dens[rows_interior] - f_arr[rows_interior], dens, faces
+    """Density minus forcing on every unknown row, from the plan's faces only.
+
+    ``Vx`` is the flat window followed by a NaN slot and a zero slot.  The
+    faces come from ``mco.face_formula`` on the gathered cells and the
+    divergence adds them per axis in the order of ``mco._divergence``, so a
+    row equals ``_divergence(face_gradients(V, h, fallback))`` there minus
+    its forcing, bit for bit.  Returns the rows and the faces' (g, t, w, f).
+    """
+    lo, hi, l_up, l_down, h_up, h_down = Vx[plan.cells]
+    faces = face_formula(lo, hi, l_up - l_down, h_up - h_down, h, fallback)
+    fr = faces[3][plan.rows]
+    total = fr[1] - fr[0]
+    for axis in range(1, len(fr) // 2):
+        total = total + fr[2 * axis + 1] - fr[2 * axis]
+    return total / h - f_rows, faces
 
 
 # a face flux depends on the normal difference across the face and on the
@@ -103,7 +118,52 @@ _FACE_DEPS = ((0, 0, -1.0), (1, 0, 1.0), (0, 1, 0.25), (0, -1, -0.25),
               (1, 1, 0.25), (1, -1, -0.25))
 
 
-def _jac_structure(unk, fix, rows_interior, unk_id, fallback):
+def _face_plan(unk):
+    """The faces of the unknown rows, in plan order (axis by axis, each in
+    C order of its face grid), plus one sentinel face.
+
+    Returns (cells, rows, face_pos).  ``cells`` (6, F + 1) holds per face
+    the flat window indices of its lower and upper cell and of their
+    transverse neighbours (lower +, lower -, upper +, upper -).  Index N of
+    an N-cell window is a NaN slot: a neighbour past the window's edge reads
+    it, and so do all six cells of the sentinel face F.  Index N + 1 is a
+    zero slot, the transverse neighbours of a 1d face.  ``rows`` (2n, m)
+    holds per unknown, in C order, the positions of its faces below and
+    above along each axis, F where the window ends.  ``face_pos`` maps each
+    axis's face grid to positions, -1 off the plan.
+    """
+    n, size = unk.ndim, unk.size
+    ids = np.pad(np.arange(size).reshape(unk.shape), 1, constant_values=size)
+    unit = np.eye(n, dtype=int)
+    cells, face_pos, count = [], [], 0
+    for axis, (lo, hi) in enumerate(face_sides(n)):
+        e = unit[axis]
+        touch = unk[lo] | unk[hi]
+        pos = np.full(touch.shape, -1, np.intp)
+        pos[touch] = count + np.arange(np.count_nonzero(touch))
+        face = np.array(np.nonzero(touch)) + 1     # padded index of the lower cell
+
+        def at(offset):
+            return ids[tuple(face + offset[:, None])]
+
+        if n == 1:
+            trans = [np.full(face.shape[1], size + 1)] * 4
+        else:
+            t = unit[1 - axis]
+            trans = [at(t), at(-t), at(e + t), at(e - t)]
+        cells.append(np.stack([at(0 * e), at(e), *trans]))
+        face_pos.append(pos)
+        count += face.shape[1]
+    cells = np.concatenate(cells + [np.full((6, 1), size)], axis=1)
+    cell = np.nonzero(unk)
+    rows = []
+    for axis, pos in enumerate(face_pos):
+        padded = np.pad(pos, [(int(k == axis),) * 2 for k in range(n)], constant_values=count)
+        rows += [padded[cell], padded[tuple(c + (k == axis) for k, c in enumerate(cell))]]
+    return cells, np.stack(rows), face_pos
+
+
+def _jac_structure(unk, fix, rows_interior, unk_id, fallback, face_pos, nfaces):
     """Sparsity pattern of the Newton matrix; fixed across Newton iterations.
 
     An interior row takes every face flux of its cell; a penalty row
@@ -111,10 +171,11 @@ def _jac_structure(unk, fix, rows_interior, unk_id, fallback):
     it shares with a defined non-penalty cell.  A 1d face has no transverse
     axis, so its flux depends on its two cells only.  With fallback, a
     transverse difference taken from one side only weighs that side 1/2
-    instead of 1/4, as in ``face_gradients_2d``.  Returns (rows, cols,
+    instead of 1/4, as in ``mco.face_formula``.  Returns (rows, cols,
     (gather, scale)): value k is ``coeff[gather[k]] * scale[k] / h^2`` over
-    the concatenated normal and transverse flux derivatives of
-    ``_jac_values_2d``.
+    the normal then the transverse flux derivatives of the plan's faces
+    (``face_pos`` places them among the ``nfaces``, see ``_face_plan``), as
+    ``_jac_values_2d`` concatenates them.
     """
     n = unk.ndim
     defined, interior, pcells = (np.pad(a, 1) for a in
@@ -122,21 +183,20 @@ def _jac_structure(unk, fix, rows_interior, unk_id, fallback):
     ids = np.pad(unk_id, 1, constant_values=-1)
     unit = np.eye(n, dtype=int)
     rows, cols, gather, scale = [], [], [], []
-    base = 0
-    for axis in range(n):
+    for axis, pos in enumerate(face_pos):
         e = unit[axis]
-        face = np.indices(np.subtract(unk.shape, e)).reshape(n, -1) + 1   # padded
+        face = np.indices(pos.shape).reshape(n, -1) + 1   # padded
+        pos = pos.ravel()
 
         def at(arr, offset):
             return arr[tuple(face + offset[:, None])]
 
-        nf = face.shape[1]
         # (offset of the column cell, weight, fallback factor, coefficient block)
-        deps = [(s * e, dep, 1.0, base) for s, d, dep in _FACE_DEPS if not d]
+        deps = [(s * e, dep, 1.0, 0) for s, d, dep in _FACE_DEPS if not d]
         for t in unit[np.arange(n) != axis]:     # the transverse axis, none in 1d
             ok = [at(defined, s * e + t) & at(defined, s * e - t) for s in (0, 1)]
             deps += [(s * e + d * t, dep, ok[s] * (2 - ok[1 - s]) if fallback else 1.0,
-                      base + nf) for s, d, dep in _FACE_DEPS if d]
+                      nfaces) for s, d, dep in _FACE_DEPS if d]
         for side, row_sign in ((0, 1.0), (1, -1.0)):
             here, there = side * e, (1 - side) * e
             weight = np.where(at(interior, here), row_sign,
@@ -149,19 +209,21 @@ def _jac_structure(unk, fix, rows_interior, unk_id, fallback):
                 keep = (val != 0) & (c_id >= 0)
                 rows.append(r_id[keep])
                 cols.append(c_id[keep])
-                gather.append(np.nonzero(keep)[0] + block)
+                gather.append(pos[keep] + block)
                 scale.append(val[keep])
-        base += 2 * nf
+    # values are +-1, +-1/2 or +-1/4: exact in float32
     return (np.concatenate(rows), np.concatenate(cols),
-            (np.concatenate(gather), np.concatenate(scale)))
+            (np.concatenate(gather).astype(np.int32), np.concatenate(scale).astype(np.float32)))
 
 
 def _jac_values_2d(h, faces, plan):
-    """Newton matrix values from the per-axis faces and a plan's (gather, scale)."""
+    """Newton matrix values from the plan's faces (g, t, w, f) and its
+    (gather, scale)."""
     gather, scale = plan
-    coeff = np.concatenate([c.ravel() for g, t, w, _ in faces
-                            for c in ((1.0 + t * t) / w ** 3, -g * t / w ** 3)])
-    return coeff[gather] * (scale * (1.0 / (h * h)))
+    g, t, w, _ = faces
+    w3 = w ** 3
+    coeff = np.concatenate([(1.0 + t * t) / w3, -g * t / w3])
+    return coeff[gather] * (scale * np.float64(1.0 / (h * h)))
 
 
 class _Triplets(NamedTuple):
@@ -183,14 +245,39 @@ class _Ordered(NamedTuple):
 
 
 class _NewtonPlan:
-    """What the Newton matrices of one cell pattern share: the (gather, scale)
-    ``values`` plan of ``_jac_values_2d`` and a ``pattern``, a
-    ``_Triplets`` until the second factorization replaces it, whole, by an
-    ``_Ordered``: racing solves may repeat a step but never see half of one."""
+    """What the Newton systems of one cell pattern share.
 
-    def __init__(self, ri, ci, m, values):
+    The residual's gather indices: ``cells`` and ``rows`` of
+    ``_face_plan``; ``unknowns``, the flat window index of each unknown;
+    ``penalty_rows``, the unknowns that are penalty rows; ``penalty_signs``
+    (2n, rows), which orient the flux of each of their faces from a
+    non-penalty neighbour into the penalty cell, 0 where the neighbour is a
+    penalty cell.  Then the (gather, scale) ``values`` plan of
+    ``_jac_values_2d``, and a ``pattern``: a ``_Triplets`` until the second
+    factorization replaces it, whole, by an ``_Ordered``, so racing solves
+    may repeat a step but never see half of one.
+    """
+
+    def __init__(self, unk, fix, rows_interior, fallback):
+        m = np.count_nonzero(unk)
+        self.unknowns = np.flatnonzero(unk)
+        self.cells, self.rows, face_pos = _face_plan(unk)
+        pcells = unk & ~rows_interior
+        self.penalty_rows = np.flatnonzero(pcells[unk])
+        other = np.pad(pcells, 1)
+        cell = tuple(c + 1 for c in np.nonzero(pcells))
+        signs = []
+        for axis in range(unk.ndim):
+            # the face below a penalty cell brings flux in, the one above takes it out
+            for step, sign in ((-1, 1.0), (1, -1.0)):
+                nb = tuple(c + step * (k == axis) for k, c in enumerate(cell))
+                signs.append(np.where(other[nb], 0.0, sign))
+        self.penalty_signs = np.stack(signs)
+        unk_id = np.full(unk.shape, -1)
+        unk_id[unk] = np.arange(m)
+        ri, ci, self.values = _jac_structure(unk, fix, rows_interior, unk_id, fallback,
+                                             face_pos, self.cells.shape[1])
         self.pattern = _Triplets(*(np.concatenate([a, np.arange(m)]) for a in (ri, ci)))
-        self.values = values
 
 
 # held around every plan lookup: lru_cache alone lets concurrent misses build
@@ -203,12 +290,8 @@ _PLAN_LOCK = threading.Lock()
 def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
     """Plan of a cell pattern given by the bytes of its masks, cached
     because the translated balls of a sweep level repeat it."""
-    unk, fix, rows_interior = (np.frombuffer(b, bool).reshape(shape)
-                               for b in (unk, fix, rows_interior))
-    unk_id = np.full(shape, -1)
-    unk_id[unk] = np.arange(np.count_nonzero(unk))
-    ri, ci, values = _jac_structure(unk, fix, rows_interior, unk_id, fallback)
-    return _NewtonPlan(ri, ci, np.count_nonzero(unk), values)
+    return _NewtonPlan(*(np.frombuffer(b, bool).reshape(shape)
+                         for b in (unk, fix, rows_interior)), fallback)
 
 
 def _factorize(plan: _NewtonPlan, vals, diag, m):
@@ -285,37 +368,31 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                  carry: Optional[list] = None) -> tuple[np.ndarray, dict]:
     """Damped Newton on arrays; slices its own tight window internally.
 
-    Each fresh LU stays frozen as the chord matrix of later steps while they
-    keep contracting; a failed line search, slow contraction, or a back-solve
-    that raises or returns non-finite values drops it and refactors (and ends
-    the solve with ``info["error"]`` when the LU was fresh).  The first LU is
-    fresh unless ``carry``, a holder of the last fresh ``[plan, solve]`` pair
-    of an earlier solve, holds this pattern's cached plan: the solve then
-    starts on that LU.  Every fresh LU replaces the pair in ``carry``.
-    ``info`` counts ``iterations`` (Newton steps, at most ``opts.max_iter``;
-    a pass that only drops an LU is not one) and ``factorizations`` (fresh
-    LUs), and says whether the solve ``carried`` (started on a carried LU).
+    The cell pattern's cached ``_NewtonPlan`` indexes every step: the
+    residual (``_residual``, penalty rows by ``_penalty_residual``) reads
+    only the faces of the unknown rows from the flat window, the line search
+    writes trial values through the plan's unknown indices into a second
+    buffer, and the matrix takes the same faces.  Each fresh LU stays frozen
+    as the chord matrix of later steps while they keep contracting; a failed
+    line search, slow contraction, or a back-solve that raises or returns
+    non-finite values drops it and refactors (and ends the solve with
+    ``info["error"]`` when the LU was fresh).  The first LU is fresh unless
+    ``carry``, a holder of the last fresh ``[plan, solve]`` pair of an
+    earlier solve, holds this pattern's plan: the solve then starts on that
+    LU.  Every fresh LU replaces the pair in ``carry``.  ``info`` counts
+    ``iterations`` (Newton steps, at most ``opts.max_iter``; a pass that only
+    drops an LU is not one), ``residual_evals`` (``_residual`` calls, line
+    search trials included) and ``factorizations`` (fresh LUs), and says
+    whether the solve ``carried`` (started on a carried LU).
     """
     win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
     unk = unknown[win]
     fix = fixed[win]
     V = np.full(unk.shape, np.nan)
     V[fix] = fixed_values[win][fix]
-    f_arr = np.zeros(unk.shape)
-    f_sl = f_values[win]
-    f_arr[unk] = np.where(np.isfinite(f_sl[unk]), f_sl[unk], 0.0)
-
-    pen = None
-    rows_interior = unk.copy()
+    rows_interior = unk
     if penalty is not None:
-        pcells = penalty["cells"][win]
-        rows_interior = unk & ~pcells
-        pen = {
-            "cells": pcells,
-            "phi": penalty["phi"][win],
-            "length": penalty["length"][win],
-            "kappa": penalty["kappa"],
-        }
+        rows_interior = unk & ~penalty["cells"][win]
 
     if init_values is not None:
         V[unk] = init_values[win][unk]
@@ -325,55 +402,57 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         V[~(unk | fix)] = np.nan
         V = _harmonic_extension(n, unk.shape, unk, fix, V)
 
-    m = int(unk.sum())
-    unk_id = np.full(unk.shape, -1)
-    unk_id[unk] = np.arange(m)
-    int_ids = unk_id[rows_interior]
-    pen_ids = unk_id[pen["cells"]] if pen is not None else None
+    fallback = penalty is not None
+    with _PLAN_LOCK:
+        plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
+                            rows_interior.tobytes(), fallback)
+    m = plan.unknowns.size
+    f_rows = f_values[win][unk]
+    f_rows = np.where(np.isfinite(f_rows), f_rows, 0.0)
+    pen = None
+    if penalty is not None:
+        cells = plan.unknowns[plan.penalty_rows]
+        pen = {"cells": cells, "phi": penalty["phi"][win].ravel()[cells],
+               "length": penalty["length"][win].ravel()[cells], "kappa": penalty["kappa"]}
 
-    def full_residual(Vcur):
-        r_int, dens, faces = _residual(Vcur, h, f_arr, rows_interior, pen is not None)
-        r = np.zeros(m)
-        r[int_ids] = r_int
+    evals = 0
+
+    def full_residual(Vx):
+        nonlocal evals
+        evals += 1
+        r, faces = _residual(Vx, h, f_rows, plan, fallback)
         if pen is not None:
-            r[pen_ids] = _penalty_residual(Vcur, h, n, pen, faces)
-        return r, dens, faces
+            r[plan.penalty_rows] = _penalty_residual(Vx, h, n, pen, faces[3], plan)
+        return r, faces
 
-    r, dens, faces = full_residual(V)
+    # flat window plus the NaN and zero slots the plan's indices read
+    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
+    r, faces = full_residual(Vx)
     if np.isnan(r).any():
+        bad = np.isnan(r)
+        bad[plan.penalty_rows] = False
         raise UndefinedCellError("solver stencil touches undefined cells",
-                                 list(zip(*np.nonzero(unk & np.isnan(
-                                     np.where(rows_interior, dens, 0.0))))))
-    best = (np.max(np.abs(r)), V.copy())
+                                 list(zip(*np.unravel_index(plan.unknowns[bad], unk.shape))))
+    u = Vx[plan.unknowns]
+    rnorm = float(np.abs(r).max()) if m else 0.0
+    best = (rnorm, u)
+    trial = Vx.copy()   # line-search buffer: differs from Vx on the unknowns only
 
-    def pattern_plan():
-        with _PLAN_LOCK:
-            return _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
-                                rows_interior.tobytes(), pen is not None)
-
-    plan = lu = None  # lu: frozen factorization, reused while it keeps contracting
-    if carry:
-        plan = pattern_plan()
-        if carry[0] is plan:
-            lu = carry[1]
+    lu = carry[1] if carry and carry[0] is plan else None   # frozen while it contracts
     info = {"iterations": 0, "converged": False, "line_search_failures": 0,
             "factorizations": 0, "carried": lu is not None}
 
     def assemble_factorize():
-        nonlocal plan
-        if plan is None:
-            plan = pattern_plan()
         vi = _jac_values_2d(h, faces, plan.values)
         diag = np.zeros(m)
         if pen is not None:
-            diag[pen_ids] = _penalty_triplets(V, h, n, pen)
+            diag[plan.penalty_rows] = _penalty_triplets(Vx, h, n, pen)
         return _factorize(plan, vi, diag, m)
 
     # a pass that only drops a carried or frozen LU takes no step and is not
     # counted; the fresh LU after it either steps or ends the solve
     while info["iterations"] < opts.max_iter:
-        rnorm_inf = float(np.max(np.abs(r))) if m else 0.0
-        if rnorm_inf <= opts.tol:
+        if rnorm <= opts.tol:
             info["converged"] = True
             break
         fresh = lu is None
@@ -388,7 +467,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                 carry[:] = (plan, lu)
         try:
             du = lu(-r)
-            failure = None if np.all(np.isfinite(du)) else "non-finite Newton direction"
+            failure = None if np.isfinite(du).all() else "non-finite Newton direction"
         except (RuntimeError, SystemError, ValueError) as exc:   # what SuperLU raises
             failure = f"back-solve failed: {exc}"
         if failure is not None:
@@ -401,12 +480,13 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         alpha = 1.0
         accepted = False
         while alpha >= opts.alpha_min:
-            V_try = V.copy()
-            V_try[unk] = V[unk] + alpha * du
-            r_try, dens, faces_try = full_residual(V_try)
+            u_try = u + alpha * du
+            trial[plan.unknowns] = u_try
+            r_try, faces_try = full_residual(trial)
             merit_try = 0.5 * float(r_try @ r_try)
             if np.isfinite(merit_try) and merit_try <= (1 - 2 * opts.sigma * alpha) * merit:
-                V, r, faces = V_try, r_try, faces_try
+                Vx, trial = trial, Vx
+                u, r, faces = u_try, r_try, faces_try
                 accepted = True
                 break
             alpha *= 0.5
@@ -420,20 +500,20 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         merit_new = 0.5 * float(r @ r)
         if alpha < 1.0 or merit_new > 0.1 * merit:
             lu = None  # slow contraction: refresh the Jacobian next pass
-        cur = float(np.max(np.abs(r))) if m else 0.0
-        if cur < best[0]:
-            best = (cur, V.copy())
+        rnorm = float(np.abs(r).max()) if m else 0.0
+        if rnorm < best[0]:
+            best = (rnorm, u)
 
-    rfinal = float(np.max(np.abs(r))) if m else 0.0
-    if rfinal <= opts.tol:
+    if rnorm <= opts.tol:
         info["converged"] = True
-    if rfinal > best[0]:
-        V = best[1]
-        rfinal = best[0]
-    info["residual"] = rfinal
+    if rnorm > best[0]:
+        Vx[plan.unknowns] = best[1]
+        rnorm = best[0]
+    info["residual"] = rnorm
+    info["residual_evals"] = evals
 
     out = np.full(unknown.shape, np.nan)
-    out[win] = V
+    out[win] = Vx[:-2].reshape(unk.shape)
     return out, info
 
 
@@ -505,38 +585,30 @@ def _repair_init(V, unk, fix):
 # penalty rows: flux balance + smoothed absolute deviation at boundary cells
 
 
-def _penalty_residual(V, h, n, pen, faces):
-    cells = pen["cells"]
-    phi = pen["phi"]
-    ell = pen["length"]
+def _penalty_residual(Vx, h, n, pen, flux, plan):
+    """Penalty rows: the flux into the penalty cell from its non-penalty
+    neighbours, summed face by face in the order of the face axes, plus the
+    smoothed-L1 deviation term."""
+    fr = flux[plan.rows[:, plan.penalty_rows]]
+    fr = np.where(np.isfinite(fr), fr, 0.0)
+    out_flux = np.zeros(fr.shape[1])
+    for sign, f in zip(plan.penalty_signs, fr):
+        out_flux += sign * f
     kappa = pen["kappa"]
-    hn = h ** n
-    out_flux = _outgoing_flux(cells, faces)
-    dev = V - phi
+    dev = Vx[pen["cells"]] - pen["phi"]
     sprime = dev / np.sqrt(dev * dev + kappa * kappa)
-    r = (out_flux * h ** (n - 1) + ell * sprime) / hn
-    return r[cells]
+    return (out_flux * h ** (n - 1) + pen["length"] * sprime) / h ** n
 
 
-def _outgoing_flux(pcells, faces):
-    """Sum of face fluxes oriented from non-penalty cells into penalty cells."""
-    out = np.zeros(pcells.shape)
-    for (lo, hi), (_, _, _, f) in zip(face_sides(pcells.ndim), faces):
-        flux = np.where(np.isfinite(f), f, 0.0)
-        out[hi] += np.where(pcells[hi] & ~pcells[lo], flux, 0.0)
-        out[lo] += np.where(pcells[lo] & ~pcells[hi], -flux, 0.0)
-    return out
-
-
-def _penalty_triplets(V, h, n, pen):
-    """Diagonal of the smoothed-L1 term in the penalty rows, cell by cell.
+def _penalty_triplets(Vx, h, n, pen):
+    """Diagonal of the smoothed-L1 term in the penalty rows, row by row.
 
     The flux part of those rows comes with the face coefficients (see
     ``_jac_structure``).
     """
-    cells, kappa = pen["cells"], pen["kappa"]
-    dev = V[cells] - pen["phi"][cells]
-    return pen["length"][cells] * kappa * kappa / (dev * dev + kappa * kappa) ** 1.5 / h ** n
+    kappa = pen["kappa"]
+    dev = Vx[pen["cells"]] - pen["phi"]
+    return pen["length"] * kappa * kappa / (dev * dev + kappa * kappa) ** 1.5 / h ** n
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +668,35 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                         certificate=certificate, diagnostics=info)
 
 
+# cells this close to the sphere (in cells) are tested against each centre
+_SPHERE_BAND = 1e-6
+
+
+@functools.lru_cache(maxsize=64)
+def _window_ball(n: int, h: float, radius: float, offset: tuple, shape: tuple):
+    """Window-local ``inside`` and ``ring`` masks of a ball centred ``offset``
+    cells from the window's first cell centre, and the cells within
+    ``_SPHERE_BAND`` cells of its sphere; read-only, shared by translates."""
+    local = np.moveaxis(np.indices(shape), 0, -1)
+    dist = _dist_to((local - offset) * h, (0.0,) * n)
+    inside = dist < radius
+    ring = _ring(inside)
+    for a in (inside, ring):
+        a.flags.writeable = False
+    return inside, ring, np.nonzero(np.abs(dist - radius) <= _SPHERE_BAND * h)
+
+
 def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
     """Window slices (bounding box plus three cells) and window-local unknown
     cells and data ring of a ball subregion solve.
 
-    ValueError unless every cell of the ball is interior and its ring lies in
-    the mask's region."""
+    The ball and ring masks come from ``_window_ball``, cached per grid
+    spacing, radius, offset of the centre in the window (to 1e-8 cells) and
+    window shape; cells near the sphere are tested against this centre's
+    ``grid.points()``, so the masks are the direct computation's.  The ring
+    is the one of the ball, which equals the unknowns whenever the ball is
+    accepted.  ValueError unless every cell of the ball is interior and its
+    ring lies in the mask's region."""
     grid = mask.grid
     win = []
     for k in range(grid.n):
@@ -609,14 +704,22 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
         hi = int(math.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + 3 + 1
         win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
     win = tuple(win)
-    inside = _dist_to(grid.points()[win], center) < radius
-    unknown = mask.interior[win] & inside
+    offset = tuple(round(float(c - o) / grid.h - s.start, 8)
+                   for c, o, s in zip(center, grid.origin, win))
+    inside, ring, near = _window_ball(grid.n, grid.h, radius, offset,
+                                      tuple(max(s.stop - s.start, 0) for s in win))
+    if near[0].size:
+        cells = tuple(i + s.start for i, s in zip(near, win))
+        exact = _dist_to(grid.points()[cells], center) < radius
+        if (exact != inside[near]).any():
+            inside = inside.copy()
+            inside[near] = exact
+            ring = _ring(inside)
+    interior = mask.interior[win]
+    unknown = interior & inside
     if not unknown.any():
         raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
-    ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
-        & ~unknown
-    if (inside & ~mask.interior[win]).any() \
-            or (ring & ~(mask.interior[win] | mask.boundary[win])).any():
+    if (inside & ~interior).any() or (ring & ~(interior | mask.boundary[win])).any():
         raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
     return win, unknown, ring
 
@@ -629,7 +732,8 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
     (see ``_newton_core``) to that solve only; a warm start that does not
     converge gets one harmonic restart with a fresh LU, kept when it
     converges or lowers the residual.  Returns (win, unknown, window values,
-    info); after a restart, ``info["factorizations"]`` counts both solves.
+    info); after a restart, ``info["factorizations"]`` and
+    ``info["residual_evals"]`` count both solves.
     """
     grid = mask.grid
     win, unknown, ring = ball_region(mask, center, radius)
@@ -646,11 +750,11 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
         # kinked warm starts can stall the line search; harmonic restart
         values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
                                       init_values=None)
-        factorizations = info["factorizations"] + info2["factorizations"]
+        counts = {key: info[key] + info2[key] for key in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
             info["restarted"] = True
-        info["factorizations"] = factorizations
+        info.update(counts)
     return win, unknown, values, info
 
 

@@ -122,12 +122,12 @@ def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
 
 def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
                   opts: SolveOptions, carry: Optional[list] = None
-                  ) -> tuple[float, float, int, int, int]:
+                  ) -> tuple[float, float, int, int, int, int]:
     """Lift mutating the full-grid array *work* inside the ball's window.
 
     ``carry`` is passed to ``msolve._solve_ball``.  Returns (max_increase,
-    min_increase, iterations, repaired -inf cells, factorizations); raises
-    PerronLiftRefused without a field attached.
+    min_increase, iterations, repaired -inf cells, factorizations, residual
+    evaluations); raises PerronLiftRefused without a field attached.
     """
     try:
         win, unknown, values, info = _solve_ball(work, mask, center, radius, opts, carry)
@@ -148,7 +148,7 @@ def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
     delta = merged - np.where(np.isfinite(old), old, merged)
     Vw[unknown] = merged
     return (float(delta.max()), float(delta.min()), info["iterations"], repaired,
-            info["factorizations"])
+            info["factorizations"], info["residual_evals"])
 
 
 @dataclass
@@ -160,6 +160,7 @@ class SweepRecord:
     iterations: int
     repaired_cells: int
     factorizations: int       # fresh LUs built for this lift
+    residual_evals: int       # residual evaluations, line-search trials included
 
 
 @dataclass
@@ -174,6 +175,11 @@ class SweepTrace:
     def factorizations(self) -> int:
         """Fresh LUs built over the level's recorded lifts."""
         return sum(r.factorizations for r in self.records)
+
+    @property
+    def residual_evals(self) -> int:
+        """Residual evaluations over the level's recorded lifts."""
+        return sum(r.residual_evals for r in self.records)
 
     def to_csv_rows(self):
         for r in self.records:
@@ -199,7 +205,7 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     carry = []   # this sweep's last fresh (plan, LU) pair
     for k, center in enumerate(cover.centers):
         try:
-            inc_max, inc_min, iters, repaired, factorizations = _lift_inplace(
+            inc_max, inc_min, iters, repaired, factorizations, evals = _lift_inplace(
                 work, mask, center, cover.radius, opts, carry)
         except PerronLiftRefused:
             completed = False
@@ -207,7 +213,8 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
         records.append(SweepRecord(index=k, center=tuple(center),
                                    max_increase=inc_max, min_increase=inc_min,
                                    iterations=iters, repaired_cells=repaired,
-                                   factorizations=factorizations))
+                                   factorizations=factorizations,
+                                   residual_evals=evals))
     both = np.isfinite(u.values) & np.isfinite(work)
     sup_change = float(np.max(np.abs(work[both] - u.values[both]))) \
         if both.any() else 0.0

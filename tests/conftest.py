@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import ndimage
 
 from meancurv import ShapeSpec, make_grid, sample_function
 from meancurv.field import DomainMask
+
+
+# CI runs the property tests under this profile (HYPOTHESIS_PROFILE=ci):
+# no per-example deadline on a slow runner, and a reproduction blob on failure
+settings.register_profile("ci", deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def cone_formula(p):

@@ -5,12 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage, sparse
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, sample_function
 from meancurv.cli import _resample
-from meancurv.field import UndefinedCellError, _dist_to
+from meancurv.field import SizingError, UndefinedCellError, _dist_to
+from meancurv.mco import _divergence, area_functional, face_gradients, face_sides
+from meancurv.perron import build_ball_cover
 from meancurv.msolve import (
     SolveOptions,
     UnboundedDescentError,
@@ -148,7 +150,8 @@ def reference_ball_solve(u, mask, center, radius, opts):
     """Full-grid ball mask and ring, Newton, then one harmonic restart.
 
     The construction the windowed ball kernel replaced, kept as a reference;
-    a restarted solve counts the factorizations of both Newton runs.
+    a restarted solve counts the factorizations and residual evaluations of
+    both Newton runs.
     """
     grid = mask.grid
     unknown = mask.interior & (_dist_to(grid.points(), center) < radius)
@@ -162,11 +165,11 @@ def reference_ball_solve(u, mask, center, radius, opts):
     if not info["converged"] and init is not None:
         values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
                                       init_values=None)
-        factorizations = info["factorizations"] + info2["factorizations"]
+        counts = {key: info[key] + info2[key] for key in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
             info["restarted"] = True
-        info["factorizations"] = factorizations
+        info.update(counts)
     return values, info
 
 
@@ -616,3 +619,282 @@ class TestCarriedLU:
         assert carry[1] is not raising
         assert np.array_equal(got[2], ref[2], equal_nan=True)
 
+
+
+def same_bits(a, b):
+    """Equal arrays, bit for bit on the non-NaN entries."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+def plan_of(unknown, fixed, rows, fallback):
+    return msolve._newton_plan(unknown.shape, unknown.tobytes(), fixed.tobytes(),
+                               rows.tobytes(), fallback)
+
+
+def grid_penalty_rows(V, h, n, penalty, faces):
+    """The penalty rows from whole face arrays: flux out of the non-penalty
+    neighbours, axis by axis, plus the smoothed-L1 deviation term."""
+    pcells, kappa = penalty["cells"], penalty["kappa"]
+    out = np.zeros(pcells.shape)
+    for (lo, hi), (_, _, _, f) in zip(face_sides(n), faces):
+        flux = np.where(np.isfinite(f), f, 0.0)
+        out[hi] += np.where(pcells[hi] & ~pcells[lo], flux, 0.0)
+        out[lo] += np.where(pcells[lo] & ~pcells[hi], -flux, 0.0)
+    dev = V - penalty["phi"]
+    sprime = dev / np.sqrt(dev * dev + kappa * kappa)
+    return ((out * h ** (n - 1) + penalty["length"] * sprime) / h ** n)[pcells]
+
+
+class TestPlanResidual:
+    """The plan-indexed residual is the grid kernels' residual, bit for bit."""
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_equal_grid_rows(self, n, system, seed):
+        h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
+        fallback = penalty is not None
+        rows = unknown & ~penalty["cells"] if fallback else unknown
+        newton_rows = newton_system(h, n, unknown, fixed, V, penalty)[0]
+        V = np.where(unknown | fixed, V, np.nan)
+        grid_faces = face_gradients(V, h, fallback)
+        dens = _divergence(grid_faces, h)
+        # the kernel on its own, with forcing, on every unknown row
+        f = np.random.default_rng(seed).standard_normal(V.shape)
+        Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
+        r, _ = msolve._residual(Vx, h, f[unknown], plan_of(unknown, fixed, rows, fallback),
+                                fallback)
+        assert same_bits(r, dens[unknown] - f[unknown])
+        # _newton_core's first residual, penalty rows included
+        ref = dens[unknown]
+        if fallback:
+            ref[penalty["cells"][unknown]] = grid_penalty_rows(V, h, n, penalty, grid_faces)
+        assert same_bits(newton_rows, ref)
+
+    @settings(max_examples=8)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_stencil_names_grid_cells(self, n, system, seed):
+        h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
+        rng = np.random.default_rng(seed)
+        rows = unknown & ~penalty["cells"] if penalty is not None else unknown
+        near = fixed & ndimage.binary_dilation(rows)   # face neighbours of the rows
+        assume(near.any())       # a 1d minimizer system may have detached both ends
+        holes = near & (rng.random(V.shape) < 0.3)
+        holes.flat[rng.choice(np.flatnonzero(near))] = True
+        data = np.where(holes, np.nan, V)
+        with pytest.raises(UndefinedCellError) as caught:
+            _newton_core(h, n, unknown, fixed, data, np.zeros(V.shape), SolveOptions(),
+                         init_values=V, penalty=penalty)
+        # the grid path on _newton_core's window
+        win = tuple(slice(int(i.min()), int(i.max()) + 1)
+                    for i in np.nonzero(unknown | fixed))
+        Vw = np.where(unknown | fixed, data, np.nan)[win]
+        Vw[unknown[win]] = V[win][unknown[win]]
+        dens = _divergence(face_gradients(Vw, h, penalty is not None), h)
+        cells = list(zip(*np.nonzero(unknown[win] & np.isnan(np.where(rows[win], dens, 0.0)))))
+        assert cells and caught.value.cells == cells[:8]     # the error keeps eight
+
+
+def direct_ball_region(mask, center, radius):
+    """``ball_region`` as computed before its masks were cached: the window,
+    its inside mask from the points, the ring by dilation."""
+    grid = mask.grid
+    win = []
+    for k in range(grid.n):
+        lo = int(np.floor((center[k] - radius - grid.origin[k]) / grid.h)) - 3
+        hi = int(np.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + 3 + 1
+        win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
+    win = tuple(win)
+    inside = _dist_to(grid.points()[win], center) < radius
+    unknown = mask.interior[win] & inside
+    if not unknown.any():
+        raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
+    ring = ndimage.binary_dilation(unknown, structure=np.ones((3,) * grid.n, bool)) \
+        & ~unknown
+    if (inside & ~mask.interior[win]).any() \
+            or (ring & ~(mask.interior[win] | mask.boundary[win])).any():
+        raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
+    return win, unknown, ring
+
+
+def region_outcome(fn, mask, center, radius):
+    try:
+        return fn(mask, center, radius)
+    except (SizingError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_same_region(mask, center, radius):
+    got = region_outcome(ball_region, mask, center, radius)
+    ref = region_outcome(direct_ball_region, mask, center, radius)
+    if isinstance(ref, type):
+        assert got is ref, (center, radius)
+        return
+    assert got[0] == ref[0], (center, radius)
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], ref[1:])), (center, radius)
+
+
+class TestBallGeometry:
+    """Cached ball masks are the direct computation's, ball by ball."""
+
+    @pytest.mark.parametrize("res", [64, 128, 256])
+    def test_cover_centres_match_direct(self, res):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), res)
+        for level in (2, 3, 4):
+            cover = build_ball_cover(mask, level)
+            patterns = set()
+            for center in cover.centers:
+                assert_same_region(mask, center, cover.radius)
+                win, unknown, _ = ball_region(mask, center, cover.radius)
+                patterns.add((unknown.shape, unknown.tobytes()))
+            # translates share one pattern; at 64, level 4 four balls have
+            # edge-clipped windows of their own
+            assert len(patterns) == (5 if (res, level) == (64, 4) else 1)
+
+    @pytest.mark.parametrize("res, cells", [(50, 5), (60, 7), (100, 10)])
+    def test_translates_on_sphere_cells_match_direct(self, res, cells):
+        # with h not a power of two, cells at exactly `cells` cells from the
+        # centre fall inside or outside by rounding, translate by translate
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), res)
+        pts = grid.points()
+        radius = cells * grid.h
+        masks = set()
+        for i in range(res // 2, res + res // 2, 3):
+            for j in range(res // 2, res + res // 2, 3):
+                center = tuple(pts[i, j])
+                assert_same_region(mask, center, radius)
+                win, unknown, _ = direct_ball_region(mask, center, radius)
+                masks.add(unknown.tobytes())
+        assert len(masks) > 1
+
+    def test_off_lattice_centres_through_solve_on_ball(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        rng = np.random.default_rng(20)
+        region, calls = msolve.ball_region, []
+
+        def checked(mask, center, radius):
+            assert_same_region(mask, center, radius)
+            calls.append(center)
+            return region(mask, center, radius)
+
+        with mock.patch.object(msolve, "ball_region", checked):
+            for _ in range(12):
+                radius = float(rng.uniform(0.05, 0.3))
+                center = tuple(rng.uniform(-0.5, 0.5, 2))
+                assert solve_on_ball(cone_64, mask, center, radius).converged
+                # the same ball again, now from the cache
+                assert solve_on_ball(cone_64, mask, center, radius).converged
+        assert len(calls) == 24
+
+    def test_errors_match_direct(self, unit_disk_64, face_layer_disk_64):
+        grid, mask = unit_disk_64
+        cases = [(mask, (5.0, 5.0), 0.2, SizingError),          # no cell at all
+                 (mask, (0.99, 0.0), 0.005, SizingError),       # no interior cell
+                 (mask, (0.8, 0.0), 0.3, ValueError),           # crosses the boundary
+                 (face_layer_disk_64[1], (0.5, 0.5), 0.29, ValueError)]   # ring leaves
+        for m, center, radius, error in cases:
+            for _ in range(2):          # computed, then cached
+                assert region_outcome(direct_ball_region, m, center, radius) is error
+                with pytest.raises(error):
+                    ball_region(m, center, radius)
+
+    def test_cached_masks_are_read_only_and_bounded(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        cache = msolve._window_ball.cache_info
+        for k in range(2 * cache().maxsize):
+            win, unknown, ring = ball_region(mask, (0.0, 0.0), 0.1 + 0.001 * k)
+            assert cache().currsize <= cache().maxsize
+        with pytest.raises(ValueError):
+            ring[0] = True
+
+
+class TestResidualEvaluations:
+    """``info["residual_evals"]`` counts the ``_residual`` calls of a solve."""
+
+    def count(self, fn):
+        residual, calls = msolve._residual, []
+
+        def spy(*args):
+            calls.append(1)
+            return residual(*args)
+
+        with mock.patch.object(msolve, "_residual", spy):
+            out = fn()
+        return out, len(calls)
+
+    def test_solves_count_every_evaluation(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        kinked = sample_function(lambda p: 6 * np.abs(p[:, 0] - 0.05)
+                                 + 4 * np.abs(p[:, 1] + 0.1)
+                                 + 3 * np.maximum(p[:, 0] + p[:, 1], 0), grid, mask)
+        solves = [lambda: solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2),
+                  lambda: minimize_prescribed_mc(mask, g=None, phi=lambda p: p[:, 0] ** 2),
+                  lambda: solve_on_ball(cone_64, mask, (0.1, -0.05), 0.3),
+                  # a stalled warm start and its harmonic restart
+                  lambda: solve_on_ball(kinked, mask, (0.0, 0.0), 0.4,
+                                        opts=SolveOptions(max_iter=3))]
+        for solve in solves:
+            out, calls = self.count(solve)
+            diag = out.diagnostics
+            if "attained_fraction" in diag:      # the minimizer reports its last solve
+                assert 0 < diag["residual_evals"] < calls
+            else:
+                assert diag["residual_evals"] == calls
+            assert diag["residual_evals"] > diag["iterations"]
+        assert self.count(solves[-1])[0].diagnostics["restarted"]
+
+
+class TestFunctionalGradient:
+    """The finite-difference gradient of ``area_functional`` against the
+    interior residual rows, on a disk of radius 1/2 at 16, 32 and 64.
+
+    Rows whose 3x3 neighbourhood is interior see the same cells in both
+    discretizations and agree at second order without forcing.  Rows next to
+    the boundary layer do not: the cell-centred area sum leaves out the
+    boundary cells' terms, and the mismatch grows like 1/h.  With forcing g
+    the gradient is -(density + g) while the rows are density - g: the load
+    enters the functional with the opposite sign.
+    """
+
+    @staticmethod
+    def mismatch(res, load):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 0.5), res)
+        p = grid.points()
+        u = np.where(mask.region, 0.3 * np.sin(2 * p[..., 0] + 1) + 0.2 * p[..., 1] ** 2
+                     + 0.1 * p[..., 0] * p[..., 1], np.nan)
+        g = np.where(mask.interior, load * (0.5 + 0.3 * p[..., 0]), 0.0)
+        g_field = ScalarField(grid=grid, values=g)
+        phi = ScalarField(grid=grid, values=np.where(mask.boundary, u, np.nan))
+        eps = 1e-6
+        grad = []
+        for cell in zip(*np.nonzero(mask.interior)):
+            F = []
+            for step in (eps, -eps):
+                v = u.copy()
+                v[cell] += step
+                F.append(area_functional(ScalarField(grid=grid, values=v), g_field, phi, mask))
+            grad.append((F[0] - F[1]) / (2 * eps) / grid.cell_volume)
+        plan = plan_of(mask.interior, mask.boundary, mask.interior, False)
+        Vx = np.concatenate([u.ravel(), (np.nan, 0.0)])
+        rows = msolve._residual(Vx, grid.h, g[mask.interior], plan, False)[0]
+        gap = -np.array(grad) - rows
+        deep = ndimage.binary_erosion(mask.interior, np.ones((3, 3), bool))[mask.interior]
+        return gap, deep, g[mask.interior]
+
+    def test_orders_are_pinned(self):
+        deep_err, all_err, load_err = [], [], []
+        for res in (16, 32, 64):
+            gap, deep, _ = self.mismatch(res, 0.0)
+            deep_err.append(np.abs(gap[deep]).max())
+            all_err.append(np.abs(gap).max())
+            gap, deep, g = self.mismatch(res, 1.0)
+            load_err.append(np.abs(gap - 2 * g)[deep].max())
+        order = lambda e: np.log2(np.array(e[:-1]) / np.array(e[1:]))
+        assert np.all(np.abs(order(deep_err) - 2.0) < 0.15), deep_err
+        assert np.all(np.abs(order(load_err) - 2.0) < 0.15), load_err
+        assert np.all(np.abs(order(all_err) + 1.0) < 0.25), all_err

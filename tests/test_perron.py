@@ -243,6 +243,22 @@ class TestCarriedLU:
             # some lift took Newton steps on the LU carried from the ball before
             assert any(r.iterations and not r.factorizations for r in trace.records)
 
+    def test_residual_evaluations_are_counted(self, cone_64, unit_disk_64, interval_100):
+        residual = msolve._residual
+        for u, mask in cones(cone_64, unit_disk_64, interval_100):
+            calls = []
+
+            def counted(*args):
+                calls.append(1)
+                return residual(*args)
+
+            with mock.patch.object(msolve, "_residual", counted):
+                _, trace = approximation_sweep(u, mask, 3, opts=SolveOptions(tol=1e-7))
+            assert trace.completed
+            assert trace.residual_evals == len(calls)
+            # the first evaluation of each solve plus one per line-search trial
+            assert all(r.residual_evals > r.iterations for r in trace.records)
+
     def test_sweep_matches_lift_by_lift(self, cone_64, unit_disk_64, interval_100):
         opts = SolveOptions(tol=1e-7)
         for u, mask in cones(cone_64, unit_disk_64, interval_100):
