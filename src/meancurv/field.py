@@ -366,35 +366,54 @@ class ScalarField:
             cells = list(zip(*np.nonzero(bad)))
             raise UndefinedCellError(f"{context}: field not finite where required", cells)
 
-    def to_json(self) -> dict:
-        flat = []
-        for v in self.values.ravel(order="C"):
-            if np.isnan(v):
-                flat.append(None)
-            elif np.isneginf(v):
-                flat.append("-inf")
-            else:
-                flat.append(float(v))
+    def _json_header(self) -> dict:
         return {"grid": self.grid.to_json(), "provenance": self.provenance,
-                "extended": self.extended, "values": flat}
+                "extended": self.extended}
+
+    def to_json(self) -> dict:
+        return {**self._json_header(), "values": _json_values(self.values.ravel())}
 
     @staticmethod
     def from_json(d: dict) -> "ScalarField":
         grid = Grid.from_json(d["grid"])
-        vals = np.array([np.nan if v is None else (NEG_INF if v == "-inf" else float(v))
-                         for v in d["values"]], dtype=float).reshape(grid.shape, order="C")
+        cells = np.array(d["values"], dtype=object)
+        cells[np.equal(cells, None)] = np.nan
+        cells[np.equal(cells, "-inf")] = NEG_INF
+        vals = cells.astype(float).reshape(grid.shape, order="C")
         return ScalarField(grid=grid, values=vals, provenance=d["provenance"],
                            extended=d["extended"])
 
     def save(self, path) -> None:
+        """Write ``to_json`` as one JSON line, the values through the C
+        encoder in chunks of ``_SAVE_CHUNK`` cells (the bytes of
+        ``json.dump``)."""
+        head = json.dumps({**self._json_header(), "values": []})
+        flat = self.values.ravel()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+            fh.write(head[:-2])          # up to the values' opening bracket
+            for start in range(0, flat.size, _SAVE_CHUNK):
+                if start:
+                    fh.write(", ")
+                fh.write(json.dumps(_json_values(flat[start:start + _SAVE_CHUNK]))[1:-1])
+            fh.write("]}\n")
 
     @staticmethod
     def load(path) -> "ScalarField":
         with open(path, "r", encoding="utf-8") as fh:
             return ScalarField.from_json(json.load(fh))
+
+
+_SAVE_CHUNK = 1 << 16
+
+
+def _json_values(flat: np.ndarray) -> list:
+    """Flat cell values as JSON-ready objects: None for NaN, "-inf" for -inf."""
+    out = flat.tolist()
+    for i in np.flatnonzero(np.isnan(flat)):
+        out[i] = None
+    for i in np.flatnonzero(np.isneginf(flat)):
+        out[i] = "-inf"
+    return out
 
 
 def sample_function(f: Callable, grid: Grid, mask: DomainMask,

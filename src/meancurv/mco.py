@@ -300,10 +300,11 @@ def _interior_face_count(mask: DomainMask) -> np.ndarray:
 
 def area_functional(u: ScalarField, g: Optional[ScalarField],
                     phi: ScalarField, mask: DomainMask) -> float:
-    """The minimizer's discrete functional: graph area - forcing pairing +
-    boundary deviation.
+    """The minimizer's discrete functional: graph area + forcing pairing +
+    boundary deviation, whose first-order condition is density = g, the
+    equation the minimizer's rows solve.
 
-    Midpoint quadrature of sqrt(1+|Du|^2) over interior cells, minus
+    Midpoint quadrature of sqrt(1+|Du|^2) over interior cells, plus
     integral g*u, plus |u - phi| on boundary cells against the boundary
     length the stationarity rows use: each cell's face count with the
     interior times h^(n-1).
@@ -320,7 +321,7 @@ def area_functional(u: ScalarField, g: Optional[ScalarField],
     lengths = _interior_face_count(mask) * grid.h ** (grid.n - 1)
     dev = np.abs(u.values - phi.values)
     pen = float(np.nansum(dev[mask.boundary] * lengths[mask.boundary]))
-    return area - load + pen
+    return area + load + pen
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,42 @@ class TestSerialization:
         assert np.array_equal(v.values[both], u.values[both])
         assert json.loads(blob)["values"].count("-inf") == 1
 
+    @staticmethod
+    def loop_save(u, path):
+        """The former ``save``: a per-cell loop, then ``json.dump``."""
+        flat = []
+        for v in u.values.ravel(order="C"):
+            if np.isnan(v):
+                flat.append(None)
+            elif np.isneginf(v):
+                flat.append("-inf")
+            else:
+                flat.append(float(v))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"grid": u.grid.to_json(), "provenance": u.provenance,
+                       "extended": u.extended, "values": flat}, fh)
+            fh.write("\n")
+
+    @pytest.mark.parametrize("res", [16, 160])     # one chunk of values, and several
+    def test_save_bytes_equal_the_loop(self, res, tmp_path):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), res)
+        rng = np.random.default_rng(res)
+        vals = np.where(mask.region, rng.standard_normal(grid.shape) * 1e3, np.nan)
+        vals[mask.interior & (rng.random(grid.shape) < 0.05)] = NEG_INF
+        u = ScalarField(grid=grid, values=vals, provenance="solved", extended=True)
+        self.loop_save(u, tmp_path / "loop.json")
+        u.save(tmp_path / "save.json")
+        assert (tmp_path / "save.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+        back = ScalarField.load(tmp_path / "save.json")
+        assert (back.grid, back.provenance, back.extended) == (grid, "solved", True)
+        assert np.array_equal(back.values, vals, equal_nan=True)
+        assert back.to_json() == u.to_json()
+        # +inf is no legal field value, but a field written over still saves as before
+        u.values[tuple(np.argwhere(mask.boundary)[0])] = np.inf
+        self.loop_save(u, tmp_path / "loop.json")
+        u.save(tmp_path / "save.json")
+        assert (tmp_path / "save.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # reference: the per-square loop the vectorized kernel replaced

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage, sparse
+from scipy.sparse import linalg as slinalg
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, sample_function
 from meancurv.cli import _resample
@@ -65,13 +66,11 @@ class TestSolveDirichlet:
                                  f=f, phi=hemi).field
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 2.0), 64)
         init = ScalarField(grid=grid, values=_resample(coarse, grid, mask))
-        with cold_plans():      # both start from the same plan state
-            warm = solve_dirichlet(mask, f=f, phi=hemi, init=init)
-        with cold_plans():
-            values, info = _newton_core(grid.h, 2, mask.interior, mask.boundary,
-                                        msolve._as_values(grid, mask, hemi, mask.boundary),
-                                        msolve._as_values(grid, mask, f, mask.interior),
-                                        SolveOptions(), init_values=init.values)
+        warm = solve_dirichlet(mask, f=f, phi=hemi, init=init)
+        values, info = _newton_core(grid.h, 2, mask.interior, mask.boundary,
+                                    msolve._as_values(grid, mask, hemi, mask.boundary),
+                                    msolve._as_values(grid, mask, f, mask.interior),
+                                    SolveOptions(), init_values=init.values)
         assert np.array_equal(warm.field.values, values, equal_nan=True)
         assert warm.iterations == info["iterations"]
         cold = solve_dirichlet(mask, f=f, phi=hemi)
@@ -295,7 +294,7 @@ def cold_plans():
 
 def newton_system(h, n, unknown, fixed, V, penalty=None):
     """Residual, Newton-matrix triplets and _factorize arguments of
-    _newton_core's first step from V."""
+    _newton_core's first step from V, unknowns in the plan's order."""
     out = {}
 
     def capture(plan, vals, diag, m):
@@ -314,12 +313,16 @@ def newton_system(h, n, unknown, fixed, V, penalty=None):
 
 
 def plan_triplets(plan, m):
-    """Triplet rows and columns of a Newton plan, unknowns in their own order."""
-    pat = plan.pattern
-    if isinstance(pat, msolve._Ordered):
-        cols = np.repeat(np.arange(m), np.diff(pat.indptr))
-        return pat.order[pat.indices[pat.slot]], pat.order[cols[pat.slot]]
-    return pat.rows, pat.cols
+    """Triplet rows and columns of a Newton plan's values, then its diagonal."""
+    cols = np.repeat(np.arange(m), np.diff(plan.indptr))
+    return (np.concatenate([plan.indices[plan.slot], np.arange(m)]),
+            np.concatenate([cols[plan.slot], np.arange(m)]))
+
+
+def c_order(plan):
+    """Indices that put an array over the plan's unknowns in C order of
+    their cells: ``x[c_order(plan)]``."""
+    return np.argsort(plan.unknowns)
 
 
 def dense(triplets):
@@ -339,13 +342,18 @@ def smooth_iterate(grid, rng):
 def newton_case(system, n, seed, radius=0.6):
     """(h, n, unknown, fixed, V, penalty) of a whole-domain, ball-window or
     penalized (minimizer) system at a random smooth iterate."""
-    rng = np.random.default_rng(seed)
     shape = ShapeSpec.interval(-1.0, 1.0) if n == 1 else ShapeSpec.disk((0.0, 0.0), radius)
     grid, mask = make_grid(shape, 10 if n == 1 else 8)
+    ball = ((0.1,) if n == 1 else (0.05, -0.05), 0.3)
+    return system_case(grid, mask, system, np.random.default_rng(seed), ball)
+
+
+def system_case(grid, mask, system, rng, ball):
+    """``newton_case`` on a given domain; ``ball`` is (centre, radius)."""
+    n = grid.n
     V = np.where(mask.region, smooth_iterate(grid, rng), np.nan)
     if system == "ball":
-        center = (0.1,) if n == 1 else (0.05, -0.05)
-        win, unknown, ring = msolve.ball_region(mask, center, 0.3)
+        win, unknown, ring = msolve.ball_region(mask, *ball)
         return grid.h, n, unknown, ring, V[win], None
     if system == "whole":
         return grid.h, n, mask.interior, mask.boundary, V, None
@@ -369,8 +377,9 @@ class TestNewtonMatrix:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matrix_is_residual_jacobian(self, n, system, seed):
         h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
-        _, triplets, _ = newton_system(h, n, unknown, fixed, V, penalty)
-        J = dense(triplets)
+        _, triplets, args = newton_system(h, n, unknown, fixed, V, penalty)
+        c = c_order(args[0])
+        J = dense(triplets)[np.ix_(c, c)]
         order = np.nonzero(unknown)
         eps = 1e-6
         fd = np.empty_like(J)
@@ -380,7 +389,7 @@ class TestNewtonMatrix:
             Vp[cell] += eps
             Vm[cell] -= eps
             fd[:, j] = (newton_system(h, n, unknown, fixed, Vp, penalty)[0]
-                        - newton_system(h, n, unknown, fixed, Vm, penalty)[0]) / (2 * eps)
+                        - newton_system(h, n, unknown, fixed, Vm, penalty)[0])[c] / (2 * eps)
         assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
         if penalty is not None and n == 2:
             # x-faces from a penalty cell to a defined non-penalty cell whose
@@ -394,24 +403,142 @@ class TestNewtonMatrix:
                                                (0.5, (2049, 8192)), ("penalized", (513, 2048))])
     def test_factorize_matches_dense_solve(self, radius, sizes, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
-        with cold_plans():
-            if radius == "penalized":      # the minimizer's system on a radius-2 disk
-                *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
-                _, triplets, args = newton_system(*system, penalty=penalty)
-            else:
-                win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
-                V = cone_64.values[win]
-                _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
+        if radius == "penalized":      # the minimizer's system on a radius-2 disk
+            *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
+            _, triplets, args = newton_system(*system, penalty=penalty)
+        else:
+            win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
+            V = cone_64.values[win]
+            _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
         assert sizes[0] <= triplets[3] <= sizes[1]
         b = np.random.default_rng(0).standard_normal(triplets[3])
         ref = np.linalg.solve(dense(triplets), b)
+        # every factorization of a plan takes the one path
+        first = _factorize(*args)(b)
+        assert np.linalg.norm(first - ref) <= 1e-10 * np.linalg.norm(ref)
+        for _ in range(2):
+            assert same_bits(_factorize(*args)(b), first)
         plan = args[0]
-        # the ordering factorization, the one that builds the slot map, a cached one
-        for ordered in (False, True, True):
-            x = _factorize(*args)(b)
-            assert isinstance(plan.pattern, msolve._Ordered) == ordered
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-        assert plan.pattern.slot.dtype == np.int32
+        assert {a.dtype for a in (plan.slot, plan.diagonal, plan.indices, plan.indptr)} == {
+            np.dtype(np.int32)}
+
+
+def reference_dissection(unk):
+    """The recursive bisection that ``_dissection`` runs level by level, one
+    box at a time: flat indices of the unknowns, halves before their slab."""
+    unk2 = unk.reshape(unk.shape + (1,) * (2 - unk.ndim))
+    out = []
+
+    def order(lo, hi):
+        if not unk2[lo[0]:hi[0], lo[1]:hi[1]].any():
+            return
+        ext = [b - a for a, b in zip(lo, hi)]
+        axis = int(ext[1] > ext[0])
+        mid = lo[axis] + ext[axis] // 2
+        order(lo, [mid if k == axis else b for k, b in enumerate(hi)])
+        order([mid + 1 if k == axis else a for k, a in enumerate(lo)], hi)
+        slab = [slice(mid, mid + 1) if k == axis else slice(a, b)
+                for k, (a, b) in enumerate(zip(lo, hi))]
+        cells = np.argwhere(unk2[tuple(slab)]) + [s.start for s in slab]
+        out.extend(np.ravel_multi_index(tuple(cells.T), unk2.shape))
+
+    rows, cols = np.nonzero(unk2)
+    if rows.size:
+        order([rows.min(), cols.min()], [rows.max() + 1, cols.max() + 1])
+    return np.array(out, dtype=np.intp)
+
+
+def random_domain(kind, rng):
+    """A random interval, disk, annulus or rectangle on a coarse grid, and the
+    largest ball around the interior cell deepest in it."""
+    centre = rng.uniform(-0.5, 0.5, 2)
+    if kind == "interval":      # dyadic ends on the grid: both end cells are boundary cells
+        a, res = -rng.integers(0, 8) / 8, int(rng.choice([8, 16, 32]))
+        shape = ShapeSpec.interval(a, a + rng.integers(4, 16) / 8)
+    elif kind == "disk":
+        shape, res = ShapeSpec.disk(centre, rng.uniform(0.3, 1.0)), rng.integers(8, 24)
+    elif kind == "annulus":
+        radius = rng.uniform(0.6, 1.0)
+        shape = ShapeSpec.annulus(centre, radius * rng.uniform(0.3, 0.6), radius)
+        res = rng.integers(12, 24)
+    else:
+        x0, y0 = centre
+        shape = ShapeSpec.rectangle(x0, x0 + rng.uniform(0.3, 1.5), y0, y0 + rng.uniform(0.3, 1.5))
+        res = rng.integers(8, 24)
+    grid, mask = make_grid(shape, res)
+    depth = np.where(mask.interior, shape.signed_distance(grid.points()), -np.inf)
+    deepest = np.unravel_index(np.argmax(depth), grid.shape)
+    ball = (grid.points()[deepest], 0.6 * depth[deepest])
+    return grid, mask, ball
+
+
+class TestDissection:
+    """Every Newton plan numbers its unknowns in one nested-dissection order,
+    and every factorization runs in that order."""
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2]),
+           density=st.floats(0.0, 1.0))
+    def test_order_is_the_recursive_bisection(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        unk = rng.random(tuple(rng.integers(1, 40, n))) < density
+        order = msolve._dissection(unk)
+        assert order.dtype == np.intp
+        assert np.array_equal(np.sort(order), np.flatnonzero(unk))
+        assert np.array_equal(order, reference_dissection(unk))
+        assert np.array_equal(msolve._dissection(unk.copy()), order)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("kind", ["interval", "disk", "annulus", "rectangle"])
+    def test_plans_factor_like_a_dense_solve(self, kind, system, seed):
+        rng = np.random.default_rng(seed)
+        grid, mask, ball = random_domain(kind, rng)
+        h, n, unknown, fixed, V, penalty = system_case(grid, mask, system, rng, ball)
+        _, triplets, args = newton_system(h, n, unknown, fixed, V, penalty)
+        plan, m = args[0], args[3]
+        win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
+        assert np.array_equal(plan.unknowns, msolve._dissection(unknown[win]))
+        b = rng.standard_normal(m)
+        ref = np.linalg.solve(dense(triplets), b)
+        x = _factorize(*args)(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @staticmethod
+    def fills(args, triplets):
+        """Nonzeros of L and U: the plan's LU, and SuperLU's minimum-degree
+        ordering on A^T + A of the same matrix with the unknowns in C order."""
+        plan, m = args[0], args[3]
+        solve = _factorize(*args)
+        lu = next(c.cell_contents for c in solve.__closure__
+                  if isinstance(c.cell_contents, slinalg.SuperLU))
+        c = c_order(plan)
+        ri, ci, vi, _ = triplets
+        A = sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).tocsc()[c][:, c]
+        mmd = slinalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                           options=dict(SymmetricMode=True))
+        return lu.L.nnz + lu.U.nnz, mmd.L.nnz + mmd.U.nnz
+
+    def test_fill_below_minimum_degree_on_the_hemisphere(self):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 2.0), 64)
+        V = sample_function(hemisphere_formula(4.0), grid, mask).values
+        _, triplets, args = newton_system(grid.h, 2, mask.interior, mask.boundary, V)
+        assert args[3] == 51429
+        ours, mmd = self.fills(args, triplets)
+        assert ours < 0.85 * mmd, (ours, mmd)
+
+    @pytest.mark.parametrize("radius", [0.25, 0.125, 0.0625])   # sweep levels 2-4 at 128
+    def test_ball_fill_near_minimum_degree(self, radius):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 128)
+        cone = sample_function(lambda p: np.hypot(p[:, 0], p[:, 1]), grid, mask).values
+        rng = np.random.default_rng(5)
+        for centre in [(0.0, 0.0), (0.013, -0.021)] + [tuple(rng.uniform(-0.3, 0.3, 2))
+                                                       for _ in range(3)]:
+            win, unknown, ring = ball_region(mask, centre, radius)
+            _, triplets, args = newton_system(grid.h, 2, unknown, ring, cone[win])
+            ours, mmd = self.fills(args, triplets)
+            assert ours <= 1.1 * mmd, (centre, ours, mmd)
 
 
 class TestNewtonPlan:
@@ -440,13 +567,23 @@ class TestNewtonPlan:
         with cold_plans() as plans:
             cold = solve_on_ball(cone_64, mask, *ball)
             assert plans().currsize == 1
-            win, unknown, ring = ball_region(mask, *ball)
-            plan = newton_system(grid.h, 2, unknown, ring, cone_64.values[win])[2][0]
-            assert isinstance(plan.pattern, msolve._Ordered)
             warm = solve_on_ball(cone_64, mask, *ball)
             assert plans().misses == 1
         assert cold.converged and warm.iterations == cold.iterations
-        assert np.nanmax(np.abs(warm.field.values - cold.field.values)) <= 1e-12
+        assert same_bits(warm.field.values, cold.field.values)
+
+    def test_cold_and_warm_plan_caches_agree(self):
+        hemi, f = hemisphere_formula(4.0), lambda p: np.full(len(p), 0.5)
+        disk = ShapeSpec.disk((0.0, 0.0), 2.0)
+        solves = [lambda: solve_dirichlet(make_grid(disk, 32)[1], f=f, phi=hemi),
+                  lambda: minimize_prescribed_mc(make_grid(disk, 16)[1], g=f, phi=hemi)]
+        for solve in solves:
+            with cold_plans() as plans:
+                cold = solve()
+                warm = solve()
+                assert plans().hits > 0
+            assert cold.converged and warm.iterations == cold.iterations
+            assert same_bits(warm.field.values, cold.field.values)
 
     def test_threads_match_sequential(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
@@ -590,8 +727,7 @@ class TestCarriedLU:
     def test_foreign_plan_is_ignored(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         opts = SolveOptions()
-        for _ in range(2):      # the pattern's plan is ordered, as a sweep meets it
-            ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
         carry = []
         msolve._solve_ball(cone_64.values, mask, (0.0, 0.1), 0.2, opts, carry)
         foreign = carry[0]
@@ -658,16 +794,17 @@ class TestPlanResidual:
         h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
         fallback = penalty is not None
         rows = unknown & ~penalty["cells"] if fallback else unknown
-        newton_rows = newton_system(h, n, unknown, fixed, V, penalty)[0]
+        newton_rows, _, args = newton_system(h, n, unknown, fixed, V, penalty)
+        newton_rows = newton_rows[c_order(args[0])]
         V = np.where(unknown | fixed, V, np.nan)
         grid_faces = face_gradients(V, h, fallback)
         dens = _divergence(grid_faces, h)
         # the kernel on its own, with forcing, on every unknown row
         f = np.random.default_rng(seed).standard_normal(V.shape)
         Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
-        r, _ = msolve._residual(Vx, h, f[unknown], plan_of(unknown, fixed, rows, fallback),
-                                fallback)
-        assert same_bits(r, dens[unknown] - f[unknown])
+        plan = plan_of(unknown, fixed, rows, fallback)
+        r, _ = msolve._residual(Vx, h, f.ravel()[plan.unknowns], plan, fallback)
+        assert same_bits(r[c_order(plan)], dens[unknown] - f[unknown])
         # _newton_core's first residual, penalty rows included
         ref = dens[unknown]
         if fallback:
@@ -857,8 +994,9 @@ class TestFunctionalGradient:
     discretizations and agree at second order without forcing.  Rows next to
     the boundary layer do not: the cell-centred area sum leaves out the
     boundary cells' terms, and the mismatch grows like 1/h.  With forcing g
-    the gradient is -(density + g) while the rows are density - g: the load
-    enters the functional with the opposite sign.
+    the gradient is -(density - g), the negated rows: the load enters the
+    functional as the rows' first-order condition has it, and the forced gap
+    on deep rows vanishes at second order too.
     """
 
     @staticmethod
@@ -881,19 +1019,20 @@ class TestFunctionalGradient:
             grad.append((F[0] - F[1]) / (2 * eps) / grid.cell_volume)
         plan = plan_of(mask.interior, mask.boundary, mask.interior, False)
         Vx = np.concatenate([u.ravel(), (np.nan, 0.0)])
-        rows = msolve._residual(Vx, grid.h, g[mask.interior], plan, False)[0]
+        rows = msolve._residual(Vx, grid.h, g.ravel()[plan.unknowns], plan, False)[0]
+        rows = rows[c_order(plan)]
         gap = -np.array(grad) - rows
         deep = ndimage.binary_erosion(mask.interior, np.ones((3, 3), bool))[mask.interior]
-        return gap, deep, g[mask.interior]
+        return gap, deep
 
     def test_orders_are_pinned(self):
         deep_err, all_err, load_err = [], [], []
         for res in (16, 32, 64):
-            gap, deep, _ = self.mismatch(res, 0.0)
+            gap, deep = self.mismatch(res, 0.0)
             deep_err.append(np.abs(gap[deep]).max())
             all_err.append(np.abs(gap).max())
-            gap, deep, g = self.mismatch(res, 1.0)
-            load_err.append(np.abs(gap - 2 * g)[deep].max())
+            gap, deep = self.mismatch(res, 1.0)
+            load_err.append(np.abs(gap[deep]).max())
         order = lambda e: np.log2(np.array(e[:-1]) / np.array(e[1:]))
         assert np.all(np.abs(order(deep_err) - 2.0) < 0.15), deep_err
         assert np.all(np.abs(order(load_err) - 2.0) < 0.15), load_err
