@@ -26,6 +26,7 @@ from .field import (
     SizingError,
     UndefinedCellError,
     _dist_to,
+    circle_points,
     mollifier_kernel,
 )
 from .measure import BallFamily, ball_fluxes
@@ -60,6 +61,18 @@ class CurveSpec:
 
     def total_mass(self) -> float:
         return self.lam * 2.0 * math.pi * self.radius
+
+    def length_inside(self, center, radius: float) -> float:
+        """Length of the circle inside the open ball (center, radius): the arc
+        rho * 2 acos((d^2 + rho^2 - r^2) / (2 d rho)) where the two circles
+        cross, the whole circle or nothing otherwise."""
+        rho = self.radius
+        d = math.dist(self.center, center)
+        if d > 0:
+            cos = (d * d + rho * rho - radius * radius) / (2 * d * rho)
+        else:
+            cos = -1.0 if rho < radius else 1.0
+        return 2 * math.acos(min(max(cos, -1.0), 1.0)) * rho
 
 
 @dataclass
@@ -125,30 +138,33 @@ class MeasureSpec:
         return total
 
     def ball_mass(self, mask: DomainMask, center, radius: float) -> float:
-        """Exact measure of a ball from the specification parts."""
+        """Measure of the open ball from the specification parts: the density
+        on the cells whose centers it holds, each curve's arc inside it in
+        closed form, and the atoms inside it."""
         grid = mask.grid
         inside = _dist_to(grid.points(), center) < radius
         total = float(self.density_values(mask)[inside].sum() * grid.cell_volume)
         for c in self.curves:
-            total += c.lam * _circle_arc_inside(c, center, radius)
+            total += c.lam * c.length_inside(center, radius)
         for x0, m in self.atoms:
             if abs(x0 - center[0]) < radius:
                 total += m
         return total
 
+    def sample_parts(self, h: float):
+        """(points, masses) of each curve part, then of each atom.
 
-def _circle_arc_inside(curve: CurveSpec, center, radius: float) -> float:
-    """Arc length of the curve circle lying inside the given ball."""
-    npts = max(512, int(64 * curve.radius / 0.01))
-    ang = (np.arange(npts) + 0.5) * 2 * math.pi / npts
-    px = curve.center[0] + curve.radius * np.cos(ang)
-    py = curve.center[1] + curve.radius * np.sin(ang)
-    inside = np.hypot(px - center[0], py - center[1]) < radius
-    return float(inside.sum()) / npts * 2 * math.pi * curve.radius
+        A circle is sampled at arc step h/2 by circle_points, with equal
+        masses that sum to its total; an atom is one point of its mass.
+        """
+        for c in self.curves:
+            count = max(8, int(math.ceil(2 * math.pi * c.radius / (h / 2.0))))
+            yield circle_points(c.center, c.radius, count), np.full(count, c.total_mass() / count)
+        for x0, m in self.atoms:
+            yield np.asarray([[x0]]), np.asarray([m])
 
 
-def mollify_measure(nu: MeasureSpec, eps: float, mask: DomainMask,
-                    arc_step: Optional[float] = None) -> ScalarField:
+def mollify_measure(nu: MeasureSpec, eps: float, mask: DomainMask) -> ScalarField:
     """Smooth nonnegative density with the same discrete mass as the measure.
 
     The Lipschitz part (extended by zero outside the domain) is convolved
@@ -162,21 +178,8 @@ def mollify_measure(nu: MeasureSpec, eps: float, mask: DomainMask,
     from scipy import signal
     dens = nu.density_values(mask)
     out = signal.fftconvolve(dens, w, mode="same") if dens.any() else np.zeros(grid.shape)
-
-    step = h / 2.0 if arc_step is None else float(arc_step)
-    if step > h + 1e-12:
-        raise SizingError(f"curve quadrature under-resolved: arc step {step} > h={h}")
-    k = w.shape[0] // 2
-    for curve in nu.curves:
-        npts = max(8, int(math.ceil(2 * math.pi * curve.radius / step)))
-        ang = (np.arange(npts) + 0.5) * 2 * math.pi / npts
-        pxs = curve.center[0] + curve.radius * np.cos(ang)
-        pys = curve.center[1] + curve.radius * np.sin(ang)
-        mass = curve.lam * 2 * math.pi * curve.radius / npts
-        out += _spread_points(grid, np.stack([pxs, pys], axis=1),
-                              np.full(npts, mass), eps, k)
-    for x0, m in nu.atoms:
-        out += _spread_points(grid, np.asarray([[x0]]), np.asarray([m]), eps, k)
+    for pts, masses in nu.sample_parts(grid.h):
+        out += _spread_points(grid, pts, masses, eps, w.shape[0] // 2)
 
     out = np.maximum(out, 0.0)
     vals = np.where(mask.region, out, np.nan)
@@ -185,29 +188,31 @@ def mollify_measure(nu: MeasureSpec, eps: float, mask: DomainMask,
 
 def _spread_points(grid: Grid, pts: np.ndarray, masses: np.ndarray,
                    eps: float, k: int) -> np.ndarray:
-    """Deposit point masses as densities with per-point unit-sum kernels."""
+    """Deposit point masses as densities with per-point unit-sum kernels.
+
+    A point's bump covers the cells of the (2k+1)^n window around its nearest
+    cell that lie on the grid; the shares are added in point order, as a loop
+    over the points would add them.
+    """
+    count, n = pts.shape
+    win = grid.nearest_cells(pts)[:, :, None] + np.arange(-k, k + 1)     # (P, n, 2k+1)
+    offs = (np.asarray(grid.origin)[:, None] + grid.h * win - pts[:, :, None]) / eps
+    on_grid = (win >= 0) & (win < np.asarray(grid.extents)[:, None])
+    s2, live, flat = 0.0, True, 0
+    for d in range(n):      # window axis d becomes array axis d + 1
+        lay = (count,) + tuple(-1 if e == d else 1 for e in range(n))
+        s2 = s2 + (offs[:, d] ** 2).reshape(lay)
+        live = live & on_grid[:, d].reshape(lay)
+        flat = flat * grid.extents[d] + win[:, d].reshape(lay)
+    live = live & (s2 < 1.0)
+    w = np.zeros(s2.shape)
+    w[live] = np.exp(1.0 / (s2[live] - 1.0))
+    total = w.reshape(count, -1).sum(axis=1)
+    if (total <= 0).any():
+        raise SizingError("kernel support missed the grid for a point part")
+    share = (masses / total / grid.cell_volume).reshape((count,) + (1,) * n) * w
     out = np.zeros(grid.shape)
-    hv = grid.cell_volume
-    for p, m in zip(pts, masses):
-        idx = [int(round((p[d] - grid.origin[d]) / grid.h)) for d in range(grid.n)]
-        sl = []
-        offs = []
-        for d in range(grid.n):
-            lo = max(idx[d] - k, 0)
-            hi = min(idx[d] + k + 1, grid.extents[d])
-            sl.append(slice(lo, hi))
-            offs.append(grid.axis_centers(d)[lo:hi] - p[d])
-        if grid.n == 1:
-            s2 = (offs[0] / eps) ** 2
-        else:
-            s2 = ((offs[0][:, None] / eps) ** 2 + (offs[1][None, :] / eps) ** 2)
-        wloc = np.zeros_like(s2)
-        inside = s2 < 1.0
-        wloc[inside] = np.exp(1.0 / (s2[inside] - 1.0))
-        total = wloc.sum()
-        if total <= 0:
-            raise SizingError("kernel support missed the grid for a point part")
-        out[tuple(sl)] += (m / total / hv) * wloc
+    np.add.at(out.reshape(-1), flat[live], share[live])
     return out
 
 
@@ -237,40 +242,33 @@ def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable],
     shape = mask.shape
     n = mask.grid.n
     factor = n / (n - 1.0) if n > 1 else 1.0
-    pts_curv = []
     if shape.kind == "interval":
-        a, b = shape.bounds
-        pts_curv = [((a,), 0.0), ((b,), 0.0)]
+        pts = np.asarray(shape.bounds, dtype=float)[:, None]
+        curv = np.zeros(2)
     elif shape.kind == "disk":
-        ang = (np.arange(samples) + 0.5) * 2 * math.pi / samples
-        for t in ang:
-            p = (shape.center[0] + shape.radius * math.cos(t),
-                 shape.center[1] + shape.radius * math.sin(t))
-            pts_curv.append((p, 1.0 / shape.radius))
+        pts = circle_points(shape.center, shape.radius, samples)
+        curv = np.full(samples, 1.0 / shape.radius)
     elif shape.kind == "annulus":
         half = max(samples // 2, 8)
-        ang = (np.arange(half) + 0.5) * 2 * math.pi / half
-        for t in ang:
-            p = (shape.center[0] + shape.radius * math.cos(t),
-                 shape.center[1] + shape.radius * math.sin(t))
-            pts_curv.append((p, 1.0 / shape.radius))
-            q = (shape.center[0] + shape.inner_radius * math.cos(t),
-                 shape.center[1] + shape.inner_radius * math.sin(t))
-            pts_curv.append((q, -1.0 / shape.inner_radius))
+        # an outer and an inner sample at each angle, in turn
+        pts = np.stack([circle_points(shape.center, shape.radius, half),
+                        circle_points(shape.center, shape.inner_radius, half)],
+                       axis=1).reshape(-1, 2)
+        curv = np.tile([1.0 / shape.radius, -1.0 / shape.inner_radius], half)
     else:
         raise SizingError(f"no closed-form boundary curvature for {shape.kind!r}")
 
-    rows = []
-    for p, curv in pts_curv:
-        if f is None:
-            fv = 0.0
-        elif callable(f):
-            fv = float(np.asarray(f(np.asarray([list(p)])), dtype=float).ravel()[0])
-        else:
-            fv = float(f)
-        rows.append(AdmissibilitySample(point=tuple(p), curvature=curv,
-                                        f_value=fv, margin=curv - factor * fv))
-    min_margin = min(r.margin for r in rows)
+    if f is None:
+        fv = np.zeros(len(pts))
+    elif callable(f):
+        fv = np.broadcast_to(np.asarray(f(pts), dtype=float).reshape(-1), (len(pts),))
+    else:
+        fv = np.full(len(pts), float(f))
+    margin = curv - factor * fv
+    rows = [AdmissibilitySample(point=tuple(map(float, p)), curvature=float(c),
+                                f_value=float(v), margin=float(m))
+            for p, c, v, m in zip(pts, curv, fv, margin)]
+    min_margin = float(margin.min())
     return AdmissibilityReport(samples=rows, passed=min_margin > 0,
                                min_margin=min_margin)
 

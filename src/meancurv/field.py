@@ -197,6 +197,11 @@ class Grid:
     def cell_center(self, idx) -> tuple:
         return tuple(self.origin[k] + self.h * idx[k] for k in range(self.n))
 
+    def nearest_cells(self, pts) -> np.ndarray:
+        """Index of the cell nearest each point of shape (..., n), clipped to the grid."""
+        idx = np.rint((np.asarray(pts, dtype=float) - self.origin) / self.h).astype(np.intp)
+        return np.clip(idx, 0, np.asarray(self.extents) - 1)
+
     def to_json(self) -> dict:
         return {"n": self.n, "h": self.h, "extents": list(self.extents),
                 "origin": list(self.origin)}
@@ -241,7 +246,10 @@ class DomainMask:
             raise SizingError("mask has no interior cells")
         if not self.boundary.any():
             raise SizingError("mask has no boundary cells")
-        structure = np.ones((3,) * self.grid.n, bool) if self.grid.n == 2 else None
+        rim = self.interior.copy()
+        rim[(slice(1, -1),) * self.grid.n] = False
+        if rim.any():
+            raise SizingError("interior cell on the grid edge has no boundary cell beyond it")
         if self.grid.n == 1:
             labels, count = ndimage.label(self.interior)
         else:
@@ -259,7 +267,8 @@ class DomainMask:
 def make_grid(shape: ShapeSpec, resolution: int) -> tuple[Grid, DomainMask]:
     """Build a grid with h = 1/resolution and classify cells against *shape*.
 
-    1d intervals place the end centers exactly on the two endpoints (those
+    1d intervals put the end centers on the two endpoints, the last one up
+    to a cell beyond when the length is not a whole number of cells (those
     become the two boundary cells); 2d shapes are covered cell-centered with
     one extra margin ring so every interior stencil is in range.
     """
@@ -272,7 +281,7 @@ def make_grid(shape: ShapeSpec, resolution: int) -> tuple[Grid, DomainMask]:
         a, b = shape.bounds
         if b - a <= 2 * h:
             raise SizingError("interval shorter than 2h")
-        ncells = int(round((b - a) / h))
+        ncells = int(math.ceil((b - a) / h - 1e-9))
         grid = Grid(n=1, h=h, extents=(ncells + 1,), origin=(a,))
     elif shape.kind == "rectangle":
         (x0, x1), (y0, y1) = shape.bounds
@@ -613,6 +622,13 @@ def _shape_center(shape: ShapeSpec):
 def _ring(cells: np.ndarray) -> np.ndarray:
     """Cells sharing a face or a corner with *cells*, outside them."""
     return ndimage.binary_dilation(cells, structure=np.ones((3,) * cells.ndim, bool)) & ~cells
+
+
+def circle_points(center, radius: float, count: int) -> np.ndarray:
+    """count points on a circle at the angles (k + 1/2) 2 pi / count, shape (count, 2)."""
+    ang = (np.arange(count) + 0.5) * 2 * math.pi / count
+    return np.stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)],
+                    axis=1)
 
 
 def _dist_to(pts: np.ndarray, center) -> np.ndarray:

@@ -25,6 +25,7 @@ from .field import (
     ScalarField,
     SizingError,
     _dist_to,
+    circle_points,
     interface_segments,
     superlevel_set,
 )
@@ -250,9 +251,7 @@ def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] 
         pts = np.array([[center[0] - r], [center[0] + r]])
         return _bilinear(grid, u.values, pts), 1.0
     m = samples or max(64, int(2 * math.pi * r / grid.h) * 2)
-    theta = (np.arange(m) + 0.5) * 2 * math.pi / m
-    pts = np.stack([center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)], axis=1)
-    return _bilinear(grid, u.values, pts), 2 * math.pi * r / m
+    return _bilinear(grid, u.values, circle_points(center, r, m)), 2 * math.pi * r / m
 
 
 def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
@@ -377,10 +376,11 @@ def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
     """Largest measure/perimeter ratio over the family; eta* = 1 - max ratio.
 
     nu is a density field, a measure specification with density, curve and
-    atom parts, or None.  It is reduced to one per-cell mass array: the
-    density times the cell volume on interior cells, each curve sampled at
-    arc step h/2 with every sample's mass put in its nearest cell, each atom
-    in its nearest cell.  A member's nu is the sum of that array over its
+    atom parts, or None; a specification is validated first, so a 2d atom
+    or a negative mass raises.  It is reduced to one per-cell mass array: the
+    density times the cell volume on interior cells, and every sample of
+    ``MeasureSpec.sample_parts`` (curves at arc step h/2, atoms) in its
+    nearest cell.  A member's nu is the sum of that array over its
     cells (rectangles and intervals read it from a summed-area table).
     Rectangles use their exact perimeter, balls and annuli the analytic
     circumference of their continuum proxies, superlevel sets their
@@ -434,21 +434,10 @@ def _cell_masses(nu, mask: DomainMask) -> np.ndarray:
     if isinstance(nu, ScalarField):
         keep = mask.interior & np.isfinite(nu.values)
         return np.where(keep, nu.values, 0.0) * grid.cell_volume
+    nu.validate(mask)
     mass = nu.density_values(mask) * grid.cell_volume
-    h = grid.h
-    for curve in nu.curves:
-        npts = max(8, int(math.ceil(2 * math.pi * curve.radius / (h / 2.0))))
-        ang = (np.arange(npts) + 0.5) * 2 * math.pi / npts
-        pts = (curve.center[0] + curve.radius * np.cos(ang),
-               curve.center[1] + curve.radius * np.sin(ang))
-        cells = tuple(np.clip(np.round((pts[k] - grid.origin[k]) / h),
-                              0, grid.extents[k] - 1).astype(np.int64)
-                      for k in range(2))
-        np.add.at(mass, cells, curve.lam * 2 * math.pi * curve.radius / npts)
-    for x0, m in nu.atoms:
-        i = int(round((x0 - grid.origin[0]) / h))
-        if 0 <= i < grid.extents[0]:
-            mass[i] += m
+    for pts, masses in nu.sample_parts(grid.h):
+        np.add.at(mass, tuple(grid.nearest_cells(pts).T), masses)
     return mass
 
 

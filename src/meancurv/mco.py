@@ -438,7 +438,7 @@ def gradient_bound_report(entries: Sequence[tuple]) -> EnvelopeFit:
     xs, ys = [], []
     excluded = 0
     for fld, point, r in entries:
-        idx = _nearest_cell(fld.grid, point)
+        idx = tuple(fld.grid.nearest_cells(point))
         grads = cell_gradients(fld)
         gnorm = float(np.sqrt(np.nansum(grads[idx] ** 2)))
         uval = float(fld.values[idx])
@@ -455,14 +455,6 @@ def gradient_bound_report(entries: Sequence[tuple]) -> EnvelopeFit:
     resid = float(np.max(np.array(ys) - (intercept + slope * np.array(xs))))
     return EnvelopeFit(c1=math.exp(intercept), c2=slope, max_residual=resid,
                        points=list(zip(xs, ys)), excluded=excluded)
-
-
-def _nearest_cell(grid: Grid, point) -> tuple:
-    idx = []
-    for k in range(grid.n):
-        i = int(round((point[k] - grid.origin[k]) / grid.h))
-        idx.append(min(max(i, 0), grid.extents[k] - 1))
-    return tuple(idx)
 
 
 def _upper_affine_envelope(xs: np.ndarray, ys: np.ndarray):

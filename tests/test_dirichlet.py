@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancurv import ShapeSpec, make_grid, sample_function
-from meancurv.field import ScalarField, SizingError, UndefinedCellError
+from meancurv.field import ScalarField, SizingError, UndefinedCellError, mollifier_kernel
 from meancurv.dirichlet import (
     AtomRejectionError,
     ContinuationSchedule,
     CurveSpec,
     MeasureSpec,
+    _spread_points,
     boundary_admissibility,
     mollify_measure,
     solve_measure_dirichlet,
@@ -58,6 +60,14 @@ class TestMeasureSpec:
                     call()
                 assert all(mask.interior[c] and grid.cell_center(c)[0] > 0.5
                            for c in exc.value.cells)
+        # inadmissible atoms: one in 2d, a negative one in 1d
+        _, line = make_grid(ShapeSpec.interval(-1.0, 1.0), 16)
+        for nu, where, error in ((MeasureSpec(atoms=((0.0, 0.1),)), mask, AtomRejectionError),
+                                 (MeasureSpec(atoms=((0.2, -0.1),)), line, ValueError)):
+            for call in (lambda: mollify_measure(nu, 0.12, where),
+                         lambda: eta_margin(nu, where, SetFamily(rectangles=True))):
+                with pytest.raises(error):
+                    call()
 
     def test_field_density_keeps_non_finite_as_zero(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
@@ -71,7 +81,46 @@ class TestMeasureSpec:
         nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.5, 0.5),))
         assert abs(nu.ball_mass(mask, (0.0, 0.0), 0.3)) < 1e-12
         full = 0.5 * 2 * math.pi * 0.5
-        assert abs(nu.ball_mass(mask, (0.0, 0.0), 0.8) - full) < 1e-3
+        assert abs(nu.ball_mass(mask, (0.0, 0.0), 0.8) - full) < 1e-12
+        # the ball (0.5, 0) of radius 0.5 cuts the ring at (1/4, +-sqrt(3)/4):
+        # the arc inside subtends 2 pi / 3
+        assert abs(nu.ball_mass(mask, (0.5, 0.0), 0.5) - 0.5 * 0.5 * 2 * math.pi / 3) < 1e-12
+
+
+class TestArcOracle:
+    @staticmethod
+    def quadrature(curve, center, radius, count=10 ** 6):
+        ang = (np.arange(count) + 0.5) * 2 * math.pi / count
+        pts = np.asarray(curve.center) + curve.radius * np.stack([np.cos(ang), np.sin(ang)], 1)
+        inside = np.hypot(*(pts - np.asarray(center)).T) < radius
+        return inside.mean() * 2 * math.pi * curve.radius
+
+    def test_crossing_balls_match_quadrature(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            curve = CurveSpec.circle(rng.uniform(-0.5, 0.5, 2), rng.uniform(0.1, 1.0), 1.0)
+            rho = curve.radius
+            d = rng.uniform(0.05, 2.0) * rho
+            radius = rng.uniform(abs(d - rho), d + rho)    # the two circles cross
+            t = rng.uniform(0, 2 * math.pi)
+            center = np.asarray(curve.center) + d * np.array([math.cos(t), math.sin(t)])
+            exact = curve.length_inside(center, radius)
+            assert 0 < exact < 2 * math.pi * rho
+            # the quadrature's error is a point count: at most about two points
+            assert abs(exact - self.quadrature(curve, center, radius)) \
+                <= 3 * 2 * math.pi * rho / 10 ** 6
+
+    def test_all_or_nothing(self):
+        curve = CurveSpec.circle((0.2, -0.1), 0.5, 1.0)
+        full = 2 * math.pi * 0.5
+        cases = [((0.2, -0.1), 0.6, full),      # d = 0, larger ball
+                 ((0.2, -0.1), 0.4, 0.0),       # d = 0, smaller ball
+                 ((0.3, -0.1), 0.7, full),      # the ball encloses the circle
+                 ((0.3, -0.1), 0.3, 0.0),       # the circle encloses the ball
+                 ((1.5, -0.1), 0.6, 0.0)]       # disjoint
+        for center, radius, want in cases:
+            assert curve.length_inside(center, radius) == want
+            assert self.quadrature(curve, center, radius) == want
 
 
 class TestMollifyMeasure:
@@ -88,12 +137,6 @@ class TestMollifyMeasure:
         assert abs(mass - math.pi) < 0.005 * math.pi
         assert (np.nan_to_num(g.values) >= 0).all()
 
-    def test_arc_step_validated(self, unit_disk_64):
-        grid, mask = unit_disk_64
-        nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.5, 1.0),))
-        with pytest.raises(SizingError):
-            mollify_measure(nu, 0.1, mask, arc_step=3 * grid.h)
-
     def test_margin_survives_mollification(self):
         # averaging cannot lose more than a whisker of the measure margin
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
@@ -105,6 +148,61 @@ class TestMollifyMeasure:
         g = mollify_measure(nu, 0.12, mask)
         after = eta_margin(g, mask, fam)
         assert after.eta_star >= before.eta_star - 0.03
+
+
+def spread_points_loop(grid, pts, masses, eps, k):
+    """The per-point loop that ``_spread_points`` replaced, as its reference."""
+    out = np.zeros(grid.shape)
+    hv = grid.cell_volume
+    for p, m in zip(pts, masses):
+        idx = [int(round((p[d] - grid.origin[d]) / grid.h)) for d in range(grid.n)]
+        sl = []
+        offs = []
+        for d in range(grid.n):
+            lo = max(idx[d] - k, 0)
+            hi = min(idx[d] + k + 1, grid.extents[d])
+            sl.append(slice(lo, hi))
+            offs.append(grid.axis_centers(d)[lo:hi] - p[d])
+        if grid.n == 1:
+            s2 = (offs[0] / eps) ** 2
+        else:
+            s2 = ((offs[0][:, None] / eps) ** 2 + (offs[1][None, :] / eps) ** 2)
+        wloc = np.zeros_like(s2)
+        inside = s2 < 1.0
+        wloc[inside] = np.exp(1.0 / (s2[inside] - 1.0))
+        total = wloc.sum()
+        if total <= 0:
+            raise SizingError("kernel support missed the grid for a point part")
+        out[tuple(sl)] += (m / total / hv) * wloc
+    return out
+
+
+class TestSpreadPoints:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 32 - 1),
+           ratio=st.floats(2.0, 6.0))
+    def test_matches_point_loop(self, n, seed, ratio):
+        rng = np.random.default_rng(seed)
+        shape = ShapeSpec.interval(-1.0, 1.0) if n == 1 else ShapeSpec.disk((0.0, 0.0), 0.6)
+        grid, _ = make_grid(shape, 16)
+        eps = ratio * grid.h
+        k = mollifier_kernel(n, grid.h, eps).shape[0] // 2
+        lo = np.asarray(grid.origin)
+        pts = rng.uniform(lo, lo + (np.asarray(grid.extents) - 1) * grid.h,
+                          (int(rng.integers(1, 40)), n))
+        masses = rng.uniform(0.0, 2.0, len(pts))
+        idx = grid.nearest_cells(pts)
+        clipped = ((idx < k) | (idx + k >= np.asarray(grid.extents))).any(axis=1)
+        for part in (~clipped, clipped):
+            if not part.any():
+                continue
+            got = _spread_points(grid, pts[part], masses[part], eps, k)
+            want = spread_points_loop(grid, pts[part], masses[part], eps, k)
+            if part is clipped:
+                # a kernel's total also sums the zeros beyond the grid edge
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            else:
+                assert np.array_equal(got, want)
 
 
 class TestAdmissibility:

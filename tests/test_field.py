@@ -20,6 +20,7 @@ from meancurv import (
 )
 from meancurv.field import (
     CLIP,
+    DomainMask,
     ISOPERIMETRIC_CONSTANT,
     LEVEL,
     TOL_ISO,
@@ -28,6 +29,7 @@ from meancurv.field import (
     isoperimetric_floor,
     mollifier_kernel,
 )
+from meancurv.msolve import solve_dirichlet
 
 from conftest import cone_formula
 
@@ -44,6 +46,26 @@ class TestMakeGrid:
         assert int(mask.boundary.sum()) == 2
         assert grid.axis_centers(0)[0] == -1.0
         assert grid.axis_centers(0)[-1] == 1.0
+
+    def test_interval_of_fractional_length(self):
+        # 10.3 cells: the last center lies beyond the right end, a boundary cell
+        grid, mask = make_grid(ShapeSpec.interval(-0.3, 0.73), 10)
+        assert grid.extents == (12,)
+        assert mask.boundary[[0, -1]].all() and mask.interior[1:-1].all()
+        # a solve used to meet an undefined cell beyond the last interior one
+        out = solve_dirichlet(mask, phi=lambda p: 2 * p[:, 0])
+        x = grid.axis_centers(0)[mask.interior]
+        assert out.converged
+        assert np.abs(out.field.values[mask.interior] - 2 * x).max() < 1e-8
+
+    def test_interior_on_grid_edge_rejected(self):
+        grid, mask = make_grid(ShapeSpec.interval(-1, 1), 8)
+        interior = mask.interior.copy()
+        interior[-1] = True
+        boundary = mask.boundary & ~interior
+        with pytest.raises(SizingError, match="grid edge"):
+            DomainMask(grid=grid, shape=mask.shape, interior=interior,
+                       boundary=boundary).validate()
 
     def test_rectangle_full_mask_perimeter(self):
         grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 32)

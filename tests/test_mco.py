@@ -261,8 +261,8 @@ class TestGradientEnvelope:
             u = sample_function(lambda p, s=shift, f=hemi: f(p) + s, grid, mask)
             entries.append((u, pt, 1.0 - math.hypot(*pt)))
             # oracle: |Du| at the sample point has closed form |p|/sqrt(R^2-|p|^2)
-            from meancurv.mco import cell_gradients, _nearest_cell
-            idx = _nearest_cell(grid, pt)
+            from meancurv.mco import cell_gradients
+            idx = tuple(grid.nearest_cells(pt))
             g = cell_gradients(u)[idx]
             rr = math.hypot(*grid.cell_center(idx))
             exact = rr / math.sqrt(R * R - rr * rr)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage, sparse
 from scipy.sparse import linalg as slinalg
 
@@ -817,10 +817,17 @@ class TestPlanResidual:
     @pytest.mark.parametrize("n", [1, 2])
     def test_nan_stencil_names_grid_cells(self, n, system, seed):
         h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
-        rng = np.random.default_rng(seed)
         rows = unknown & ~penalty["cells"] if penalty is not None else unknown
-        near = fixed & ndimage.binary_dilation(rows)   # face neighbours of the rows
-        assume(near.any())       # a 1d minimizer system may have detached both ends
+        beside = ndimage.binary_dilation(rows)      # face neighbours of the rows
+        if not (fixed & beside).any():
+            # a minimizer system detached every cell beside a row (in 1d both
+            # ends): attach the first of them again
+            first = np.unravel_index(np.flatnonzero(penalty["cells"] & beside)[0], V.shape)
+            penalty = dict(penalty, cells=penalty["cells"].copy())
+            penalty["cells"][first] = unknown[first] = False
+            fixed[first] = True
+        rng = np.random.default_rng(seed)
+        near = fixed & beside
         holes = near & (rng.random(V.shape) < 0.3)
         holes.flat[rng.choice(np.flatnonzero(near))] = True
         data = np.where(holes, np.nan, V)
