@@ -26,7 +26,6 @@ from .field import (
     mollify_field,
     sample_function,
     superlevel_set,
-    set_geometry,
 )
 from .mco import boundary_flux, CircleInterface, h1_density, enclosed_density_sum
 from .msolve import SolveOptions, minimize_prescribed_mc, solve_dirichlet
@@ -508,7 +507,9 @@ def _run_report(config: ExperimentConfig, out_dir: Path):
         try:
             with open(mpath, "r", encoding="utf-8") as fh:
                 man = json.load(fh)
-        except Exception:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            rows.append((str(mpath.parent), "?", "manifest_readable", 0,
+                         f"{type(exc).__name__}: {exc}"))
             continue
         for a in man.get("assertions", []):
             rows.append((str(mpath.parent), man.get("kind", "?"), a["name"],

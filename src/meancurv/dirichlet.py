@@ -22,7 +22,6 @@ from .field import (
     DomainMask,
     Grid,
     ScalarField,
-    ShapeSpec,
     SizingError,
     UndefinedCellError,
     _dist_to,

@@ -93,43 +93,16 @@ class ShapeSpec:
             x = pts[..., 0] if pts.ndim > 1 else pts
             return np.minimum(x - a, b - x)
         if self.kind == "disk":
-            rho = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
-            return self.radius - rho
+            return self.radius - _dist_to(pts, self.center)
         if self.kind == "rectangle":
             (x0, x1), (y0, y1) = self.bounds
             dx = np.minimum(pts[..., 0] - x0, x1 - pts[..., 0])
             dy = np.minimum(pts[..., 1] - y0, y1 - pts[..., 1])
             return np.minimum(dx, dy)
         if self.kind == "annulus":
-            rho = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
+            rho = _dist_to(pts, self.center)
             return np.minimum(self.radius - rho, rho - self.inner_radius)
         raise ValueError(f"unknown shape kind {self.kind!r}")
-
-    def boundary_length(self) -> float:
-        """Measure of the shape boundary (a point count in 1d)."""
-        if self.kind == "interval":
-            return 2.0
-        if self.kind == "disk":
-            return 2.0 * math.pi * self.radius
-        if self.kind == "rectangle":
-            (x0, x1), (y0, y1) = self.bounds
-            return 2.0 * ((x1 - x0) + (y1 - y0))
-        if self.kind == "annulus":
-            return 2.0 * math.pi * (self.radius + self.inner_radius)
-        raise ValueError(self.kind)
-
-    def to_json(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "interval":
-            d["bounds"] = list(self.bounds)
-        elif self.kind == "rectangle":
-            d["bounds"] = [list(b) for b in self.bounds]
-        else:
-            d["center"] = list(self.center)
-            d["radius"] = self.radius
-            if self.kind == "annulus":
-                d["inner_radius"] = self.inner_radius
-        return d
 
     @staticmethod
     def from_json(d: dict) -> "ShapeSpec":

@@ -149,15 +149,6 @@ class FluxField:
         vals = [np.nanmax(np.abs(f)) for f in self.axes if np.isfinite(f).any()]
         return float(max(vals)) if vals else 0.0
 
-    def to_json(self) -> dict:
-        enc = lambda a: [None if np.isnan(v) else float(v) for v in a.ravel(order="C")]
-        d = {"grid": self.grid.to_json(), "fx_shape": list(self.fx.shape),
-             "fx": enc(self.fx)}
-        if self.fy is not None:
-            d["fy_shape"] = list(self.fy.shape)
-            d["fy"] = enc(self.fy)
-        return d
-
 
 def flux_field(u: ScalarField) -> FluxField:
     faces = face_gradients(u.values, u.grid.h)
@@ -209,8 +200,7 @@ class CircleInterface:
     radius: float
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
-        return np.hypot(pts[..., 0] - self.center[0],
-                        pts[..., 1] - self.center[1]) < self.radius
+        return _dist_to(pts, self.center) < self.radius
 
     def describe(self) -> str:
         return f"circle(center={self.center}, r={self.radius})"
@@ -344,20 +334,6 @@ class SubharmonicReport:
     balls: list
     tol: float
     overall_pass: bool
-
-    @property
-    def worst_violation(self) -> float:
-        vals = [b.violation for b in self.balls if not b.inconclusive]
-        return max(vals) if vals else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "tol": self.tol,
-            "overall_pass": self.overall_pass,
-            "balls": [{"center": list(b.center), "radius": b.radius,
-                       "passed": b.passed, "violation": b.violation,
-                       "inconclusive": b.inconclusive} for b in self.balls],
-        }
 
 
 def default_subharmonic_tol(u: ScalarField, where: np.ndarray) -> float:

@@ -18,12 +18,15 @@ plan, fixed once built, also indexes every Newton step: ``_residual``
 gathers only the faces that touch the unknown rows from the flat window,
 applies ``mco.face_formula`` (the formula of the grid kernels) and sums the
 divergence as ``mco._divergence`` does, so each row equals the grid density
-bit for bit; the matrix reads the same faces, and 1d and 2d solves run the
-same code.  Ball replacements (``solve_on_ball``, the Perron lift and sweep,
-the viscosity check) go through one windowed ball kernel: ``ball_region``
-cuts the ball's window and takes its ball and ring masks from a bounded
-cache, ``_solve_ball`` checks the sphere data and owns the warm start and
-the harmonic restart.
+bit for bit.  The stencil is written down once, in the plan's face tables
+(the six cells of each face, the faces of each row and the sign of each
+row's face): the residual reads them, and the matrix's sparsity and value
+gather are read off them too, so 1d and 2d solves, whole-domain, ball and
+penalized, run the same code.  Ball replacements (``solve_on_ball``, the
+Perron lift and sweep, the viscosity check) go through one windowed ball
+kernel: ``ball_region`` cuts the ball's window and takes its ball and ring
+masks from a bounded cache, ``_solve_ball`` checks the sphere data and owns
+the warm start and the harmonic restart.
 
 A Newton solve's first LU is factored fresh, except in a Perron sweep: there
 each ball's warm-started solve may start on the last LU of the ball before it
@@ -95,18 +98,18 @@ class SolveOutcome:
 # core Newton machinery (operates on a sliced window around the region)
 
 
-def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan",
-              fallback: bool):
+def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan"):
     """Density minus forcing on every unknown row, from the plan's faces only.
 
     ``Vx`` is the flat window followed by a NaN slot and a zero slot.  The
     faces come from ``mco.face_formula`` on the gathered cells and the
     divergence adds them per axis in the order of ``mco._divergence``, so a
-    row equals ``_divergence(face_gradients(V, h, fallback))`` there minus
-    its forcing, bit for bit.  Returns the rows and the faces' (g, t, w, f).
+    row equals ``_divergence(face_gradients(V, h, plan.fallback))`` there
+    minus its forcing, bit for bit.  Returns the rows and the faces' (g, t,
+    w, f).
     """
     lo, hi, l_up, l_down, h_up, h_down = Vx[plan.cells]
-    faces = face_formula(lo, hi, l_up - l_down, h_up - h_down, h, fallback)
+    faces = face_formula(lo, hi, l_up - l_down, h_up - h_down, h, plan.fallback)
     fr = faces[3][plan.rows]
     total = fr[1] - fr[0]
     for axis in range(1, len(fr) // 2):
@@ -114,19 +117,11 @@ def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan",
     return total / h - f_rows, faces
 
 
-# a face flux depends on the normal difference across the face and on the
-# transverse differences of its two sides (0 below, 1 above the face), each
-# as (side, transverse offset, weight); sides and offsets act along the
-# face's normal and transverse axes
-_FACE_DEPS = ((0, 0, -1.0), (1, 0, 1.0), (0, 1, 0.25), (0, -1, -0.25),
-              (1, 1, 0.25), (1, -1, -0.25))
-
-
 def _face_plan(unk, unknowns):
     """The faces of the unknown rows, in face order (axis by axis, each in
     C order of its face grid), plus one sentinel face.
 
-    Returns (cells, rows, face_pos).  ``cells`` (6, F + 1) holds per face
+    Returns (cells, rows).  ``cells`` (6, F + 1) holds per face
     the flat window indices of its lower and upper cell and of their
     transverse neighbours (lower +, lower -, upper +, upper -).  Index N of
     an N-cell window is a NaN slot: a neighbour past the window's edge reads
@@ -134,13 +129,12 @@ def _face_plan(unk, unknowns):
     zero slot, the transverse neighbours of a 1d face.  ``rows`` (2n, m)
     holds per unknown, in the order of ``unknowns`` (flat window indices),
     the positions of its faces below and above along each axis, F where the
-    window ends.  ``face_pos`` maps each axis's face grid to positions, -1
-    off the plan.
+    window ends.
     """
     n, size = unk.ndim, unk.size
     ids = np.pad(np.arange(size).reshape(unk.shape), 1, constant_values=size)
     unit = np.eye(n, dtype=int)
-    cells, face_pos, count = [], [], 0
+    cells, positions, count = [], [], 0
     for axis, (lo, hi) in enumerate(face_sides(n)):
         e = unit[axis]
         touch = unk[lo] | unk[hi]
@@ -157,15 +151,15 @@ def _face_plan(unk, unknowns):
             t = unit[1 - axis]
             trans = [at(t), at(-t), at(e + t), at(e - t)]
         cells.append(np.stack([at(0 * e), at(e), *trans]))
-        face_pos.append(pos)
+        positions.append(pos)
         count += face.shape[1]
     cells = np.concatenate(cells + [np.full((6, 1), size)], axis=1)
     cell = np.unravel_index(unknowns, unk.shape)
     rows = []
-    for axis, pos in enumerate(face_pos):
+    for axis, pos in enumerate(positions):
         padded = np.pad(pos, [(int(k == axis),) * 2 for k in range(n)], constant_values=count)
         rows += [padded[cell], padded[tuple(c + (k == axis) for k, c in enumerate(cell))]]
-    return cells, np.stack(rows), face_pos
+    return cells, np.stack(rows)
 
 
 def _dissection(unk):
@@ -228,60 +222,70 @@ def _dissection(unk):
     return out
 
 
-def _jac_structure(unk, fix, rows_interior, slots, fallback, face_pos, nfaces):
+# the derivative of a face flux in each of the face's six cells (as in
+# ``_face_plan``: lower, upper, then lower +, lower -, upper +, upper - along
+# the transverse axis), and each cell's place from the lower cell (along the
+# normal, along the transverse axis); a 1d face has the first two only
+_FACE_WEIGHTS = np.array([-1.0, 1.0, 0.25, -0.25, 0.25, -0.25], np.float32)
+_FACE_CELLS = np.array([(0, 0), (1, 0), (0, 1), (0, -1), (1, 1), (1, -1)])
+
+
+def _jac_structure(plan, signs, defined, table):
     """Sparsity pattern of the Newton matrix; fixed across Newton iterations.
 
-    An interior row takes every face flux of its cell; a penalty row
-    (unknown, not interior) takes, sign-flipped, the flux through each face
-    it shares with a defined non-penalty cell.  A 1d face has no transverse
-    axis, so its flux depends on its two cells only.  With fallback, a
-    transverse difference taken from one side only weighs that side 1/2
-    instead of 1/4, as in ``mco.face_formula``.  Every entry couples a row
-    to a column in its 3^n neighbourhood, whose CSC slot ``slots`` (of
-    ``_csc_pattern``) holds.  Returns (slot, (gather, scale)): value k goes
-    to CSC slot ``slot[k]`` and is ``coeff[gather[k]] * scale[k] / h^2``
-    over the normal then the transverse flux derivatives of the plan's faces
-    (``face_pos`` places them among the ``nfaces``, see ``_face_plan``), as
-    ``_jac_values_2d`` concatenates them.
+    Read off the plan's faces: the rows of a face are its lower and upper
+    cell, its columns are its cells (a 1d face has no transverse axis, so
+    its flux depends on its two cells only).  Row r takes the flux of its
+    face slot j (of ``plan.rows``) with sign ``signs[j, r]``, 0 in the extra
+    column m that cells other than unknowns read.  With ``plan.fallback``,
+    a transverse difference taken from one side only weighs that side 1/2
+    instead of 1/4, as in ``mco.face_formula``; ``defined`` (per flat
+    window index, NaN and zero slots included) says which side has it.
+    ``table`` (of ``_csc_pattern``) holds each entry's CSC slot.  Returns
+    (slot, (gather, scale)): value k goes to CSC slot ``slot[k]`` and is
+    ``coeff[gather[k]] * scale[k] / h^2`` over the normal then the
+    transverse flux derivatives of the plan's faces, as ``_jac_values_2d``
+    concatenates them.  Entries come by axis, by the row's side of the face
+    (lower, then upper cell), then by face cell, so no CSC slot gets two
+    values of one such group and the matrix sums them in that order.
     """
-    n = unk.ndim
-    defined, interior, pcells = (np.pad(a, 1) for a in
-                                 (unk | fix, rows_interior, unk & ~rows_interior))
-    padded = defined.shape
-    steps = np.cumprod((1,) + padded[:0:-1])[::-1]     # flat step along each axis
-    unit = np.eye(n, dtype=int)
+    n = plan.rows.shape[0] // 2
+    m, nfaces = plan.unknowns.size, plan.cells.shape[1]
+    k = 2 if n == 1 else 6
+    number = np.full(defined.size, m, np.int32)      # unknown number per flat window index
+    number[plan.unknowns] = np.arange(m, dtype=np.int32)
+    # an axis's faces are a run of the plan's faces, from the first face
+    # below or above a row along it; the sentinel face comes last
+    start = [0] + [int(plan.rows[2 * a:2 * a + 2].min(initial=nfaces - 1))
+                   for a in range(1, n)] + [nfaces - 1]
     slot, gather, scale = [], [], []
-    for axis, pos in enumerate(face_pos):
-        e = unit[axis]
-        # flat index of each face's lower cell in the padded window
-        face = np.ravel_multi_index(tuple(np.indices(pos.shape).reshape(n, -1) + 1), padded)
-        pos = pos.ravel()
-
-        def at(arr, offset):
-            return arr.reshape(-1)[face + offset @ steps]
-
-        # (offset of the column cell, weight, fallback factor, coefficient block)
-        deps = [(s * e, dep, 1.0, 0) for s, d, dep in _FACE_DEPS if not d]
-        for t in unit[np.arange(n) != axis]:     # the transverse axis, none in 1d
-            ok = [at(defined, s * e + t) & at(defined, s * e - t) for s in (0, 1)]
-            deps += [(s * e + d * t, dep, ok[s] * (2 - ok[1 - s]) if fallback else 1.0,
-                      nfaces) for s, d, dep in _FACE_DEPS if d]
-        for side, row_sign in ((0, 1.0), (1, -1.0)):
-            here, there = side * e, (1 - side) * e
-            weight = np.where(at(interior, here), row_sign,
-                              np.where(at(pcells, here) & ~at(pcells, there)
-                                       & at(defined, there), -row_sign, 0.0))
-            for offset, dep, factor, block in deps:
-                val = weight * dep * factor
-                link = np.ravel_multi_index(tuple(here - offset + 1), (3,) * n)
-                where = at(slots[link], offset)
-                keep = (val != 0) & (where >= 0)
-                slot.append(where[keep])
-                gather.append(pos[keep] + block)
-                scale.append(val[keep])
+    for axis in range(n):
+        span = slice(start[axis], start[axis + 1])
+        cols = number[plan.cells[:k, span]]
+        # a cell that is not an unknown is no column
+        weight = np.where(cols < m, _FACE_WEIGHTS[:k, None], np.float32(0))
+        if plan.fallback and n == 2:
+            ok = [defined[plan.cells[c, span]] & defined[plan.cells[c + 1, span]] for c in (2, 4)]
+            weight[2:4] *= ok[0] * (2 - ok[1])
+            weight[4:] *= ok[1] * (2 - ok[0])
+        # the coefficient of each value: the normal derivative of its face, or
+        # the transverse one nfaces further on
+        coeff = np.empty(cols.shape, np.int32)
+        coeff[:] = np.arange(start[axis], start[axis + 1], dtype=np.int32)
+        coeff[2:] += nfaces
+        for side in (0, 1):
+            j = 2 * axis + 1 - side          # the row's face above, then below
+            val = signs[j][cols[side]] * weight
+            # the row's offset from each column along (normal, transverse),
+            # then along the window's axes, in the 3^n neighbourhood
+            off = np.roll(np.array([side, 0]) - _FACE_CELLS[:k], axis, axis=1)[:, :n]
+            link = np.ravel_multi_index(tuple(off.T + 1), (3,) * n)
+            keep = val != 0
+            slot += [table[r][c[w]] for r, c, w in zip(link, cols, keep)]
+            gather.append(coeff[keep])
+            scale.append(val[keep])
     # values are +-1, +-1/2 or +-1/4: exact in float32
-    return (np.concatenate(slot),
-            (np.concatenate(gather).astype(np.int32), np.concatenate(scale).astype(np.float32)))
+    return np.concatenate(slot), (np.concatenate(gather), np.concatenate(scale))
 
 
 def _csc_pattern(unk, unknowns):
@@ -290,12 +294,12 @@ def _csc_pattern(unk, unknowns):
 
     Column c holds every unknown of its 3^n neighbourhood, which holds every
     entry of the matrix (see ``_jac_structure``), rows sorted.  Returns int32
-    (indptr, indices, slots, diagonal): ``slots[k]`` is the window padded by
-    one cell, holding at each unknown the slot of the entry whose row lies
-    at the k-th offset of the 3^n neighbourhood (in C order of the offsets
-    -1, 0, 1 per axis) from it, -1 where there is none; ``diagonal`` holds
-    the slots of the diagonal.  Built column by column from the
-    neighbourhood table, without a global sort.
+    (indptr, indices, table, diagonal): ``table[k, c]`` is the slot of the
+    entry of column c whose row lies at the k-th offset of the 3^n
+    neighbourhood (in C order of the offsets -1, 0, 1 per axis) from it, -1
+    where there is none; ``diagonal`` holds the slots of the diagonal.
+    Built column by column from the neighbourhood table, without a global
+    sort.
     """
     m = unknowns.size
     ids = np.full(unk.size, m)
@@ -310,10 +314,8 @@ def _csc_pattern(unk, unknowns):
     indices = np.take_along_axis(rows, by, axis=1)
     rank = np.empty_like(by)
     np.put_along_axis(rank, by, np.arange(len(offsets)), axis=1)
-    slot = np.where(present, indptr[:-1, None] + rank, -1).astype(np.int32)
-    slots = np.full((len(offsets),) + ids.shape, -1, np.int32)
-    slots[(slice(None),) + cell] = slot.T
-    return indptr, indices[indices < m].astype(np.int32), slots, slot[:, len(offsets) // 2]
+    table = np.where(present.T, (indptr[:-1, None] + rank).T.astype(np.int32), -1)
+    return indptr, indices[indices < m].astype(np.int32), table, table[len(offsets) // 2].copy()
 
 
 def _jac_values_2d(h, faces, plan):
@@ -336,30 +338,36 @@ class _NewtonPlan:
     ``penalty_rows``, the unknowns that are penalty rows; ``penalty_signs``
     (2n, rows), which orient the flux of each of their faces from a
     non-penalty neighbour into the penalty cell, 0 where the neighbour is a
-    penalty cell.  Then the (gather, scale) ``values`` plan of
-    ``_jac_values_2d`` with the CSC ``slot`` of each value (of
-    ``_jac_structure``), and the matrix's CSC pattern of ``_csc_pattern``:
-    ``indptr``, ``indices`` and the ``diagonal`` slots.
+    penalty cell; ``fallback``, whether there are penalty rows, in which
+    case the faces take one-sided transverse differences.  Then the
+    (gather, scale) ``values`` plan of ``_jac_values_2d`` with the CSC
+    ``slot`` of each value (of ``_jac_structure``), and the matrix's CSC
+    pattern of ``_csc_pattern``: ``indptr``, ``indices`` and the
+    ``diagonal`` slots.
     """
 
-    def __init__(self, unk, fix, rows_interior, fallback):
+    def __init__(self, unk, fix, rows_interior):
+        n = unk.ndim
         self.unknowns = _dissection(unk)
-        self.cells, self.rows, face_pos = _face_plan(unk, self.unknowns)
+        self.cells, self.rows = _face_plan(unk, self.unknowns)
         pcells = unk & ~rows_interior
         self.penalty_rows = np.flatnonzero(pcells.ravel()[self.unknowns])
-        other = np.pad(pcells, 1)
-        cell = tuple(c + 1 for c in np.unravel_index(self.unknowns[self.penalty_rows],
-                                                     unk.shape))
-        signs = []
-        for axis in range(unk.ndim):
-            # the face below a penalty cell brings flux in, the one above takes it out
-            for step, sign in ((-1, 1.0), (1, -1.0)):
-                nb = tuple(c + step * (k == axis) for k, c in enumerate(cell))
-                signs.append(np.where(other[nb], 0.0, sign))
-        self.penalty_signs = np.stack(signs)
-        self.indptr, self.indices, slots, self.diagonal = _csc_pattern(unk, self.unknowns)
-        self.slot, self.values = _jac_structure(unk, fix, rows_interior, slots, fallback,
-                                                face_pos, self.cells.shape[1])
+        self.fallback = self.penalty_rows.size > 0
+        # per flat window index, NaN and zero slots included
+        penalty, defined = (np.append(a.ravel(), (False, False)) for a in (pcells, unk | fix))
+        # an interior row adds the flux of the face above and subtracts the one
+        # below; a penalty row takes the flux into its cell: the lower cell of
+        # the face below, the upper cell of the face above are its neighbours
+        row_signs = np.tile([-1.0, 1.0], n)[:, None]
+        nb = self.cells[np.arange(2 * n)[:, None] % 2, self.rows[:, self.penalty_rows]]
+        self.penalty_signs = np.where(penalty[nb], 0.0, -row_signs)
+        self.indptr, self.indices, table, self.diagonal = _csc_pattern(unk, self.unknowns)
+        # the matrix rows take the same signs, except that a penalty row has
+        # no entry for a face to an undefined cell, whose flux it reads as 0
+        signs = np.zeros((2 * n, self.unknowns.size + 1), np.float32)
+        signs[:, :-1] = row_signs
+        signs[:, self.penalty_rows] = self.penalty_signs * defined[nb]
+        self.slot, self.values = _jac_structure(self, signs, defined, table)
 
 
 # held around every plan lookup: lru_cache alone lets concurrent misses build
@@ -369,11 +377,11 @@ _PLAN_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=64)
-def _newton_plan(shape, unk, fix, rows_interior, fallback) -> _NewtonPlan:
+def _newton_plan(shape, unk, fix, rows_interior) -> _NewtonPlan:
     """Plan of a cell pattern given by the bytes of its masks, cached
     because the translated balls of a sweep level repeat it."""
     return _NewtonPlan(*(np.frombuffer(b, bool).reshape(shape)
-                         for b in (unk, fix, rows_interior)), fallback)
+                         for b in (unk, fix, rows_interior)))
 
 
 def _factorize(plan: _NewtonPlan, vals, diag, m):
@@ -463,13 +471,10 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         if np.isnan(V[unk]).any() or np.isneginf(V[unk]).any():
             V = _repair_init(V, unk, fix)
     else:
-        V[~(unk | fix)] = np.nan
         V = _harmonic_extension(n, unk.shape, unk, fix, V)
 
-    fallback = penalty is not None
     with _PLAN_LOCK:
-        plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(),
-                            rows_interior.tobytes(), fallback)
+        plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes())
     m = plan.unknowns.size
     f_rows = f_values[win].ravel()[plan.unknowns]
     f_rows = np.where(np.isfinite(f_rows), f_rows, 0.0)
@@ -484,7 +489,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     def full_residual(Vx):
         nonlocal evals
         evals += 1
-        r, faces = _residual(Vx, h, f_rows, plan, fallback)
+        r, faces = _residual(Vx, h, f_rows, plan)
         if pen is not None:
             r[plan.penalty_rows] = _penalty_residual(Vx, h, n, pen, faces[3], plan)
         return r, faces

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -167,3 +168,16 @@ class TestReport:
         assert man["passed"]
         text = (tmp_path / "rep" / "report.csv").read_text()
         assert "mollify_preserves_constants" in text
+
+    def test_unreadable_manifest_fails_the_report(self, tmp_path):
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "manifest.json").write_text('{"kind": "verify", "asser')   # truncated
+        cfg = ExperimentConfig.from_json({"kind": "report", "domain": {},
+                                          "resolutions": [1],
+                                          "params": {"root": str(tmp_path)}})
+        man = run_experiment(cfg, tmp_path / "rep")
+        assert not man["passed"]
+        with open(tmp_path / "rep" / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:4] for r in rows] == [[str(tmp_path / "v1"), "?", "manifest_readable", "0"]]
+        assert rows[0][4].startswith("JSONDecodeError")

@@ -764,9 +764,9 @@ def same_bits(a, b):
             and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
-def plan_of(unknown, fixed, rows, fallback):
+def plan_of(unknown, fixed, rows):
     return msolve._newton_plan(unknown.shape, unknown.tobytes(), fixed.tobytes(),
-                               rows.tobytes(), fallback)
+                               rows.tobytes())
 
 
 def grid_penalty_rows(V, h, n, penalty, faces):
@@ -802,8 +802,8 @@ class TestPlanResidual:
         # the kernel on its own, with forcing, on every unknown row
         f = np.random.default_rng(seed).standard_normal(V.shape)
         Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
-        plan = plan_of(unknown, fixed, rows, fallback)
-        r, _ = msolve._residual(Vx, h, f.ravel()[plan.unknowns], plan, fallback)
+        plan = plan_of(unknown, fixed, rows)
+        r, _ = msolve._residual(Vx, h, f.ravel()[plan.unknowns], plan)
         assert same_bits(r[c_order(plan)], dens[unknown] - f[unknown])
         # _newton_core's first residual, penalty rows included
         ref = dens[unknown]
@@ -1024,9 +1024,9 @@ class TestFunctionalGradient:
                 v[cell] += step
                 F.append(area_functional(ScalarField(grid=grid, values=v), g_field, phi, mask))
             grad.append((F[0] - F[1]) / (2 * eps) / grid.cell_volume)
-        plan = plan_of(mask.interior, mask.boundary, mask.interior, False)
+        plan = plan_of(mask.interior, mask.boundary, mask.interior)
         Vx = np.concatenate([u.ravel(), (np.nan, 0.0)])
-        rows = msolve._residual(Vx, grid.h, g.ravel()[plan.unknowns], plan, False)[0]
+        rows = msolve._residual(Vx, grid.h, g.ravel()[plan.unknowns], plan)[0]
         rows = rows[c_order(plan)]
         gap = -np.array(grad) - rows
         deep = ndimage.binary_erosion(mask.interior, np.ones((3, 3), bool))[mask.interior]
