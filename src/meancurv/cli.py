@@ -500,24 +500,32 @@ def _run_verify(config: ExperimentConfig, out_dir: Path):
     return ["verify.csv"], assertions
 
 
+def _manifest_rows(mpath: Path) -> list:
+    """Report rows of one manifest's assertions, or one failing row when the
+    manifest cannot be read or is not an object whose ``assertions`` each
+    carry a name, a verdict and a detail."""
+    run = str(mpath.parent)
+    try:
+        with open(mpath, "r", encoding="utf-8") as fh:
+            man = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return [(run, "?", "manifest_readable", 0, f"{type(exc).__name__}: {exc}")]
+    try:
+        return [(run, man.get("kind", "?"), a["name"], int(a["passed"]), a["detail"])
+                for a in man.get("assertions", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [(run, "?", "manifest_well_formed", 0, f"{type(exc).__name__}: {exc}")]
+
+
 def _run_report(config: ExperimentConfig, out_dir: Path):
     root = Path(config.params.get("root", "."))
-    rows = []
-    for mpath in sorted(root.glob("**/manifest.json")):
-        try:
-            with open(mpath, "r", encoding="utf-8") as fh:
-                man = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            rows.append((str(mpath.parent), "?", "manifest_readable", 0,
-                         f"{type(exc).__name__}: {exc}"))
-            continue
-        for a in man.get("assertions", []):
-            rows.append((str(mpath.parent), man.get("kind", "?"), a["name"],
-                         int(a["passed"]), a["detail"]))
+    manifests = sorted(root.glob("**/manifest.json"))
+    rows = [row for mpath in manifests for row in _manifest_rows(mpath)]
     write_csv(out_dir / "report.csv",
               ["run", "kind", "assertion", "passed", "detail"], rows)
-    ok = all(r[3] for r in rows) if rows else True
-    return ["report.csv"], [Assertion("all_runs_passed", ok, f"{len(rows)} assertions")]
+    ok = bool(manifests) and all(r[3] for r in rows)
+    detail = f"{len(rows)} assertions" if manifests else f"no manifest was found under {root}"
+    return ["report.csv"], [Assertion("all_runs_passed", ok, detail)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .field import (
     mollifier_kernel,
 )
 from .measure import BallFamily, ball_fluxes
-from .msolve import SolveOptions, solve_dirichlet
+from .msolve import PlanHolder, SolveOptions, solve_dirichlet
 
 
 class AtomRejectionError(ValueError):
@@ -331,17 +331,20 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
     """Relaxation continuation toward the measure-data solution.
 
     Solves the equation with right side (1-delta) * mollified measure down
-    the schedule, warm-starting each stage and certifying that solutions
-    decrease cellwise as delta decreases (violations beyond 10 tol are
-    counted).  Divergence stops the pipeline and returns the last converged
-    stage with a diagnosis; when test balls are supplied the stage fluxes
-    are extrapolated in delta and compared against the exact ball masses.
+    the schedule, warm-starting each stage on the field and the last LU of
+    the stage before (one plan holder serves them all), and certifying that
+    solutions decrease cellwise as delta decreases (violations beyond 10 tol
+    are counted).  Divergence stops the pipeline and returns the last
+    converged stage with a diagnosis; when test balls are supplied the stage
+    fluxes are extrapolated in delta and compared against the exact ball
+    masses.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
     schedule = schedule or ContinuationSchedule.default()
     nu.validate(mask)
 
+    carry = PlanHolder()   # every stage's plan, and the LU one stage hands the next
     stages = []
     stage_fields = []
     prev_field = None
@@ -355,7 +358,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                                           (1.0 - delta) * np.nan_to_num(g_eps.values),
                                           np.nan),
                           provenance="derived")
-        out = solve_dirichlet(mask, f=rhs, phi=phi, opts=opts, init=prev_field)
+        out = solve_dirichlet(mask, f=rhs, phi=phi, opts=opts, init=prev_field, carry=carry)
         viol = 0
         if prev_field is not None:
             both = mask.interior

@@ -9,12 +9,12 @@ with the Newton solver on the same discrete equations.  All of them run the
 one Newton kernel ``_newton_core``, which starts from a given field or else
 from the harmonic extension of the data, and whose matrix is assembled
 analytically (penalty rows included) and factored at every size by one
-symmetric-mode sparse LU.  A cached plan per cell pattern numbers the
-unknowns in a nested-dissection order read off the cells before any
-factorization, and keeps the CSC slot of every matrix entry, so every
-factorization scatters its values and factors them in that order on one
-path, and a solve never depends on which patterns the cache has seen.  The
-plan, fixed once built, also indexes every Newton step: ``_residual``
+symmetric-mode sparse LU; the harmonic start is that LU of the Newton matrix
+at zero gradient.  A plan per cell pattern numbers the unknowns in a
+nested-dissection order read off the cells before any factorization, and
+keeps the CSC slot of every matrix entry, so every factorization scatters
+its values and factors them in that order on one path.  The plan, fixed
+once built, also indexes every Newton step: ``_residual``
 gathers only the faces that touch the unknown rows from the flat window,
 applies ``mco.face_formula`` (the formula of the grid kernels) and sums the
 divergence as ``mco._divergence`` does, so each row equals the grid density
@@ -28,11 +28,15 @@ kernel: ``ball_region`` cuts the ball's window and takes its ball and ring
 masks from a bounded cache, ``_solve_ball`` checks the sphere data and owns
 the warm start and the harmonic restart.
 
-A Newton solve's first LU is factored fresh, except in a Perron sweep: there
-each ball's warm-started solve may start on the last LU of the ball before it
-(a chord matrix lagged across solves), handed over in a holder that the sweep
-owns, and only when both balls share one cached plan.  LUs are never kept on
-the shared plan, so a solve's iterates never depend on other threads.
+Plans and LUs belong to a ``PlanHolder``, owned by the solve, sweep or
+continuation that makes it, never to the module: a Perron sweep, the ring
+pipeline's stages and the minimizer's rounds each share one holder, and a
+solve given none makes its own, so its plan and LU go when it returns.  A
+Newton solve's first LU is factored fresh, unless the holder carries the
+last LU of an earlier solve of the same plan (a chord matrix lagged across
+solves): each ball of a sweep may start on the LU of the ball before it,
+each stage of a continuation on that of the stage before.  No two threads
+share a holder, so a solve's iterates never depend on other threads.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 from dataclasses import dataclass, field as _dcfield
 from typing import Optional
 
@@ -370,18 +373,34 @@ class _NewtonPlan:
         self.slot, self.values = _jac_structure(self, signs, defined, table)
 
 
-# held around every plan lookup: lru_cache alone lets concurrent misses build
-# and hand out two plans for one pattern, and a carried LU is matched to its
-# pattern by the identity of the plan
-_PLAN_LOCK = threading.Lock()
+class PlanHolder:
+    """The Newton plans of one solve, sweep or continuation, and its last
+    fresh LU.
 
+    ``plan`` builds the plan of a cell pattern the first time the holder
+    meets it, keyed by the window shape and the bytes of the pattern's
+    masks, and hands out that same plan after: the translated balls of a
+    sweep level repeat a pattern, and so do the stages of a continuation.
+    ``lu`` is the last fresh ``(plan, solve)`` pair of a solve run with the
+    holder, on which a later solve of the same plan may start (see
+    ``_newton_core``).  Whoever makes a holder owns it, and its plans and LU
+    go with it; no two threads share one.
+    """
 
-@functools.lru_cache(maxsize=64)
-def _newton_plan(shape, unk, fix, rows_interior) -> _NewtonPlan:
-    """Plan of a cell pattern given by the bytes of its masks, cached
-    because the translated balls of a sweep level repeat it."""
-    return _NewtonPlan(*(np.frombuffer(b, bool).reshape(shape)
-                         for b in (unk, fix, rows_interior)))
+    def __init__(self, plans: Optional[dict] = None):
+        self.plans = {} if plans is None else plans
+        self.lu = None
+
+    def plan(self, unk, fix, rows_interior) -> _NewtonPlan:
+        key = (unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes())
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = _NewtonPlan(unk, fix, rows_interior)
+        return plan
+
+    def without_lu(self) -> "PlanHolder":
+        """A holder of these plans that carries no LU."""
+        return PlanHolder(self.plans)
 
 
 def _factorize(plan: _NewtonPlan, vals, diag, m):
@@ -391,9 +410,14 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     One ``bincount`` scatters the values into the plan's CSC form, and one
     sparse LU with diagonal-preferring pivots (SuperLU's symmetric mode)
     factors it in the plan's own nested-dissection order at every size, so
-    every factorization of a pattern takes the same path.
+    every factorization of a pattern takes the same path.  Callers hand the
+    values over (``_factorize(plan, _jac_values_2d(...), ...)``, no name of
+    their own), so the values are freed once scattered and do not live
+    through the LU.
     """
-    data = np.bincount(plan.slot, vals, plan.indices.size)
+    # float even when there are no values to scatter
+    data = np.bincount(plan.slot, vals, plan.indices.size).astype(float, copy=False)
+    del vals
     data[plan.diagonal] += diag
     lu = slinalg.splu(sparse.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m)),
                       permc_spec="NATURAL", diag_pivot_thresh=0.001,
@@ -401,63 +425,74 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     return lambda b: lu.solve(b)   # a closure over the LU: perfbench's tracer reads it
 
 
-def _harmonic_extension(n, shape, unknown, fixed, V):
-    """5-point Laplace solve with the fixed values as data (cheap initializer)."""
-    m = int(unknown.sum())
-    ids = np.full([k + 2 for k in shape], -1)     # unknown ids, padded by one cell
-    ids[(slice(1, -1),) * n][unknown] = np.arange(m)
-    data = np.pad(np.where(fixed & ~unknown, V, 0.0), 1)
-    cells = np.nonzero(unknown)
-    rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, -float(2 * n))]
-    rhs = np.zeros(m)
-    for axis in range(n):
-        for step in (-1, 1):
-            nb = tuple(c + 1 + step * (k == axis) for k, c in enumerate(cells))
-            inner = ids[nb] >= 0
-            rows.append(np.nonzero(inner)[0])
-            cols.append(ids[nb][inner])
-            vals.append(np.ones(len(rows[-1])))
-            rhs -= data[nb]
-    A = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m)).tocsc()
-    try:
-        sol = slinalg.spsolve(A, rhs)
-        if not np.isfinite(sol).all():   # spsolve only warns on a singular matrix
-            raise RuntimeError("the Laplace solve returned non-finite values")
-    except (RuntimeError, ValueError) as exc:
-        logger.warning("harmonic initializer failed (%s); starting from zero", exc)
-        sol = np.zeros(m)
-    out = V.copy()
-    out[unknown] = sol
-    return out
+def _harmonic_extension(Vx, h, plan: _NewtonPlan):
+    """Values on the plan's unknowns of the discrete harmonic extension of
+    the fixed values in the flat window ``Vx`` (laid out as in
+    ``_residual``); the start of a Newton solve given no initial field.
+
+    At zero gradient every face has w = 1 and t = 0, so ``_jac_values_2d``
+    on such faces is the 2n + 1 point Laplacian of the unknowns (its
+    transverse entries are 0), factored by ``_factorize`` like any Newton
+    matrix.  The right side is the divergence of the faces' linear
+    differences with the unknowns at zero, so the solve is one Newton step
+    of the Laplace equation from zero.  Cells that are neither unknown nor
+    fixed count as zero.  ValueError on a plan with penalty rows, which are
+    no Laplace rows; RuntimeError when the LU fails or its solution is not
+    finite.
+    """
+    if plan.fallback:
+        raise ValueError("a harmonic start needs a plan without penalty rows")
+    m, nfaces = plan.unknowns.size, plan.cells.shape[1]
+    data = np.nan_to_num(Vx, nan=0.0)
+    data[plan.unknowns] = 0.0
+    lo, hi = data[plan.cells[:2]]
+    fr = ((hi - lo) / h)[plan.rows]
+    total = fr[1] - fr[0]
+    for axis in range(1, len(fr) // 2):
+        total = total + fr[2 * axis + 1] - fr[2 * axis]
+    flat = (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None)
+    solve = _factorize(plan, _jac_values_2d(h, flat, plan.values), np.zeros(m), m)
+    u = solve(-total / h)
+    if not np.isfinite(u).all():
+        raise RuntimeError("the Laplace solve returned non-finite values")
+    return u
+
+
+def _window(unknown, fixed) -> tuple:
+    """The bounding box of the unknown and fixed cells: a solve's window."""
+    return tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
 
 
 def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                  fixed_values: np.ndarray, f_values: np.ndarray,
                  opts: SolveOptions, init_values: Optional[np.ndarray] = None,
                  penalty: Optional[dict] = None,
-                 carry: Optional[list] = None) -> tuple[np.ndarray, dict]:
+                 carry: Optional[PlanHolder] = None) -> tuple[np.ndarray, dict]:
     """Damped Newton on arrays; slices its own tight window internally.
 
-    The cell pattern's cached ``_NewtonPlan`` indexes every step: the
-    residual (``_residual``, penalty rows by ``_penalty_residual``) reads
-    only the faces of the unknown rows from the flat window, the line search
-    writes trial values through the plan's unknown indices into a second
-    buffer, and the matrix takes the same faces.  Each fresh LU stays frozen
-    as the chord matrix of later steps while they keep contracting; a failed
-    line search, slow contraction, or a back-solve that raises or returns
-    non-finite values drops it and refactors (and ends the solve with
-    ``info["error"]`` when the LU was fresh).  The first LU is fresh unless
-    ``carry``, a holder of the last fresh ``[plan, solve]`` pair of an
-    earlier solve, holds this pattern's plan: the solve then starts on that
-    LU.  Every fresh LU replaces the pair in ``carry``.  ``info`` counts
-    ``iterations`` (Newton steps, at most ``opts.max_iter``; a pass that only
-    drops an LU is not one), ``residual_evals`` (``_residual`` calls, line
-    search trials included) and ``factorizations`` (fresh LUs), and says
-    whether the solve ``carried`` (started on a carried LU).
+    The cell pattern's ``_NewtonPlan``, from the holder ``carry`` (a holder
+    of the solve's own when None, so the plan goes when the solve returns),
+    indexes every step: the residual (``_residual``, penalty rows by
+    ``_penalty_residual``) reads only the faces of the unknown rows from the
+    flat window, the line search writes trial values through the plan's
+    unknown indices into a second buffer, and the matrix takes the same
+    faces.  Without ``init_values`` the solve starts from
+    ``_harmonic_extension``; a start that fails ends the solve with
+    ``info["error"]`` and the unknowns undefined.  Each fresh LU stays
+    frozen as the chord matrix of later steps while they keep contracting; a
+    failed line search, slow contraction, or a back-solve that raises or
+    returns non-finite values drops it and refactors (and ends the solve
+    with ``info["error"]`` when the LU was fresh).  The first LU is fresh
+    unless the holder's ``lu`` pair, the last fresh LU of an earlier solve,
+    is of this plan: the solve then starts on that LU.  Every fresh LU
+    replaces the pair, which is emptied before the LU is built.  ``info``
+    counts ``iterations`` (Newton steps, at most ``opts.max_iter``; a pass
+    that only drops an LU is not one), ``residual_evals`` (``_residual``
+    calls, line search trials included) and ``factorizations`` (fresh
+    Newton LUs; the harmonic start's is not one), and says whether the solve
+    ``carried`` (started on a carried LU).
     """
-    win = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
+    win = _window(unknown, fixed)
     unk = unknown[win]
     fix = fixed[win]
     V = np.full(unk.shape, np.nan)
@@ -470,12 +505,29 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         V[unk] = init_values[win][unk]
         if np.isnan(V[unk]).any() or np.isneginf(V[unk]).any():
             V = _repair_init(V, unk, fix)
-    else:
-        V = _harmonic_extension(n, unk.shape, unk, fix, V)
 
-    with _PLAN_LOCK:
-        plan = _newton_plan(unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes())
+    if carry is None:
+        carry = PlanHolder()
+    plan = carry.plan(unk, fix, rows_interior)
     m = plan.unknowns.size
+    # flat window plus the NaN and zero slots the plan's indices read
+    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
+    info = {"iterations": 0, "converged": False, "line_search_failures": 0,
+            "factorizations": 0, "carried": False}
+
+    def windowed(values):
+        out = np.full(unknown.shape, np.nan)
+        out[win] = values[:-2].reshape(unk.shape)
+        return out
+
+    if init_values is None:
+        try:
+            Vx[plan.unknowns] = _harmonic_extension(Vx, h, plan)
+        except (RuntimeError, SystemError) as exc:     # what SuperLU raises
+            info.update(error=f"harmonic start failed: {exc}", residual=math.nan,
+                        residual_evals=0)
+            return windowed(Vx), info
+
     f_rows = f_values[win].ravel()[plan.unknowns]
     f_rows = np.where(np.isfinite(f_rows), f_rows, 0.0)
     pen = None
@@ -494,8 +546,6 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             r[plan.penalty_rows] = _penalty_residual(Vx, h, n, pen, faces[3], plan)
         return r, faces
 
-    # flat window plus the NaN and zero slots the plan's indices read
-    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
     r, faces = full_residual(Vx)
     if np.isnan(r).any():
         bad = np.isnan(r)
@@ -507,16 +557,14 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     best = (rnorm, u)
     trial = Vx.copy()   # line-search buffer: differs from Vx on the unknowns only
 
-    lu = carry[1] if carry and carry[0] is plan else None   # frozen while it contracts
-    info = {"iterations": 0, "converged": False, "line_search_failures": 0,
-            "factorizations": 0, "carried": lu is not None}
+    lu = carry.lu[1] if carry.lu and carry.lu[0] is plan else None   # frozen while it contracts
+    info["carried"] = lu is not None
 
     def assemble_factorize():
-        vi = _jac_values_2d(h, faces, plan.values)
         diag = np.zeros(m)
         if pen is not None:
             diag[plan.penalty_rows] = _penalty_triplets(Vx, h, n, pen)
-        return _factorize(plan, vi, diag, m)
+        return _factorize(plan, _jac_values_2d(h, faces, plan.values), diag, m)
 
     # a pass that only drops a carried or frozen LU takes no step and is not
     # counted; the fresh LU after it either steps or ends the solve
@@ -526,14 +574,14 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             break
         fresh = lu is None
         if fresh:
+            carry.lu = None     # no second LU lives through the factorization
             try:
                 lu = assemble_factorize()
             except Exception as exc:
                 info["error"] = f"linear solve failed: {exc}"
                 break
             info["factorizations"] += 1
-            if carry is not None:
-                carry[:] = (plan, lu)
+            carry.lu = (plan, lu)
         try:
             du = lu(-r)
             failure = None if np.isfinite(du).all() else "non-finite Newton direction"
@@ -580,10 +628,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         rnorm = best[0]
     info["residual"] = rnorm
     info["residual_evals"] = evals
-
-    out = np.full(unknown.shape, np.nan)
-    out[win] = Vx[:-2].reshape(unk.shape)
-    return out, info
+    return windowed(Vx), info
 
 
 def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
@@ -704,15 +749,18 @@ def _as_values(grid: Grid, mask: DomainMask, data, where: np.ndarray) -> np.ndar
 
 def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                     opts: Optional[SolveOptions] = None,
-                    init: Optional[ScalarField] = None) -> SolveOutcome:
+                    init: Optional[ScalarField] = None,
+                    carry: Optional[PlanHolder] = None) -> SolveOutcome:
     """Solve the prescribed mean curvature Dirichlet problem on the mask.
 
     f is the target density (None means the minimal surface equation), phi
     supplies boundary-cell data (scalar, callable on points, or a field).
     Newton starts from ``init`` on the interior when given (undefined cells
     take the lowest boundary value), else from the harmonic extension of phi.
-    Non-convergence is a reportable outcome carrying the best iterate, never
-    an exception.
+    A continuation passes one ``carry`` holder to each of its solves, which
+    then share the plan and may start on the last LU of the solve before
+    (see ``_newton_core``).  Non-convergence is a reportable outcome carrying
+    the best iterate, never an exception.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
@@ -720,10 +768,12 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
     phi_vals = _as_values(grid, mask, phi, fixed)
     f_vals = _as_values(grid, mask, f, unknown)
     values, info = _newton_core(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
-                                opts, init_values=None if init is None else init.values)
+                                opts, init_values=None if init is None else init.values,
+                                carry=carry)
     fld = ScalarField(grid=grid, values=values, provenance="solved")
     certificate = None
-    if f is None or (np.asarray(f_vals[unknown]) == 0).all():
+    # no residual was evaluated when the harmonic start failed: no iterate
+    if info["residual_evals"] and (f is None or (np.asarray(f_vals[unknown]) == 0).all()):
         lo, hi = float(np.nanmin(phi_vals[fixed])), float(np.nanmax(phi_vals[fixed]))
         umin = float(np.nanmin(values[unknown]))
         umax = float(np.nanmax(values[unknown]))
@@ -794,14 +844,15 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
 
 
 def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
-                carry: Optional[list] = None):
+                carry: Optional[PlanHolder] = None):
     """Minimal-graph replacement of the full-grid array V inside a ball.
 
-    Warm-starts from V when it is finite on the unknowns, passing ``carry``
-    (see ``_newton_core``) to that solve only; a warm start that does not
-    converge gets one harmonic restart with a fresh LU, kept when it
-    converges or lowers the residual.  Returns (win, unknown, window values,
-    info); after a restart, ``info["factorizations"]`` and
+    Warm-starts from V when it is finite on the unknowns, with the plan and
+    LU of the holder ``carry`` (see ``_newton_core``; a holder of its own
+    when None); a warm start that does not converge gets one harmonic
+    restart on the same plan with a fresh LU, which the holder does not
+    carry, kept when it converges or lowers the residual.  Returns (win,
+    unknown, window values, info); after a restart, ``info["factorizations"]`` and
     ``info["residual_evals"]`` count both solves.
     """
     grid = mask.grid
@@ -813,12 +864,14 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
                                  [tuple(cell) for cell in bad])
     f_zero = np.zeros(Vw.shape)
     warm = Vw if np.isfinite(Vw[unknown]).all() else None
+    if carry is None:
+        carry = PlanHolder()
     values, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
                                 init_values=warm, carry=carry)
     if not info["converged"] and warm is not None:
         # kinked warm starts can stall the line search; harmonic restart
         values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                                      init_values=None)
+                                      init_values=None, carry=carry.without_lu())
         counts = {key: info[key] + info2[key] for key in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
@@ -857,6 +910,9 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     system re-solved, so that fully attained traces reproduce the Newton
     solver exactly.  A monotonically sinking functional with an exploding
     iterate aborts with the witness direction (solvability balance failure).
+    One plan holder serves the start and every round, so a round may start
+    on the last LU of the round before.  A failed harmonic start raises
+    RuntimeError.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
@@ -879,8 +935,12 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
 
     # first round starts from the trace-anchored harmonic extension; the
     # penalized system alone is too loosely pinned to initialize well
+    carry = PlanHolder()
     values = np.where(mask.boundary, phi_vals, np.nan)
-    values = _harmonic_extension(grid.n, grid.shape, mask.interior, mask.boundary, values)
+    win = _window(mask.interior, mask.boundary)
+    start = carry.plan(mask.interior[win], mask.boundary[win], mask.interior[win])
+    Vx = np.concatenate([values[win].ravel(), (np.nan, 0.0)])
+    values[win].flat[start.unknowns] = _harmonic_extension(Vx, grid.h, start)
     info = {}
     total_iters = 0
     phi_field = ScalarField(grid=grid, values=np.where(mask.boundary, phi_vals, np.nan))
@@ -896,7 +956,7 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
             penalty = {"cells": detached, "phi": np.where(mask.boundary, phi_vals, 0.0),
                        "length": lengths, "kappa": kappa}
         values, info = _newton_core(grid.h, grid.n, unk, fixed, fixed_vals, g_vals,
-                                    opts, init_values=values, penalty=penalty)
+                                    opts, init_values=values, penalty=penalty, carry=carry)
         total_iters += info["iterations"]
         umin = float(np.nanmin(values[mask.interior]))
         fval = area_functional(

@@ -7,7 +7,8 @@ sequences that the measure machinery consumes.  The single lift and the
 sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
 behind ``solve_on_ball`` and the viscosity check) and merge its result into
 the field with a cellwise max.  A single lift factors its Newton matrices
-fresh; a sweep hands the last LU of each ball solve to the next one, whose
+fresh; a sweep owns one ``msolve.PlanHolder``, which keeps a plan per cell
+pattern and hands the last LU of each ball solve to the next one, whose
 warm-started Newton run starts on it as a chord matrix when the two balls
 share a cell pattern (translates by whole cells do).
 """
@@ -26,7 +27,7 @@ from .field import (
     mollify_field,
 )
 from .mco import h1_density
-from .msolve import SolveOptions, _solve_ball
+from .msolve import PlanHolder, SolveOptions, _solve_ball
 
 
 class PerronLiftRefused(RuntimeError):
@@ -121,7 +122,7 @@ def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
 
 
 def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
-                  opts: SolveOptions, carry: Optional[list] = None
+                  opts: SolveOptions, carry: Optional[PlanHolder] = None
                   ) -> tuple[float, float, int, int, int, int]:
     """Lift mutating the full-grid array *work* inside the ball's window.
 
@@ -202,7 +203,7 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     work = u.values.copy()
     records = []
     completed = True
-    carry = []   # this sweep's last fresh (plan, LU) pair
+    carry = PlanHolder()   # this sweep's plans and last fresh LU
     for k, center in enumerate(cover.centers):
         try:
             inc_max, inc_min, iters, repaired, factorizations, evals = _lift_inplace(

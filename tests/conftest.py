@@ -1,11 +1,13 @@
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from scipy import ndimage
 
-from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv import ShapeSpec, make_grid, msolve, sample_function
 from meancurv.field import DomainMask
 
 
@@ -25,6 +27,20 @@ def hemisphere_formula(R):
     def hemi(p):
         return -np.sqrt(R * R - (p ** 2).sum(axis=1))
     return hemi
+
+
+@contextmanager
+def plan_builds():
+    """Count the Newton plans built in the block: ``built()`` is the count."""
+    built = []
+    init = msolve._NewtonPlan.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    with mock.patch.object(msolve._NewtonPlan, "__init__", counted):
+        yield lambda: len(built)
 
 
 @pytest.fixture(scope="session")

@@ -181,3 +181,29 @@ class TestReport:
             rows = list(csv.reader(fh))[1:]
         assert [r[:4] for r in rows] == [[str(tmp_path / "v1"), "?", "manifest_readable", "0"]]
         assert rows[0][4].startswith("JSONDecodeError")
+
+    @pytest.mark.parametrize("content, error", [
+        ("[1, 2]", "AttributeError"),
+        ('{"kind": "verify", "assertions": [{"name": "a", "passed": true}]}', "KeyError"),
+    ], ids=["list", "assertion-without-detail"])
+    def test_malformed_manifest_fails_the_report(self, tmp_path, content, error):
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "manifest.json").write_text(content)
+        cfg = ExperimentConfig.from_json({"kind": "report", "domain": {},
+                                          "resolutions": [1],
+                                          "params": {"root": str(tmp_path)}})
+        man = run_experiment(cfg, tmp_path / "rep")
+        assert not man["passed"]
+        with open(tmp_path / "rep" / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:4] for r in rows] == [[str(tmp_path / "v1"), "?", "manifest_well_formed",
+                                          "0"]]
+        assert rows[0][4].startswith(error)
+
+    def test_root_without_manifest_fails_the_report(self, tmp_path):
+        cfg = ExperimentConfig.from_json({"kind": "report", "domain": {},
+                                          "resolutions": [1],
+                                          "params": {"root": str(tmp_path / "empty")}})
+        man = run_experiment(cfg, tmp_path / "rep")
+        assert not man["passed"]
+        assert man["assertions"][0]["detail"].startswith("no manifest was found")

@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv import ShapeSpec, make_grid, msolve, sample_function
 from meancurv.field import ScalarField, SizingError, UndefinedCellError, mollifier_kernel
 from meancurv.dirichlet import (
     AtomRejectionError,
@@ -18,7 +19,7 @@ from meancurv.dirichlet import (
 )
 from meancurv.levelset import SetFamily, eta_margin
 
-from conftest import hemisphere_formula
+from conftest import hemisphere_formula, plan_builds
 
 
 class TestMeasureSpec:
@@ -276,3 +277,18 @@ class TestPipeline:
         res = solve_measure_dirichlet(mask, nu, phi=lambda p: 0.2 + 0.1 * p[:, 0])
         sup_phi = 0.3
         assert all(s.max_u <= sup_phi + 1e-6 for s in res.stages)
+
+    def test_stages_share_one_plan_and_carry_the_lu(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.5, 0.5),))
+        factorize, lus = msolve._factorize, []
+
+        def counted(*args):
+            lus.append(1)
+            return factorize(*args)
+
+        with plan_builds() as built, mock.patch.object(msolve, "_factorize", counted):
+            res = solve_measure_dirichlet(mask, nu, phi=0.0)
+        assert res.converged and len(res.stages) == 6
+        # one plan; the first stage's harmonic start and its Newton LU serve all six
+        assert built() == 1 and len(lus) == 2

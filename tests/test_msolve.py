@@ -1,6 +1,7 @@
+import gc
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from meancurv.msolve import (
     solve_on_ball,
 )
 
-from conftest import hemisphere_formula
+from conftest import hemisphere_formula, plan_builds
 
 
 def scherk(p):
@@ -285,16 +286,10 @@ class _Captured(Exception):
     pass
 
 
-@contextmanager
-def cold_plans():
-    """An empty Newton-plan cache for the block."""
-    msolve._newton_plan.cache_clear()
-    yield msolve._newton_plan.cache_info
-
-
-def newton_system(h, n, unknown, fixed, V, penalty=None):
+def newton_system(h, n, unknown, fixed, V, penalty=None, plans=None):
     """Residual, Newton-matrix triplets and _factorize arguments of
-    _newton_core's first step from V, unknowns in the plan's order."""
+    _newton_core's first step from V, unknowns in the plan's order; the
+    plan comes from the holder ``plans`` when given, and the LU is fresh."""
     out = {}
 
     def capture(plan, vals, diag, m):
@@ -308,7 +303,8 @@ def newton_system(h, n, unknown, fixed, V, penalty=None):
 
     with mock.patch.object(msolve, "_factorize", capture), pytest.raises(_Captured):
         _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape),
-                     SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty)
+                     SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty,
+                     carry=plans and plans.without_lu())
     return out["r"], out["triplets"], out["args"]
 
 
@@ -377,7 +373,8 @@ class TestNewtonMatrix:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matrix_is_residual_jacobian(self, n, system, seed):
         h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
-        _, triplets, args = newton_system(h, n, unknown, fixed, V, penalty)
+        plans = msolve.PlanHolder()     # one plan for every system below
+        _, triplets, args = newton_system(h, n, unknown, fixed, V, penalty, plans)
         c = c_order(args[0])
         J = dense(triplets)[np.ix_(c, c)]
         order = np.nonzero(unknown)
@@ -388,8 +385,8 @@ class TestNewtonMatrix:
             Vp, Vm = V.copy(), V.copy()
             Vp[cell] += eps
             Vm[cell] -= eps
-            fd[:, j] = (newton_system(h, n, unknown, fixed, Vp, penalty)[0]
-                        - newton_system(h, n, unknown, fixed, Vm, penalty)[0])[c] / (2 * eps)
+            rows = [newton_system(h, n, unknown, fixed, W, penalty, plans)[0] for W in (Vp, Vm)]
+            fd[:, j] = (rows[0] - rows[1])[c] / (2 * eps)
         assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
         if penalty is not None and n == 2:
             # x-faces from a penalty cell to a defined non-penalty cell whose
@@ -549,12 +546,12 @@ class TestNewtonPlan:
         blocks[0][6:9, 5:9] = True              # 3 x 4 and 4 x 3 unknowns
         blocks[1][5:9, 6:9] = True
         systems = []
-        with cold_plans():
-            for unknown in blocks:
-                ring = ndimage.binary_dilation(unknown, np.ones((3, 3), bool)) & ~unknown
-                _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
-                systems.append((np.linalg.solve(dense(triplets), np.ones(12)), args))
-        assert systems[0][1][0] is not systems[1][1][0]
+        plans = msolve.PlanHolder()         # one holder meets both patterns
+        for unknown in blocks:
+            ring = ndimage.binary_dilation(unknown, np.ones((3, 3), bool)) & ~unknown
+            _, triplets, args = newton_system(grid.h, 2, unknown, ring, V, plans=plans)
+            systems.append((np.linalg.solve(dense(triplets), np.ones(12)), args))
+        assert systems[0][1][0] is not systems[1][1][0] and len(plans.plans) == 2
         assert not np.allclose(systems[0][0], systems[1][0])
         for _ in range(3):                     # interleaved, through every plan state
             for ref, args in systems:
@@ -564,43 +561,51 @@ class TestNewtonPlan:
     def test_warm_plan_solve_equals_cold(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         ball = ((0.1, -0.05), 0.3)
-        with cold_plans() as plans:
-            cold = solve_on_ball(cone_64, mask, *ball)
-            assert plans().currsize == 1
-            warm = solve_on_ball(cone_64, mask, *ball)
-            assert plans().misses == 1
-        assert cold.converged and warm.iterations == cold.iterations
-        assert same_bits(warm.field.values, cold.field.values)
+        plans = msolve.PlanHolder()
+        with plan_builds() as built:
+            # each solve with the holder's plans and a fresh LU
+            cold = msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
+                                      plans.without_lu())
+            assert built() == len(plans.plans) == 1
+            warm = msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
+                                      plans.without_lu())
+            assert built() == 1
+        assert cold[3]["converged"] and warm[3]["iterations"] == cold[3]["iterations"]
+        assert same_bits(warm[2], cold[2])
 
     def test_cold_and_warm_plan_caches_agree(self):
         hemi, f = hemisphere_formula(4.0), lambda p: np.full(len(p), 0.5)
         disk = ShapeSpec.disk((0.0, 0.0), 2.0)
-        solves = [lambda: solve_dirichlet(make_grid(disk, 32)[1], f=f, phi=hemi),
-                  lambda: minimize_prescribed_mc(make_grid(disk, 16)[1], g=f, phi=hemi)]
-        for solve in solves:
-            with cold_plans() as plans:
-                cold = solve()
-                warm = solve()
-                assert plans().hits > 0
+        mask = make_grid(disk, 32)[1]
+        plans = msolve.PlanHolder()
+        with plan_builds() as built:
+            cold = solve_dirichlet(mask, f=f, phi=hemi, carry=plans)
+            assert built() == 1
+            warm = solve_dirichlet(mask, f=f, phi=hemi, carry=plans.without_lu())
+            assert built() == 1
+        # the minimizer owns its holder: a second run builds every plan again
+        with plan_builds() as built:
+            solves = [minimize_prescribed_mc(make_grid(disk, 16)[1], g=f, phi=hemi)]
+            first = built()
+            solves.append(minimize_prescribed_mc(make_grid(disk, 16)[1], g=f, phi=hemi))
+            assert built() == 2 * first > 0
+        for cold, warm in ((cold, warm), solves):
             assert cold.converged and warm.iterations == cold.iterations
             assert same_bits(warm.field.values, cold.field.values)
 
     def test_threads_match_sequential(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
-        # translates by whole cells share their cell pattern, hence one plan
         balls = [((-0.02 + 9 * grid.h * i, 0.03 - 7 * grid.h * j), 0.2)
                  for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
         def solve(ball):
             return solve_on_ball(cone_64, mask, *ball)
 
-        with cold_plans() as plans:
-            sequential = [solve(ball) for ball in balls]
-            assert plans().currsize < len(balls)
+        sequential = [solve(ball) for ball in balls]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # interleave the threads as often as possible
         try:
-            with cold_plans(), ThreadPoolExecutor(4) as pool:
+            with ThreadPoolExecutor(4) as pool:
                 threaded = list(pool.map(solve, balls, timeout=300))
         finally:
             sys.setswitchinterval(switch)
@@ -608,25 +613,25 @@ class TestNewtonPlan:
             assert one.converged and one.iterations == other.iterations
             assert np.nanmax(np.abs(one.field.values - other.field.values)) <= 1e-12
 
-
     def test_concurrent_misses_build_one_plan_per_pattern(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
+        # translates by whole cells: one pattern, but no solve shares another's plan
         balls = [((-0.02 + 9 * grid.h * i, 0.03 - 7 * grid.h * j), 0.2)
                  for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
         def solve(ball):
             return solve_on_ball(cone_64, mask, *ball)
 
-        with cold_plans() as plans:
+        with plan_builds() as built:
             for ball in balls:
                 solve(ball)
-            patterns = plans().misses
+            assert built() == len(balls)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with cold_plans() as plans, ThreadPoolExecutor(len(balls)) as pool:
+            with plan_builds() as built, ThreadPoolExecutor(len(balls)) as pool:
                 assert all(out.converged for out in pool.map(solve, balls, timeout=300))
-                assert plans().misses == patterns
+                assert built() == len(balls)
         finally:
             sys.setswitchinterval(switch)
 
@@ -662,34 +667,28 @@ class TestReportedFallbacks:
             vals[len(vals) // 2] = np.nan
             return vals
 
+        zero = ScalarField(grid=grid, values=np.zeros(grid.shape))  # no harmonic start
         with mock.patch.object(msolve, "_jac_values_2d", nan_fill):
-            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2, init=zero)
         assert not out.converged
         assert "error" in out.diagnostics
 
-    def test_failed_harmonic_initializer_is_logged(self, unit_disk_64, caplog):
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_failed_harmonic_start_is_an_error(self, failure, unit_disk_64):
         grid, mask = unit_disk_64
 
-        def broken(*args, **kwargs):
-            raise RuntimeError("factor is exactly singular")
+        def broken(*args):
+            if failure == "raises":
+                raise RuntimeError("Factor is exactly singular")
+            return lambda b: np.full(b.shape, np.nan)
 
-        with mock.patch.object(msolve.slinalg, "spsolve", broken), \
-                caplog.at_level("WARNING", logger="meancurv"):
+        with mock.patch.object(msolve, "_factorize", broken):
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
-        assert out.converged
-        assert "harmonic initializer failed" in caplog.text
-
-    def test_non_finite_harmonic_solve_is_logged(self, unit_disk_64, caplog):
-        grid, mask = unit_disk_64
-
-        def singular(A, b):     # what spsolve returns for a singular matrix
-            return np.full(b.shape, np.nan)
-
-        with mock.patch.object(msolve.slinalg, "spsolve", singular), \
-                caplog.at_level("WARNING", logger="meancurv"):
-            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
-        assert out.converged
-        assert "harmonic initializer failed" in caplog.text
+        assert not out.converged and out.iterations == 0
+        assert out.diagnostics["error"].startswith("harmonic start failed")
+        assert np.isnan(out.field.values[mask.interior]).all()    # no zeros
+        assert np.array_equal(out.field.values[mask.boundary],
+                              grid.points()[mask.boundary][:, 0] ** 2)
 
     @pytest.mark.parametrize("lu", ["fresh", "frozen"])
     def test_raising_back_solve_is_reported(self, lu, unit_disk_64):
@@ -708,8 +707,9 @@ class TestReportedFallbacks:
                 return solve(b)
             return first_raises
 
+        zero = ScalarField(grid=grid, values=np.zeros(grid.shape))  # no harmonic start's LU
         with mock.patch.object(msolve, "_factorize", spy):
-            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2, init=zero)
         assert raised
         if lu == "fresh":
             assert not out.converged and len(raised) == 1
@@ -728,33 +728,182 @@ class TestCarriedLU:
         grid, mask = unit_disk_64
         opts = SolveOptions()
         ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
-        carry = []
+        carry = msolve.PlanHolder()
         msolve._solve_ball(cone_64.values, mask, (0.0, 0.1), 0.2, opts, carry)
-        foreign = carry[0]
+        foreign = carry.lu[0]
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert np.array_equal(got[2], ref[2], equal_nan=True)
         assert got[3] == ref[3] and ref[3]["converged"] and not got[3]["carried"]
-        assert carry[0] is not foreign      # the holder now carries this ball's pair
+        assert carry.lu[0] is not foreign   # the holder now carries this ball's pair
+        assert len(carry.plans) == 2
 
     def test_raising_carried_solve_refactors(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         opts = SolveOptions()
-        carry = []
+        carry = msolve.PlanHolder()
         msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
 
         def raising(b):
             raise SystemError("gstrs was called with invalid arguments")
 
-        carry[1] = raising
+        carry.lu = (carry.lu[0], raising)
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert got[3]["factorizations"] == ref[3]["factorizations"]
         # the pass that only dropped the raising LU took no step
         assert got[3]["iterations"] == ref[3]["iterations"]
-        assert carry[1] is not raising
+        assert carry.lu[1] is not raising
         assert np.array_equal(got[2], ref[2], equal_nan=True)
 
+
+
+def reference_harmonic(n, shape, unknown, fixed, V):
+    """The COO 5-point Laplace solve by ``spsolve`` that the plan's LU
+    replaced as the harmonic start, kept as a reference: full window in,
+    full window out."""
+    m = int(unknown.sum())
+    ids = np.full([k + 2 for k in shape], -1)     # unknown ids, padded by one cell
+    ids[(slice(1, -1),) * n][unknown] = np.arange(m)
+    data = np.pad(np.where(fixed & ~unknown, V, 0.0), 1)
+    cells = np.nonzero(unknown)
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, -float(2 * n))]
+    rhs = np.zeros(m)
+    for axis in range(n):
+        for step in (-1, 1):
+            nb = tuple(c + 1 + step * (k == axis) for k, c in enumerate(cells))
+            inner = ids[nb] >= 0
+            rows.append(np.nonzero(inner)[0])
+            cols.append(ids[nb][inner])
+            vals.append(np.ones(len(rows[-1])))
+            rhs -= data[nb]
+    A = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m)).tocsc()
+    out = V.copy()
+    out[unknown] = slinalg.spsolve(A, rhs)
+    return out
+
+
+def window_start(h, unknown, fixed, V):
+    """The plan's harmonic start on the solve window of (unknown, fixed):
+    (window, window values)."""
+    win = msolve._window(unknown, fixed)
+    unk, fix = unknown[win], fixed[win]
+    plan = msolve.PlanHolder().plan(unk, fix, unk)
+    Vx = np.concatenate([np.where(fix, V[win], np.nan).ravel(), (np.nan, 0.0)])
+    Vx[plan.unknowns] = msolve._harmonic_extension(Vx, h, plan)
+    return win, Vx[:-2].reshape(unk.shape)
+
+
+class TestHarmonicStart:
+    """The harmonic start is the plan's Newton matrix at zero gradient,
+    factored by ``_factorize``."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("system", ["whole", "ball"])
+    @pytest.mark.parametrize("kind", ["interval", "disk", "annulus", "rectangle"])
+    def test_plan_start_equals_laplace_solve(self, kind, system, seed):
+        rng = np.random.default_rng(seed)
+        grid, mask, ball = random_domain(kind, rng)
+        h, n, unknown, fixed, V, _ = system_case(grid, mask, system, rng, ball)
+        win, got = window_start(h, unknown, fixed, V)
+        unk, fix = unknown[win], fixed[win]
+        ref = reference_harmonic(n, unk.shape, unk, fix, np.where(fix, V[win], np.nan))
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.nanmax(np.abs(got - ref)) <= 1e-10
+
+    def test_solve_starts_from_it(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        phi = np.where(mask.boundary, grid.points()[..., 0] ** 2, np.nan)
+        _, start = window_start(grid.h, mask.interior, mask.boundary, phi)
+        starts = []
+
+        def first(Vx, *args):
+            starts.append(Vx[:-2].reshape(start.shape).copy())
+            raise _Captured
+
+        with mock.patch.object(msolve, "_residual", first), pytest.raises(_Captured):
+            solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert same_bits(starts[0], start)
+
+    def test_penalized_plan_raises(self):
+        h, n, unknown, fixed, V, penalty = newton_case("penalized", 2, seed=3)
+        plan = msolve._NewtonPlan(unknown, fixed, unknown & ~penalty["cells"])
+        assert plan.fallback
+        Vx = np.concatenate([np.where(fixed, V, np.nan).ravel(), (np.nan, 0.0)])
+        with pytest.raises(ValueError, match="penalty rows"):
+            msolve._harmonic_extension(Vx, h, plan)
+        with pytest.raises(ValueError, match="penalty rows"):
+            _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape), SolveOptions(),
+                         penalty=penalty)
+
+    def test_singular_start_is_an_error(self):
+        # one unknown cell and no fixed cell: its Laplace row is empty
+        unknown = np.zeros(5, bool)
+        unknown[2] = True
+        values, info = _newton_core(0.25, 1, unknown, np.zeros(5, bool), np.zeros(5),
+                                    np.zeros(5), SolveOptions())
+        assert np.isnan(values).all()            # undefined, not zeros
+        assert info["error"] == "harmonic start failed: Factor is exactly singular"
+        assert not info["converged"] and info["iterations"] == 0
+        assert np.isnan(info["residual"]) and info["residual_evals"] == 0
+
+
+class TestPlanOwnership:
+    """Plans and LUs belong to the holder of a solve, sweep or continuation."""
+
+    def test_finished_solve_drops_its_plan_and_lu(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        plan = msolve.PlanHolder.plan
+        factorize = msolve._factorize
+        held = []
+
+        def spy_plan(self, *args):
+            out = plan(self, *args)
+            held.append(weakref.ref(out))
+            return out
+
+        def spy_factorize(*args):
+            out = factorize(*args)
+            held.append(weakref.ref(out))
+            return out
+
+        with mock.patch.object(msolve.PlanHolder, "plan", spy_plan), \
+                mock.patch.object(msolve, "_factorize", spy_factorize):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert out.converged and len(held) >= 3     # plan, start and Newton LUs
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+    def test_values_are_freed_before_the_lu(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        fill, splu = msolve._jac_values_2d, slinalg.splu
+        values, alive = [], []
+
+        def spy_fill(*args):
+            out = fill(*args)
+            values.append(weakref.ref(out))
+            return out
+
+        def spy_splu(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in values))
+            return splu(*args, **kwargs)
+
+        with mock.patch.object(msolve, "_jac_values_2d", spy_fill), \
+                mock.patch.object(msolve.slinalg, "splu", spy_splu):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert out.converged and len(alive) >= 2      # the start's LU and Newton's
+        assert alive == [0] * len(alive)
+
+    def test_holder_keeps_each_pattern_once(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        carry = msolve.PlanHolder()
+        with plan_builds() as built:
+            for ball in [((0.1, -0.05), 0.3), ((0.0, 0.1), 0.2), ((0.1, -0.05), 0.3)]:
+                msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(), carry)
+        assert built() == len(carry.plans) == 2
 
 
 def same_bits(a, b):
@@ -765,8 +914,7 @@ def same_bits(a, b):
 
 
 def plan_of(unknown, fixed, rows):
-    return msolve._newton_plan(unknown.shape, unknown.tobytes(), fixed.tobytes(),
-                               rows.tobytes())
+    return msolve.PlanHolder().plan(unknown, fixed, rows)
 
 
 def grid_penalty_rows(V, h, n, penalty, faces):

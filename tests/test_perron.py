@@ -18,7 +18,7 @@ from meancurv.perron import (
     smooth_subharmonic_sequence,
 )
 
-from conftest import cone_formula
+from conftest import cone_formula, plan_builds
 
 
 def dist_field(grid, center):
@@ -271,11 +271,25 @@ class TestCarriedLU:
             assert np.array_equal(np.isnan(swept.values), np.isnan(lifted.values))
             assert np.nanmax(np.abs(swept.values - lifted.values)) <= 1e-9
 
+    def test_sweep_builds_one_plan_per_pattern(self, cone_64, unit_disk_64, interval_100):
+        for u, mask in cones(cone_64, unit_disk_64, interval_100):
+            cover = build_ball_cover(mask, 3)
+            patterns = set()
+            for center in cover.centers:
+                _, unknown, ring = ball_region(mask, center, cover.radius)
+                win = msolve._window(unknown, ring)
+                patterns.add((unknown[win].shape, unknown[win].tobytes(), ring[win].tobytes()))
+            with plan_builds() as built:
+                _, trace = approximation_sweep(u, mask, 3, opts=SolveOptions(tol=1e-7),
+                                               cover=cover)
+            assert trace.completed
+            assert built() == len(patterns) < len(cover)
+
     def test_threaded_sweeps_match_sequential(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         opts = SolveOptions(tol=1e-7)
         y = grid.points()[..., 1]
-        # three sweeps sharing one plan, one thread each
+        # three sweeps over one cover, one thread and one plan holder each
         fields = [cone_64.with_values(cone_64.values + a * np.sin(4 * y))
                   for a in (0.0, 0.05, -0.05)]
         full = build_ball_cover(mask, 3)
@@ -284,12 +298,10 @@ class TestCarriedLU:
         def sweep(u):
             return approximation_sweep(u, mask, 3, opts=opts, cover=cover)
 
-        msolve._newton_plan.cache_clear()
         sequential = [sweep(u) for u in fields]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # interleave the threads as often as possible
         try:
-            msolve._newton_plan.cache_clear()
             with ThreadPoolExecutor(len(fields)) as pool:
                 threaded = list(pool.map(sweep, fields, timeout=300))
         finally:
