@@ -12,21 +12,21 @@ analytically (penalty rows included) and factored at every size by one
 symmetric-mode sparse LU; the harmonic start is that LU of the Newton matrix
 at zero gradient.  A plan per cell pattern numbers the unknowns in a
 nested-dissection order read off the cells before any factorization, and
-keeps the CSC slot of every matrix entry, so every factorization scatters
-its values and factors them in that order on one path.  The plan, fixed
-once built, also indexes every Newton step: ``_residual``
-gathers only the faces that touch the unknown rows from the flat window,
-applies ``mco.face_formula`` (the formula of the grid kernels) and sums the
-divergence as ``mco._divergence`` does, so each row equals the grid density
-bit for bit.  The stencil is written down once, in the plan's face tables
-(the six cells of each face, the faces of each row and the sign of each
-row's face): the residual reads them, and the matrix's sparsity and value
-gather are read off them too, so 1d and 2d solves, whole-domain, ball and
-penalized, run the same code.  Ball replacements (``solve_on_ball``, the
-Perron lift and sweep, the viscosity check) go through one windowed ball
-kernel: ``ball_region`` cuts the ball's window and takes its ball and ring
-masks from a bounded cache, ``_solve_ball`` checks the sphere data and owns
-the warm start and the harmonic restart.
+keeps the CSC slot of each row's 3^n stencil, so every factorization fills
+the rows' stencils, stores them in one indexed write and factors them in
+that order on one path.  The plan, fixed once built, also indexes every
+Newton step: ``_residual`` gathers only the faces that touch the unknown
+rows from the flat window, applies ``mco.face_formula`` (the formula of the
+grid kernels) and sums the divergence as ``mco._divergence`` does, so each
+row equals the grid density bit for bit.  The stencil is written down
+once, in the plan's face tables (the six cells of each face and the faces
+of each row): the residual reads them, and the matrix's rows are filled
+from them face slot by face slot, so 1d and 2d solves, whole-domain, ball
+and penalized, run the same code.  Ball replacements (``solve_on_ball``,
+the Perron lift and sweep, the viscosity check) go through one windowed
+ball kernel: ``ball_region`` cuts the ball's window and takes its ball and
+ring masks from a bounded cache, ``_solve_ball`` checks the sphere data and
+owns the warm start and the harmonic restart.
 
 Plans and LUs belong to a ``PlanHolder``, owned by the solve, sweep or
 continuation that makes it, never to the module: a Perron sweep, the ring
@@ -225,110 +225,105 @@ def _dissection(unk):
     return out
 
 
-# the derivative of a face flux in each of the face's six cells (as in
-# ``_face_plan``: lower, upper, then lower +, lower -, upper +, upper - along
-# the transverse axis), and each cell's place from the lower cell (along the
-# normal, along the transverse axis); a 1d face has the first two only
-_FACE_WEIGHTS = np.array([-1.0, 1.0, 0.25, -0.25, 0.25, -0.25], np.float32)
+# the face cells (as in ``_face_plan``: lower, upper, then lower +, lower -,
+# upper +, upper - along the transverse axis), each cell's place from the
+# lower cell (along the normal, along the transverse axis), and the sign of
+# the flux's derivative in it; a 1d face has the first two only
 _FACE_CELLS = np.array([(0, 0), (1, 0), (0, 1), (0, -1), (1, 1), (1, -1)])
+_FACE_SIGNS = (-1, 1, 1, -1, 1, -1)
 
 
-def _jac_structure(plan, signs, defined, table):
-    """Sparsity pattern of the Newton matrix; fixed across Newton iterations.
-
-    Read off the plan's faces: the rows of a face are its lower and upper
-    cell, its columns are its cells (a 1d face has no transverse axis, so
-    its flux depends on its two cells only).  Row r takes the flux of its
-    face slot j (of ``plan.rows``) with sign ``signs[j, r]``, 0 in the extra
-    column m that cells other than unknowns read.  With ``plan.fallback``,
-    a transverse difference taken from one side only weighs that side 1/2
-    instead of 1/4, as in ``mco.face_formula``; ``defined`` (per flat
-    window index, NaN and zero slots included) says which side has it.
-    ``table`` (of ``_csc_pattern``) holds each entry's CSC slot.  Returns
-    (slot, (gather, scale)): value k goes to CSC slot ``slot[k]`` and is
-    ``coeff[gather[k]] * scale[k] / h^2`` over the normal then the
-    transverse flux derivatives of the plan's faces, as ``_jac_values_2d``
-    concatenates them.  Entries come by axis, by the row's side of the face
-    (lower, then upper cell), then by face cell, so no CSC slot gets two
-    values of one such group and the matrix sums them in that order.
-    """
-    n = plan.rows.shape[0] // 2
-    m, nfaces = plan.unknowns.size, plan.cells.shape[1]
-    k = 2 if n == 1 else 6
-    number = np.full(defined.size, m, np.int32)      # unknown number per flat window index
-    number[plan.unknowns] = np.arange(m, dtype=np.int32)
-    # an axis's faces are a run of the plan's faces, from the first face
-    # below or above a row along it; the sentinel face comes last
-    start = [0] + [int(plan.rows[2 * a:2 * a + 2].min(initial=nfaces - 1))
-                   for a in range(1, n)] + [nfaces - 1]
-    slot, gather, scale = [], [], []
+@functools.lru_cache(maxsize=None)
+def _face_terms(n, ncoeffs):
+    """A row's stencil terms, in the order the matrix adds them: by axis,
+    then the face above the row (the row is its lower cell, the flux adds),
+    then the one below (it subtracts), then by face cell.  Per face slot j
+    of ``_face_plan``'s ``rows``: (j, per face cell (its offset in C order
+    of the 3^n neighbourhood, ``np.add`` or ``np.subtract`` by its sign,
+    which of ``ncoeffs`` coefficients it takes: normal, transverse about the
+    lower cell, about the upper cell))."""
+    terms = []
     for axis in range(n):
-        span = slice(start[axis], start[axis + 1])
-        cols = number[plan.cells[:k, span]]
-        # a cell that is not an unknown is no column
-        weight = np.where(cols < m, _FACE_WEIGHTS[:k, None], np.float32(0))
-        if plan.fallback and n == 2:
-            ok = [defined[plan.cells[c, span]] & defined[plan.cells[c + 1, span]] for c in (2, 4)]
-            weight[2:4] *= ok[0] * (2 - ok[1])
-            weight[4:] *= ok[1] * (2 - ok[0])
-        # the coefficient of each value: the normal derivative of its face, or
-        # the transverse one nfaces further on
-        coeff = np.empty(cols.shape, np.int32)
-        coeff[:] = np.arange(start[axis], start[axis + 1], dtype=np.int32)
-        coeff[2:] += nfaces
         for side in (0, 1):
-            j = 2 * axis + 1 - side          # the row's face above, then below
-            val = signs[j][cols[side]] * weight
-            # the row's offset from each column along (normal, transverse),
-            # then along the window's axes, in the 3^n neighbourhood
-            off = np.roll(np.array([side, 0]) - _FACE_CELLS[:k], axis, axis=1)[:, :n]
-            link = np.ravel_multi_index(tuple(off.T + 1), (3,) * n)
-            keep = val != 0
-            slot += [table[r][c[w]] for r, c, w in zip(link, cols, keep)]
-            gather.append(coeff[keep])
-            scale.append(val[keep])
-    # values are +-1, +-1/2 or +-1/4: exact in float32
-    return np.concatenate(slot), (np.concatenate(gather), np.concatenate(scale))
+            cells = []
+            for c in range(2 if n == 1 else 6):
+                off = np.roll(_FACE_CELLS[c] - (side, 0), axis)[:n]
+                k = int(np.ravel_multi_index(tuple(off + 1), (3,) * n))
+                add = np.add if (1 - 2 * side) * _FACE_SIGNS[c] > 0 else np.subtract
+                cells.append((k, add, min(c // 2, ncoeffs - 1)))
+            terms.append((2 * axis + 1 - side, tuple(cells)))
+    return tuple(terms)
 
 
 def _csc_pattern(unk, unknowns):
     """CSC pattern of the Newton matrices of the window's unknown cells,
-    numbered in the order of ``unknowns`` (flat window indices).
+    numbered in the order of ``unknowns`` (flat window indices), and where
+    each row's 3^n stencil goes in it.
 
-    Column c holds every unknown of its 3^n neighbourhood, which holds every
-    entry of the matrix (see ``_jac_structure``), rows sorted.  Returns int32
-    (indptr, indices, table, diagonal): ``table[k, c]`` is the slot of the
-    entry of column c whose row lies at the k-th offset of the 3^n
-    neighbourhood (in C order of the offsets -1, 0, 1 per axis) from it, -1
-    where there is none; ``diagonal`` holds the slots of the diagonal.
-    Built column by column from the neighbourhood table, without a global
-    sort.
+    A row couples the unknowns of its 3^n neighbourhood and no others (see
+    ``_jac_values_2d``), so the pattern is symmetric and column c holds the
+    unknowns of c's neighbourhood, rows sorted.  Returns int32 (indptr,
+    indices, table): ``table[k, r]`` is the CSC slot of row r's entry whose
+    column is the k-th cell of r's neighbourhood (in C order of the offsets
+    -1, 0, 1 per axis), or the sentinel slot nnz (one past the last) where
+    that cell is no unknown; ``table[3^n // 2]`` holds the diagonal.  Built
+    from the neighbourhood table without a sort: a column's rows are its
+    neighbours, each placed by the count of those numbered below it.
     """
     m = unknowns.size
-    ids = np.full(unk.size, m)
+    ids = np.full(unk.size, m, np.int32)
     ids[unknowns] = np.arange(m)
     ids = np.pad(ids.reshape(unk.shape), 1, constant_values=m)
     cell = tuple(c + 1 for c in np.unravel_index(unknowns, unk.shape))
     offsets = np.array(list(np.ndindex((3,) * unk.ndim))) - 1    # the 3^n neighbourhood
-    rows = np.stack([ids[tuple(c + d for c, d in zip(cell, off))] for off in offsets], axis=1)
-    present = rows < m
-    by = np.argsort(rows, axis=1, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))]).astype(np.int32)
-    indices = np.take_along_axis(rows, by, axis=1)
-    rank = np.empty_like(by)
-    np.put_along_axis(rank, by, np.arange(len(offsets)), axis=1)
-    table = np.where(present.T, (indptr[:-1, None] + rank).T.astype(np.int32), -1)
-    return indptr, indices[indices < m].astype(np.int32), table, table[len(offsets) // 2].copy()
+    near = np.stack([ids[tuple(c + d for c, d in zip(cell, off))] for off in offsets])
+    present = near < m
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=0))]).astype(np.int32)
+    # a column's rows are sorted: a neighbour's place is the count of smaller ones
+    rank = np.zeros(near.shape, np.int8)
+    for other in near:
+        rank += other < near
+    # the slot of column c's entry in its neighbour at offset k; column m is the sentinel
+    slot = np.full((len(offsets), m + 1), indptr[-1], np.int32)
+    slot[:, :m] = indptr[:-1] + rank
+    indices = np.empty(indptr[-1], np.int32)
+    indices[slot[:, :m][present]] = near[present]
+    # row r's entry in its neighbour c at offset k is c's entry in r, at offset -k
+    return indptr, indices, np.take_along_axis(slot[::-1], near, axis=1)
 
 
 def _jac_values_2d(h, faces, plan):
-    """Newton matrix values from the plan's faces (g, t, w, f) and its
-    (gather, scale)."""
-    gather, scale = plan
+    """The Newton matrix as its rows' stencils, (3^n, m) in the layout of
+    ``plan.table``, from the plan's faces (g, t, w, f).
+
+    A row adds the flux of its face above along each axis and subtracts the
+    one below.  A flux's derivative is (1 + t^2)/w^3 in the face's two cells
+    and -g t/w^3 / 4 in their transverse neighbours; a transverse difference
+    taken from one side only (``plan.transverse``) weighs that side 1/2, as
+    in ``mco.face_formula``.  Each face slot gathers its coefficients once
+    and adds its cells' terms at their offsets in the order of
+    ``_face_terms``; the sentinel face adds nothing (its coefficients are 0,
+    and adding +-0.0 keeps the bits of a sum that starts at +0.0).  A
+    penalty row takes the flux into its cell: its stencil is negated.
+    """
     g, t, w, _ = faces
     w3 = w ** 3
-    coeff = np.concatenate([(1.0 + t * t) / w3, -g * t / w3])
-    return coeff[gather] * (scale * np.float64(1.0 / (h * h)))
+    q = np.float64(1.0 / (h * h))
+    normal = (1.0 + t * t) / w3 * q
+    trans = -g * t / w3 * (0.25 * q)
+    normal[-1] = trans[-1] = 0.0       # the sentinel face adds no term
+    n = plan.rows.shape[0] // 2
+    coeffs = (normal, trans)[:n]
+    if plan.transverse is not None:
+        coeffs = (normal, *(np.multiply(trans, f, out=np.zeros_like(trans), where=f != 0)
+                            for f in plan.transverse))
+    out = np.zeros(plan.table.shape)
+    for j, cells in _face_terms(n, len(coeffs)):
+        x = [a[plan.rows[j]] for a in coeffs]
+        for k, add, c in cells:
+            add(out[k], x[c], out=out[k])
+    out[:, plan.penalty_rows] = 0.0 - out[:, plan.penalty_rows]   # an empty entry stays +0.0
+    return out
 
 
 class _NewtonPlan:
@@ -336,17 +331,16 @@ class _NewtonPlan:
 
     ``unknowns``: the flat window index of each unknown, in the
     nested-dissection order of ``_dissection``, which numbers the unknowns
-    (rows and columns of the matrix) everywhere below.  The residual's
-    gather indices: ``cells`` and ``rows`` of ``_face_plan``;
-    ``penalty_rows``, the unknowns that are penalty rows; ``penalty_signs``
-    (2n, rows), which orient the flux of each of their faces from a
-    non-penalty neighbour into the penalty cell, 0 where the neighbour is a
-    penalty cell; ``fallback``, whether there are penalty rows, in which
-    case the faces take one-sided transverse differences.  Then the
-    (gather, scale) ``values`` plan of ``_jac_values_2d`` with the CSC
-    ``slot`` of each value (of ``_jac_structure``), and the matrix's CSC
-    pattern of ``_csc_pattern``: ``indptr``, ``indices`` and the
-    ``diagonal`` slots.
+    (rows and columns of the matrix) everywhere below.  The face tables
+    ``cells`` and ``rows`` of ``_face_plan``, where a penalty row's faces to
+    penalty or undefined cells are the sentinel face: it takes the flux
+    into its cell from its other neighbours only.  ``penalty_rows``, the
+    unknowns that are penalty rows; ``fallback``, whether there are any, in
+    which case the faces take one-sided transverse differences and, in 2d,
+    ``transverse`` holds per face the weight (0, 1 or 2) of the transverse
+    differences about its lower and its upper cell (None without).  Then
+    the CSC pattern of ``_csc_pattern``: ``indptr``, ``indices`` and the
+    stencil ``table``.
     """
 
     def __init__(self, unk, fix, rows_interior):
@@ -358,19 +352,17 @@ class _NewtonPlan:
         self.fallback = self.penalty_rows.size > 0
         # per flat window index, NaN and zero slots included
         penalty, defined = (np.append(a.ravel(), (False, False)) for a in (pcells, unk | fix))
-        # an interior row adds the flux of the face above and subtracts the one
-        # below; a penalty row takes the flux into its cell: the lower cell of
-        # the face below, the upper cell of the face above are its neighbours
-        row_signs = np.tile([-1.0, 1.0], n)[:, None]
-        nb = self.cells[np.arange(2 * n)[:, None] % 2, self.rows[:, self.penalty_rows]]
-        self.penalty_signs = np.where(penalty[nb], 0.0, -row_signs)
-        self.indptr, self.indices, table, self.diagonal = _csc_pattern(unk, self.unknowns)
-        # the matrix rows take the same signs, except that a penalty row has
-        # no entry for a face to an undefined cell, whose flux it reads as 0
-        signs = np.zeros((2 * n, self.unknowns.size + 1), np.float32)
-        signs[:, :-1] = row_signs
-        signs[:, self.penalty_rows] = self.penalty_signs * defined[nb]
-        self.slot, self.values = _jac_structure(self, signs, defined, table)
+        # a penalty row's neighbours: the lower cell of the face below, the
+        # upper cell of the face above
+        faces = self.rows[:, self.penalty_rows]
+        nb = self.cells[np.arange(2 * n)[:, None] % 2, faces]
+        self.rows[:, self.penalty_rows] = np.where(penalty[nb] | ~defined[nb],
+                                                   self.cells.shape[1] - 1, faces)
+        self.transverse = None
+        if self.fallback and n == 2:
+            ok = [defined[self.cells[c]] & defined[self.cells[c + 1]] for c in (2, 4)]
+            self.transverse = np.stack([ok[0] * (2 - ok[1]), ok[1] * (2 - ok[0])]).astype(np.int8)
+        self.indptr, self.indices, self.table = _csc_pattern(unk, self.unknowns)
 
 
 class PlanHolder:
@@ -404,22 +396,25 @@ class PlanHolder:
 
 
 def _factorize(plan: _NewtonPlan, vals, diag, m):
-    """Factor one Newton matrix (values ``vals`` in the plan's slots, plus
-    ``diag`` on the diagonal); returns a solve closure.
+    """Factor one Newton matrix (its rows' stencils ``vals``, of
+    ``_jac_values_2d``, plus ``diag`` on the diagonal); returns a solve
+    closure.
 
-    One ``bincount`` scatters the values into the plan's CSC form, and one
-    sparse LU with diagonal-preferring pivots (SuperLU's symmetric mode)
-    factors it in the plan's own nested-dissection order at every size, so
-    every factorization of a pattern takes the same path.  Callers hand the
-    values over (``_factorize(plan, _jac_values_2d(...), ...)``, no name of
-    their own), so the values are freed once scattered and do not live
-    through the LU.
+    One indexed store writes the stencils into the plan's CSC data through
+    ``plan.table`` (entries whose column is no unknown land in the sentinel
+    slot past the end, which the matrix leaves out), and one sparse LU with
+    diagonal-preferring pivots (SuperLU's symmetric mode) factors it in the
+    plan's own nested-dissection order at every size, so every factorization
+    of a pattern takes the same path.  Callers hand the stencils over
+    (``_factorize(plan, _jac_values_2d(...), ...)``, no name of their own),
+    so they are freed once stored and do not live through the LU.
     """
-    # float even when there are no values to scatter
-    data = np.bincount(plan.slot, vals, plan.indices.size).astype(float, copy=False)
+    nnz = plan.indices.size
+    data = np.empty(nnz + 1)
+    data[plan.table] = vals
     del vals
-    data[plan.diagonal] += diag
-    lu = slinalg.splu(sparse.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m)),
+    data[plan.table[len(plan.table) // 2]] += diag
+    lu = slinalg.splu(sparse.csc_matrix((data[:nnz], plan.indices, plan.indptr), shape=(m, m)),
                       permc_spec="NATURAL", diag_pivot_thresh=0.001,
                       options=dict(SymmetricMode=True))
     return lambda b: lu.solve(b)   # a closure over the LU: perfbench's tracer reads it
@@ -451,7 +446,7 @@ def _harmonic_extension(Vx, h, plan: _NewtonPlan):
     for axis in range(1, len(fr) // 2):
         total = total + fr[2 * axis + 1] - fr[2 * axis]
     flat = (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None)
-    solve = _factorize(plan, _jac_values_2d(h, flat, plan.values), np.zeros(m), m)
+    solve = _factorize(plan, _jac_values_2d(h, flat, plan), np.zeros(m), m)
     u = solve(-total / h)
     if not np.isfinite(u).all():
         raise RuntimeError("the Laplace solve returned non-finite values")
@@ -564,7 +559,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         diag = np.zeros(m)
         if pen is not None:
             diag[plan.penalty_rows] = _penalty_triplets(Vx, h, n, pen)
-        return _factorize(plan, _jac_values_2d(h, faces, plan.values), diag, m)
+        return _factorize(plan, _jac_values_2d(h, faces, plan), diag, m)
 
     # a pass that only drops a carried or frozen LU takes no step and is not
     # counted; the fresh LU after it either steps or ends the solve
@@ -577,7 +572,8 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             carry.lu = None     # no second LU lives through the factorization
             try:
                 lu = assemble_factorize()
-            except Exception as exc:
+            # what SuperLU raises, and an LU that does not fit in memory
+            except (RuntimeError, SystemError, ValueError, MemoryError) as exc:
                 info["error"] = f"linear solve failed: {exc}"
                 break
             info["factorizations"] += 1
@@ -701,12 +697,13 @@ def _repair_init(V, unk, fix):
 
 def _penalty_residual(Vx, h, n, pen, flux, plan):
     """Penalty rows: the flux into the penalty cell from its non-penalty
-    neighbours, summed face by face in the order of the face axes, plus the
+    neighbours (its faces to others are the sentinel face, whose flux reads
+    0), summed face by face in the order of the face axes, plus the
     smoothed-L1 deviation term."""
     fr = flux[plan.rows[:, plan.penalty_rows]]
     fr = np.where(np.isfinite(fr), fr, 0.0)
     out_flux = np.zeros(fr.shape[1])
-    for sign, f in zip(plan.penalty_signs, fr):
+    for sign, f in zip(np.tile([1.0, -1.0], n), fr):
         out_flux += sign * f
     kappa = pen["kappa"]
     dev = Vx[pen["cells"]] - pen["phi"]
@@ -718,7 +715,7 @@ def _penalty_triplets(Vx, h, n, pen):
     """Diagonal of the smoothed-L1 term in the penalty rows, row by row.
 
     The flux part of those rows comes with the face coefficients (see
-    ``_jac_structure``).
+    ``_jac_values_2d``).
     """
     kappa = pen["kappa"]
     dev = Vx[pen["cells"]] - pen["phi"]

@@ -293,7 +293,7 @@ def newton_system(h, n, unknown, fixed, V, penalty=None, plans=None):
     out = {}
 
     def capture(plan, vals, diag, m):
-        out["triplets"] = (*plan_triplets(plan, m), np.concatenate([vals, diag]), m)
+        out["triplets"] = plan_triplets(plan, vals, diag, m)
         out["args"] = (plan, vals, diag, m)
 
         def solve(b):
@@ -308,11 +308,16 @@ def newton_system(h, n, unknown, fixed, V, penalty=None, plans=None):
     return out["r"], out["triplets"], out["args"]
 
 
-def plan_triplets(plan, m):
-    """Triplet rows and columns of a Newton plan's values, then its diagonal."""
+def plan_triplets(plan, vals, diag, m):
+    """Triplets (rows, columns, values, m) of a Newton matrix: its rows'
+    stencils ``vals`` where the plan's table has a slot (the column is an
+    unknown), each at its stencil's row and its slot's CSC column, then
+    ``diag`` on the diagonal."""
     cols = np.repeat(np.arange(m), np.diff(plan.indptr))
-    return (np.concatenate([plan.indices[plan.slot], np.arange(m)]),
-            np.concatenate([cols[plan.slot], np.arange(m)]))
+    real = plan.table < plan.indices.size
+    return (np.concatenate([np.nonzero(real)[1], np.arange(m)]),
+            np.concatenate([cols[plan.table[real]], np.arange(m)]),
+            np.concatenate([vals[real], diag]), m)
 
 
 def c_order(plan):
@@ -416,8 +421,153 @@ class TestNewtonMatrix:
         for _ in range(2):
             assert same_bits(_factorize(*args)(b), first)
         plan = args[0]
-        assert {a.dtype for a in (plan.slot, plan.diagonal, plan.indices, plan.indptr)} == {
+        assert {a.dtype for a in (plan.table, plan.indices, plan.indptr)} == {
             np.dtype(np.int32)}
+
+
+def reference_csc_data(h, faces, plan, diag, unk, fix, rows_interior):
+    """The CSC data of a Newton matrix by the per-entry path that the
+    stencil fill replaced, kept as a reference: every term of every face is
+    one (CSC slot, coefficient, scale) entry, in order (axis, the row's side
+    of the face, face cell), and one ``bincount`` sums them into their
+    slots.  A term whose sign or weight is 0 is dropped.  ``unk``, ``fix``
+    and ``rows_interior`` are the plan's window masks."""
+    n = unk.ndim
+    m, nfaces = plan.unknowns.size, plan.cells.shape[1]
+    k = 2 if n == 1 else 6
+    weights = np.array([-1.0, 1.0, 0.25, -0.25, 0.25, -0.25], np.float32)
+    # per flat window index, NaN and zero slots included
+    penalty, defined = (np.append(a.ravel(), (False, False)) for a in (unk & ~rows_interior,
+                                                                       unk | fix))
+    number = np.full(defined.size, m, np.int32)
+    number[plan.unknowns] = np.arange(m, dtype=np.int32)
+    # the CSC slot of entry (row, column) is the place of column * m + row
+    # among the pattern's keys, which CSC order sorts
+    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(plan.indptr)) * m + plan.indices
+    # each axis's faces are a run of the plan's faces
+    start = np.cumsum([0] + [np.count_nonzero(unk[lo] | unk[hi]) for lo, hi in face_sides(n)])
+    assert start[-1] == nfaces - 1
+    slot, gather, scale = [], [], []
+    for axis in range(n):
+        cells = plan.cells[:, start[axis]:start[axis + 1]]
+        cols = number[cells[:k]]
+        weight = np.where(cols < m, weights[:k, None], np.float32(0))
+        if penalty.any() and n == 2:
+            ok = [defined[cells[c]] & defined[cells[c + 1]] for c in (2, 4)]
+            weight[2:4] *= ok[0] * (2 - ok[1])
+            weight[4:] *= ok[1] * (2 - ok[0])
+        coeff = np.empty(cols.shape, np.int32)
+        coeff[:] = np.arange(start[axis], start[axis + 1], dtype=np.int32)
+        coeff[2:] += nfaces
+        for side in (0, 1):
+            # the row adds the flux of the face above it and subtracts the one
+            # below; a penalty row takes the flux into its cell, from a
+            # defined non-penalty neighbour only
+            row_sign, row, other = 1 - 2 * side, cells[side], cells[1 - side]
+            sign = np.where(penalty[row], -row_sign * (defined[other] & ~penalty[other]), row_sign)
+            val = np.where(cols[side] < m, sign, 0).astype(np.float32) * weight
+            keep = val != 0
+            slot += [np.searchsorted(keys, c[w].astype(np.int64) * m + cols[side][w])
+                     for c, w in zip(cols, keep)]
+            gather.append(coeff[keep])
+            scale.append(val[keep])
+    g, t, w, _ = faces
+    w3 = w ** 3
+    coeff = np.concatenate([(1.0 + t * t) / w3, -g * t / w3])
+    vals = coeff[np.concatenate(gather)] * (np.concatenate(scale) * np.float64(1.0 / (h * h)))
+    data = np.bincount(np.concatenate(slot), vals, keys.size).astype(float, copy=False)
+    data[np.searchsorted(keys, np.arange(m, dtype=np.int64) * (m + 1))] += diag
+    return data
+
+
+def factorized_data(plan, vals, diag, m):
+    """The CSC data that ``_factorize`` hands to SuperLU."""
+    out = []
+
+    def capture(A, **kwargs):
+        out.append(A.data.copy())
+        raise _Captured
+
+    with mock.patch.object(msolve.slinalg, "splu", capture), pytest.raises(_Captured):
+        _factorize(plan, vals, diag, m)
+    return out[0]
+
+
+def stencil_system(h, n, unknown, fixed, V, penalty=None):
+    """``newton_system``'s _factorize arguments, the faces that filled its
+    values, and the plan's window masks (unknown, fixed, interior rows)."""
+    fill, faces = msolve._jac_values_2d, []
+
+    def spy(h, f, plan):
+        faces.append(f)
+        return fill(h, f, plan)
+
+    with mock.patch.object(msolve, "_jac_values_2d", spy):
+        _, _, args = newton_system(h, n, unknown, fixed, V, penalty)
+    win = msolve._window(unknown, fixed)
+    rows = unknown if penalty is None else unknown & ~penalty["cells"]
+    return args, faces[0], (unknown[win], fixed[win], rows[win])
+
+
+class TestStencilFill:
+    """Each Newton matrix is filled row by row from its stencil, and its CSC
+    data equal the per-entry reference's bit for bit."""
+
+    @staticmethod
+    def check(h, args, faces, masks):
+        plan, vals, diag, m = args
+        assert vals.shape == plan.table.shape == (3 ** (plan.rows.shape[0] // 2), m)
+        ref = reference_csc_data(h, faces, plan, diag, *masks)
+        assert same_bits(factorized_data(*args), ref)
+        if not plan.fallback:       # the harmonic start's matrix: zero gradient
+            nfaces = plan.cells.shape[1]
+            flat = (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None)
+            got = factorized_data(plan, msolve._jac_values_2d(h, flat, plan), np.zeros(m), m)
+            assert same_bits(got, reference_csc_data(h, flat, plan, np.zeros(m), *masks))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=54764)       # as in test_matrix_is_residual_jacobian
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_csc_data_equal_the_reference(self, n, system, seed):
+        h, n, unknown, fixed, V, penalty = newton_case(system, n, seed)
+        self.check(h, *stencil_system(h, n, unknown, fixed, V, penalty))
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=9)    # annulus: penalty rows with entries exactly 0, which stay +0.0
+    @pytest.mark.parametrize("system", ["whole", "ball", "penalized"])
+    @pytest.mark.parametrize("kind", ["interval", "disk", "annulus", "rectangle"])
+    def test_random_domains_equal_the_reference(self, kind, system, seed):
+        rng = np.random.default_rng(seed)
+        grid, mask, ball = random_domain(kind, rng)
+        h, n, unknown, fixed, V, penalty = system_case(grid, mask, system, rng, ball)
+        self.check(h, *stencil_system(h, n, unknown, fixed, V, penalty))
+
+    def test_hemisphere_128(self):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 2.0), 128)
+        V = sample_function(hemisphere_formula(4.0), grid, mask).values
+        args, faces, masks = stencil_system(grid.h, 2, mask.interior, mask.boundary, V)
+        assert args[3] == 205857
+        self.check(grid.h, args, faces, masks)
+
+    @pytest.mark.parametrize("seed", [7, 54764])
+    def test_zero_sign_terms_are_dropped(self, seed):
+        # a penalty row's face to an undefined cell inside the window has a
+        # NaN flux coefficient; the row takes no flux there, so the term is
+        # not added (the minimizer's system on a radius-2 disk has such faces)
+        h, n, unknown, fixed, V, penalty = newton_case("penalized", 2, seed, radius=2.0)
+        args, faces, masks = stencil_system(h, n, unknown, fixed, V, penalty)
+        unk, fix, _ = masks
+        defined = np.append((unk | fix).ravel(), (False, False))
+        whole = plan_of(unk, fix, unk)      # the same faces, none of them dropped
+        pr = whole.rows[:, args[0].penalty_rows]
+        nb = whole.cells[np.arange(4)[:, None] % 2, pr]     # the penalty rows' neighbours
+        sentinel = whole.cells.shape[1] - 1
+        assert (~defined[nb] & np.isnan(faces[2][pr]) & (pr != sentinel)).any()
+        assert np.isfinite(factorized_data(*args)).all()
+        self.check(h, args, faces, masks)
 
 
 def reference_dissection(unk):
@@ -664,7 +814,7 @@ class TestReportedFallbacks:
 
         def nan_fill(*args):
             vals = fill(*args)
-            vals[len(vals) // 2] = np.nan
+            vals[len(vals) // 2, vals.shape[1] // 2] = np.nan    # one diagonal entry
             return vals
 
         zero = ScalarField(grid=grid, values=np.zeros(grid.shape))  # no harmonic start
@@ -672,6 +822,30 @@ class TestReportedFallbacks:
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2, init=zero)
         assert not out.converged
         assert "error" in out.diagnostics
+
+    def test_fill_bug_is_not_an_outcome(self):
+        # only what SuperLU raises (and an LU that does not fit) is an outcome
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        zero = ScalarField(grid=grid, values=np.zeros(grid.shape))  # no harmonic start
+
+        def broken(*args):
+            raise IndexError("index 9 is out of bounds for axis 0 with size 9")
+
+        with mock.patch.object(msolve, "_jac_values_2d", broken), \
+                pytest.raises(IndexError, match="out of bounds"):
+            solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2, init=zero)
+
+    def test_lu_out_of_memory_is_reported(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        zero = ScalarField(grid=grid, values=np.zeros(grid.shape))
+
+        def broken(*args):
+            raise MemoryError("SUPERLU_MALLOC fails for buf in intSetup()")
+
+        with mock.patch.object(msolve, "_factorize", broken):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2, init=zero)
+        assert not out.converged and out.iterations == 0
+        assert out.diagnostics["error"].startswith("linear solve failed: SUPERLU_MALLOC")
 
     @pytest.mark.parametrize("failure", ["raises", "non-finite"])
     def test_failed_harmonic_start_is_an_error(self, failure, unit_disk_64):
@@ -896,6 +1070,17 @@ class TestPlanOwnership:
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
         assert out.converged and len(alive) >= 2      # the start's LU and Newton's
         assert alive == [0] * len(alive)
+
+    def test_plan_arrays_stay_small(self):
+        # the plan keeps per-face and per-row tables and the CSC pattern, no
+        # array per matrix entry: at most 240 bytes per unknown
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 2.0), 64)
+        plan = plan_of(mask.interior, mask.boundary, mask.interior)
+        m = plan.unknowns.size
+        assert m == 51429
+        held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+        assert all(isinstance(a, (np.ndarray, bool, type(None))) for a in vars(plan).values())
+        assert held <= 240 * m, held / m
 
     def test_holder_keeps_each_pattern_once(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
