@@ -13,7 +13,6 @@ from .field import (
     sample_function,
     mollify_field,
     superlevel_set,
-    set_geometry,
 )
 
 __version__ = "0.1.0"
@@ -22,5 +21,5 @@ __all__ = [
     "Grid", "DomainMask", "ScalarField", "DiscreteSet", "ShapeSpec",
     "NEG_INF", "SizingError", "UndefinedCellError",
     "make_grid", "sample_function", "mollify_field", "superlevel_set",
-    "set_geometry", "__version__",
+    "__version__",
 ]

@@ -154,10 +154,7 @@ class Grid:
         return self.origin[k] + self.h * np.arange(self.extents[k])
 
     def meshgrid(self):
-        axes = [self.axis_centers(k) for k in range(self.n)]
-        if self.n == 1:
-            return (axes[0],)
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*(self.axis_centers(k) for k in range(self.n)), indexing="ij")
 
     def points(self) -> np.ndarray:
         """All cell centers, shape extents + (n,); cached, do not mutate."""
@@ -223,12 +220,8 @@ class DomainMask:
         rim[(slice(1, -1),) * self.grid.n] = False
         if rim.any():
             raise SizingError("interior cell on the grid edge has no boundary cell beyond it")
-        if self.grid.n == 1:
-            labels, count = ndimage.label(self.interior)
-        else:
-            # 4-connectivity: interior must be one edge-connected component
-            labels, count = ndimage.label(self.interior,
-                                          structure=ndimage.generate_binary_structure(2, 1))
+        # the default structure is face connectivity: one edge-connected component
+        labels, count = ndimage.label(self.interior)
         if count != 1:
             raise SizingError(f"interior is not connected ({count} components)")
         grown = ndimage.binary_dilation(
@@ -535,14 +528,12 @@ class DiscreteSet:
     def volume(self) -> float:
         return self.cell_count * self.grid.cell_volume
 
-    @property
-    def perimeter(self) -> float:
-        return self.geometry().perimeter
-
     def is_empty(self) -> bool:
         return not self.member.any()
 
     def geometry(self) -> SetGeometry:
+        """Volume, reconstructed perimeter and its split: gamma_int is the
+        pieces within h of the clip sphere, gamma_bdy the rest."""
         if self._geometry is None:
             self._geometry = _reconstruct_geometry(self)
         return self._geometry
@@ -570,16 +561,6 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
         clip = (tuple(center), float(r))
     return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip,
                        level_source=(u.values, float(t)))
-
-
-def set_geometry(s: DiscreteSet) -> SetGeometry:
-    """Volume, reconstructed perimeter and the interior/boundary split.
-
-    gamma_int collects interface pieces whose midpoint lies within h of the
-    clip sphere; everything else (level crossings and mask walls) counts as
-    gamma_bdy.
-    """
-    return s.geometry()
 
 
 def _shape_center(shape: ShapeSpec):

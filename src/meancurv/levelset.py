@@ -4,9 +4,12 @@ Superlevel sets of a field inside clip balls are measured with the subcell
 interface machinery; from those come the interior/boundary interface split,
 the geodesic radius of the spherical trace, co-area consistency tables, the
 measure-vs-perimeter margin of a set family, and the decay-threshold check
-behind uniform lower bounds.  The margin reduces the measure to one per-cell
-mass array and sums it over each member of the family, rectangles and
-intervals through a summed-area table.
+behind uniform lower bounds.  Level interfaces take one path in 1d and 2d:
+the pieces of ``interface_segments`` that cross the level (segments in 2d,
+crossing points of unit measure in 1d), with |Du| interpolated at each.
+The margin reduces the measure to one per-cell mass array and sums it over
+each member of the family, rectangles and intervals through a summed-area
+table.
 """
 
 from __future__ import annotations
@@ -121,8 +124,6 @@ def _level_exactly_attained(u: ScalarField, s: DiscreteSet, t: float) -> bool:
 
 def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
     """Length fraction of the level interface where |Du| > 2 delta^-1/2."""
-    if u.grid.n == 1:
-        return 0.0, False
     seg, g = _level_pieces(u, cell_gradients(u), s)
     finite = np.isfinite(g)
     ambiguous = bool(not finite.all() or (g[finite] < 1e-8).any())
@@ -168,8 +169,10 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
     """Superlevel volume phi(t), its t-derivative, and the co-area integral.
 
     phi' comes from centered differencing on the level grid; the co-area
-    integral quadratures 1/|Du| over the reconstructed level interface.
-    Levels where the interface runs through |Du| < 1e-8 cells are flagged
+    integral quadratures 1/|Du| over the level pieces of the reconstructed
+    interface (segments in 2d, crossing points in 1d; clip and mask-wall
+    pieces do not count).  Levels where the interface runs through
+    undefined or |Du| < 1e-8 cells, or attains the level exactly, are flagged
     (the derivative can be meaningless there) and excluded from the
     mismatch summary.
     """
@@ -187,10 +190,9 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
     for t in levels:
         s = superlevel_set(u, mask, float(t), r=r, center=center)
         phis.append(s.volume)
-        if s.is_empty() or u.grid.n == 1:
-            integrals.append(0.0 if s.is_empty() else _coarea_integral_1d(u, s, grads))
-            flags.append(False if s.is_empty()
-                         else _level_exactly_attained(u, s, float(t)))
+        if s.is_empty():
+            integrals.append(0.0)
+            flags.append(False)
             continue
         seg, gmag = _level_pieces(u, grads, s)
         ok = np.isfinite(gmag) & (gmag >= 1e-8)
@@ -211,18 +213,6 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
             scale = max(abs(row.dvolume_dt), row.interface_integral, 1e-12)
             mism = max(mism, abs(row.dvolume_dt + row.interface_integral) / scale)
     return CoareaTable(rows=rows, max_mismatch=mism)
-
-
-def _coarea_integral_1d(u: ScalarField, s: DiscreteSet, grads) -> float:
-    total = 0.0
-    member = s.member
-    for i in range(member.size - 1):
-        if member[i] == member[i + 1]:
-            continue
-        g = abs(grads[i, 0]) if not np.isnan(grads[i, 0]) else abs(grads[i + 1, 0])
-        if np.isfinite(g) and g > 1e-8:
-            total += 1.0 / g
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +245,10 @@ def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] 
 
 
 def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
-                   levels: Optional[Sequence[float]] = None,
-                   forcing: Optional[str] = None) -> HarnackReport:
+                   levels: Optional[Sequence[float]] = None) -> HarnackReport:
     """Sup/inf over the half ball and the sphere-measure decay profile.
 
-    Requires a positive solved field (an inhomogeneous forcing can be
-    recorded via *forcing* but positivity is still mandatory).
+    Requires a field solved by the Dirichlet solver and positive on the ball.
     """
     grid = u.grid
     center = center or (0.0,) * grid.n

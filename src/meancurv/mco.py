@@ -11,12 +11,13 @@ which is what all the measure bookkeeping downstream leans on.
 Every face quantity has one layout in 1d and 2d: per face axis a tuple
 (g, t, w, f) of normal gradient, transverse gradient (0 in 1d), weight
 sqrt(1 + g^2 + t^2) and flux g / w, written down once in ``face_formula``.
-``face_gradients`` hands a 1d array to the 1d kernel and any other to the 2d
-one; everything downstream (flux fields, the density, interface fluxes)
-loops over the axes.  The solver's residual applies ``face_formula`` to the
-gathered faces of its rows instead of whole face arrays.  The discrete boundary length is the face
-count of the boundary, ``_interior_face_count`` times h^(n-1), for both the
-area functional and the minimizer's stationarity rows.
+``face_gradients`` applies it to the one face axis of a 1d array itself and
+hands a 2d array to ``face_gradients_2d``; everything downstream (flux
+fields, the density, interface fluxes) loops over the axes.  The solver's
+residual applies ``face_formula`` to the gathered faces of its rows instead
+of whole face arrays.  The discrete boundary length is the face count of
+the boundary, ``_interior_face_count`` times h^(n-1), for both the area
+functional and the minimizer's stationarity rows.
 """
 
 from __future__ import annotations
@@ -84,13 +85,6 @@ def face_formula(lo, hi, dl, dr, h: float, fallback_transverse: bool = False):
     return g, t, w, g / w
 
 
-def face_gradients_1d(values: np.ndarray, h: float):
-    """The one face axis of a 1d array: ((g, t, w, f),) with t = 0."""
-    v = np.where(np.isfinite(values), values, np.nan)
-    zero = np.zeros(v.size - 1)
-    return (face_formula(v[:-1], v[1:], zero, zero, h),)
-
-
 def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = False):
     """Staggered gradients on x- and y-faces.
 
@@ -114,10 +108,13 @@ def face_gradients_2d(values: np.ndarray, h: float, fallback_transverse: bool = 
 
 
 def face_gradients(values: np.ndarray, h: float, fallback_transverse: bool = False):
-    """Per face axis (g, t, w, f) of a 1d or 2d cell array."""
-    if values.ndim == 1:
-        return face_gradients_1d(values, h)
-    return face_gradients_2d(values, h, fallback_transverse)
+    """Per face axis (g, t, w, f) of a 1d or 2d cell array; the one axis of
+    a 1d array has t = 0, so it needs no transverse fallback."""
+    if values.ndim == 2:
+        return face_gradients_2d(values, h, fallback_transverse)
+    v = np.where(np.isfinite(values), values, np.nan)
+    zero = np.zeros(v.size - 1)
+    return (face_formula(v[:-1], v[1:], zero, zero, h),)
 
 
 def _divergence(faces, h: float) -> np.ndarray:

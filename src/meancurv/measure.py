@@ -1,10 +1,11 @@
 """Curvature mass of fields on test balls, and weak-convergence checks.
 
-For a smooth field the mass of a ball is the density integral, which the
-conservative scheme makes identical to the sphere flux.  For a nonsmooth
-field the mass is the extrapolated limit of the fluxes of an approximating
-sequence, with the spread over the last terms kept as an error bar and any
-near-subharmonicity defect propagated into the negativity allowance.
+The mass of a ball is the extrapolated limit of the sphere fluxes of an
+approximating sequence, with the spread over the last terms kept as an error
+bar and any near-subharmonicity defect propagated into the negativity
+allowance.  A single smooth field is the one-term sequence: its mass is its
+sphere flux, which the conservative scheme makes identical to the density
+integral.  1d and 2d share every path; a 1d sphere is a pair of points.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class BallMeasureRow:
 @dataclass
 class BallMeasureTable:
     rows: list
-    method: str               # density-integral | flux | limit-of-sequence
+    method: str               # always limit-of-sequence
     eps_neg: float            # defect-propagated negativity allowance
     total_mass: float
 
@@ -107,8 +108,17 @@ class BallMeasureTable:
             yield (*r.center, r.radius, r.mu, r.band, int(r.converged))
 
 
+#: a ball whose tail spread exceeds this share of max(|mu|, 0.2) is unconverged
+REL_BAND = 0.25
+#: the sandwich refuses two sequences whose last terms differ more in mean
+L1_TOL = 0.1
+
+
 def _sequence_fields(seq) -> tuple[list, float]:
-    """Normalize a sequence argument to (fields, max defect of last terms)."""
+    """Normalize a sequence argument to (fields, max defect of last terms);
+    a bare field is the one-term sequence."""
+    if isinstance(seq, ScalarField):
+        seq = (seq,)
     fields = []
     defects = []
     for term in seq:
@@ -147,38 +157,15 @@ def extrapolate_tail(values: Sequence[float]) -> tuple[float, float]:
     return float(limit), float(spread)
 
 
-def ball_measure_table(u_or_sequence, balls: BallFamily,
-                       method: Optional[str] = None,
-                       rel_band: float = 0.25) -> BallMeasureTable:
-    """Curvature mass on every test ball.
+def ball_measure_table(u_or_sequence, balls) -> BallMeasureTable:
+    """Curvature mass on every test ball (a BallFamily or (center, radius) pairs).
 
-    A single field uses the density integral (== flux, by the discrete
-    divergence theorem); a sequence of fields reports the extrapolated limit
-    of per-term fluxes with the last-three-term spread as the band, flagging
-    balls whose spread exceeds rel_band of the reported scale.
+    Reports the extrapolated limit of the per-term sphere fluxes with the
+    last-three-term spread as the band, flagging balls whose spread exceeds
+    REL_BAND of the reported scale.  A single field is the one-term sequence:
+    its mass is its flux (the density integral, by the discrete divergence
+    theorem) with band 0, and a sphere crossing undefined faces raises.
     """
-    if isinstance(u_or_sequence, ScalarField):
-        u = u_or_sequence
-        method = method or "density-integral"
-        dens = h1_density(u).values
-        hv = u.grid.cell_volume
-        pts = u.grid.points()
-        flux = flux_field(u) if method == "flux" else None
-        rows = []
-        for center, radius in balls:
-            if method == "flux":
-                mu = ball_flux(flux, center, radius)
-            else:
-                inter = _interface_for(u.grid.n, center, radius)
-                inside = inter.inside(pts)
-                vals = dens[inside]
-                mu = float(np.nansum(vals) * hv)
-            rows.append(BallMeasureRow(center=tuple(center), radius=radius,
-                                       mu=mu, band=0.0, converged=True))
-        total = float(np.nansum(dens) * hv)
-        return BallMeasureTable(rows=rows, method=method, eps_neg=1e-12,
-                                total_mass=total)
-
     fields, defect = _sequence_fields(u_or_sequence)
     if not fields:
         raise ValueError("empty approximating sequence")
@@ -187,7 +174,7 @@ def ball_measure_table(u_or_sequence, balls: BallFamily,
         mu, spread = extrapolate_tail(per)
         scale = max(abs(mu), 0.2)
         rows.append(BallMeasureRow(center=tuple(center), radius=radius, mu=mu,
-                                   band=spread, converged=spread <= rel_band * scale,
+                                   band=spread, converged=spread <= REL_BAND * scale,
                                    per_term=tuple(per)))
     volumes = [math.pi * r * r if fields[0].grid.n == 2 else 2 * r
                for (_, r) in balls]
@@ -219,7 +206,7 @@ class SandwichVerdict:
 
 
 def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
-                           tol: float, l1_tol: float = 0.1) -> SandwichVerdict:
+                           tol: float) -> SandwichVerdict:
     """Two-sided sandwich between the measures of two approximating sequences.
 
     For every ball, mass_a(B_r) <= mass_b(B_{r+gap}) within tol (relative)
@@ -233,20 +220,19 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
     if not both.any():
         raise ValueError("sequences have no common defined cells")
     l1 = float(np.abs(ua.values[both] - ub.values[both]).mean())
-    if l1 > l1_tol:
-        raise ValueError(f"sequences disagree in L1 (mean gap {l1:.3g} > {l1_tol});"
+    if l1 > L1_TOL:
+        raise ValueError(f"sequences disagree in L1 (mean gap {l1:.3g} > {L1_TOL});"
                          " sandwich check refused")
     eps_neg = (max(defect_a, defect_b)) + 1e-12
     spheres = [*balls, *((center, radius + gap) for center, radius in balls)]
-    per_a, per_b = ball_fluxes(fa, spheres), ball_fluxes(fb, spheres)
+    mu_a = [row.mu for row in ball_measure_table(fa, spheres).rows]
+    mu_b = [row.mu for row in ball_measure_table(fb, spheres).rows]
     rows = []
     worst = None
     worst_slack = -np.inf
     for k, (center, radius) in enumerate(balls):
-        mu_a_r, _ = extrapolate_tail(per_a[k])
-        mu_b_r, _ = extrapolate_tail(per_b[k])
-        mu_a_i, _ = extrapolate_tail(per_a[k + len(balls)])
-        mu_b_i, _ = extrapolate_tail(per_b[k + len(balls)])
+        mu_a_r, mu_a_i = mu_a[k], mu_a[k + len(balls)]
+        mu_b_r, mu_b_i = mu_b[k], mu_b[k + len(balls)]
         allow_ab = tol * max(abs(mu_b_i), 0.05) + eps_neg
         allow_ba = tol * max(abs(mu_a_i), 0.05) + eps_neg
         slack_ab = mu_a_r - mu_b_i - allow_ab

@@ -106,6 +106,26 @@ class TestMeasureExperiment:
         man = run_experiment(cfg, tmp_path / "m")
         assert man["passed"]
 
+    @pytest.mark.parametrize("raw", [
+        {"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+         "resolutions": [32], "seed": 2,
+         "params": {"u": {"name": "cone"}, "route": "sweep", "levels": [[2, 0.0625]],
+                    "balls": {"explicit": [[[0.0, 0.0], 0.3], [[0.1, 0.0], 0.5]]}}},
+        {"domain": {"kind": "interval", "bounds": [-1.0, 1.0]},
+         "resolutions": [100], "seed": 4,
+         "params": {"u": {"name": "cone"}, "eps_list": [0.12, 0.06, 0.03],
+                    "balls": {"count": 4, "r_min": 0.1, "r_max": 0.3}}},
+    ], ids=["sweep-route", "interval-seeded-balls"])
+    def test_determinism_byte_identical(self, tmp_path, raw):
+        res = raw["resolutions"][0]
+        for run in ("r1", "r2"):
+            man = run_experiment(ExperimentConfig.from_json(dict(raw, kind="measure")),
+                                 tmp_path / run)
+            assert man["passed"]
+        table = f"measure_res{res}.csv"
+        assert read_bytes(tmp_path / "r1" / table) == read_bytes(tmp_path / "r2" / table)
+        assert len((tmp_path / "r1" / table).read_text().splitlines()) > 2   # header + balls
+
 
 class TestPerronExperiment:
     def test_sweep_run(self, tmp_path):

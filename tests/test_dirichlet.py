@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meancurv import ShapeSpec, make_grid, msolve, sample_function
+from meancurv import ShapeSpec, dirichlet, make_grid, msolve, sample_function
 from meancurv.field import ScalarField, SizingError, UndefinedCellError, mollifier_kernel
 from meancurv.dirichlet import (
     AtomRejectionError,
@@ -18,6 +18,7 @@ from meancurv.dirichlet import (
     solve_measure_dirichlet,
 )
 from meancurv.levelset import SetFamily, eta_margin
+from meancurv.measure import BallFamily
 
 from conftest import hemisphere_formula, plan_builds
 
@@ -277,6 +278,27 @@ class TestPipeline:
         res = solve_measure_dirichlet(mask, nu, phi=lambda p: 0.2 + 0.1 * p[:, 0])
         sup_phi = 0.3
         assert all(s.max_u <= sup_phi + 1e-6 for s in res.stages)
+
+    @pytest.mark.parametrize("density, stopped_at", [(4.0, 2), (8.0, 1)])
+    def test_diverged_stage_stops_the_pipeline(self, density, stopped_at):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        solve, outs = dirichlet.solve_dirichlet, []
+
+        def recorded(*args, **kwargs):
+            outs.append(solve(*args, **kwargs))
+            return outs[-1]
+
+        balls = BallFamily(balls=(((0.0, 0.0), 0.5),), gap=0.0, seed=0)
+        with mock.patch.object(dirichlet, "solve_dirichlet", recorded):
+            res = solve_measure_dirichlet(mask, MeasureSpec(density=density), phi=0.0,
+                                          opts=msolve.SolveOptions(max_iter=15),
+                                          validate_balls=balls)
+        assert len(res.stages) == len(outs) == stopped_at
+        assert [s.converged for s in res.stages] == [True] * (stopped_at - 1) + [False]
+        assert not res.converged and res.mass_check is None
+        assert res.diagnosis.startswith("stage diverged")
+        # the last converged stage's field; with none, the first stage's own
+        assert res.field is outs[max(stopped_at - 2, 0)].field
 
     def test_stages_share_one_plan_and_carry_the_lu(self, unit_disk_64):
         grid, mask = unit_disk_64

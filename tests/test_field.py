@@ -15,7 +15,6 @@ from meancurv import (
     make_grid,
     mollify_field,
     sample_function,
-    set_geometry,
     superlevel_set,
 )
 from meancurv.field import (

@@ -56,6 +56,15 @@ class TestLevelSetReport:
         assert abs(st.gamma_int - math.pi) < 0.02 * math.pi
         assert 0.0 <= st.steep_fraction <= 1.0
 
+    @pytest.mark.parametrize("slope, steep", [(10.0, 1.0), (1.0, 0.0)])
+    def test_1d_steep_fraction(self, interval_100, slope, steep):
+        # the threshold is 2 / sqrt(delta) = 4 at the default delta 1/4
+        grid, mask = interval_100
+        u = sample_function(lambda p: slope * p[:, 0] + 0.005, grid, mask)
+        st = level_set_report(u, mask, r=0.9, t=0.0)
+        assert st.steep_fraction == steep
+        assert not st.ambiguous
+
     def test_empty_level(self, disk12_64):
         grid, mask = disk12_64
         u = sample_function(lambda p: np.zeros(len(p)), grid, mask)
@@ -107,6 +116,15 @@ class TestCoarea:
             lambda p: np.maximum(0.5, 1 - np.hypot(p[:, 0], p[:, 1])), grid, mask)
         tab = coarea_profile(u, mask, r=1.0, levels=[0.5])
         assert tab.rows[0].flagged
+
+    def test_1d_integral_counts_level_crossings_only(self, interval_100):
+        # u = x^2: {u = t} is the two points +-sqrt(t), each with |u'| = 2 sqrt(t);
+        # the mask-wall crossings at the interval ends do not count
+        grid, mask = interval_100
+        u = sample_function(lambda p: p[:, 0] ** 2, grid, mask)
+        tab = coarea_profile(u, mask, levels=[0.16, 0.25, 0.36, 0.49])
+        for row in tab.rows:
+            assert abs(row.interface_integral - 1 / math.sqrt(row.t)) <= 0.01 / math.sqrt(row.t)
 
     def test_phi_monotone(self, disk12_64):
         grid, mask = disk12_64

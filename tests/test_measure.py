@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from meancurv import ShapeSpec, make_grid, sample_function
-from meancurv.field import SizingError
+from meancurv.field import SizingError, UndefinedCellError, mollify_field
+from meancurv.mco import CircleInterface, enclosed_density_sum
 from meancurv.measure import (
     BallFamily,
     ball_measure_table,
@@ -57,9 +58,19 @@ class TestBallMeasureTable:
 
     def test_density_equals_flux(self, cone_64):
         fam = BallFamily(balls=(((0.05, -0.1), 0.3),), gap=0.0, seed=0)
-        t1 = ball_measure_table(cone_64, fam, method="density-integral")
-        t2 = ball_measure_table(cone_64, fam, method="flux")
-        assert abs(t1.rows[0].mu - t2.rows[0].mu) <= 1e-12
+        tab = ball_measure_table(cone_64, fam)
+        dens = enclosed_density_sum(cone_64, CircleInterface((0.05, -0.1), 0.3))
+        assert abs(tab.rows[0].mu - dens) <= 1e-12
+        # a field is the one-term sequence
+        assert tab.method == "limit-of-sequence"
+        assert tab.rows[0].per_term == (tab.rows[0].mu,)
+        assert tab.rows[0].band == 0.0 and tab.rows[0].converged
+
+    def test_single_field_sphere_on_undefined_cells_raises(self, cone_64):
+        sm = mollify_field(cone_64, 0.1)           # undefined within 0.1 of the rim
+        fam = BallFamily(balls=(((0.0, 0.0), 0.3), ((0.0, 0.0), 0.97)), gap=0.0, seed=0)
+        with pytest.raises(UndefinedCellError):
+            ball_measure_table(sm, fam)
 
     def test_cone_2d_mollified_sequence(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 128)
@@ -92,7 +103,6 @@ class TestBallMeasureTable:
         assert mus[1] <= mus[2] + tab.eps_neg
 
     def test_nonnegativity_smooth_subharmonic(self, cone_64):
-        from meancurv.field import mollify_field
         sm = mollify_field(cone_64, 0.1)
         fam = BallFamily(balls=(((0.0, 0.0), 0.3), ((0.2, 0.0), 0.25)),
                          gap=0.0, seed=0)

@@ -78,6 +78,24 @@ class TestSolveDirichlet:
         assert warm.converged and cold.converged
         assert warm.iterations < cold.iterations
 
+    def test_undefined_init_is_repaired(self):
+        # every interior cell undefined: they all start at the lowest boundary value
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        phi = lambda p: 0.5 * p[:, 0] ** 2 - 0.25 * p[:, 1]
+        init = ScalarField(grid=grid, values=np.full(grid.shape, np.nan), provenance="solved")
+        repair, repairs = msolve._repair_init, []
+
+        def counted(*args):
+            repairs.append(1)
+            return repair(*args)
+
+        with mock.patch.object(msolve, "_repair_init", counted):
+            out = solve_dirichlet(mask, f=None, phi=phi, init=init)
+        ref = solve_dirichlet(mask, f=None, phi=phi)
+        assert len(repairs) == 1 and out.converged and ref.converged
+        gap = np.abs(out.field.values - ref.field.values)[mask.interior]
+        assert gap.max() <= 1e-9
+
     def test_scherk_second_order(self):
         errs = []
         for res in (32, 64):
