@@ -98,7 +98,6 @@ class BallMeasureTable:
     rows: list
     method: str               # always limit-of-sequence
     eps_neg: float            # defect-propagated negativity allowance
-    total_mass: float
 
     def mu(self, k: int) -> float:
         return self.rows[k].mu
@@ -179,9 +178,7 @@ def ball_measure_table(u_or_sequence, balls) -> BallMeasureTable:
     volumes = [math.pi * r * r if fields[0].grid.n == 2 else 2 * r
                for (_, r) in balls]
     eps_neg = defect * max(volumes) + 1e-12
-    total = float(np.nansum(h1_density(fields[-1]).values) * fields[-1].grid.cell_volume)
-    return BallMeasureTable(rows=rows, method="limit-of-sequence",
-                            eps_neg=eps_neg, total_mass=total)
+    return BallMeasureTable(rows=rows, method="limit-of-sequence", eps_neg=eps_neg)
 
 
 @dataclass

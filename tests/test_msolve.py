@@ -420,11 +420,16 @@ class TestNewtonMatrix:
             assert ((lo ^ hi) & d[1:-2, 1:-1] & d[2:-1, 1:-1] & (pc[:-1] ^ pc[1:])).any()
 
     @pytest.mark.parametrize("radius, sizes", [(0.12, (1, 512)), (0.25, (513, 2048)),
-                                               (0.5, (2049, 8192)), ("penalized", (513, 2048))])
+                                               (0.5, (2049, 8192)), ("penalized", (513, 2048)),
+                                               ("whole", (1, 512)), ("1d", (1, 512))])
     def test_factorize_matches_dense_solve(self, radius, sizes, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
-        if radius == "penalized":      # the minimizer's system on a radius-2 disk
-            *system, penalty = newton_case("penalized", 2, seed=7, radius=2.0)
+        if radius in ("penalized", "whole", "1d"):
+            # the minimizer's system on a radius-2 disk, the whole-domain
+            # system on a radius-1 disk and on an interval
+            system, n, r = {"penalized": ("penalized", 2, 2.0), "whole": ("whole", 2, 1.0),
+                            "1d": ("whole", 1, 0.6)}[radius]
+            *system, penalty = newton_case(system, n, seed=7, radius=r)
             _, triplets, args = newton_system(*system, penalty=penalty)
         else:
             win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
@@ -1088,6 +1093,21 @@ class TestPlanOwnership:
             out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
         assert out.converged and len(alive) >= 2      # the start's LU and Newton's
         assert alive == [0] * len(alive)
+
+    def test_every_lu_takes_the_narrow_panel(self, unit_disk_64):
+        # SuperLU's workspace grows with its panel width: every LU of a
+        # solve, the harmonic start's and Newton's, takes the module's width
+        grid, mask = unit_disk_64
+        splu, widths = slinalg.splu, []
+
+        def spy_splu(*args, **kwargs):
+            widths.append(kwargs.get("panel_size"))
+            return splu(*args, **kwargs)
+
+        with mock.patch.object(msolve.slinalg, "splu", spy_splu):
+            out = solve_dirichlet(mask, f=None, phi=lambda p: p[:, 0] ** 2)
+        assert out.converged and len(widths) >= 2      # the start's LU and Newton's
+        assert widths == [msolve._PANEL_SIZE] * len(widths)
 
     def test_plan_arrays_stay_small(self):
         # the plan keeps per-face and per-row tables and the CSC pattern, no
