@@ -5,7 +5,8 @@ each cell center, a domain mask classifies cells as interior / boundary /
 exterior, and subsets of cells are measured with an exact cell-count volume
 and a subcell linear interface perimeter (marching reconstruction, so that
 perimeters converge to the Euclidean length of smooth boundaries rather
-than to the axis-aligned l1 length).
+than to the axis-aligned l1 length).  The reconstruction is one array kernel
+on flat indices of the padded member grid, run once per set and kept on it.
 """
 
 from __future__ import annotations
@@ -482,11 +483,18 @@ LEVEL, CLIP, WALL = 0, 1, 2
 
 @dataclass(frozen=True)
 class InterfaceSegments:
-    """Interface pieces: endpoints p1, p2 of shape (k, n) and kind codes (k,)."""
+    """Interface pieces: endpoints p1, p2 of shape (k, n) and kind codes (k,).
+
+    level_attained is True when a non-member cell across a crossed pair
+    carries exactly the level value of the set's level source: the discrete
+    signature of a critical (Sard-excluded) level, whose interface runs
+    along a plateau and is ambiguous.
+    """
 
     p1: np.ndarray
     p2: np.ndarray
     kind: np.ndarray
+    level_attained: bool = False
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -510,7 +518,8 @@ class DiscreteSet:
 
     When the set came from a superlevel operation the generating field and
     threshold are kept so edge crossings can be interpolated; pure indicator
-    sets fall back to midpoint crossings.
+    sets fall back to midpoint crossings.  The reconstruction is made once,
+    on the first call to ``segments`` or ``geometry``, and kept.
     """
 
     grid: Grid
@@ -519,6 +528,7 @@ class DiscreteSet:
     clip: Optional[tuple] = None          # (center tuple, radius)
     level_source: Optional[tuple] = None  # (values array, threshold)
     _geometry: Optional[SetGeometry] = None
+    _segments: Optional[InterfaceSegments] = None
 
     @property
     def cell_count(self) -> int:
@@ -530,6 +540,12 @@ class DiscreteSet:
 
     def is_empty(self) -> bool:
         return not self.member.any()
+
+    def segments(self) -> InterfaceSegments:
+        """The pieces of ``interface_segments``, reconstructed once."""
+        if self._segments is None:
+            self._segments = interface_segments(self)
+        return self._segments
 
     def geometry(self) -> SetGeometry:
         """Volume, reconstructed perimeter and its split: gamma_int is the
@@ -546,18 +562,23 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
                    r: Optional[float] = None, center=None) -> DiscreteSet:
     """Cells with u > t, optionally clipped to the ball of radius r.
 
-    An empty result is legal and reports volume zero.
+    An empty result is legal and reports volume zero.  NaN and -inf cells
+    are never members (they compare false).  The clip ball's distances are
+    taken on its ``ball_window`` only.
     """
     if not np.isfinite(t):
         raise ValueError("threshold t must be finite")
     grid = u.grid
-    member = mask.interior & u.defined & (np.where(u.defined, u.values, NEG_INF) > t)
+    member = mask.interior & (u.values > t)
     clip = None
     if r is not None:
         if center is None:
             center = _shape_center(mask.shape)
-        dist = _dist_to(grid.points(), center)
-        member = member & (dist < r)
+        inside = np.zeros(grid.shape, bool)
+        if r > 0:                   # no cell is nearer than a radius <= 0 (or NaN)
+            win = ball_window(grid, center, r)
+            inside[win] = _dist_to(grid.points()[win], center) < r
+        member &= inside
         clip = (tuple(center), float(r))
     return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip,
                        level_source=(u.values, float(t)))
@@ -592,17 +613,33 @@ def _dist_to(pts: np.ndarray, center) -> np.ndarray:
     return np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
 
 
+def ball_window(grid: Grid, center, radius: float, margin: int = 1) -> tuple:
+    """Slices of the cells whose centres lie within *margin* cells of the
+    ball's bounding box, clipped to the grid; every cell nearer to *center*
+    than *radius* is inside it.  The radius may be infinite, not NaN."""
+    win = []
+    for k in range(grid.n):
+        # clamping before rounding keeps an infinite radius finite; it moves no
+        # end that the clip to the grid below would keep
+        lo = (center[k] - radius - grid.origin[k]) / grid.h
+        hi = (center[k] + radius - grid.origin[k]) / grid.h
+        lo = int(math.floor(max(lo, -1.0))) - margin
+        hi = int(math.ceil(min(hi, grid.extents[k]))) + margin + 1
+        win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
+    return tuple(win)
+
+
 def isoperimetric_floor(s: DiscreteSet) -> float:
     """Lower bound c_n |S|^(1-1/n) that reconstructed perimeters must respect."""
     c = ISOPERIMETRIC_CONSTANT[s.grid.n]
     return c * s.volume ** (1.0 - 1.0 / s.grid.n)
 
 
-# Marching squares on the member grid padded by one non-member ring.  Corner
-# c of the square whose lo-lo corner is padded cell (i, j) is (i, j) +
-# _CORNERS[c] (c0=lo-lo, c1=hi-lo, c2=hi-hi, c3=lo-hi; bit c of the case
-# index); edges 0..3 = bottom, right, top, left join the corners in _EDGES.
-_CORNERS = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+# Marching squares on the member grid padded by one non-member ring, on flat
+# indices of the padded grid.  With w padded cells per row, corner c of the
+# square whose lo-lo corner is flat cell k is k + (0, w, w + 1, 1)[c]
+# (c0=lo-lo, c1=hi-lo, c2=hi-hi, c3=lo-hi; bit c of the case index); edges
+# 0..3 = bottom, right, top, left join the corners in _EDGES.
 _EDGES = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
 
@@ -622,52 +659,51 @@ def _case_table() -> np.ndarray:
 _CASE_TABLE = _case_table()
 
 
-def _at(arr: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """arr at integer cells of shape (..., n)."""
-    return arr[tuple(np.moveaxis(cells, -1, 0))]
-
-
 def _centers(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """Center coordinates of padded cells (..., n)."""
     return np.asarray(grid.origin) + (cells - 1) * grid.h
 
 
-def _constraint_at(s: DiscreteSet, code: int, cells: np.ndarray) -> np.ndarray:
-    """Level (u - t) or clip (r - |x - c|) value at padded cells, NaN off the grid."""
-    idx = cells - 1
-    on = ((idx >= 0) & (idx < s.grid.shape)).all(axis=-1)
-    out = np.full(on.shape, np.nan)
-    if code == LEVEL:
-        vals, t = s.level_source
-        out[on] = _at(vals, idx[on]) - t
-    else:
+def _edge_crossings(s: DiscreteSet, member: np.ndarray, level, cells: np.ndarray):
+    """Crossing points (..., n) and kinds (...) on flat padded cell pairs
+    (..., 2), and whether some non-member cell of a pair has level value 0.
+
+    member and level (u - t, NaN off the grid, or None) are flat over the
+    padded grid; exactly one cell of each pair is a member.
+    """
+    grid = s.grid
+    padded = tuple(e + 2 for e in grid.shape)
+    first_in = member[cells[..., 0]]
+    c_in = np.where(first_in, cells[..., 0], cells[..., 1])
+    c_out = np.where(first_in, cells[..., 1], cells[..., 0])
+    at_in = np.stack(np.unravel_index(c_in, padded), axis=-1)
+    at_out = np.stack(np.unravel_index(c_out, padded), axis=-1)
+    p_in, p_out = _centers(grid, at_in), _centers(grid, at_out)
+    sources = []
+    attained = False
+    if level is not None:
+        b = level[c_out]
+        attained = bool((b == 0.0).any())
+        sources.append((LEVEL, level[c_in], b))
+    if s.clip is not None:
+        # the member cell is on the grid; the other may be a padding cell
         center, r = s.clip
-        out[on] = r - _dist_to(_centers(s.grid, cells[on]), center)
-    return out
-
-
-def _edge_crossings(s: DiscreteSet, member: np.ndarray, cells: np.ndarray):
-    """Crossing points (..., n) and kinds (...) on cell pairs (..., 2, n)."""
-    first_in = _at(member, cells[..., 0, :])[..., None]
-    c_in = np.where(first_in, cells[..., 0, :], cells[..., 1, :])
-    c_out = np.where(first_in, cells[..., 1, :], cells[..., 0, :])
-    theta = np.full(c_in.shape[:-1], 0.5)
-    kind = np.full(c_in.shape[:-1], WALL)
+        on = ((at_out >= 1) & (at_out <= grid.shape)).all(axis=-1)
+        sources.append((CLIP, r - _dist_to(p_in, center),
+                        np.where(on, r - _dist_to(p_out, center), np.nan)))
+    theta = np.full(c_in.shape, 0.5)
+    kind = np.full(c_in.shape, WALL)
     # level before clip, and a clip crossing must be strictly nearer: level wins ties
-    for code, source in ((LEVEL, s.level_source), (CLIP, s.clip)):
-        if source is None:
-            continue
-        a, b = _constraint_at(s, code, c_in), _constraint_at(s, code, c_out)
+    for code, a, b in sources:
         with np.errstate(divide="ignore", invalid="ignore"):
             th = a / (a - b)
         take = (np.isfinite(a) & np.isfinite(b) & (a > 0.0) & (b <= 0.0)
                 & ((kind == WALL) | (th < theta)))
         theta = np.where(take, th, theta)
         kind = np.where(take, code, kind)
-    p_in, p_out = _centers(s.grid, c_in), _centers(s.grid, c_out)
     # 1d steps exactly h from the member center, 2d along the center difference
-    step = p_out - p_in if s.grid.n == 2 else (c_out - c_in) * s.grid.h
-    return p_in + theta[..., None] * step, kind
+    step = p_out - p_in if grid.n == 2 else (at_out - at_in) * grid.h
+    return p_in + theta[..., None] * step, kind, attained
 
 
 def interface_segments(s: DiscreteSet) -> InterfaceSegments:
@@ -690,40 +726,57 @@ def interface_segments(s: DiscreteSet) -> InterfaceSegments:
 
     A piece is CLIP when its midpoint lies within h of the clip sphere, else
     WALL when both its crossings are walls, else LEVEL.
+
+    The kernel works on flat indices of the member grid padded by one
+    non-member ring: one padded array of u - t per set, the mixed squares
+    from four shifted flat views, corners and edges as constant offsets, and
+    the clip constraint evaluated at the crossed cells only.
     """
     grid = s.grid
-    m = np.pad(s.member, 1, constant_values=False)
+    padded = tuple(e + 2 for e in grid.shape)
+    m = np.pad(s.member, 1, constant_values=False).ravel()
+    level = None
+    if s.level_source is not None:
+        vals, t = s.level_source
+        level = np.full(padded, np.nan)
+        np.subtract(vals, t, out=level[(slice(1, -1),) * grid.n])
+        level = level.ravel()
     if grid.n == 1:
         lo = np.flatnonzero(m[:-1] != m[1:])
-        p, k = _edge_crossings(s, m, np.stack([lo, lo + 1], axis=-1)[..., None])
+        p, k, attained = _edge_crossings(s, m, level, np.stack([lo, lo + 1], axis=-1))
         p1, p2, k1, k2 = p, p, k, k
     else:
-        corners = (m[:-1, :-1], m[1:, :-1], m[1:, 1:], m[:-1, 1:])
-        mixed = np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
-        cells = np.argwhere(mixed)[:, None, :] + _CORNERS     # (squares, 4, 2)
-        inside = _at(m, cells)
+        w = padded[1]
+        corner = np.array([0, w, w + 1, 1])
+        # the square at flat k exists for k < m.size - w - 1; the squares
+        # that wrap from the last column hold padding cells only, so none is mixed
+        span = m.size - w - 1
+        c0, c1, c2, c3 = (m[o:o + span] for o in corner)
+        sq = np.flatnonzero((c0 | c1 | c2 | c3) & ~(c0 & c1 & c2 & c3))
+        cells = sq[:, None] + corner                            # (squares, 4)
+        inside = m[cells]
         vals = np.where(inside, 1.0, -1.0)
-        if s.level_source is not None:
-            level = _constraint_at(s, LEVEL, cells)
-            vals = np.where(np.isfinite(level), level, vals)
+        if level is not None:
+            corner_level = level[cells]
+            vals = np.where(np.isfinite(corner_level), corner_level, vals)
         center_in = (vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]) / 4.0 > 0
         pairs = _CASE_TABLE[inside @ (1 << np.arange(4)), center_in.astype(int)]
-        sq, slot = np.nonzero(pairs[..., 0] >= 0)                # square-major order
-        p, k = _edge_crossings(s, m, cells[sq[:, None, None], _EDGES[pairs[sq, slot]]])
+        q, slot = np.nonzero(pairs[..., 0] >= 0)                # square-major order
+        p, k, attained = _edge_crossings(s, m, level,
+                                         cells[q[:, None, None], _EDGES[pairs[q, slot]]])
         p1, p2, k1, k2 = p[:, 0], p[:, 1], k[:, 0], k[:, 1]
     kind = np.where((k1 == WALL) & (k2 == WALL), WALL, LEVEL)
     if s.clip is not None:
         center, r = s.clip
         kind[np.abs(_dist_to(0.5 * (p1 + p2), center) - r) <= grid.h] = CLIP
-    segs = InterfaceSegments(p1=p1, p2=p2, kind=kind)
     if grid.n == 2:
-        keep = segs.length != 0.0
-        segs = InterfaceSegments(p1=p1[keep], p2=p2[keep], kind=kind[keep])
-    return segs
+        keep = (p1 != p2).any(axis=1)
+        p1, p2, kind = p1[keep], p2[keep], kind[keep]
+    return InterfaceSegments(p1=p1, p2=p2, kind=kind, level_attained=attained)
 
 
 def _reconstruct_geometry(s: DiscreteSet) -> SetGeometry:
-    segs = interface_segments(s)
+    segs = s.segments()
     length = segs.length
     total = float(length.sum())
     g_int = float(length[segs.kind == CLIP].sum())
@@ -731,4 +784,3 @@ def _reconstruct_geometry(s: DiscreteSet) -> SetGeometry:
                        gamma_bdy=total - g_int,
                        wall_length=float(length[segs.kind == WALL].sum()),
                        segment_count=len(segs))
-

@@ -7,9 +7,11 @@ measure-vs-perimeter margin of a set family, and the decay-threshold check
 behind uniform lower bounds.  Level interfaces take one path in 1d and 2d:
 the pieces of ``interface_segments`` that cross the level (segments in 2d,
 crossing points of unit measure in 1d), with |Du| interpolated at each.
-The margin reduces the measure to one per-cell mass array and sums it over
-each member of the family, rectangles and intervals through a summed-area
-table.
+Each set is reconstructed once (``DiscreteSet.segments``): its geometry,
+level pieces and critical-level flag read the same segments.  The margin
+reduces the measure to one per-cell mass array and sums it over each member
+of the family: rectangles and intervals through a summed-area table (all
+rectangles of one row start at once), balls over their bounding box.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .field import (
     ScalarField,
     SizingError,
     _dist_to,
+    ball_window,
     circle_points,
-    interface_segments,
     superlevel_set,
 )
 from .mco import cell_gradients, face_gradients, face_sides
@@ -73,7 +75,7 @@ def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float,
     rho = geo.gamma_int / 2.0
     ratio = geo.gamma_bdy / geo.gamma_int if geo.gamma_int > 0 else float("inf")
     steep, ambiguous = _steep_interface_fraction(u, s, delta)
-    ambiguous = ambiguous or _level_exactly_attained(u, s, float(t))
+    ambiguous = ambiguous or s.segments().level_attained
     return LevelSetStats(r=r, t=t, volume=geo.volume, gamma_int=geo.gamma_int,
                          gamma_bdy=geo.gamma_bdy, rho=rho, ratio_bdy_int=ratio,
                          steep_fraction=steep, delta=delta, ambiguous=ambiguous)
@@ -107,21 +109,6 @@ def _bilinear(grid, arr, points: np.ndarray) -> np.ndarray:
     return np.where(ok.all(axis=0), full, mean)
 
 
-def _level_exactly_attained(u: ScalarField, s: DiscreteSet, t: float) -> bool:
-    """True when the level value sits exactly on cells adjacent to the set.
-
-    That is the discrete signature of a critical (Sard-excluded) level: the
-    interface runs along a plateau and its reconstruction is ambiguous.
-    """
-    member = s.member
-    vals = u.values
-    hit = np.zeros(member.shape, bool)
-    for lo, hi in face_sides(u.grid.n):
-        hit[hi] |= member[lo] & ~member[hi] & (vals[hi] == t)
-        hit[lo] |= member[hi] & ~member[lo] & (vals[lo] == t)
-    return bool(hit.any())
-
-
 def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
     """Length fraction of the level interface where |Du| > 2 delta^-1/2."""
     seg, g = _level_pieces(u, cell_gradients(u), s)
@@ -135,7 +122,7 @@ def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
 
 def _level_pieces(u: ScalarField, grads: np.ndarray, s: DiscreteSet):
     """Lengths of the level-interface segments and |Du| at their midpoints."""
-    segs = interface_segments(s)
+    segs = s.segments()
     level = segs.kind == LEVEL
     return segs.length[level], _interp_gradient(u, grads, segs.midpoint[level])
 
@@ -197,7 +184,7 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
         seg, gmag = _level_pieces(u, grads, s)
         ok = np.isfinite(gmag) & (gmag >= 1e-8)
         integrals.append(float((seg[ok] / gmag[ok]).sum()))
-        flags.append(_level_exactly_attained(u, s, float(t)) or not ok.all())
+        flags.append(s.segments().level_attained or not ok.all())
     phis = np.asarray(phis)
     dphi = (np.gradient(phis, levels) if len(levels) > 1
             else np.full(1, float("nan")))
@@ -236,7 +223,8 @@ class HarnackReport:
 def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] = None):
     """Field values interpolated on the sphere of radius r (both points in 1d)."""
     grid = u.grid
-    center = center or (0.0,) * grid.n
+    if center is None:
+        center = (0.0,) * grid.n
     if grid.n == 1:
         pts = np.array([[center[0] - r], [center[0] + r]])
         return _bilinear(grid, u.values, pts), 1.0
@@ -251,7 +239,8 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
     Requires a field solved by the Dirichlet solver and positive on the ball.
     """
     grid = u.grid
-    center = center or (0.0,) * grid.n
+    if center is None:
+        center = (0.0,) * grid.n
     if u.provenance != "solved":
         raise ValueError("harnack report expects a solved field "
                          f"(got provenance {u.provenance!r})")
@@ -299,7 +288,8 @@ def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
     if p <= 0:
         raise ValueError("p must be positive")
     grid = u.grid
-    center = center or (0.0,) * grid.n
+    if center is None:
+        center = (0.0,) * grid.n
     dist = _dist_to(grid.points(), center)
     ball = mask.interior & (dist <= r) & u.defined
     half = ball & (dist <= r / 2.0)
@@ -440,6 +430,9 @@ def _summed_area(values: np.ndarray) -> np.ndarray:
 
 
 def _rect_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
+    """Cell-aligned rectangles inside the interior with corners on the stride
+    lattice, in (a, b, c, d) order: one row start a at a time, every (b, c, d)
+    tested and summed at once on the summed-area tables."""
     grid = mask.grid
     inter = mask.interior
     idx = np.argwhere(inter)
@@ -452,19 +445,22 @@ def _rect_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
     def box(sat, a, b, c, d):
         return sat[b + 1, d + 1] - sat[a, d + 1] - sat[b + 1, c] + sat[a, c]
 
+    rows = np.arange(i0, i1 + 1, stride)
+    cols = np.arange(j0, j1 + 1, stride)
+    c_of, d_of = (cols[k] for k in np.triu_indices(len(cols)))   # every c <= d, c-major
     members = []
-    for a in range(i0, i1 + 1, stride):
-        for b in range(a, i1 + 1, stride):
-            for c in range(j0, j1 + 1, stride):
-                for d in range(c, j1 + 1, stride):
-                    if box(inter_sat, a, b, c, d) < (b - a + 1) * (d - c + 1):
-                        continue
-                    per = 2.0 * ((b - a + 1) * h + (d - c + 1) * h)
-                    # a rectangle holding no mass gets 0, not the table's rounding residue
-                    nu_val = (float(box(mass_sat, a, b, c, d))
-                              if box(held_sat, a, b, c, d) else 0.0)
-                    members.append(FamilyMember(kind="rectangle", descriptor=(a, b, c, d),
-                                                nu=nu_val, perimeter=per))
+    for a in rows.tolist():
+        ends = rows[rows >= a][:, None]
+        fits = box(inter_sat, a, ends, c_of, d_of) >= (ends - a + 1) * (d_of - c_of + 1)
+        bi, k = np.nonzero(fits)                                # b-major, then (c, d)
+        b, c, d = ends[bi, 0], c_of[k], d_of[k]
+        per = 2.0 * ((b - a + 1) * h + (d - c + 1) * h)
+        # a rectangle holding no mass gets 0, not the table's rounding residue
+        nu = np.where(box(held_sat, a, b, c, d) != 0, box(mass_sat, a, b, c, d), 0.0)
+        for b_, c_, d_, nu_, per_ in zip(b.tolist(), c.tolist(), d.tolist(),
+                                         nu.tolist(), per.tolist()):
+            members.append(FamilyMember(kind="rectangle", descriptor=(a, b_, c_, d_),
+                                        nu=nu_, perimeter=per_))
     return members
 
 
@@ -489,9 +485,10 @@ def _ball_members(mass: np.ndarray, mask: DomainMask, radius: float, stride: int
     per = 2 * math.pi * radius if grid.n == 2 else 2.0
     for cidx in np.argwhere(ok & lattice):
         center = tuple(grid.cell_center(tuple(cidx)))
-        inside = (_dist_to(pts, center) < radius) & mask.interior
+        win = ball_window(grid, center, radius)
+        inside = (_dist_to(pts[win], center) < radius) & mask.interior[win]
         members.append(FamilyMember(kind="ball", descriptor=(center, radius),
-                                    nu=float(mass[inside].sum()), perimeter=per))
+                                    nu=float(mass[win][inside].sum()), perimeter=per))
     return members
 
 

@@ -55,7 +55,7 @@ from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
 from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
-                    _dist_to, _ring)
+                    _dist_to, _ring, ball_window)
 from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
 logger = logging.getLogger("meancurv")
@@ -831,12 +831,7 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
     accepted.  ValueError unless every cell of the ball is interior and its
     ring lies in the mask's region."""
     grid = mask.grid
-    win = []
-    for k in range(grid.n):
-        lo = int(math.floor((center[k] - radius - grid.origin[k]) / grid.h)) - 3
-        hi = int(math.ceil((center[k] + radius - grid.origin[k]) / grid.h)) + 3 + 1
-        win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
-    win = tuple(win)
+    win = ball_window(grid, center, radius, margin=3)
     offset = tuple(round(float(c - o) / grid.h - s.start, 8)
                    for c, o, s in zip(center, grid.origin, win))
     inside, ring, near = _window_ball(grid.n, grid.h, radius, offset,

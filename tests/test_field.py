@@ -24,6 +24,7 @@ from meancurv.field import (
     LEVEL,
     TOL_ISO,
     WALL,
+    _dist_to,
     interface_segments,
     isoperimetric_floor,
     mollifier_kernel,
@@ -216,6 +217,25 @@ class TestSuperlevelSet:
         outer = superlevel_set(u, mask, 0.3, r=0.9)
         inner = superlevel_set(u, mask, 0.5, r=0.7)
         assert outer.contains(inner)
+
+    @pytest.mark.parametrize("shape,centers", [
+        (ShapeSpec.interval(-1.0, 1.0), [(-1.05,), (0.98,), (1.6,), (0.0,)]),
+        (ShapeSpec.rectangle(0.0, 1.0, 0.0, 0.75),
+         [(0.98, 0.02), (1.3, 0.4), (-2.0, -2.0), (0.5, 0.8), (0.5, 0.4)]),
+    ], ids=["1d", "2d"])
+    def test_clip_window_is_the_full_grid_test(self, shape, centers):
+        # the clip ball is tested on its window only; near and beyond the grid
+        # edge, for empty balls and for balls larger than the domain, the
+        # members are those of the distance test over the whole grid
+        grid, mask = make_grid(shape, 16)
+        u = sample_function(lambda p: np.cos(3 * p[:, 0]), grid, mask)
+        for center in centers:
+            dist = _dist_to(grid.points(), center)
+            for r in (-0.1, 0.0, 1e-3, 0.05, 0.3, 5.0, math.inf):
+                for t in (-2.0, 0.5):
+                    s = superlevel_set(u, mask, t, r=r, center=center)
+                    want = mask.interior & (u.values > t) & (dist < r)
+                    assert np.array_equal(s.member, want), (center, r, t)
 
 
 class TestSetGeometry:
@@ -416,6 +436,24 @@ def reference_segments(s):
     return out
 
 
+def reference_level_attained(s):
+    """A member and a non-member share a face and the non-member carries
+    exactly the level value: a critical level."""
+    if s.level_source is None:
+        return False
+    vals, t = s.level_source
+    m = s.member
+    for cell in zip(*np.nonzero(m)):
+        for axis in range(m.ndim):
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[axis] += step
+                nb = tuple(nb)
+                if 0 <= nb[axis] < m.shape[axis] and not m[nb] and vals[nb] == t:
+                    return True
+    return False
+
+
 _KIND_CODE = {"level": LEVEL, "clip": CLIP, "wall": WALL}
 
 
@@ -427,6 +465,7 @@ def assert_matches_reference(s):
     assert np.array_equal(segs.p1, np.array([p for p, _, _ in ref]).reshape(-1, n))
     assert np.array_equal(segs.p2, np.array([p for _, p, _ in ref]).reshape(-1, n))
     assert np.array_equal(segs.kind, np.array([_KIND_CODE[k] for _, _, k in ref], int))
+    assert segs.level_attained == reference_level_attained(s)
     lengths = [1.0 if n == 1 else float(np.hypot(*(p2 - p1))) for p1, p2, _ in ref]
     expect = {
         "perimeter": sum(lengths),
@@ -453,6 +492,41 @@ def _saddle_set(grid, mask, diagonal, off_value):
 
 
 _SMALL_DISK = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 10)
+_ORACLE_GRIDS = {1: [make_grid(ShapeSpec.interval(-1.0, 1.0), 8)],
+                 2: [_SMALL_DISK, make_grid(ShapeSpec.rectangle(0.0, 1.0, 0.0, 0.75), 8)]}
+
+
+@st.composite
+def drawn_sets(draw):
+    """Small 1d and 2d sets: superlevel sets, at a drawn level or at one a
+    cell attains, of fields with NaN holes and, on extended fields, -inf
+    cells; or indicator sets with no level source.  Either kind may carry a
+    clip ball whose centre lies up to half a unit beyond the grid."""
+    grid, mask = draw(st.sampled_from(_ORACLE_GRIDS[draw(st.sampled_from((1, 2)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = np.where(mask.region, rng.normal(size=grid.shape), np.nan)
+    vals[rng.random(grid.shape) < draw(st.sampled_from((0.0, 0.1, 0.3)))] = np.nan
+    extended = draw(st.booleans())
+    if extended:
+        vals[mask.region & (rng.random(grid.shape) < 0.15)] = NEG_INF
+    clip = None
+    if draw(st.booleans()):
+        lo = np.asarray(grid.origin)
+        hi = lo + (np.asarray(grid.extents) - 1) * grid.h
+        center = tuple(draw(st.floats(float(a) - 0.5, float(b) + 0.5)) for a, b in zip(lo, hi))
+        clip = (center, draw(st.floats(0.05, 1.5)))
+    if draw(st.booleans()):
+        u = ScalarField(grid=grid, values=vals, extended=extended)
+        attained = vals[np.isfinite(vals)]
+        if attained.size and draw(st.booleans()):
+            t = float(attained[draw(st.integers(0, attained.size - 1))])
+        else:
+            t = draw(st.floats(-1.0, 1.0))
+        if clip is None:
+            return superlevel_set(u, mask, t)
+        return superlevel_set(u, mask, t, r=clip[1], center=clip[0])
+    member = mask.interior & (rng.random(grid.shape) < 0.6)
+    return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip)
 
 
 class TestInterfaceKernel:
@@ -519,3 +593,8 @@ class TestInterfaceKernel:
         assert geo.perimeter == segs.length.sum()
         assert geo.segment_count == len(segs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(s=drawn_sets())
+    def test_drawn_sets_match_the_loop(self, s):
+        assert_matches_reference(s)
+        assert s.segments() is s.segments()

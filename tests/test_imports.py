@@ -31,3 +31,55 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROOT = SRC.parent.parent
+# every file that may use a private name of the package
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+                 if "out" not in p.relative_to(ROOT).parts)
+
+
+def private_definitions(source: str) -> set:
+    """Single-underscore names that a module defines at its top level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def references(source: str) -> set:
+    """Names a source reads: loaded names, attributes, imported names, and
+    strings that are exactly a name (``getattr`` and the benchmark tracer
+    look attributes up by string)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_detector_finds_an_unreferenced_private_name():
+    module = "_A = 1\n_b, c = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n"
+    reader = "getattr(m, '_K')\n"
+    used = references(module) | references(reader)
+    assert sorted(private_definitions(module) - used) == ["_b", "_f"]
+
+
+def test_every_private_name_is_referenced():
+    used = set()
+    for path in READERS:
+        used |= references(path.read_text())
+    unused = {path.name: sorted(private_definitions(path.read_text()) - used)
+              for path in MODULES}
+    assert {name: names for name, names in unused.items() if names} == {}

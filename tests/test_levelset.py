@@ -15,6 +15,7 @@ from meancurv.levelset import (
     eta_margin,
     harnack_report,
     level_set_report,
+    sphere_values,
     truncated_bv_norm,
     weak_harnack_check,
 )
@@ -172,6 +173,18 @@ class TestHarnack:
         u = sample_function(lambda p: np.full(len(p), 1.0), grid, mask)
         with pytest.raises(ValueError):
             harnack_report(u, mask, r=1.0)
+
+    def test_array_center_is_the_tuple_center(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        u = sample_function(lambda p: 2.0 + p[:, 0] - 0.5 * p[:, 1] ** 2, grid, mask,
+                            provenance="solved")
+        tup, arr = (0.1, 0.0), np.array([0.1, 0.0])
+        (vt, dt), (va, da) = sphere_values(u, 0.5, tup), sphere_values(u, 0.5, arr)
+        assert np.array_equal(va, vt) and da == dt
+        assert harnack_report(u, mask, 0.5, center=arr) == harnack_report(u, mask, 0.5,
+                                                                          center=tup)
+        assert (weak_harnack_check(u, mask, 2.0, 0.5, center=arr)
+                == weak_harnack_check(u, mask, 2.0, 0.5, center=tup))
 
 
 class TestWeakHarnack:
@@ -354,6 +367,21 @@ class TestEtaMarginSingularParts:
             superlevel_thresholds=(-0.8, -0.5, -0.2))
         made = self._check(monkeypatch, nu, mask, family)
         assert {m.kind for m in made} == {"rectangle", "ball", "annulus", "superlevel"}
+
+    def test_ring_plus_density_rectangle(self, monkeypatch):
+        # balls of radius 5.5 h touch the bottom side, so their windows are
+        # cut by the grid's first row
+        grid, mask = make_grid(ShapeSpec.rectangle(0.0, 1.0, 0.0, 0.75), 16)
+        nu = MeasureSpec(density=lambda p: 1 + p[:, 0] * p[:, 1],
+                         curves=(CurveSpec.circle((0.5, 0.375), 0.3, 0.9),))
+        family = SetFamily(
+            rectangles=True, rect_stride=3, ball_radii=(0.2, 5.5 / 16), ball_stride=2,
+            annuli=(((0.5, 0.375), 0.1, 0.3),),
+            superlevel_field=sample_function(lambda p: p[:, 0] * p[:, 1], grid, mask),
+            superlevel_thresholds=(0.1, 0.3))
+        made = self._check(monkeypatch, nu, mask, family)
+        balls = [m.descriptor for m in made if m.kind == "ball"]
+        assert any(c[1] - r < grid.origin[1] + grid.h for c, r in balls)
 
     def test_atoms_1d(self, monkeypatch):
         grid, mask = make_grid(ShapeSpec.interval(-1.0, 1.0), 24)
