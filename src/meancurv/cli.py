@@ -301,6 +301,9 @@ def _run_perron(config: ExperimentConfig, out_dir: Path):
                 f"monotone_res{res}_j{j}",
                 trace.completed and trace.monotone_within >= -1e-9,
                 f"min increase {trace.monotone_within:.2e}"))
+            assertions.append(Assertion(
+                f"covered_res{res}_j{j}", trace.uncovered == 0,
+                f"{trace.uncovered} target cells farther than r from every center"))
     return outputs, assertions
 
 

@@ -82,10 +82,6 @@ class ShapeSpec:
         return ShapeSpec(kind="annulus", center=tuple(map(float, center)),
                          radius=float(radius), inner_radius=float(inner_radius))
 
-    @property
-    def dimension(self) -> int:
-        return 1 if self.kind == "interval" else 2
-
     def signed_distance(self, pts: np.ndarray) -> np.ndarray:
         """Positive strictly inside, negative outside, 1-Lipschitz inside."""
         pts = np.asarray(pts, dtype=float)
@@ -332,9 +328,6 @@ class ScalarField:
         return ScalarField(grid=self.grid, values=np.asarray(values, float).copy(),
                            provenance=provenance or self.provenance,
                            extended=self.extended if extended is None else extended)
-
-    def copy(self) -> "ScalarField":
-        return self.with_values(self.values)
 
     def require_finite(self, where: np.ndarray, context: str) -> None:
         bad = where & ~self.finite

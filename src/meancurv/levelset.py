@@ -145,10 +145,6 @@ class CoareaTable:
     rows: list
     max_mismatch: float         # worst |phi' + integral| / max(|phi'|, floor)
 
-    def to_csv_rows(self):
-        for r in self.rows:
-            yield (r.t, r.volume, r.dvolume_dt, r.interface_integral, int(r.flagged))
-
 
 def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
                    levels: Optional[Sequence[float]] = None,

@@ -394,9 +394,6 @@ class EnvelopeFit:
     degenerate: bool = False
     excluded: int = 0
 
-    def to_csv_rows(self):
-        return [(x, y) for (x, y) in self.points]
-
 
 def gradient_bound_report(entries: Sequence[tuple]) -> EnvelopeFit:
     """Fit the least affine upper envelope to gradient growth samples.

@@ -99,13 +99,6 @@ class BallMeasureTable:
     method: str               # always limit-of-sequence
     eps_neg: float            # defect-propagated negativity allowance
 
-    def mu(self, k: int) -> float:
-        return self.rows[k].mu
-
-    def to_csv_rows(self):
-        for r in self.rows:
-            yield (*r.center, r.radius, r.mu, r.band, int(r.converged))
-
 
 #: a ball whose tail spread exceeds this share of max(|mu|, 0.2) is unconverged
 REL_BAND = 0.25

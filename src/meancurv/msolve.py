@@ -29,7 +29,8 @@ and penalized, run the same code.  Ball replacements (``solve_on_ball``,
 the Perron lift and sweep, the viscosity check) go through one windowed
 ball kernel: ``ball_region`` cuts the ball's window and takes its ball and
 ring masks from a bounded cache, ``_solve_ball`` checks the sphere data and
-owns the warm start and the harmonic restart.
+owns the warm start, its prediction from the corrections of earlier balls
+and the harmonic restart.
 
 Plans and LUs belong to a ``PlanHolder``, owned by the solve, sweep or
 continuation that makes it, never to the module: a Perron sweep, the ring
@@ -38,8 +39,11 @@ solve given none makes its own, so its plan and LU go when it returns.  A
 Newton solve's first LU is factored fresh, unless the holder carries the
 last LU of an earlier solve of the same plan (a chord matrix lagged across
 solves): each ball of a sweep may start on the LU of the ball before it,
-each stage of a continuation on that of the stage before.  No two threads
-share a holder, so a solve's iterates never depend on other threads.
+each stage of a continuation on that of the stage before.  A holder also
+keeps the last corrections of its ball solves per cell pattern, from which
+each ball solve of a sweep predicts its start; whole-domain solves start as
+they would without it.  No two threads share a holder, so a solve's
+iterates never depend on other threads.
 """
 
 from __future__ import annotations
@@ -378,13 +382,18 @@ class PlanHolder:
     sweep level repeat a pattern, and so do the stages of a continuation.
     ``lu`` is the last fresh ``(plan, solve)`` pair of a solve run with the
     holder, on which a later solve of the same plan may start (see
-    ``_newton_core``).  Whoever makes a holder owns it, and its plans and LU
-    go with it; no two threads share one.
+    ``_newton_core``).  ``corrections`` maps a ball's cell pattern to the
+    corrections (solution minus start on its unknowns) of the last two
+    converged ball solves of that pattern, newest first, from which
+    ``_solve_ball`` predicts the start of the next.  Whoever makes a holder
+    owns it, and its plans, LU and corrections go with it; no two threads
+    share one.
     """
 
     def __init__(self, plans: Optional[dict] = None):
         self.plans = {} if plans is None else plans
         self.lu = None
+        self.corrections = {}
 
     def plan(self, unk, fix, rows_interior) -> _NewtonPlan:
         key = (unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes())
@@ -856,11 +865,17 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
                 carry: Optional[PlanHolder] = None):
     """Minimal-graph replacement of the full-grid array V inside a ball.
 
-    Warm-starts from V when it is finite on the unknowns, with the plan and
-    LU of the holder ``carry`` (see ``_newton_core``; a holder of its own
-    when None); a warm start that does not converge gets one harmonic
-    restart on the same plan with a fresh LU, which the holder does not
-    carry, kept when it converges or lowers the residual.  Returns (win,
+    Warm-starts when V is finite on the unknowns, with the plan and LU of
+    the holder ``carry`` (see ``_newton_core``; a holder of its own when
+    None).  The warm start is a continuation predictor in the ball centre:
+    with c1 and c2 the holder's last two corrections of this cell pattern
+    (newest first), it starts from V + 2 c1 - c2, from V + c1 when the
+    holder knows one, and from V when it knows none; ``info["predicted"]``
+    is set True when it used any.  A warm start that does not converge gets
+    one harmonic restart on the same plan with a fresh LU, which the holder
+    does not carry, kept when it converges or lowers the residual.  When
+    the solve converges and V is finite on the unknowns, its correction (its
+    values minus V there) becomes the holder's newest of the pattern.  Returns (win,
     unknown, window values, info); after a restart, ``info["factorizations"]`` and
     ``info["residual_evals"]`` count both solves.
     """
@@ -875,6 +890,11 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
     warm = Vw if np.isfinite(Vw[unknown]).all() else None
     if carry is None:
         carry = PlanHolder()
+    pattern = (unknown.shape, unknown.tobytes())   # the ring follows from the unknowns
+    seen = carry.corrections.get(pattern, ()) if warm is not None else ()
+    if seen:
+        warm = Vw.copy()
+        warm[unknown] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
     values, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
                                 init_values=warm, carry=carry)
     if not info["converged"] and warm is not None:
@@ -886,6 +906,10 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
             values, info = values2, info2
             info["restarted"] = True
         info.update(counts)
+    if seen:
+        info["predicted"] = True
+    if info["converged"] and warm is not None:
+        carry.corrections[pattern] = (values[unknown] - Vw[unknown],) + seen[:1]
     return win, unknown, values, info
 
 

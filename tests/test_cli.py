@@ -139,6 +139,20 @@ class TestPerronExperiment:
         assert man["passed"]
         assert (tmp_path / "p" / "sweep_res32_j2.csv").exists()
 
+    def test_uncovered_cells_fail_the_run(self, tmp_path):
+        cfg = ExperimentConfig.from_json({
+            "kind": "perron",
+            "domain": {"kind": "annulus", "center": [0.0, 0.0], "radius": 1.0,
+                       "inner_radius": 0.5},
+            "resolutions": [32],
+            "params": {"u": {"name": "cone"}, "levels": [2]},
+        })
+        man = run_experiment(cfg, tmp_path / "p")
+        verdicts = {a["name"]: a for a in man["assertions"]}
+        assert verdicts["monotone_res32_j2"]["passed"]
+        assert not verdicts["covered_res32_j2"]["passed"] and not man["passed"]
+        assert verdicts["covered_res32_j2"]["detail"].startswith("716 target cells")
+
 
 class TestHarnackExperiment:
     def test_peak_family_increasing(self, tmp_path):

@@ -945,12 +945,43 @@ class TestCarriedLU:
             raise SystemError("gstrs was called with invalid arguments")
 
         carry.lu = (carry.lu[0], raising)
+        # without them the solve would start from the first one's solution
+        # and converge before it needs an LU
+        carry.corrections.clear()
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert got[3]["factorizations"] == ref[3]["factorizations"]
         # the pass that only dropped the raising LU took no step
         assert got[3]["iterations"] == ref[3]["iterations"]
         assert carry.lu[1] is not raising
+        assert np.array_equal(got[2], ref[2], equal_nan=True)
+
+    def test_stale_chord_direction_refactors(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions()
+        carry = msolve.PlanHolder()
+        msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        plan, solve = carry.lu
+        calls = []
+
+        def uphill(b):
+            # the Newton direction reversed: no step along it lowers the merit
+            calls.append(1)
+            return -solve(b)
+
+        carry.lu = (plan, uphill)
+        carry.corrections.clear()
+        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
+        assert len(calls) == 1 and carry.lu[1] is not uphill
+        # the stale direction's line search ran every trial, failed, and was
+        # neither a step nor a line-search failure; the refactored solve is ref
+        trials = int(np.floor(-np.log2(opts.alpha_min))) + 1
+        assert got[3]["residual_evals"] == ref[3]["residual_evals"] + trials
+        assert got[3]["line_search_failures"] == 0
+        for key in ("iterations", "factorizations", "residual"):
+            assert got[3][key] == ref[3][key]
         assert np.array_equal(got[2], ref[2], equal_nan=True)
 
 

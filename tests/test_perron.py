@@ -1,3 +1,4 @@
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
 from meancurv.field import SizingError
-from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet
+from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet, solve_on_ball
 from meancurv.perron import (
     BallCover,
     PerronLiftRefused,
@@ -46,6 +47,33 @@ class TestBallCover:
         grid, mask = unit_disk_64
         with pytest.raises(SizingError):
             build_ball_cover(mask, 6)  # 2^-6 < 4h at h=1/64
+
+    @pytest.mark.parametrize("shape, level, uncovered", [
+        # only the mid-circle of the thin annulus is a radius deep
+        (ShapeSpec.annulus((0.0, 0.0), 0.5, 1.0), 2, 2868),
+        (ShapeSpec.rectangle(-1.0, 1.0, -1.0, 1.0), 2, 0),
+        (ShapeSpec.rectangle(-1.0, 1.0, -0.5, 0.5), 3, 0),
+        (ShapeSpec.disk((0.2, -0.1), 0.7), 3, 0),
+    ], ids=["annulus", "square", "rectangle", "off_centre_disk"])
+    def test_uncovered_cells_are_counted(self, shape, level, uncovered):
+        grid, mask = make_grid(shape, 64)
+        cover = build_ball_cover(mask, level)
+        assert cover.centers == tuple(sorted(cover.centers))
+        centers = np.asarray(cover.centers)
+        assert (mask.shape.signed_distance(centers) >= cover.radius - 1e-12).all()
+        pts = grid.points()
+        target = pts[mask.interior & (mask.shape.signed_distance(pts) > cover.radius / 2)]
+        d = np.sqrt(((target[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        assert (d > cover.radius + 1e-12).sum() == cover.uncovered == uncovered
+
+    def test_sweep_reports_the_uncovered_count(self, caplog):
+        grid, mask = make_grid(ShapeSpec.annulus((0.0, 0.0), 0.5, 1.0), 32)
+        u = sample_function(cone_formula, grid, mask)
+        with caplog.at_level(logging.WARNING, logger="meancurv"):
+            _, trace = approximation_sweep(u, mask, 2)
+        assert trace.completed and len(trace.records) == 4
+        assert trace.uncovered == build_ball_cover(mask, 2).uncovered == 716
+        assert "leaves 716 target cells uncovered" in caplog.text
 
 
 class TestPerronLift:
@@ -311,6 +339,47 @@ class TestCarriedLU:
             assert ([r.iterations for r in one_trace.records]
                     == [r.iterations for r in other_trace.records])
             assert np.nanmax(np.abs(one.values - other.values)) <= 1e-12
+
+
+class TestPredictedStart:
+    """A sweep's lift starts from the corrections of the lifts before it of
+    its cell pattern; a single lift and ``solve_on_ball`` start from the
+    field, as they did before the sweep predicted."""
+
+    def test_sweep_predicts_and_repeats(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions(tol=1e-7)
+        traces = [approximation_sweep(cone_64, mask, 3, opts=opts)[1] for _ in range(2)]
+        counts = [[(r.predicted, r.iterations, r.factorizations, r.residual_evals)
+                   for r in trace.records] for trace in traces]
+        assert traces[0].completed and counts[0] == counts[1]
+        assert not traces[0].records[0].predicted
+        assert 0 < traces[0].predicted < len(traces[0].records)
+        assert traces[0].predicted == sum(c[0] for c in counts[0])
+
+    def test_single_lifts_start_from_the_field(self, cone_64, unit_disk_64):
+        grid, mask = unit_disk_64
+        opts = SolveOptions(tol=1e-7)
+        center, radius = (0.2, 0.1), 0.2
+        win, unknown, ring = ball_region(mask, center, radius)
+        Vw = cone_64.values[win]
+        # Newton from the field, on a plan holder of its own
+        values, info = msolve._newton_core(grid.h, grid.n, unknown, ring, Vw,
+                                           np.zeros(Vw.shape), opts, init_values=Vw)
+        expect = cone_64.values.copy()
+        expect[win][unknown] = np.maximum(values[unknown], Vw[unknown])
+        # a sweep over translates of this ball keeps corrections of its pattern
+        cover = BallCover(level=3, radius=radius,
+                          centers=tuple((0.2 + k * grid.h, 0.1) for k in range(3)))
+        for _ in range(2):
+            lifted = perron_lift(cone_64, mask, center, radius, opts=opts)
+            out = solve_on_ball(cone_64, mask, center, radius, opts=opts)
+            assert np.array_equal(lifted.values, expect, equal_nan=True)
+            assert np.array_equal(out.field.values[win], values, equal_nan=True)
+            assert out.diagnostics == info and info["converged"]
+            assert "predicted" not in info
+            _, trace = approximation_sweep(cone_64, mask, 3, opts=opts, cover=cover)
+            assert [r.predicted for r in trace.records] == [False, True, True]
 
 
 class TestSmoothSequence:
