@@ -34,7 +34,7 @@ from .field import (
     circle_points,
     superlevel_set,
 )
-from .mco import cell_gradients, face_gradients, face_sides
+from .mco import face_gradients, face_sides
 
 
 #: default threshold parameter for the steep-gradient interface fraction
@@ -81,25 +81,38 @@ def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float,
                          steep_fraction=steep, delta=delta, ambiguous=ambiguous)
 
 
-def _interp_gradient(u: ScalarField, grads: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """|Du| at points (k, n) by bilinear interpolation of cell-center gradients."""
-    comps = [_bilinear(u.grid, grads[..., d], points) for d in range(u.grid.n)]
-    return np.hypot(*comps) if u.grid.n == 2 else np.abs(comps[0])
+def _interp_gradient(u: ScalarField, points: np.ndarray) -> np.ndarray:
+    """|Du| at points (k, n) by bilinear interpolation of the central
+    differences of ``mco.cell_gradients``, taken at the cells read only."""
+    grid, v = u.grid, u.values
+
+    def derivative(a):
+        def at(cell):
+            # NaN, as in cell_gradients, at the edge along a and beside non-finite values
+            c, top = cell[a], grid.extents[a] - 1
+            hi, lo = (v[cell[:a] + (np.clip(c + d, 0, top),) + cell[a + 1:]] for d in (1, -1))
+            ok = (c > 0) & (c < top) & np.isfinite(hi) & np.isfinite(lo)
+            return np.where(ok, (hi - lo) / (2 * grid.h), np.nan)
+        return at
+
+    comps = [_bilinear(grid, derivative(a), points) for a in range(grid.n)]
+    return np.hypot(*comps) if grid.n == 2 else np.abs(comps[0])
 
 
-def _bilinear(grid, arr, points: np.ndarray) -> np.ndarray:
-    """arr interpolated at points (k, n); a cell block with undefined values
-    gives the mean of its defined ones (in 1d the defined end), else NaN."""
+def _bilinear(grid, at, points: np.ndarray) -> np.ndarray:
+    """``at(cells)``, cells an index tuple, interpolated at points (k, n) from
+    the corners of their cell blocks, read in one call; a block with undefined
+    values gives the mean of the defined ones, else NaN."""
     x = (points - np.asarray(grid.origin)) / grid.h
     idx = np.clip(np.floor(x).astype(int), 0, np.asarray(grid.extents) - 2)
     frac = np.clip(x - idx, 0.0, 1.0)
     if grid.n == 1:
         i, f = idx[:, 0], frac[:, 0]
-        a, b = arr[i], arr[i + 1]
+        a, b = at((np.stack([i, i + 1]),))
         return np.where(np.isnan(a), b, np.where(np.isnan(b), a, a * (1 - f) + b * f))
     i, j = idx[:, 0], idx[:, 1]
     fx, fy = frac[:, 0], frac[:, 1]
-    block = np.stack([arr[i, j], arr[i, j + 1], arr[i + 1, j], arr[i + 1, j + 1]])
+    block = at((np.stack([i, i, i + 1, i + 1]), np.stack([j, j + 1, j, j + 1])))
     ok = ~np.isnan(block)
     with np.errstate(invalid="ignore"):
         mean = np.where(ok, block, 0.0).sum(axis=0) / ok.sum(axis=0)
@@ -111,7 +124,7 @@ def _bilinear(grid, arr, points: np.ndarray) -> np.ndarray:
 
 def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
     """Length fraction of the level interface where |Du| > 2 delta^-1/2."""
-    seg, g = _level_pieces(u, cell_gradients(u), s)
+    seg, g = _level_pieces(u, s)
     finite = np.isfinite(g)
     ambiguous = bool(not finite.all() or (g[finite] < 1e-8).any())
     total = float(seg[finite].sum())
@@ -120,11 +133,11 @@ def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
     return frac, ambiguous
 
 
-def _level_pieces(u: ScalarField, grads: np.ndarray, s: DiscreteSet):
+def _level_pieces(u: ScalarField, s: DiscreteSet):
     """Lengths of the level-interface segments and |Du| at their midpoints."""
     segs = s.segments()
     level = segs.kind == LEVEL
-    return segs.length[level], _interp_gradient(u, grads, segs.midpoint[level])
+    return segs.length[level], _interp_gradient(u, segs.midpoint[level])
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +179,6 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
         lo, hi = np.quantile(vals, [0.05, 0.95])
         levels = np.linspace(lo, hi, 21)
     levels = np.asarray(sorted(levels), dtype=float)
-    grads = cell_gradients(u)
     phis = []
     integrals = []
     flags = []
@@ -177,7 +189,7 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
             integrals.append(0.0)
             flags.append(False)
             continue
-        seg, gmag = _level_pieces(u, grads, s)
+        seg, gmag = _level_pieces(u, s)
         ok = np.isfinite(gmag) & (gmag >= 1e-8)
         integrals.append(float((seg[ok] / gmag[ok]).sum()))
         flags.append(s.segments().level_attained or not ok.all())
@@ -223,9 +235,9 @@ def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] 
         center = (0.0,) * grid.n
     if grid.n == 1:
         pts = np.array([[center[0] - r], [center[0] + r]])
-        return _bilinear(grid, u.values, pts), 1.0
+        return _bilinear(grid, u.values.__getitem__, pts), 1.0
     m = samples or max(64, int(2 * math.pi * r / grid.h) * 2)
-    return _bilinear(grid, u.values, circle_points(center, r, m)), 2 * math.pi * r / m
+    return _bilinear(grid, u.values.__getitem__, circle_points(center, r, m)), 2 * math.pi * r / m
 
 
 def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,

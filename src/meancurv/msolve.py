@@ -5,45 +5,32 @@ with exact Dirichlet data on the boundary layer; ``minimize_prescribed_mc``
 solves the first-order conditions of the area functional with a smoothed L1
 boundary deviation term, pinning the trace wherever the boundary flux stays
 strictly below one (active-set polish), so attained-trace minimizers agree
-with the Newton solver on the same discrete equations.  All of them run the
-one Newton kernel ``_newton_core``, which starts from a given field or else
-from the harmonic extension of the data, and whose matrix is assembled
-analytically (penalty rows included) and factored at every size by one
-symmetric-mode sparse LU; the harmonic start is that LU of the Newton matrix
-at zero gradient.  SuperLU runs that LU in panels of ``_PANEL_SIZE`` = 2
-columns: its transient workspace is m x 2 panel entries, 14 MB beside the
-factors at m = 205,857 against 71 MB in scipy's default 20-column panels.
-A plan per cell pattern numbers the unknowns in a nested-dissection order
-read off the cells before any factorization, and keeps the CSC slot of
-each row's 3^n stencil, so every factorization fills the rows' stencils,
-stores them in one indexed write and factors them in that order on one
-path.  The plan, fixed once built, also indexes every Newton step:
-``_residual`` gathers only the faces that touch the unknown rows from the
-flat window, applies ``mco.face_formula`` (the formula of the
-grid kernels) and sums the divergence as ``mco._divergence`` does, so each
-row equals the grid density bit for bit.  The stencil is written down
-once, in the plan's face tables (the six cells of each face and the faces
-of each row): the residual reads them, and the matrix's rows are filled
-from them face slot by face slot, so 1d and 2d solves, whole-domain, ball
-and penalized, run the same code.  Ball replacements (``solve_on_ball``,
-the Perron lift and sweep, the viscosity check) go through one windowed
-ball kernel: ``ball_region`` cuts the ball's window and takes its ball and
-ring masks from a bounded cache, ``_solve_ball`` checks the sphere data and
-owns the warm start, its prediction from the corrections of earlier balls
-and the harmonic restart.
+with the Newton solver on the same discrete equations.  Every solve runs the
+one Newton loop ``_newton_core`` on a plan and a flat window, from the
+window's values or from the harmonic extension of the data (that LU of the
+Newton matrix at zero gradient); ``_newton_arrays`` sets up whole-domain
+solves.  A plan per cell pattern (``_NewtonPlan``) numbers the unknowns in
+a nested-dissection order and keeps their faces and each row's stencil
+slots, so the residual (``_residual``, bit for bit the grid density) and
+every analytically assembled matrix read the same faces, and one
+symmetric-mode sparse LU factors every matrix in that order: 1d and 2d
+solves, whole-domain, ball and penalized, run the same code.  Ball
+replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
+check) go through one windowed ball kernel, ``_solve_ball``: it looks up
+the ``_BallRecord`` of the ball's window shape and centre offset, gathers
+the ball from the mask and the field, runs ``_newton_core`` and owns the
+warm start, its prediction from the corrections of earlier balls and the
+harmonic restart.
 
-Plans and LUs belong to a ``PlanHolder``, owned by the solve, sweep or
-continuation that makes it, never to the module: a Perron sweep, the ring
-pipeline's stages and the minimizer's rounds each share one holder, and a
-solve given none makes its own, so its plan and LU go when it returns.  A
-Newton solve's first LU is factored fresh, unless the holder carries the
-last LU of an earlier solve of the same plan (a chord matrix lagged across
-solves): each ball of a sweep may start on the LU of the ball before it,
-each stage of a continuation on that of the stage before.  A holder also
-keeps the last corrections of its ball solves per cell pattern, from which
-each ball solve of a sweep predicts its start; whole-domain solves start as
-they would without it.  No two threads share a holder, so a solve's
-iterates never depend on other threads.
+Plans, LUs, corrections and ball records belong to a ``PlanHolder``, owned
+by the solve, sweep or continuation that makes it, never to the module: a
+Perron sweep, the ring pipeline's stages and the minimizer's rounds each
+share one, and a solve given none makes its own.  A Newton solve may start
+on the holder's last LU of an earlier solve of the same plan (a chord
+matrix lagged across solves), and each ball solve of a sweep predicts its
+start from the corrections of earlier balls of its cell pattern.  No two
+threads share a holder, so a solve's iterates never depend on other
+threads.
 """
 
 from __future__ import annotations
@@ -336,9 +323,9 @@ def _jac_values_2d(h, faces, plan):
 class _NewtonPlan:
     """What the Newton systems of one cell pattern share; fixed once built.
 
-    ``unknowns``: the flat window index of each unknown, in the
-    nested-dissection order of ``_dissection``, which numbers the unknowns
-    (rows and columns of the matrix) everywhere below.  The face tables
+    ``shape``: the window's.  ``unknowns``: the flat window index of each
+    unknown, in the nested-dissection order of ``_dissection``, which numbers
+    the unknowns (rows and columns of the matrix) everywhere below.  The face tables
     ``cells`` and ``rows`` of ``_face_plan``, where a penalty row's faces to
     penalty or undefined cells are the sentinel face: it takes the flux
     into its cell from its other neighbours only.  ``penalty_rows``, the
@@ -352,6 +339,7 @@ class _NewtonPlan:
 
     def __init__(self, unk, fix, rows_interior):
         n = unk.ndim
+        self.shape = np.array(unk.shape)
         self.unknowns = _dissection(unk)
         self.cells, self.rows = _face_plan(unk, self.unknowns)
         pcells = unk & ~rows_interior
@@ -385,15 +373,16 @@ class PlanHolder:
     ``_newton_core``).  ``corrections`` maps a ball's cell pattern to the
     corrections (solution minus start on its unknowns) of the last two
     converged ball solves of that pattern, newest first, from which
-    ``_solve_ball`` predicts the start of the next.  Whoever makes a holder
-    owns it, and its plans, LU and corrections go with it; no two threads
-    share one.
+    ``_solve_ball`` predicts the start of the next; ``balls`` maps a
+    ``_ball_masks`` key to its ``_BallRecord``.  Whoever makes a holder owns
+    it, and all of these go with it; no two threads share one.
     """
 
     def __init__(self, plans: Optional[dict] = None):
         self.plans = {} if plans is None else plans
         self.lu = None
         self.corrections = {}
+        self.balls = {}
 
     def plan(self, unk, fix, rows_interior) -> _NewtonPlan:
         key = (unk.shape, unk.tobytes(), fix.tobytes(), rows_interior.tobytes())
@@ -431,9 +420,7 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     of a pattern takes the same path.  Callers hand the stencils over
     (``_factorize(plan, _jac_values_2d(...), ...)``, no name of their own),
     so they are freed once stored and do not live through the LU.  SuperLU
-    factors in panels of ``_PANEL_SIZE`` = 2 columns, and the workspace of
-    an m x w panel is the LU's transient beside its factors: 14 MB at
-    m = 205,857, against 71 MB in scipy's default 20-column panels.
+    factors in panels of ``_PANEL_SIZE`` columns.
     """
     nnz = plan.indices.size
     data = np.empty(nnz + 1)
@@ -484,71 +471,28 @@ def _window(unknown, fixed) -> tuple:
     return tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(unknown | fixed))
 
 
-def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
-                 fixed_values: np.ndarray, f_values: np.ndarray,
-                 opts: SolveOptions, init_values: Optional[np.ndarray] = None,
-                 penalty: Optional[dict] = None,
-                 carry: Optional[PlanHolder] = None) -> tuple[np.ndarray, dict]:
-    """Damped Newton on arrays; slices its own tight window internally.
-
-    The cell pattern's ``_NewtonPlan``, from the holder ``carry`` (a holder
-    of the solve's own when None, so the plan goes when the solve returns),
-    indexes every step: the residual (``_residual``, penalty rows by
-    ``_penalty_residual``) reads only the faces of the unknown rows from the
-    flat window, the line search writes trial values through the plan's
-    unknown indices into a second buffer, and the matrix takes the same
-    faces.  Without ``init_values`` the solve starts from
-    ``_harmonic_extension``; a start that fails ends the solve with
-    ``info["error"]`` and the unknowns undefined.  Each fresh LU stays
-    frozen as the chord matrix of later steps while they keep contracting; a
-    failed line search, slow contraction, or a back-solve that raises or
-    returns non-finite values drops it and refactors (and ends the solve
-    with ``info["error"]`` when the LU was fresh).  The first LU is fresh
-    unless the holder's ``lu`` pair, the last fresh LU of an earlier solve,
-    is of this plan: the solve then starts on that LU.  Every fresh LU
-    replaces the pair, which is emptied before the LU is built.  ``info``
-    counts ``iterations`` (Newton steps, at most ``opts.max_iter``; a pass
-    that only drops an LU is not one), ``residual_evals`` (``_residual``
-    calls, line search trials included) and ``factorizations`` (fresh
-    Newton LUs; the harmonic start's is not one), and says whether the solve
-    ``carried`` (started on a carried LU).
-    """
+def _newton_arrays(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
+                   fixed_values: np.ndarray, f_values: np.ndarray,
+                   opts: SolveOptions, init_values: Optional[np.ndarray] = None,
+                   penalty: Optional[dict] = None,
+                   carry: Optional[PlanHolder] = None) -> tuple[np.ndarray, dict]:
+    """A whole-domain solve's set-up for ``_newton_core``: the tight window,
+    its plan from ``carry`` (its own when None), the fixed values and
+    ``init_values`` (NaN or -inf ones repaired), else the harmonic start;
+    non-finite forcing is zero.  Returns values (NaN off the unknown and
+    fixed cells) and ``info``."""
     win = _window(unknown, fixed)
     unk = unknown[win]
     fix = fixed[win]
     V = np.full(unk.shape, np.nan)
     V[fix] = fixed_values[win][fix]
-    rows_interior = unk
-    if penalty is not None:
-        rows_interior = unk & ~penalty["cells"][win]
-
+    rows_interior = unk if penalty is None else unk & ~penalty["cells"][win]
     if init_values is not None:
         V[unk] = init_values[win][unk]
         if np.isnan(V[unk]).any() or np.isneginf(V[unk]).any():
             V = _repair_init(V, unk, fix)
-
-    if carry is None:
-        carry = PlanHolder()
+    carry = carry or PlanHolder()
     plan = carry.plan(unk, fix, rows_interior)
-    m = plan.unknowns.size
-    # flat window plus the NaN and zero slots the plan's indices read
-    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
-    info = {"iterations": 0, "converged": False, "line_search_failures": 0,
-            "factorizations": 0, "carried": False}
-
-    def windowed(values):
-        out = np.full(unknown.shape, np.nan)
-        out[win] = values[:-2].reshape(unk.shape)
-        return out
-
-    if init_values is None:
-        try:
-            Vx[plan.unknowns] = _harmonic_extension(Vx, h, plan)
-        except (RuntimeError, SystemError) as exc:     # what SuperLU raises
-            info.update(error=f"harmonic start failed: {exc}", residual=math.nan,
-                        residual_evals=0)
-            return windowed(Vx), info
-
     f_rows = f_values[win].ravel()[plan.unknowns]
     f_rows = np.where(np.isfinite(f_rows), f_rows, 0.0)
     pen = None
@@ -556,6 +500,43 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         cells = plan.unknowns[plan.penalty_rows]
         pen = {"cells": cells, "phi": penalty["phi"][win].ravel()[cells],
                "length": penalty["length"][win].ravel()[cells], "kappa": penalty["kappa"]}
+    # flat window plus the NaN and zero slots the plan's indices read
+    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
+    Vx, info = _newton_core(h, n, plan, Vx, f_rows, pen, opts, carry, init_values is None)
+    out = np.full(unknown.shape, np.nan)
+    out[win] = Vx[:-2].reshape(unk.shape)
+    return out, info
+
+
+def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray, f_rows: np.ndarray,
+                 pen: Optional[dict], opts: SolveOptions, carry: PlanHolder,
+                 harmonic: bool = False) -> tuple[np.ndarray, dict]:
+    """The one Newton loop: damped Newton on the plan's unknowns of the flat
+    window ``Vx`` (as in ``_residual``), from its values or, with
+    ``harmonic``, from ``_harmonic_extension``, with forcing ``f_rows`` and
+    penalty rows ``pen``.  Returns the last flat window and ``info``.
+
+    A failed harmonic start ends the solve with ``info["error"]``.  Each
+    fresh LU stays frozen as the chord matrix while steps keep contracting;
+    a failed line search, slow contraction, or a back-solve that raises or
+    returns non-finite values drops it and refactors (ending the solve with
+    ``info["error"]`` when it was fresh).  The first LU is ``carry.lu``'s,
+    the last fresh pair of an earlier solve, when of this plan; every fresh
+    LU replaces the pair, emptied before the LU is built.  ``info`` counts
+    ``iterations`` (a pass that only drops an LU is none),
+    ``residual_evals`` and ``factorizations``, and says whether the solve
+    ``carried``.
+    """
+    m = plan.unknowns.size
+    info = {"iterations": 0, "converged": False, "line_search_failures": 0,
+            "factorizations": 0, "carried": False}
+    if harmonic:
+        try:
+            Vx[plan.unknowns] = _harmonic_extension(Vx, h, plan)
+        except (RuntimeError, SystemError) as exc:     # what SuperLU raises
+            info.update(error=f"harmonic start failed: {exc}", residual=math.nan,
+                        residual_evals=0)
+            return Vx, info
 
     evals = 0
 
@@ -568,18 +549,20 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         return r, faces
 
     r, faces = full_residual(Vx)
-    if np.isnan(r).any():
-        bad = np.isnan(r)
+    bad = np.isnan(r)
+    if bad.any():
         bad[plan.penalty_rows] = False
-        cells = np.unravel_index(np.sort(plan.unknowns[bad]), unk.shape)   # C order
+        cells = np.unravel_index(np.sort(plan.unknowns[bad]), plan.shape)   # C order
         raise UndefinedCellError("solver stencil touches undefined cells", list(zip(*cells)))
     u = Vx[plan.unknowns]
     rnorm = float(np.abs(r).max()) if m else 0.0
+    merit = 0.5 * float(r @ r)
     best = (rnorm, u)
     trial = Vx.copy()   # line-search buffer: differs from Vx on the unknowns only
 
     lu = carry.lu[1] if carry.lu and carry.lu[0] is plan else None   # frozen while it contracts
     info["carried"] = lu is not None
+    iterations = factorizations = 0
 
     def assemble_factorize():
         diag = np.zeros(m)
@@ -589,10 +572,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
 
     # a pass that only drops a carried or frozen LU takes no step and is not
     # counted; the fresh LU after it either steps or ends the solve
-    while info["iterations"] < opts.max_iter:
-        if rnorm <= opts.tol:
-            info["converged"] = True
-            break
+    while iterations < opts.max_iter and not rnorm <= opts.tol:
         fresh = lu is None
         if fresh:
             carry.lu = None     # no second LU lives through the factorization
@@ -602,7 +582,7 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
             except (RuntimeError, SystemError, ValueError, MemoryError) as exc:
                 info["error"] = f"linear solve failed: {exc}"
                 break
-            info["factorizations"] += 1
+            factorizations += 1
             carry.lu = (plan, lu)
         try:
             du = lu(-r)
@@ -615,30 +595,28 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
                 continue
             info["error"] = failure
             break
-        merit = 0.5 * float(r @ r)
         alpha = 1.0
-        accepted = False
         while alpha >= opts.alpha_min:
             u_try = u + alpha * du
             trial[plan.unknowns] = u_try
             r_try, faces_try = full_residual(trial)
             merit_try = 0.5 * float(r_try @ r_try)
-            if np.isfinite(merit_try) and merit_try <= (1 - 2 * opts.sigma * alpha) * merit:
-                Vx, trial = trial, Vx
-                u, r, faces = u_try, r_try, faces_try
-                accepted = True
+            if math.isfinite(merit_try) and merit_try <= (1 - 2 * opts.sigma * alpha) * merit:
                 break
             alpha *= 0.5
+        accepted = alpha >= opts.alpha_min
         if not accepted and not fresh:
             lu = None  # frozen direction went stale, rebuild and retry
             continue
-        info["iterations"] += 1
+        iterations += 1
         if not accepted:
             info["line_search_failures"] += 1
             break
-        merit_new = 0.5 * float(r @ r)
-        if alpha < 1.0 or merit_new > 0.1 * merit:
+        Vx, trial = trial, Vx
+        u, r, faces = u_try, r_try, faces_try
+        if alpha < 1.0 or merit_try > 0.1 * merit:
             lu = None  # slow contraction: refresh the Jacobian next pass
+        merit = merit_try
         rnorm = float(np.abs(r).max()) if m else 0.0
         if rnorm < best[0]:
             best = (rnorm, u)
@@ -648,9 +626,9 @@ def _newton_core(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     if rnorm > best[0]:
         Vx[plan.unknowns] = best[1]
         rnorm = best[0]
-    info["residual"] = rnorm
-    info["residual_evals"] = evals
-    return windowed(Vx), info
+    info.update(iterations=iterations, factorizations=factorizations, residual=rnorm,
+                residual_evals=evals)
+    return Vx, info
 
 
 def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
@@ -790,9 +768,9 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
     unknown, fixed = mask.interior, mask.boundary
     phi_vals = _as_values(grid, mask, phi, fixed)
     f_vals = _as_values(grid, mask, f, unknown)
-    values, info = _newton_core(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
-                                opts, init_values=None if init is None else init.values,
-                                carry=carry)
+    values, info = _newton_arrays(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
+                                  opts, init_values=None if init is None else init.values,
+                                  carry=carry)
     fld = ScalarField(grid=grid, values=values, provenance="solved")
     certificate = None
     # no residual was evaluated when the harmonic start failed: no iterate
@@ -828,23 +806,17 @@ def _window_ball(n: int, h: float, radius: float, offset: tuple, shape: tuple):
     return inside, ring, np.nonzero(np.abs(dist - radius) <= _SPHERE_BAND * h)
 
 
-def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Window slices (bounding box plus three cells) and window-local unknown
-    cells and data ring of a ball subregion solve.
-
-    The ball and ring masks come from ``_window_ball``, cached per grid
-    spacing, radius, offset of the centre in the window (to 1e-8 cells) and
-    window shape; cells near the sphere are tested against this centre's
-    ``grid.points()``, so the masks are the direct computation's.  The ring
-    is the one of the ball, which equals the unknowns whenever the ball is
-    accepted.  ValueError unless every cell of the ball is interior and its
-    ring lies in the mask's region."""
-    grid = mask.grid
+def _ball_masks(grid: Grid, center, radius):
+    """A ball's window slices (bounding box plus three cells), its ``inside``
+    and ``ring`` masks there from ``_window_ball``, and their key: grid
+    extents and spacing, radius, window shape and centre offset, plus the
+    exact test of the cells near the sphere where it changes the masks."""
     win = ball_window(grid, center, radius, margin=3)
+    shape = tuple(max(s.stop - s.start, 0) for s in win)
     offset = tuple(round(float(c - o) / grid.h - s.start, 8)
                    for c, o, s in zip(center, grid.origin, win))
-    inside, ring, near = _window_ball(grid.n, grid.h, radius, offset,
-                                      tuple(max(s.stop - s.start, 0) for s in win))
+    inside, ring, near = _window_ball(grid.n, grid.h, radius, offset, shape)
+    key = (grid.extents, grid.h, radius, shape, offset)
     if near[0].size:
         cells = tuple(i + s.start for i, s in zip(near, win))
         exact = _dist_to(grid.points()[cells], center) < radius
@@ -852,6 +824,15 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
             inside = inside.copy()
             inside[near] = exact
             ring = _ring(inside)
+            key += (exact.tobytes(),)
+    return win, key, inside, ring
+
+
+def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Window slices, window-local unknown cells and data ring of a ball
+    subregion solve (``_ball_masks``); SizingError when no cell of the ball
+    is interior, ValueError unless all are and its ring lies in the region."""
+    win, _, inside, ring = _ball_masks(mask.grid, center, radius)
     interior = mask.interior[win]
     unknown = interior & inside
     if not unknown.any():
@@ -861,56 +842,81 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
     return win, unknown, ring
 
 
+class _BallRecord:
+    """An accepted ball's ``plan``, the flat indices (C order) of its
+    unknowns and ring from its window's first cell (``cells``, ``ring``) and
+    in the plan's window (``local``, ``ring_local``), ``blank`` flat window,
+    zero forcing and corrections ``pattern``: shared by its ``_ball_masks`` key."""
+
+    def __init__(self, holder: PlanHolder, grid_shape, unknown, ring):
+        tight = _window(unknown, ring)
+        self.plan = holder.plan(unknown[tight], ring[tight], unknown[tight])
+        self.cells, self.ring = (np.ravel_multi_index(np.nonzero(a), grid_shape)
+                                 for a in (unknown, ring))
+        self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
+        self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
+        self.f_zero = np.zeros(self.local.size)
+        self.pattern = (unknown.shape, unknown.tobytes())
+
+
 def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
                 carry: Optional[PlanHolder] = None):
     """Minimal-graph replacement of the full-grid array V inside a ball.
 
-    Warm-starts when V is finite on the unknowns, with the plan and LU of
-    the holder ``carry`` (see ``_newton_core``; a holder of its own when
-    None).  The warm start is a continuation predictor in the ball centre:
-    with c1 and c2 the holder's last two corrections of this cell pattern
-    (newest first), it starts from V + 2 c1 - c2, from V + c1 when the
-    holder knows one, and from V when it knows none; ``info["predicted"]``
-    is set True when it used any.  A warm start that does not converge gets
-    one harmonic restart on the same plan with a fresh LU, which the holder
-    does not carry, kept when it converges or lowers the residual.  When
-    the solve converges and V is finite on the unknowns, its correction (its
-    values minus V there) becomes the holder's newest of the pattern.  Returns (win,
-    unknown, window values, info); after a restart, ``info["factorizations"]`` and
-    ``info["residual_evals"]`` count both solves.
+    ``ball_region`` checks the first ball of a ``_BallRecord`` of the
+    holder ``carry`` (its own when None) and names the error of a later one
+    whose gathered cells leave the domain.  Non-finite sphere data raise
+    UndefinedCellError.  Newton starts harmonic unless V is finite on the
+    unknowns, else from V + 2 c1 - c2, V + c1 or V, with c1, c2 the holder's
+    last corrections of the pattern (``info["predicted"]`` if any).  A warm
+    start that does not converge gets one harmonic restart on an LU the
+    holder does not carry, kept when it converges or lowers the residual;
+    ``info`` counts both.  Returns (cells, ring, values, info): full-grid
+    flat indices (C order) of the unknowns and ring, and the solution.
     """
     grid = mask.grid
-    win, unknown, ring = ball_region(mask, center, radius)
-    Vw = V[win]
-    bad = np.argwhere(ring & ~np.isfinite(Vw)) + [s.start for s in win]
-    if len(bad):
-        raise UndefinedCellError("sphere data is not finite; ball rejected",
-                                 [tuple(cell) for cell in bad])
-    f_zero = np.zeros(Vw.shape)
-    warm = Vw if np.isfinite(Vw[unknown]).all() else None
-    if carry is None:
-        carry = PlanHolder()
-    pattern = (unknown.shape, unknown.tobytes())   # the ring follows from the unknowns
-    seen = carry.corrections.get(pattern, ()) if warm is not None else ()
+    carry = carry or PlanHolder()
+    win, key, _, _ = _ball_masks(grid, center, radius)
+    ball = carry.balls.get(key)
+    if ball is None:
+        ball = carry.balls[key] = _BallRecord(carry, grid.shape,
+                                              *ball_region(mask, center, radius)[1:])
+    base = np.ravel_multi_index([s.start for s in win], grid.shape)
+    cells, ring = base + ball.cells, base + ball.ring
+    if not (mask.interior.take(cells).all()
+            and (mask.interior.take(ring) | mask.boundary.take(ring)).all()):
+        ball_region(mask, center, radius)    # raises: the ball leaves the domain
+    sphere = V.take(ring)
+    if not np.isfinite(sphere).all():
+        bad = np.unravel_index(ring[~np.isfinite(sphere)], V.shape)
+        raise UndefinedCellError("sphere data is not finite; ball rejected", list(zip(*bad)))
+    old = V.take(cells)
+    warm = bool(np.isfinite(old).all())
+    seen = carry.corrections.get(ball.pattern, ()) if warm else ()
+    Vx = ball.blank.copy()
+    Vx[ball.ring_local] = sphere
+    if warm:
+        Vx[ball.local] = old
     if seen:
-        warm = Vw.copy()
-        warm[unknown] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
-    values, info = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                                init_values=warm, carry=carry)
-    if not info["converged"] and warm is not None:
-        # kinked warm starts can stall the line search; harmonic restart
-        values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, Vw, f_zero, opts,
-                                      init_values=None, carry=carry.without_lu())
-        counts = {key: info[key] + info2[key] for key in ("factorizations", "residual_evals")}
+        Vx[ball.local] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
+    Vx, info = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts, carry,
+                            not warm)
+    values = Vx[ball.local]
+    if not info["converged"] and warm:
+        # kinked warm starts can stall the line search; harmonic restart, which
+        # reads the window's ring only
+        Vx, info2 = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts,
+                                 carry.without_lu(), True)
+        counts = {k: info[k] + info2[k] for k in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
-            values, info = values2, info2
+            values, info = Vx[ball.local], info2
             info["restarted"] = True
         info.update(counts)
     if seen:
         info["predicted"] = True
-    if info["converged"] and warm is not None:
-        carry.corrections[pattern] = (values[unknown] - Vw[unknown],) + seen[:1]
-    return win, unknown, values, info
+    if info["converged"] and warm:
+        carry.corrections[ball.pattern] = (values - old,) + seen[:1]
+    return cells, ring, values, info
 
 
 def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
@@ -919,10 +925,11 @@ def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
 
     The field is NaN outside the ball's unknowns and data ring.
     """
-    win, _, window_values, info = _solve_ball(u.values, mask, center, radius,
-                                              opts or SolveOptions())
+    cells, ring, solved, info = _solve_ball(u.values, mask, center, radius,
+                                            opts or SolveOptions())
     values = np.full(u.grid.shape, np.nan)
-    values[win] = window_values
+    values.put(ring, u.values.take(ring))
+    values.put(cells, solved)
     fld = ScalarField(grid=u.grid, values=values, provenance="solved")
     return SolveOutcome(field=fld, residual_norm=info["residual"],
                         iterations=info["iterations"], converged=info["converged"],
@@ -988,8 +995,8 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
         if detached.any():
             penalty = {"cells": detached, "phi": np.where(mask.boundary, phi_vals, 0.0),
                        "length": lengths, "kappa": kappa}
-        values, info = _newton_core(grid.h, grid.n, unk, fixed, fixed_vals, g_vals,
-                                    opts, init_values=values, penalty=penalty, carry=carry)
+        values, info = _newton_arrays(grid.h, grid.n, unk, fixed, fixed_vals, g_vals,
+                                      opts, init_values=values, penalty=penalty, carry=carry)
         total_iters += info["iterations"]
         umin = float(np.nanmin(values[mask.interior]))
         fval = area_functional(

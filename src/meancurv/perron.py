@@ -5,10 +5,10 @@ own sphere values as data; sweeping the lift over a deterministic ball cover
 of the domain and mollifying the result produces the smooth approximating
 sequences that the measure machinery consumes.  The single lift and the
 sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
-behind ``solve_on_ball`` and the viscosity check) and merge its result into
-the field with a cellwise max.  A single lift factors its Newton matrices
-fresh and starts Newton from the field; a sweep owns one
-``msolve.PlanHolder``, which keeps a plan per cell pattern and hands the
+behind ``solve_on_ball`` and the viscosity check) and scatter its result
+into the field as a cellwise max.  A single lift factors its Newton matrices
+fresh and starts Newton from the field; a sweep owns one ``msolve.PlanHolder``,
+which keeps a plan per cell pattern and a ball record per window, and hands the
 last LU of each ball solve to the next one, whose warm-started Newton run
 starts on it as a chord matrix when the two balls share a cell pattern
 (translates by whole cells do).  The holder also keeps the corrections of
@@ -24,7 +24,7 @@ the sweep's trace.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ class PerronLiftRefused(RuntimeError):
 @dataclass(frozen=True)
 class BallCover:
     """Ordered balls of radius 2^-j covering the cells deeper than 2^-j-1,
-    save ``uncovered`` of them (as ``build_ball_cover`` counts them)."""
+    save ``uncovered`` of them (``_uncovered``; a sweep recounts its cover)."""
 
     level: int
     radius: float
@@ -67,6 +67,18 @@ class BallCover:
 
     def __len__(self) -> int:
         return len(self.centers)
+
+
+def _uncovered(mask: DomainMask, radius: float, centers, targets=None) -> np.ndarray:
+    """The targets of a cover, the interior cells deeper than half a radius
+    (``targets`` (k, n) when given), farther than the radius from every
+    centre: their points."""
+    from scipy.spatial import cKDTree
+    if targets is None:
+        pts = mask.grid.points()
+        targets = pts[mask.interior & (mask.shape.signed_distance(pts) > radius / 2.0)]
+    dist = cKDTree(np.asarray(centers).reshape(-1, mask.grid.n)).query(targets)[0]
+    return targets[dist > radius]
 
 
 def build_ball_cover(mask: DomainMask, level: int) -> BallCover:
@@ -96,16 +108,14 @@ def build_ball_cover(mask: DomainMask, level: int) -> BallCover:
     lattice[(slice(None, None, stride),) * grid.n] = True
     chosen = admissible & lattice
 
-    target = mask.interior & (sdist > radius / 2.0)
-    tpts = pts[target].reshape(-1, grid.n)
     cpts = pts[chosen].reshape(-1, grid.n)
     apts = pts[admissible].reshape(-1, grid.n)
     from scipy.spatial import cKDTree
-    lost = cKDTree(cpts).query(tpts)[0] > radius if cpts.size else np.ones(len(tpts), bool)
-    dist, nearest = cKDTree(apts).query(tpts[lost])
+    lost = _uncovered(mask, radius, cpts)
+    dist, nearest = cKDTree(apts).query(lost)
     centers = np.unique(np.concatenate([cpts, apts[nearest[dist <= radius]]]), axis=0)
     return BallCover(level=level, radius=radius, centers=tuple(map(tuple, centers.tolist())),
-                     uncovered=int((dist > radius).sum()))
+                     uncovered=len(_uncovered(mask, radius, centers, lost)))
 
 
 def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
@@ -132,14 +142,14 @@ def perron_lift(u: ScalarField, mask: DomainMask, center, radius,
 def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
                   opts: SolveOptions, carry: Optional[PlanHolder] = None
                   ) -> tuple[float, float, int, dict]:
-    """Lift mutating the full-grid array *work* inside the ball's window.
-
-    ``carry`` is passed to ``msolve._solve_ball``.  Returns (max_increase,
-    min_increase, repaired -inf cells, the ball solve's ``info``); raises
-    PerronLiftRefused without a field attached.
+    """Lift mutating the full-grid array *work* on the ball's unknowns: the
+    cellwise max of ``msolve._solve_ball``'s solution (given ``carry``) and
+    the finite old values.  Returns (max_increase, min_increase, repaired
+    -inf cells, the ball solve's ``info``); raises PerronLiftRefused
+    without a field attached.
     """
     try:
-        win, unknown, values, info = _solve_ball(work, mask, center, radius, opts, carry)
+        cells, _, new, info = _solve_ball(work, mask, center, radius, opts, carry)
     except SizingError:
         raise
     except ValueError as exc:
@@ -149,14 +159,12 @@ def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
         raise PerronLiftRefused(
             f"inner solve did not converge at {center} "
             f"(residual {info['residual']:.3e})", center=center)
-    Vw = work[win]
-    old = Vw[unknown]
-    new = values[unknown]
-    repaired = int(np.isneginf(old).sum())
-    merged = np.where(np.isfinite(old), np.maximum(new, old), new)
-    delta = merged - np.where(np.isfinite(old), old, merged)
-    Vw[unknown] = merged
-    return float(delta.max()), float(delta.min()), repaired, info
+    old = work.take(cells)
+    finite = np.isfinite(old)
+    merged = np.maximum(new, old, out=new, where=finite)
+    delta = np.subtract(merged, old, out=np.zeros_like(merged), where=finite)
+    work.put(cells, merged)
+    return float(delta.max()), float(delta.min()), int(np.count_nonzero(np.isneginf(old))), info
 
 
 @dataclass
@@ -213,11 +221,12 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     may start on the last LU of the one before (see ``msolve._newton_core``)
     and from the corrections of the lifts before it (see
     ``msolve._solve_ball``).  The trace carries the cover's ``uncovered``
-    count, which a completed sweep does not clear: such cells were lifted by
-    no ball.
+    count (recounted for a given cover), which a completed sweep does not
+    clear: such cells were lifted by no ball.
     """
     opts = opts or SolveOptions()
-    cover = cover or build_ball_cover(mask, level)
+    cover = build_ball_cover(mask, level) if cover is None else replace(
+        cover, uncovered=len(_uncovered(mask, cover.radius, cover.centers)))
     if cover.uncovered:
         logger.warning("level %d ball cover leaves %d target cells uncovered",
                        level, cover.uncovered)

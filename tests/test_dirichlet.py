@@ -88,6 +88,14 @@ class TestMeasureSpec:
         # the arc inside subtends 2 pi / 3
         assert abs(nu.ball_mass(mask, (0.5, 0.0), 0.5) - 0.5 * 0.5 * 2 * math.pi / 3) < 1e-12
 
+    def test_ball_mass_counts_1d_atoms_inside(self, interval_100):
+        grid, mask = interval_100
+        nu = MeasureSpec(density=0.0, atoms=((0.3, 0.7), (-0.5, 0.2)))
+        assert nu.ball_mass(mask, (0.2,), 0.15) == 0.7
+        assert nu.ball_mass(mask, (0.0,), 0.6) == 0.7 + 0.2
+        # the ball is open: an atom on its sphere is outside
+        assert nu.ball_mass(mask, (0.0,), 0.3) == 0.0
+
 
 class TestArcOracle:
     @staticmethod

@@ -413,6 +413,28 @@ class TestDecayBound:
         assert rep.vanish_level <= 0.45
         assert rep.dominated
 
+    def test_plateau_past_the_threshold_is_not_dominated(self, disk12_64):
+        # half the disk at depth 2 > T, half at 0.5 < T: the volume stays
+        # at phi(T) past T, where the envelope with C > 0 falls below it
+        grid, mask = disk12_64
+        u = sample_function(lambda p: np.where(p[:, 0] < 0, -2.0, -0.5), grid, mask)
+        T = decay_threshold(0.5)
+        rep = decay_bound_check(u, mask, eta=0.5, levels=[0.25, 1.0, 1.5])
+        assert 1.0 < T < 1.5 and rep.threshold_T == T
+        assert rep.envelope_constant > 0 and not rep.dominated
+        assert np.isfinite(rep.predicted_bound) and rep.predicted_bound > T
+
+    @pytest.mark.parametrize("depth, predicted", [(-0.3, "T"), (2.0, math.inf)])
+    def test_zero_envelope_constant(self, depth, predicted, disk12_64):
+        # a flat field needs no envelope slope: the bound is T when nothing
+        # lies below -T, and none when the sublevel volume at T is positive
+        grid, mask = disk12_64
+        u = sample_function(lambda p: np.full(len(p), -depth), grid, mask)
+        rep = decay_bound_check(u, mask, eta=0.5, levels=[0.25, 1.0, 1.5])
+        assert rep.envelope_constant == 0.0 and rep.dominated
+        expect = rep.threshold_T if predicted == "T" else predicted
+        assert rep.predicted_bound == expect
+
 
 class TestTruncatedBV:
     def test_zero_field(self, disk12_64):

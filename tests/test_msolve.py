@@ -20,7 +20,7 @@ from meancurv.msolve import (
     UnboundedDescentError,
     _factorize,
     _interior_face_count,
-    _newton_core,
+    _newton_arrays,
     ball_region,
     minimize_prescribed_mc,
     solve_dirichlet,
@@ -68,10 +68,10 @@ class TestSolveDirichlet:
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 2.0), 64)
         init = ScalarField(grid=grid, values=_resample(coarse, grid, mask))
         warm = solve_dirichlet(mask, f=f, phi=hemi, init=init)
-        values, info = _newton_core(grid.h, 2, mask.interior, mask.boundary,
-                                    msolve._as_values(grid, mask, hemi, mask.boundary),
-                                    msolve._as_values(grid, mask, f, mask.interior),
-                                    SolveOptions(), init_values=init.values)
+        values, info = _newton_arrays(grid.h, 2, mask.interior, mask.boundary,
+                                      msolve._as_values(grid, mask, hemi, mask.boundary),
+                                      msolve._as_values(grid, mask, f, mask.interior),
+                                      SolveOptions(), init_values=init.values)
         assert np.array_equal(warm.field.values, values, equal_nan=True)
         assert warm.iterations == info["iterations"]
         cold = solve_dirichlet(mask, f=f, phi=hemi)
@@ -178,11 +178,11 @@ def reference_ball_solve(u, mask, center, radius, opts):
     assert not (ring & mask.exterior).any()
     f = np.where(unknown, 0.0, np.nan)
     init = u.values if np.isfinite(u.values[unknown]).all() else None
-    values, info = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
-                                init_values=init)
+    values, info = _newton_arrays(grid.h, grid.n, unknown, ring, u.values, f, opts,
+                                  init_values=init)
     if not info["converged"] and init is not None:
-        values2, info2 = _newton_core(grid.h, grid.n, unknown, ring, u.values, f, opts,
-                                      init_values=None)
+        values2, info2 = _newton_arrays(grid.h, grid.n, unknown, ring, u.values, f, opts,
+                                        init_values=None)
         counts = {key: info[key] + info2[key] for key in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
             values, info = values2, info2
@@ -320,9 +320,9 @@ def newton_system(h, n, unknown, fixed, V, penalty=None, plans=None):
         return solve
 
     with mock.patch.object(msolve, "_factorize", capture), pytest.raises(_Captured):
-        _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape),
-                     SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty,
-                     carry=plans and plans.without_lu())
+        _newton_arrays(h, n, unknown, fixed, V, np.zeros(V.shape),
+                       SolveOptions(tol=1e-300, max_iter=1), init_values=V, penalty=penalty,
+                       carry=plans and plans.without_lu())
     return out["r"], out["triplets"], out["args"]
 
 
@@ -1064,15 +1064,15 @@ class TestHarmonicStart:
         with pytest.raises(ValueError, match="penalty rows"):
             msolve._harmonic_extension(Vx, h, plan)
         with pytest.raises(ValueError, match="penalty rows"):
-            _newton_core(h, n, unknown, fixed, V, np.zeros(V.shape), SolveOptions(),
-                         penalty=penalty)
+            _newton_arrays(h, n, unknown, fixed, V, np.zeros(V.shape), SolveOptions(),
+                           penalty=penalty)
 
     def test_singular_start_is_an_error(self):
         # one unknown cell and no fixed cell: its Laplace row is empty
         unknown = np.zeros(5, bool)
         unknown[2] = True
-        values, info = _newton_core(0.25, 1, unknown, np.zeros(5, bool), np.zeros(5),
-                                    np.zeros(5), SolveOptions())
+        values, info = _newton_arrays(0.25, 1, unknown, np.zeros(5, bool), np.zeros(5),
+                                      np.zeros(5), SolveOptions())
         assert np.isnan(values).all()            # undefined, not zeros
         assert info["error"] == "harmonic start failed: Factor is exactly singular"
         assert not info["converged"] and info["iterations"] == 0
@@ -1234,9 +1234,9 @@ class TestPlanResidual:
         holes.flat[rng.choice(np.flatnonzero(near))] = True
         data = np.where(holes, np.nan, V)
         with pytest.raises(UndefinedCellError) as caught:
-            _newton_core(h, n, unknown, fixed, data, np.zeros(V.shape), SolveOptions(),
-                         init_values=V, penalty=penalty)
-        # the grid path on _newton_core's window
+            _newton_arrays(h, n, unknown, fixed, data, np.zeros(V.shape), SolveOptions(),
+                           init_values=V, penalty=penalty)
+        # the grid path on _newton_arrays's window
         win = tuple(slice(int(i.min()), int(i.max()) + 1)
                     for i in np.nonzero(unknown | fixed))
         Vw = np.where(unknown | fixed, data, np.nan)[win]
@@ -1348,6 +1348,27 @@ class TestBallGeometry:
                 assert region_outcome(direct_ball_region, m, center, radius) is error
                 with pytest.raises(error):
                     ball_region(m, center, radius)
+
+    def test_held_record_checks_every_ball(self, cone_64, unit_disk_64, face_layer_disk_64):
+        # translates by whole cells share one ball record of the holder; each
+        # later ball is checked from its gathered cells as the first one was
+        grid, mask = face_layer_disk_64
+        carry = msolve.PlanHolder()
+        msolve._solve_ball(cone_64.values, mask, (0.0, 0.0), 0.29, SolveOptions(), carry)
+        with pytest.raises(ValueError, match="not compactly inside"):
+            ball_region(mask, (0.5, 0.5), 0.29)
+        with plan_builds() as built:
+            with pytest.raises(ValueError, match="not compactly inside"):
+                msolve._solve_ball(cone_64.values, mask, (0.5, 0.5), 0.29, SolveOptions(), carry)
+            ball = ((0.375, 0.375), 0.29)
+            win, unknown, ring = ball_region(mask, *ball)
+            vals = cone_64.values.copy()
+            vals[win][ring & (np.arange(ring.shape[0])[:, None] < 4)] = NEG_INF
+            bad = np.argwhere(ring & ~np.isfinite(vals[win])) + [s.start for s in win]
+            with pytest.raises(UndefinedCellError) as caught:
+                msolve._solve_ball(vals, mask, *ball, SolveOptions(), carry)
+            assert len(bad) and caught.value.cells == [tuple(c) for c in bad[:8]]
+            assert built() == 0 and len(carry.balls) == 1
 
     def test_cached_masks_are_read_only_and_bounded(self, unit_disk_64):
         grid, mask = unit_disk_64

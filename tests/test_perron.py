@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, sample_function
+from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, perron, sample_function
 from meancurv.field import SizingError
 from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet, solve_on_ball
 from meancurv.perron import (
@@ -65,6 +65,18 @@ class TestBallCover:
         target = pts[mask.interior & (mask.shape.signed_distance(pts) > cover.radius / 2)]
         d = np.sqrt(((target[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)
         assert (d > cover.radius + 1e-12).sum() == cover.uncovered == uncovered
+
+    def test_hand_built_cover_is_counted(self, unit_disk_64):
+        # the first 200 centres of the level-3 cover leave most of the disk
+        grid, mask = unit_disk_64
+        full = build_ball_cover(mask, 3)
+        centers = np.asarray(full.centers[:200])
+        pts = grid.points()
+        target = pts[mask.interior & (mask.shape.signed_distance(pts) > full.radius / 2)]
+        d = np.sqrt(((target[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        assert len(target) == 11277 and (d > full.radius + 1e-12).sum() == 6785
+        assert len(perron._uncovered(mask, full.radius, full.centers[:200])) == 6785
+        assert len(perron._uncovered(mask, full.radius, full.centers)) == full.uncovered == 0
 
     def test_sweep_reports_the_uncovered_count(self, caplog):
         grid, mask = make_grid(ShapeSpec.annulus((0.0, 0.0), 0.5, 1.0), 32)
@@ -336,6 +348,8 @@ class TestCarriedLU:
             sys.setswitchinterval(switch)
         for (one, one_trace), (other, other_trace) in zip(sequential, threaded):
             assert one_trace.completed and other_trace.completed
+            # a hand-built cover's default count is recounted by the sweep
+            assert cover.uncovered == 0 and one_trace.uncovered == other_trace.uncovered == 6785
             assert ([r.iterations for r in one_trace.records]
                     == [r.iterations for r in other_trace.records])
             assert np.nanmax(np.abs(one.values - other.values)) <= 1e-12
@@ -364,8 +378,8 @@ class TestPredictedStart:
         win, unknown, ring = ball_region(mask, center, radius)
         Vw = cone_64.values[win]
         # Newton from the field, on a plan holder of its own
-        values, info = msolve._newton_core(grid.h, grid.n, unknown, ring, Vw,
-                                           np.zeros(Vw.shape), opts, init_values=Vw)
+        values, info = msolve._newton_arrays(grid.h, grid.n, unknown, ring, Vw,
+                                             np.zeros(Vw.shape), opts, init_values=Vw)
         expect = cone_64.values.copy()
         expect[win][unknown] = np.maximum(values[unknown], Vw[unknown])
         # a sweep over translates of this ball keeps corrections of its pattern
