@@ -176,6 +176,13 @@ class ExperimentConfig:
                               f"known are {ExperimentConfig.OPTION_KEYS}")
         if options.get("init", "harmonic") != "harmonic":
             raise ConfigError(f"options.init must be 'harmonic', got {options['init']!r}")
+        if kind == "measure" and params.get("route", "mollify") == "sweep":
+            levels = params.get("levels")
+            if not (isinstance(levels, list) and levels and all(
+                    isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
+                    for p in levels)):
+                raise ConfigError(f"the sweep route needs levels as [j, eps] pairs, "
+                                  f"got {levels!r}")
         return ExperimentConfig(kind=kind, domain=d.get("domain", {}),
                                 resolutions=list(res), params=params,
                                 seed=int(d.get("seed", 0)), out=d.get("out", "run"))

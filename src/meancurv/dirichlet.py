@@ -354,9 +354,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
         eps = schedule.eps(delta, grid.h)
         g_eps = mollify_measure(nu, eps, mask)
         rhs = ScalarField(grid=grid,
-                          values=np.where(mask.interior,
-                                          (1.0 - delta) * np.nan_to_num(g_eps.values),
-                                          np.nan),
+                          values=np.where(mask.interior, (1.0 - delta) * g_eps.values, np.nan),
                           provenance="derived")
         out = solve_dirichlet(mask, f=rhs, phi=phi, opts=opts, init=prev_field, carry=carry)
         viol = 0

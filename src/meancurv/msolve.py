@@ -16,15 +16,15 @@ every analytically assembled matrix read the same faces, and one
 symmetric-mode sparse LU factors every matrix in that order: 1d and 2d
 solves, whole-domain, ball and penalized, run the same code.  Ball
 replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
-check) go through one windowed ball kernel, ``_solve_ball``: it looks up
-the ``_BallRecord`` of the ball's window shape and centre offset, gathers
-the ball from the mask and the field, runs ``_newton_core`` and owns the
-warm start, its prediction from the corrections of earlier balls and the
-harmonic restart.
+check) go through one windowed ball kernel, ``_solve_ball``: it takes the
+cells of the ball's window nearer the centre than the radius, looks up the
+``_BallRecord`` of that cell pattern, gathers the ball from the mask and
+the field, runs ``_newton_core`` and owns the warm start, its prediction
+from the corrections of earlier balls and the harmonic restart.
 
-Plans, LUs, corrections and ball records belong to a ``PlanHolder``, owned
-by the solve, sweep or continuation that makes it, never to the module: a
-Perron sweep, the ring pipeline's stages and the minimizer's rounds each
+Plans, LUs and ball records belong to a ``PlanHolder``, owned by the
+solve, sweep or continuation that makes it, never to the module: a Perron
+sweep, the ring pipeline's stages and the minimizer's rounds each
 share one, and a solve given none makes its own.  A Newton solve may start
 on the holder's last LU of an earlier solve of the same plan (a chord
 matrix lagged across solves), and each ball solve of a sweep predicts its
@@ -370,18 +370,16 @@ class PlanHolder:
     sweep level repeat a pattern, and so do the stages of a continuation.
     ``lu`` is the last fresh ``(plan, solve)`` pair of a solve run with the
     holder, on which a later solve of the same plan may start (see
-    ``_newton_core``).  ``corrections`` maps a ball's cell pattern to the
-    corrections (solution minus start on its unknowns) of the last two
-    converged ball solves of that pattern, newest first, from which
-    ``_solve_ball`` predicts the start of the next; ``balls`` maps a
-    ``_ball_masks`` key to its ``_BallRecord``.  Whoever makes a holder owns
-    it, and all of these go with it; no two threads share one.
+    ``_newton_core``).  ``balls`` maps a ball's grid shape and window
+    pattern of inside cells to its ``_BallRecord``, which keeps the
+    corrections from which ``_solve_ball`` predicts the start of the next
+    ball of that pattern.  Whoever makes a holder owns it, and all of these
+    go with it; no two threads share one.
     """
 
     def __init__(self, plans: Optional[dict] = None):
         self.plans = {} if plans is None else plans
         self.lu = None
-        self.corrections = {}
         self.balls = {}
 
     def plan(self, unk, fix, rows_interior) -> _NewtonPlan:
@@ -788,51 +786,14 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                         certificate=certificate, diagnostics=info)
 
 
-# cells this close to the sphere (in cells) are tested against each centre
-_SPHERE_BAND = 1e-6
-
-
-@functools.lru_cache(maxsize=64)
-def _window_ball(n: int, h: float, radius: float, offset: tuple, shape: tuple):
-    """Window-local ``inside`` and ``ring`` masks of a ball centred ``offset``
-    cells from the window's first cell centre, and the cells within
-    ``_SPHERE_BAND`` cells of its sphere; read-only, shared by translates."""
-    local = np.moveaxis(np.indices(shape), 0, -1)
-    dist = _dist_to((local - offset) * h, (0.0,) * n)
-    inside = dist < radius
-    ring = _ring(inside)
-    for a in (inside, ring):
-        a.flags.writeable = False
-    return inside, ring, np.nonzero(np.abs(dist - radius) <= _SPHERE_BAND * h)
-
-
-def _ball_masks(grid: Grid, center, radius):
-    """A ball's window slices (bounding box plus three cells), its ``inside``
-    and ``ring`` masks there from ``_window_ball``, and their key: grid
-    extents and spacing, radius, window shape and centre offset, plus the
-    exact test of the cells near the sphere where it changes the masks."""
-    win = ball_window(grid, center, radius, margin=3)
-    shape = tuple(max(s.stop - s.start, 0) for s in win)
-    offset = tuple(round(float(c - o) / grid.h - s.start, 8)
-                   for c, o, s in zip(center, grid.origin, win))
-    inside, ring, near = _window_ball(grid.n, grid.h, radius, offset, shape)
-    key = (grid.extents, grid.h, radius, shape, offset)
-    if near[0].size:
-        cells = tuple(i + s.start for i, s in zip(near, win))
-        exact = _dist_to(grid.points()[cells], center) < radius
-        if (exact != inside[near]).any():
-            inside = inside.copy()
-            inside[near] = exact
-            ring = _ring(inside)
-            key += (exact.tobytes(),)
-    return win, key, inside, ring
-
-
 def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Window slices, window-local unknown cells and data ring of a ball
-    subregion solve (``_ball_masks``); SizingError when no cell of the ball
-    is interior, ValueError unless all are and its ring lies in the region."""
-    win, _, inside, ring = _ball_masks(mask.grid, center, radius)
+    """Window slices (bounding box plus three cells), window-local unknown
+    cells (those nearer the centre than the radius) and data ring of a ball
+    subregion solve; SizingError when no cell of the ball is interior,
+    ValueError unless all are and its ring lies in the region."""
+    win = ball_window(mask.grid, center, radius, margin=3)
+    inside = _dist_to(mask.grid.points()[win], center) < radius
+    ring = _ring(inside)
     interior = mask.interior[win]
     unknown = interior & inside
     if not unknown.any():
@@ -846,7 +807,9 @@ class _BallRecord:
     """An accepted ball's ``plan``, the flat indices (C order) of its
     unknowns and ring from its window's first cell (``cells``, ``ring``) and
     in the plan's window (``local``, ``ring_local``), ``blank`` flat window,
-    zero forcing and corrections ``pattern``: shared by its ``_ball_masks`` key."""
+    zero forcing, and the ``corrections`` (solution minus start on the
+    unknowns) of its last two converged warm solves, newest first; one per
+    grid shape and window pattern of inside cells, shared by translates."""
 
     def __init__(self, holder: PlanHolder, grid_shape, unknown, ring):
         tight = _window(unknown, ring)
@@ -856,27 +819,30 @@ class _BallRecord:
         self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
         self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
         self.f_zero = np.zeros(self.local.size)
-        self.pattern = (unknown.shape, unknown.tobytes())
+        self.corrections = ()
 
 
 def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
                 carry: Optional[PlanHolder] = None):
     """Minimal-graph replacement of the full-grid array V inside a ball.
 
-    ``ball_region`` checks the first ball of a ``_BallRecord`` of the
-    holder ``carry`` (its own when None) and names the error of a later one
-    whose gathered cells leave the domain.  Non-finite sphere data raise
+    The holder ``carry`` (its own when None) keeps a ``_BallRecord`` per
+    grid shape and cell pattern of the window; ``ball_region`` checks the
+    first ball of a record and names the error of a later one whose gathered
+    cells leave the domain.  Non-finite sphere data raise
     UndefinedCellError.  Newton starts harmonic unless V is finite on the
-    unknowns, else from V + 2 c1 - c2, V + c1 or V, with c1, c2 the holder's
-    last corrections of the pattern (``info["predicted"]`` if any).  A warm
-    start that does not converge gets one harmonic restart on an LU the
-    holder does not carry, kept when it converges or lowers the residual;
-    ``info`` counts both.  Returns (cells, ring, values, info): full-grid
-    flat indices (C order) of the unknowns and ring, and the solution.
+    unknowns, else from V + 2 c1 - c2, V + c1 or V, with c1, c2 the record's
+    last corrections (``info["predicted"]`` if any).  A warm start that does
+    not converge gets one harmonic restart on an LU the holder does not
+    carry, kept when it converges or lowers the residual; ``info`` counts
+    both.  Returns (cells, ring, values, info): full-grid flat indices (C
+    order) of the unknowns and ring, and the solution.
     """
     grid = mask.grid
     carry = carry or PlanHolder()
-    win, key, _, _ = _ball_masks(grid, center, radius)
+    win = ball_window(grid, center, radius, margin=3)
+    inside = _dist_to(grid.points()[win], center) < radius
+    key = (grid.shape, inside.shape, inside.tobytes())
     ball = carry.balls.get(key)
     if ball is None:
         ball = carry.balls[key] = _BallRecord(carry, grid.shape,
@@ -892,7 +858,7 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
         raise UndefinedCellError("sphere data is not finite; ball rejected", list(zip(*bad)))
     old = V.take(cells)
     warm = bool(np.isfinite(old).all())
-    seen = carry.corrections.get(ball.pattern, ()) if warm else ()
+    seen = ball.corrections if warm else ()
     Vx = ball.blank.copy()
     Vx[ball.ring_local] = sphere
     if warm:
@@ -915,7 +881,7 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
     if seen:
         info["predicted"] = True
     if info["converged"] and warm:
-        carry.corrections[ball.pattern] = (values - old,) + seen[:1]
+        ball.corrections = (values - old,) + seen[:1]
     return cells, ring, values, info
 
 

@@ -8,11 +8,11 @@ sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
 behind ``solve_on_ball`` and the viscosity check) and scatter its result
 into the field as a cellwise max.  A single lift factors its Newton matrices
 fresh and starts Newton from the field; a sweep owns one ``msolve.PlanHolder``,
-which keeps a plan per cell pattern and a ball record per window, and hands the
+which keeps a plan and a ball record per cell pattern, and hands the
 last LU of each ball solve to the next one, whose warm-started Newton run
 starts on it as a chord matrix when the two balls share a cell pattern
-(translates by whole cells do).  The holder also keeps the corrections of
-the last two converged lifts of each pattern, and the next lift of that
+(translates by whole cells do).  A ball record also keeps the corrections
+of the last two converged lifts of its pattern, and the next lift of that
 pattern starts from their linear extrapolation in the ball centre (a
 continuation predictor, Newton the corrector) while the max-merge still
 compares with the unlifted field.  On the cone at 128, levels 2-4, this
@@ -233,7 +233,7 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     work = u.values.copy()
     records = []
     completed = True
-    carry = PlanHolder()   # this sweep's plans, last fresh LU and corrections
+    carry = PlanHolder()   # this sweep's plans, last fresh LU and ball records
     for k, center in enumerate(cover.centers):
         try:
             inc_max, inc_min, repaired, info = _lift_inplace(

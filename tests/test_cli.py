@@ -43,6 +43,23 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("levels", [None, [], [2, 3], [[2]], [[2, 0.0625, 1]],
+                                        [[2, "0.0625"]]])
+    def test_sweep_route_needs_level_pairs(self, tmp_path, levels):
+        params = {"u": {"name": "cone"}, "route": "sweep"}
+        if levels is not None:
+            params["levels"] = levels
+        raw = {"kind": "measure", "domain": {"kind": "disk", "center": [0.0, 0.0],
+                                             "radius": 1.0},
+               "resolutions": [32], "params": params}
+        with pytest.raises(ConfigError, match=r"\[j, eps\] pairs"):
+            ExperimentConfig.from_json(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["measure", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_documented_solver_options_validate(self):
         options = {"max_iter": 40, "tol": 1e-8, "damping": 1e-4, "init": "harmonic"}
         raw = dict(TestSolveExperiment.CONFIG,

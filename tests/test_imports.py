@@ -1,4 +1,5 @@
-"""Every name a ``meancurv`` module imports is used in that module."""
+"""Every name a ``meancurv`` module imports is used in that module, and
+every name it defines is referenced somewhere in the repository."""
 
 import ast
 from pathlib import Path
@@ -52,10 +53,23 @@ def private_definitions(source: str) -> set:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def public_definitions(source: str) -> set:
+    """Public functions and classes that a module defines at its top level,
+    and the public methods of those classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names |= {m.name for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return {n for n in names if not n.startswith("_")}
+
+
 def references(source: str) -> set:
     """Names a source reads: loaded names, attributes, imported names, and
     strings that are exactly a name (``getattr`` and the benchmark tracer
-    look attributes up by string)."""
+    look attributes up by string, and ``__all__`` lists the kept API)."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -76,10 +90,31 @@ def test_detector_finds_an_unreferenced_private_name():
     assert sorted(private_definitions(module) - used) == ["_b", "_f"]
 
 
-def test_every_private_name_is_referenced():
+def repository_references() -> set:
     used = set()
     for path in READERS:
         used |= references(path.read_text())
+    return used
+
+
+def test_every_private_name_is_referenced():
+    used = repository_references()
     unused = {path.name: sorted(private_definitions(path.read_text()) - used)
               for path in MODULES}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_detector_finds_an_unreferenced_public_name():
+    module = ("__all__ = ['kept']\ndef kept():\n    pass\ndef unused():\n    pass\n"
+              "class K:\n    def used(self):\n        pass\n    def dropped(self):\n"
+              "        pass\n    def _own(self):\n        pass\n")
+    reader = "K().used()\n"
+    used = references(module) | references(reader)
+    assert sorted(public_definitions(module) - used) == ["dropped", "unused"]
+
+
+def test_every_public_name_is_referenced():
+    used = repository_references()
+    unused = {path.name: sorted(public_definitions(path.read_text()) - used)
+              for path in SRC.glob("*.py")}
     assert {name: names for name, names in unused.items() if names} == {}

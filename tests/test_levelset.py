@@ -240,6 +240,18 @@ class TestEtaMargin:
         assert abs(rep.max_ratio - 0.5) < 0.03
         assert abs(rep.eta_star - 0.5) < 0.03
 
+    def test_empty_superlevel_is_excluded_and_counted(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        u = sample_function(cone_formula, grid, mask)
+        dens = sample_function(lambda p: np.ones(len(p)), grid, mask)
+        top = float(np.nanmax(u.values[mask.interior]))
+        reps = [eta_margin(dens, mask, SetFamily(rectangles=False, superlevel_field=u,
+                                                 superlevel_thresholds=ts))
+                for ts in ((0.3, 0.6), (0.3, top + 1.0, 0.6))]
+        assert (reps[0].family_size, reps[0].excluded) == (2, 0)
+        assert (reps[1].family_size, reps[1].excluded) == (2, 1)
+        assert reps[1].max_ratio == reps[0].max_ratio and reps[1].worst == reps[0].worst
+
     def test_family_growth_never_raises_eta(self):
         grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 12)
         dens = sample_function(lambda p: 1 + 0.5 * p[:, 0], grid, mask)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage, sparse
 from scipy.sparse import linalg as slinalg
 
-from meancurv import NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, sample_function
+from meancurv import (NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, perron,
+                      sample_function)
 from meancurv.cli import _resample
 from meancurv.field import SizingError, UndefinedCellError, _dist_to
 from meancurv.mco import _divergence, area_functional, face_gradients, face_sides
@@ -947,7 +948,8 @@ class TestCarriedLU:
         carry.lu = (carry.lu[0], raising)
         # without them the solve would start from the first one's solution
         # and converge before it needs an LU
-        carry.corrections.clear()
+        for ball in carry.balls.values():
+            ball.corrections = ()
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert got[3]["factorizations"] == ref[3]["factorizations"]
@@ -971,7 +973,8 @@ class TestCarriedLU:
             return -solve(b)
 
         carry.lu = (plan, uphill)
-        carry.corrections.clear()
+        for ball in carry.balls.values():
+            ball.corrections = ()
         got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert len(calls) == 1 and carry.lu[1] is not uphill
@@ -1247,8 +1250,8 @@ class TestPlanResidual:
 
 
 def direct_ball_region(mask, center, radius):
-    """``ball_region`` as computed before its masks were cached: the window,
-    its inside mask from the points, the ring by dilation."""
+    """``ball_region`` computed on its own: the window, its inside mask from
+    the points, the ring by dilation."""
     grid = mask.grid
     win = []
     for k in range(grid.n):
@@ -1286,7 +1289,8 @@ def assert_same_region(mask, center, radius):
 
 
 class TestBallGeometry:
-    """Cached ball masks are the direct computation's, ball by ball."""
+    """Ball masks are the direct computation's, ball by ball, and a holder
+    keeps one ball record per cell pattern."""
 
     @pytest.mark.parametrize("res", [64, 128, 256])
     def test_cover_centres_match_direct(self, res):
@@ -1333,7 +1337,7 @@ class TestBallGeometry:
                 radius = float(rng.uniform(0.05, 0.3))
                 center = tuple(rng.uniform(-0.5, 0.5, 2))
                 assert solve_on_ball(cone_64, mask, center, radius).converged
-                # the same ball again, now from the cache
+                # the same ball again
                 assert solve_on_ball(cone_64, mask, center, radius).converged
         assert len(calls) == 24
 
@@ -1344,7 +1348,7 @@ class TestBallGeometry:
                  (mask, (0.8, 0.0), 0.3, ValueError),           # crosses the boundary
                  (face_layer_disk_64[1], (0.5, 0.5), 0.29, ValueError)]   # ring leaves
         for m, center, radius, error in cases:
-            for _ in range(2):          # computed, then cached
+            for _ in range(2):          # the same outcome again
                 assert region_outcome(direct_ball_region, m, center, radius) is error
                 with pytest.raises(error):
                     ball_region(m, center, radius)
@@ -1370,14 +1374,40 @@ class TestBallGeometry:
             assert len(bad) and caught.value.cells == [tuple(c) for c in bad[:8]]
             assert built() == 0 and len(carry.balls) == 1
 
-    def test_cached_masks_are_read_only_and_bounded(self, unit_disk_64):
+    @pytest.mark.parametrize("res, levels, records", [(128, (2, 3, 4), 1), (64, (4,), 5)])
+    def test_sweep_keeps_one_record_per_pattern(self, res, levels, records):
+        # a flat field makes every lift a zero-step solve; at 64, level 4 four
+        # balls have edge-clipped windows of their own
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), res)
+        flat = ScalarField(grid=grid, values=np.zeros(grid.shape))
+        for level in levels:
+            holders = []
+
+            def held():
+                holders.append(msolve.PlanHolder())
+                return holders[-1]
+
+            with mock.patch.object(perron, "PlanHolder", held):
+                _, trace = perron.approximation_sweep(flat, mask, level)
+            assert trace.completed and len(holders) == 1
+            assert len(holders[0].balls) == records, (res, level)
+
+    def test_radii_with_the_same_cells_share_a_record(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
-        cache = msolve._window_ball.cache_info
-        for k in range(2 * cache().maxsize):
-            win, unknown, ring = ball_region(mask, (0.0, 0.0), 0.1 + 0.001 * k)
-            assert cache().currsize <= cache().maxsize
-        with pytest.raises(ValueError):
-            ring[0] = True
+        center = tuple(grid.points()[32, 30])
+        # no cell centre lies between 3.5 and 3.6 cells from a cell centre
+        radii = (3.5 * grid.h, 3.6 * grid.h)
+        regions = [ball_region(mask, center, r) for r in radii]
+        assert regions[0][0] == regions[1][0]
+        assert all(np.array_equal(a, b) for a, b in zip(regions[0][1:], regions[1][1:]))
+        carry = msolve.PlanHolder()
+        first = msolve._solve_ball(cone_64.values, mask, center, radii[0], SolveOptions(), carry)
+        with plan_builds() as built:
+            second = msolve._solve_ball(cone_64.values, mask, center, radii[1], SolveOptions(),
+                                        carry)
+            assert built() == 0
+        assert len(carry.balls) == 1 and len(carry.plans) == 1
+        assert first[3]["converged"] and second[3]["converged"] and second[3]["predicted"]
 
 
 class TestResidualEvaluations:
