@@ -183,6 +183,12 @@ class ExperimentConfig:
                     for p in levels)):
                 raise ConfigError(f"the sweep route needs levels as [j, eps] pairs, "
                                   f"got {levels!r}")
+        if kind == "perron" and "levels" in params:
+            levels = params["levels"]
+            if not (isinstance(levels, list) and levels
+                    and all(type(j) is int for j in levels)):
+                raise ConfigError(f"perron levels must be a nonempty list of integers, "
+                                  f"got {levels!r}")
         return ExperimentConfig(kind=kind, domain=d.get("domain", {}),
                                 resolutions=list(res), params=params,
                                 seed=int(d.get("seed", 0)), out=d.get("out", "run"))
@@ -298,7 +304,7 @@ def _run_perron(config: ExperimentConfig, out_dir: Path):
         grid, mask = make_grid(shape, res)
         u = sample_function(formula(params.get("u", {"name": "cone"})), grid, mask)
         for j in levels:
-            swept, trace = approximation_sweep(u, mask, int(j))
+            swept, trace = approximation_sweep(u, mask, j)
             path = out_dir / f"sweep_res{res}_j{j}.csv"
             write_csv(path, ["index", *(f"c{k}" for k in range(grid.n)),
                              "max_increase", "iters"],

@@ -24,7 +24,7 @@ from .field import (
     ScalarField,
     SizingError,
     UndefinedCellError,
-    _dist_to,
+    ball_distances,
     circle_points,
     mollifier_kernel,
 )
@@ -141,8 +141,9 @@ class MeasureSpec:
         on the cells whose centers it holds, each curve's arc inside it in
         closed form, and the atoms inside it."""
         grid = mask.grid
-        inside = _dist_to(grid.points(), center) < radius
-        total = float(self.density_values(mask)[inside].sum() * grid.cell_volume)
+        win, dist = ball_distances(grid, center, radius)
+        total = float(self.density_values(mask)[win][dist < radius].sum()
+                      * grid.cell_volume)
         for c in self.curves:
             total += c.lam * c.length_inside(center, radius)
         for x0, m in self.atoms:

@@ -557,7 +557,7 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
 
     An empty result is legal and reports volume zero.  NaN and -inf cells
     are never members (they compare false).  The clip ball's distances are
-    taken on its ``ball_window`` only.
+    taken on its window only (``ball_distances``).
     """
     if not np.isfinite(t):
         raise ValueError("threshold t must be finite")
@@ -569,8 +569,8 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
             center = _shape_center(mask.shape)
         inside = np.zeros(grid.shape, bool)
         if r > 0:                   # no cell is nearer than a radius <= 0 (or NaN)
-            win = ball_window(grid, center, r)
-            inside[win] = _dist_to(grid.points()[win], center) < r
+            win, dist = ball_distances(grid, center, r)
+            inside[win] = dist < r
         member &= inside
         clip = (tuple(center), float(r))
     return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip,
@@ -606,20 +606,32 @@ def _dist_to(pts: np.ndarray, center) -> np.ndarray:
     return np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
 
 
-def ball_window(grid: Grid, center, radius: float, margin: int = 1) -> tuple:
-    """Slices of the cells whose centres lie within *margin* cells of the
-    ball's bounding box, clipped to the grid; every cell nearer to *center*
-    than *radius* is inside it.  The radius may be infinite, not NaN."""
+def box_window(grid: Grid, lows, highs, margin: int = 1) -> tuple:
+    """Slices of the cells whose centres lie within *margin* cells of the box
+    with corners *lows* and *highs*, clipped to the grid; every cell whose
+    centre lies in the open box is inside it.  The corners may be infinite,
+    not NaN."""
     win = []
     for k in range(grid.n):
-        # clamping before rounding keeps an infinite radius finite; it moves no
+        # clamping before rounding keeps an infinite corner finite; it moves no
         # end that the clip to the grid below would keep
-        lo = (center[k] - radius - grid.origin[k]) / grid.h
-        hi = (center[k] + radius - grid.origin[k]) / grid.h
+        lo = (lows[k] - grid.origin[k]) / grid.h
+        hi = (highs[k] - grid.origin[k]) / grid.h
         lo = int(math.floor(max(lo, -1.0))) - margin
         hi = int(math.ceil(min(hi, grid.extents[k]))) + margin + 1
-        win.append(slice(max(lo, 0), min(hi, grid.extents[k])))
+        # a box below the grid gets an empty window, not a stop counted from the end
+        win.append(slice(max(lo, 0), max(min(hi, grid.extents[k]), 0)))
     return tuple(win)
+
+
+def ball_distances(grid: Grid, center, radius: float, margin: int = 1) -> tuple:
+    """The ball's window, the ``box_window`` of its bounding box (so every
+    cell nearer to *center* than *radius* is inside it), and the distances
+    of the window's cells to *center*.  Ball solves, clip balls and every
+    ball-local sum read these instead of the whole grid."""
+    win = box_window(grid, [c - radius for c in center], [c + radius for c in center],
+                     margin)
+    return win, _dist_to(grid.points()[win], center)
 
 
 def isoperimetric_floor(s: DiscreteSet) -> float:

@@ -29,8 +29,7 @@ from .field import (
     DomainMask,
     ScalarField,
     SizingError,
-    _dist_to,
-    ball_window,
+    ball_distances,
     circle_points,
     superlevel_set,
 )
@@ -252,15 +251,16 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
     if u.provenance != "solved":
         raise ValueError("harnack report expects a solved field "
                          f"(got provenance {u.provenance!r})")
-    dist = _dist_to(grid.points(), center)
-    ball = mask.interior & (dist <= r) & u.defined
+    win, dist = ball_distances(grid, center, r)
+    vals = u.values[win]
+    ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
     if not ball.any():
         raise SizingError("harnack ball contains no cells")
-    if float(np.nanmin(u.values[ball])) <= 0.0:
+    if float(np.nanmin(vals[ball])) <= 0.0:
         raise ValueError("harnack hypothesis violated: field not positive on the ball")
     half = ball & (dist <= r / 2.0)
-    sup_half = float(np.nanmax(u.values[half]))
-    inf_half = float(np.nanmin(u.values[half]))
+    sup_half = float(np.nanmax(vals[half]))
+    inf_half = float(np.nanmin(vals[half]))
     svals, darc = sphere_values(u, r, center)
     svals = svals[np.isfinite(svals)]
     if levels is None:
@@ -298,11 +298,12 @@ def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
     grid = u.grid
     if center is None:
         center = (0.0,) * grid.n
-    dist = _dist_to(grid.points(), center)
-    ball = mask.interior & (dist <= r) & u.defined
+    win, dist = ball_distances(grid, center, r)
+    vals = u.values[win]
+    ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
     half = ball & (dist <= r / 2.0)
-    sup_half = float(np.nanmax(u.values[half]))
-    uplus = np.maximum(u.values[ball], 0.0)
+    sup_half = float(np.nanmax(vals[half]))
+    uplus = np.maximum(vals[ball], 0.0)
     integral = float((uplus ** p).sum() * grid.cell_volume)
     if integral <= 0.0:
         return WeakHarnackResult(sup_half=sup_half, integral_bound=0.0,
@@ -385,8 +386,8 @@ def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
     for radius in family.ball_radii:
         members.extend(_ball_members(mass, mask, radius, family.ball_stride))
     for center, r_in, r_out in family.annuli:
-        dist = _dist_to(grid.points(), center)
-        nu_val = float(mass[(dist > r_in) & (dist < r_out) & mask.interior].sum())
+        win, dist = ball_distances(grid, center, r_out)
+        nu_val = float(mass[win][(dist > r_in) & (dist < r_out) & mask.interior[win]].sum())
         per = 2 * math.pi * (r_in + r_out) if grid.n == 2 else 4.0
         members.append(FamilyMember(kind="annulus", descriptor=(center, r_in, r_out),
                                     nu=nu_val, perimeter=per))
@@ -493,8 +494,8 @@ def _ball_members(mass: np.ndarray, mask: DomainMask, radius: float, stride: int
     per = 2 * math.pi * radius if grid.n == 2 else 2.0
     for cidx in np.argwhere(ok & lattice):
         center = tuple(grid.cell_center(tuple(cidx)))
-        win = ball_window(grid, center, radius)
-        inside = (_dist_to(pts[win], center) < radius) & mask.interior[win]
+        win, dist = ball_distances(grid, center, radius)
+        inside = (dist < radius) & mask.interior[win]
         members.append(FamilyMember(kind="ball", descriptor=(center, radius),
                                     nu=float(mass[win][inside].sum()), perimeter=per))
     return members

@@ -18,6 +18,11 @@ residual applies ``face_formula`` to the gathered faces of its rows instead
 of whole face arrays.  The discrete boundary length is the face count of
 the boundary, ``_interior_face_count`` times h^(n-1), for both the area
 functional and the minimizer's stationarity rows.
+
+Interface fluxes and the viscosity check's balls are ball-local: they read
+the interface's window of cells (``field.ball_distances``, or the box window
+of a rectangle or a 1d pair) and the faces between window cells, never the
+whole grid, and sum them in the full grid's C order.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .field import (
     Grid,
     ScalarField,
     UndefinedCellError,
-    _dist_to,
+    ball_distances,
+    box_window,
 )
 
 
@@ -196,8 +202,10 @@ class CircleInterface:
     center: tuple
     radius: float
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        return _dist_to(pts, self.center) < self.radius
+    def cells(self, grid: Grid) -> tuple:
+        """The ball's window and which of its cells the circle encloses."""
+        win, dist = ball_distances(grid, self.center, self.radius)
+        return win, dist < self.radius
 
     def describe(self) -> str:
         return f"circle(center={self.center}, r={self.radius})"
@@ -210,9 +218,12 @@ class RectInterface:
     y0: float
     y1: float
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        return ((pts[..., 0] > self.x0) & (pts[..., 0] < self.x1)
-                & (pts[..., 1] > self.y0) & (pts[..., 1] < self.y1))
+    def cells(self, grid: Grid) -> tuple:
+        """The rectangle's window and which of its cells it encloses."""
+        win = box_window(grid, (self.x0, self.y0), (self.x1, self.y1))
+        pts = grid.points()[win]
+        return win, ((pts[..., 0] > self.x0) & (pts[..., 0] < self.x1)
+                     & (pts[..., 1] > self.y0) & (pts[..., 1] < self.y1))
 
     def describe(self) -> str:
         return f"rect([{self.x0},{self.x1}]x[{self.y0},{self.y1}])"
@@ -225,9 +236,11 @@ class PairInterface:
     a: float
     b: float
 
-    def inside(self, pts: np.ndarray) -> np.ndarray:
-        x = pts[..., 0] if pts.ndim > 1 else pts
-        return (x > self.a) & (x < self.b)
+    def cells(self, grid: Grid) -> tuple:
+        """The interval's window and which of its cells lie between the ends."""
+        win = box_window(grid, (self.a,), (self.b,))
+        x = grid.points()[win][..., 0]
+        return win, (x > self.a) & (x < self.b)
 
     def describe(self) -> str:
         return f"pair({self.a}, {self.b})"
@@ -238,15 +251,23 @@ def boundary_flux(u, interface) -> float:
 
     *u* is a field or its ``flux_field``.  Exactly equals the h1_density sum
     over the enclosed cells (discrete divergence theorem); faces with
-    undefined flux along the interface raise.
+    undefined flux along the interface raise, naming their lower cells.
+    Only the interface's window is read: the enclosed cells are tested
+    there, and each axis's faces between window cells are summed in the
+    C order of the whole face array, so the sum is the full-grid one bit
+    for bit.
     """
     ff = u if isinstance(u, FluxField) else flux_field(u)
     grid = ff.grid
-    inside = interface.inside(grid.points())
+    win, inside = interface.cells(grid)
+    start = np.array([w.start for w in win])
     total, bad_cells = None, []
-    for (lo, hi), f in zip(face_sides(grid.n), ff.axes):
+    for axis, ((lo, hi), f) in enumerate(zip(face_sides(grid.n), ff.axes)):
+        # faces between window cells: all but the window's last cell on this axis
+        f = f[tuple(slice(w.start, max(w.stop - 1, 0)) if k == axis else w
+                    for k, w in enumerate(win))]
         cut = inside[hi] != inside[lo]
-        bad_cells += list(zip(*np.nonzero(cut & np.isnan(f))))
+        bad_cells += list(map(tuple, np.argwhere(cut & np.isnan(f)) + start))
         part = (f[cut] * np.where(inside[lo], 1.0, -1.0)[cut]).sum()
         total = part if total is None else total + part
     if bad_cells:
@@ -256,7 +277,9 @@ def boundary_flux(u, interface) -> float:
 
 def enclosed_density_sum(u: ScalarField, interface) -> float:
     """Density integral over the cells enclosed by the interface."""
-    inside = interface.inside(u.grid.points())
+    win, cells = interface.cells(u.grid)
+    inside = np.zeros(u.grid.shape, bool)
+    inside[win] = cells
     return density_integral(u, inside, name=interface.describe())
 
 
@@ -358,10 +381,15 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
     tols = []
     grid = u.grid
     for center, radius in balls:
-        dist = _dist_to(grid.points(), center)
-        ball_cells = mask.interior & (dist < radius)
-        ball_tol = tol if tol is not None else default_subharmonic_tol(
-            u, mask.interior & (dist < radius + 2 * grid.h))
+        # the window of the ball grown by the 2h the default tolerance reads
+        win, dist = ball_distances(grid, center, radius + 2 * grid.h)
+        interior = mask.interior[win]
+        ball_cells = interior & (dist < radius)
+        ball_tol = tol
+        if ball_tol is None:
+            near = np.zeros(grid.shape, bool)
+            near[win] = interior & (dist < radius + 2 * grid.h)
+            ball_tol = default_subharmonic_tol(u, near)
         tols.append(ball_tol)
         outcome = solve_on_ball(u, mask, center, radius, opts=opts)
         if not outcome.converged:
@@ -369,7 +397,7 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
                                     passed=False, violation=float("nan"),
                                     inconclusive=True))
             continue
-        diff = u.values - outcome.field.values
+        diff = u.values[win] - outcome.field.values[win]
         viol = float(np.nanmax(np.where(ball_cells, diff, -np.inf)))
         checks.append(BallCheck(center=tuple(center), radius=radius,
                                 passed=viol <= ball_tol, violation=viol))

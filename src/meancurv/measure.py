@@ -6,6 +6,9 @@ bar and any near-subharmonicity defect propagated into the negativity
 allowance.  A single smooth field is the one-term sequence: its mass is its
 sphere flux, which the conservative scheme makes identical to the density
 integral.  1d and 2d share every path; a 1d sphere is a pair of points.
+Each sphere flux reads only its ball's window of cells and the faces
+between them (``mco.boundary_flux``), so a table of many small balls costs
+little more than the flux field it is read from.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
 from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
-                    _dist_to, _ring, ball_window)
+                    _ring, ball_distances)
 from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
 logger = logging.getLogger("meancurv")
@@ -791,8 +791,8 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
     cells (those nearer the centre than the radius) and data ring of a ball
     subregion solve; SizingError when no cell of the ball is interior,
     ValueError unless all are and its ring lies in the region."""
-    win = ball_window(mask.grid, center, radius, margin=3)
-    inside = _dist_to(mask.grid.points()[win], center) < radius
+    win, dist = ball_distances(mask.grid, center, radius, margin=3)
+    inside = dist < radius
     ring = _ring(inside)
     interior = mask.interior[win]
     unknown = interior & inside
@@ -840,8 +840,8 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
     """
     grid = mask.grid
     carry = carry or PlanHolder()
-    win = ball_window(grid, center, radius, margin=3)
-    inside = _dist_to(grid.points()[win], center) < radius
+    win, dist = ball_distances(grid, center, radius, margin=3)
+    inside = dist < radius
     key = (grid.shape, inside.shape, inside.tobytes())
     ball = carry.balls.get(key)
     if ball is None:

@@ -109,13 +109,17 @@ def build_ball_cover(mask: DomainMask, level: int) -> BallCover:
     chosen = admissible & lattice
 
     cpts = pts[chosen].reshape(-1, grid.n)
-    apts = pts[admissible].reshape(-1, grid.n)
-    from scipy.spatial import cKDTree
-    lost = _uncovered(mask, radius, cpts)
-    dist, nearest = cKDTree(apts).query(lost)
-    centers = np.unique(np.concatenate([cpts, apts[nearest[dist <= radius]]]), axis=0)
+    lost = _uncovered(mask, radius, cpts, pts[mask.interior & (sdist > radius / 2.0)])
+    uncovered = 0
+    if len(lost):
+        from scipy.spatial import cKDTree
+        apts = pts[admissible].reshape(-1, grid.n)
+        dist, nearest = cKDTree(apts).query(lost)
+        cpts = np.concatenate([cpts, apts[nearest[dist <= radius]]])
+        uncovered = len(_uncovered(mask, radius, cpts, lost))
+    centers = np.unique(cpts, axis=0)
     return BallCover(level=level, radius=radius, centers=tuple(map(tuple, centers.tolist())),
-                     uncovered=len(_uncovered(mask, radius, centers, lost)))
+                     uncovered=uncovered)
 
 
 def perron_lift(u: ScalarField, mask: DomainMask, center, radius,

@@ -15,28 +15,12 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows, preamble: str = "") -> None:
+def write_csv(path, header, rows) -> None:
     """Plain CSV: '.' decimal, LF line endings, one header row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if preamble:
-            fh.write(preamble if preamble.endswith("\n") else preamble + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def write_level_set_table(path, stats_list) -> None:
-    """Level-set stats in the documented r,t,volume,gamma_int,gamma_bdy,rho layout."""
-    write_csv(path, ["r", "t", "volume", "gamma_int", "gamma_bdy", "rho"],
-              [(s.r, s.t, s.volume, s.gamma_int, s.gamma_bdy, s.rho)
-               for s in stats_list])
-
-
-def write_envelope_table(path, fit) -> None:
-    """Gradient-growth samples with the fitted envelope in the header line."""
-    pre = f"# envelope c1={format_value(fit.c1)} c2={format_value(fit.c2)}"
-    write_csv(path, ["x_abs_u_over_r", "y_log_grad"],
-              [(x, y) for x, y in fit.points], preamble=pre)
 
 
 def write_ball_measure_table(path, table) -> None:

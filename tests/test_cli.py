@@ -60,6 +60,19 @@ class TestConfig:
         assert main(["measure", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels", [[], 3, [[2, 0.06]], [2.0], ["2"], [True], [2, None]])
+    def test_perron_levels_are_integers(self, tmp_path, levels):
+        raw = {"kind": "perron", "domain": {"kind": "disk", "center": [0.0, 0.0],
+                                            "radius": 1.0},
+               "resolutions": [16], "params": {"u": {"name": "cone"}, "levels": levels}}
+        with pytest.raises(ConfigError, match="list of integers"):
+            ExperimentConfig.from_json(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["perron", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_documented_solver_options_validate(self):
         options = {"max_iter": 40, "tol": 1e-8, "damping": 1e-4, "init": "harmonic"}
         raw = dict(TestSolveExperiment.CONFIG,

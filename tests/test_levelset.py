@@ -73,17 +73,6 @@ class TestLevelSetReport:
         assert st.empty and st.volume == 0.0
         assert math.isnan(st.ratio_bdy_int)
 
-    def test_csv_layout(self, tmp_path, disk12_64):
-        from meancurv.tables import write_level_set_table
-        grid, mask = disk12_64
-        u = sample_function(lambda p: 1 - np.hypot(p[:, 0], p[:, 1]), grid, mask)
-        stats = [level_set_report(u, mask, r=1.0, t=t) for t in (0.3, 0.5)]
-        path = tmp_path / "levels.csv"
-        write_level_set_table(path, stats)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,t,volume,gamma_int,gamma_bdy,rho"
-        assert len(lines) == 3
-
 
 class TestCoarea:
     def test_radial_profile(self, disk12_64):

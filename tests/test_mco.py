@@ -236,21 +236,6 @@ class TestGradientEnvelope:
         assert fit.c2 > 0.0
         assert fit.max_residual <= 1e-9
 
-    def test_envelope_csv_layout(self, tmp_path, unit_disk_64):
-        from meancurv.tables import write_envelope_table
-        grid, mask = unit_disk_64
-        entries = []
-        for R in (3.0, 4.0, 5.0):
-            u = sample_function(hemisphere_formula(R), grid, mask)
-            entries.append((u, (0.4, 0.0), 0.5))
-        fit = gradient_bound_report(entries)
-        path = tmp_path / "envelope.csv"
-        write_envelope_table(path, fit)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# envelope c1=")
-        assert lines[1] == "x_abs_u_over_r,y_log_grad"
-        assert len(lines) == 2 + len(fit.points)
-
     def test_hemisphere_family_envelope(self):
         entries = []
         for R, shift, pt in ((3.0, 0.0, (0.4, 0.0)), (4.0, -0.5, (0.5, 0.1)),
