@@ -72,13 +72,6 @@ def formula(spec) -> Callable:
     name = spec["name"]
     if name == "zero":
         return lambda p: np.zeros(len(p))
-    if name == "const":
-        v = float(spec.get("value", 0.0))
-        return lambda p: np.full(len(p), v)
-    if name == "affine":
-        coeffs = [float(c) for c in spec.get("coeffs", [0.0])]
-        c0 = float(spec.get("offset", 0.0))
-        return lambda p: c0 + sum(coeffs[k] * p[:, k] for k in range(min(len(coeffs), p.shape[1])))
     if name == "cone":
         cx = spec.get("center", None)
         def cone(p):
@@ -100,11 +93,6 @@ def formula(spec) -> Callable:
         return dens
     if name == "scherk":
         return lambda p: np.log(np.cos(p[:, 0]) / np.cos(p[:, 1]))
-    if name == "one_minus_r":
-        return lambda p: 1.0 - np.hypot(p[:, 0], p[:, 1])
-    if name == "paraboloid":
-        s = float(spec.get("scale", 1.0))
-        return lambda p: s * (p ** 2).sum(axis=1)
     if name == "uc":
         return _uc_factory(float(spec.get("a", 2.0)), float(spec.get("b", 2.0)),
                            float(spec.get("delta", 0.25)), float(spec.get("sigma", 0.25)),

@@ -9,16 +9,18 @@ the pieces of ``interface_segments`` that cross the level (segments in 2d,
 crossing points of unit measure in 1d), with |Du| interpolated at each.
 Each set is reconstructed once (``DiscreteSet.segments``): its geometry,
 level pieces and critical-level flag read the same segments.  The margin
-reduces the measure to one per-cell mass array and sums it over each member
-of the family: rectangles and intervals through a summed-area table (all
-rectangles of one row start at once), balls over their bounding box.
+reduces the measure to one per-cell mass array and scores the family as
+arrays of nu and perimeter: boxes (intervals and rectangles) on one
+summed-area path, one start at a time, balls and annuli over their windows;
+members of perimeter <= 0 are excluded and counted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -245,6 +247,8 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
 
     Requires a field solved by the Dirichlet solver and positive on the ball.
     """
+    if not 0 < r < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {r!r}")
     grid = u.grid
     if center is None:
         center = (0.0,) * grid.n
@@ -295,6 +299,8 @@ def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
     """Ratio of the half-ball sup to the normalized p-mean of the positive part."""
     if p <= 0:
         raise ValueError("p must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {r!r}")
     grid = u.grid
     if center is None:
         center = (0.0,) * grid.n
@@ -343,11 +349,11 @@ class EtaMarginReport:
 class SetFamily:
     """Declared family of candidate sets for the margin certification.
 
-    rectangles: enumerate all cell-aligned rectangles inside the interior
-    (strided by rect_stride to cap the count on big grids); balls: lattice
-    of centers x radius list; annuli: explicit (r_in, r_out) list around a
-    center; superlevels: all sublevel/superlevel sets of a field at given
-    thresholds.
+    rectangles: every cell-aligned box inside the interior, intervals in 1d
+    and rectangles in 2d (corners strided by rect_stride to cap the count on
+    big grids); balls: lattice of centers x radius list; annuli: explicit
+    (r_in, r_out) list around a center; superlevels: all sublevel/superlevel
+    sets of a field at given thresholds.
     """
 
     rectangles: bool = True
@@ -367,50 +373,73 @@ def eta_margin(nu, mask: DomainMask, family: SetFamily) -> EtaMarginReport:
     or a negative mass raises.  It is reduced to one per-cell mass array: the
     density times the cell volume on interior cells, and every sample of
     ``MeasureSpec.sample_parts`` (curves at arc step h/2, atoms) in its
-    nearest cell.  A member's nu is the sum of that array over its
-    cells (rectangles and intervals read it from a summed-area table).
-    Rectangles use their exact perimeter, balls and annuli the analytic
-    circumference of their continuum proxies, superlevel sets their
-    reconstructed interface length.  Zero-perimeter members are excluded
-    with a count.
+    nearest cell.  A member's nu is the sum of that array over its cells.
+    Boxes (intervals and rectangles) have their exact perimeter, balls and
+    annuli the analytic circumference of their continuum proxies, superlevel
+    sets their reconstructed interface length (0 when empty).  The family is
+    scored as arrays, one block per kind in the order boxes, balls by
+    radius, annuli, superlevel sets; the first member of largest ratio is
+    the one reported.  Members with perimeter <= 0 are excluded and counted.
     """
-    grid = mask.grid
-    mass = _cell_masses(nu, mask)
-    members = []
-    excluded = 0
+    blocks = list(_family_blocks(_cell_masses(nu, mask), mask, family))
+    nus = np.concatenate([np.empty(0)] + [b.nu for b in blocks])
+    pers = np.concatenate([np.empty(0)] + [b.perimeter for b in blocks])
+    scored = np.flatnonzero(pers > 0)
+    if not scored.size:
+        raise ValueError("empty set family")
+    at = int(scored[np.argmax(nus[scored] / pers[scored])])
+    for block in blocks:
+        if at < len(block.nu):
+            worst = block.member(at)
+            break
+        at -= len(block.nu)
+    return EtaMarginReport(family_size=scored.size, excluded=pers.size - scored.size,
+                           max_ratio=worst.ratio, eta_star=1.0 - worst.ratio,
+                           worst=worst)
 
-    if family.rectangles and grid.n == 2:
-        members.extend(_rect_members(mass, mask, family))
-    if family.rectangles and grid.n == 1:
-        members.extend(_interval_members(mass, mask, family))
+
+class _Block(NamedTuple):
+    """Members of one kind: a descriptor each (the rows of an int array for
+    boxes, tuples otherwise), their nu and their perimeters."""
+
+    kind: str
+    descriptors: Sequence
+    nu: np.ndarray
+    perimeter: np.ndarray
+
+    def member(self, i: int) -> FamilyMember:
+        d = self.descriptors[i]
+        return FamilyMember(kind=self.kind,
+                            descriptor=tuple(d.tolist()) if isinstance(d, np.ndarray) else d,
+                            nu=float(self.nu[i]), perimeter=float(self.perimeter[i]))
+
+
+def _family_blocks(mass: np.ndarray, mask: DomainMask, family: SetFamily):
+    """The family's members in blocks, in the order eta_margin scores them."""
+    grid = mask.grid
+    if family.rectangles:
+        yield from _box_blocks(mass, mask, max(1, family.rect_stride))
+    if family.ball_radii:
+        sdist = mask.shape.signed_distance(grid.points())
+        lattice = np.zeros(grid.shape, bool)
+        lattice[(slice(None, None, family.ball_stride),) * grid.n] = True
     for radius in family.ball_radii:
-        members.extend(_ball_members(mass, mask, radius, family.ball_stride))
+        centers = [tuple(grid.cell_center(tuple(c)))
+                   for c in np.argwhere(mask.interior & lattice & (sdist >= radius))]
+        per = 2 * math.pi * radius if grid.n == 2 else 2.0
+        yield _Block("ball", [(c, radius) for c in centers],
+                     np.array([_shell_mass(mass, mask, c, -math.inf, radius) for c in centers]),
+                     np.full(len(centers), per))
     for center, r_in, r_out in family.annuli:
-        win, dist = ball_distances(grid, center, r_out)
-        nu_val = float(mass[win][(dist > r_in) & (dist < r_out) & mask.interior[win]].sum())
         per = 2 * math.pi * (r_in + r_out) if grid.n == 2 else 4.0
-        members.append(FamilyMember(kind="annulus", descriptor=(center, r_in, r_out),
-                                    nu=nu_val, perimeter=per))
+        yield _Block("annulus", [(center, r_in, r_out)],
+                     np.array([_shell_mass(mass, mask, center, r_in, r_out)]), np.array([per]))
     if family.superlevel_field is not None:
         for t in family.superlevel_thresholds:
             s = superlevel_set(family.superlevel_field, mask, float(t))
-            if s.is_empty():
-                excluded += 1
-                continue
-            per = s.geometry().perimeter
-            if per <= 0:
-                excluded += 1
-                continue
-            members.append(FamilyMember(kind="superlevel", descriptor=(float(t),),
-                                        nu=float(mass[s.member].sum()), perimeter=per))
-
-    members = [m for m in members if m.perimeter > 0]
-    if not members:
-        raise ValueError("empty set family")
-    worst = max(members, key=lambda m: m.ratio)
-    return EtaMarginReport(family_size=len(members), excluded=excluded,
-                           max_ratio=worst.ratio, eta_star=1.0 - worst.ratio,
-                           worst=worst)
+            per = 0.0 if s.is_empty() else s.geometry().perimeter
+            yield _Block("superlevel", [(float(t),)],
+                         np.array([float(mass[s.member].sum())]), np.array([per]))
 
 
 def _cell_masses(nu, mask: DomainMask) -> np.ndarray:
@@ -428,6 +457,13 @@ def _cell_masses(nu, mask: DomainMask) -> np.ndarray:
     return mass
 
 
+def _shell_mass(mass: np.ndarray, mask: DomainMask, center, r_in: float,
+                r_out: float) -> float:
+    """Mass of the interior cells with r_in < |x - center| < r_out."""
+    win, dist = ball_distances(mask.grid, center, r_out)
+    return float(mass[win][(dist > r_in) & (dist < r_out) & mask.interior[win]].sum())
+
+
 def _summed_area(values: np.ndarray) -> np.ndarray:
     """Table S with S[i, j] = values[:i, :j].sum() (S[i] = values[:i].sum() in 1d)."""
     acc = values
@@ -438,67 +474,45 @@ def _summed_area(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _rect_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
-    """Cell-aligned rectangles inside the interior with corners on the stride
-    lattice, in (a, b, c, d) order: one row start a at a time, every (b, c, d)
-    tested and summed at once on the summed-area tables."""
-    grid = mask.grid
-    inter = mask.interior
+def _box_sum(sat: np.ndarray, lo: tuple, hi: tuple):
+    """Sums over the boxes of cells lo[k]..hi[k] along each axis k (arrays
+    broadcast) from a summed-area table: its 2^n corners added and
+    subtracted in turn, the first axis switching fastest."""
+    total = 0
+    for below in itertools.product((False, True), repeat=len(lo)):
+        term = sat[tuple(s if low else e + 1 for s, e, low in zip(lo, hi, below[::-1]))]
+        total = total - term if sum(below) % 2 else total + term
+    return total
+
+
+def _box_blocks(mass: np.ndarray, mask: DomainMask, stride: int):
+    """Cell-aligned boxes inside the interior with corners on the stride
+    lattice: intervals (a, b) in 1d and rectangles (a, b, c, d) in 2d, of
+    cells a..b along the first axis and c..d along the second.  One block
+    per start a, in (a, b, c, d) order: every box of a start is tested and
+    summed at once on the summed-area tables, so the temporaries hold one
+    start's boxes even at stride 1.  Side lengths L_k h give the perimeter
+    sum_k 2 prod_{j != k} L_j h, which is 2 in 1d."""
+    grid, inter = mask.grid, mask.interior
     idx = np.argwhere(inter)
-    i0, j0 = idx.min(axis=0)
-    i1, j1 = idx.max(axis=0)
-    h = grid.h
-    stride = max(1, family.rect_stride)
+    axes = [np.arange(lo, hi + 1, stride) for lo, hi in zip(idx.min(axis=0), idx.max(axis=0))]
     mass_sat, inter_sat, held_sat = (_summed_area(v) for v in (mass, inter, mass != 0))
-
-    def box(sat, a, b, c, d):
-        return sat[b + 1, d + 1] - sat[a, d + 1] - sat[b + 1, c] + sat[a, c]
-
-    rows = np.arange(i0, i1 + 1, stride)
-    cols = np.arange(j0, j1 + 1, stride)
-    c_of, d_of = (cols[k] for k in np.triu_indices(len(cols)))   # every c <= d, c-major
-    members = []
-    for a in rows.tolist():
-        ends = rows[rows >= a][:, None]
-        fits = box(inter_sat, a, ends, c_of, d_of) >= (ends - a + 1) * (d_of - c_of + 1)
+    # every (c, d) of the second axis with c <= d, c-major; none in 1d
+    cd = [ax[k] for ax in axes[1:] for k in np.triu_indices(len(ax))]
+    kind = "rectangle" if grid.n == 2 else "interval"
+    for a in axes[0].tolist():
+        ends = axes[0][axes[0] >= a][:, None]
+        lo, hi = (a, *cd[:1]), (ends, *cd[1:])
+        fits = _box_sum(inter_sat, lo, hi) >= math.prod(e - s + 1 for s, e in zip(lo, hi))
         bi, k = np.nonzero(fits)                                # b-major, then (c, d)
-        b, c, d = ends[bi, 0], c_of[k], d_of[k]
-        per = 2.0 * ((b - a + 1) * h + (d - c + 1) * h)
-        # a rectangle holding no mass gets 0, not the table's rounding residue
-        nu = np.where(box(held_sat, a, b, c, d) != 0, box(mass_sat, a, b, c, d), 0.0)
-        for b_, c_, d_, nu_, per_ in zip(b.tolist(), c.tolist(), d.tolist(),
-                                         nu.tolist(), per.tolist()):
-            members.append(FamilyMember(kind="rectangle", descriptor=(a, b_, c_, d_),
-                                        nu=nu_, perimeter=per_))
-    return members
-
-
-def _interval_members(mass: np.ndarray, mask: DomainMask, family: SetFamily):
-    idx = np.nonzero(mask.interior)[0]
-    i0, i1 = int(idx.min()), int(idx.max())
-    stride = max(1, family.rect_stride)
-    sat = _summed_area(mass)
-    return [FamilyMember(kind="interval", descriptor=(a, b),
-                         nu=float(sat[b + 1] - sat[a]), perimeter=2.0)
-            for a in range(i0, i1 + 1, stride) for b in range(a, i1 + 1, stride)]
-
-
-def _ball_members(mass: np.ndarray, mask: DomainMask, radius: float, stride: int):
-    grid = mask.grid
-    pts = grid.points()
-    sdist = mask.shape.signed_distance(pts)
-    ok = mask.interior & (sdist >= radius)
-    lattice = np.zeros(grid.shape, bool)
-    lattice[(slice(None, None, stride),) * grid.n] = True
-    members = []
-    per = 2 * math.pi * radius if grid.n == 2 else 2.0
-    for cidx in np.argwhere(ok & lattice):
-        center = tuple(grid.cell_center(tuple(cidx)))
-        win, dist = ball_distances(grid, center, radius)
-        inside = (dist < radius) & mask.interior[win]
-        members.append(FamilyMember(kind="ball", descriptor=(center, radius),
-                                    nu=float(mass[win][inside].sum()), perimeter=per))
-    return members
+        lo = (np.full(bi.size, a), *(c[k] for c in cd[:1]))
+        hi = (ends[bi, 0], *(d[k] for d in cd[1:]))
+        sides = [(e - s + 1) * grid.h for s, e in zip(lo, hi)]
+        per = sum(2.0 * math.prod(sides[:j] + sides[j + 1:]) for j in range(grid.n))
+        # a box holding no mass gets 0, not the table's rounding residue
+        nu = np.where(_box_sum(held_sat, lo, hi) != 0, _box_sum(mass_sat, lo, hi), 0.0)
+        yield _Block(kind, np.stack([x for pair in zip(lo, hi) for x in pair], axis=1),
+                     nu, np.broadcast_to(per, nu.shape))
 
 
 # ---------------------------------------------------------------------------

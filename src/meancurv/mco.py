@@ -356,15 +356,6 @@ class SubharmonicReport:
     overall_pass: bool
 
 
-def default_subharmonic_tol(u: ScalarField, where: np.ndarray) -> float:
-    """Scheme-truncation-matched tolerance 10 h^2 (1 + max|Du|^2)."""
-    grads = cell_gradients(u)
-    g2 = np.nansum(grads * grads, axis=-1)
-    sel = where & ~np.isnan(g2)
-    gmax2 = float(g2[sel].max()) if sel.any() else 0.0
-    return 10.0 * u.grid.h ** 2 * (1.0 + gmax2)
-
-
 def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
                                 balls: Sequence[tuple], tol: Optional[float] = None,
                                 opts=None) -> SubharmonicReport:
@@ -373,6 +364,8 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
     For every ball the homogeneous Dirichlet problem is solved with u as
     sphere data; the ball passes when the replacement dominates u inside up
     to tol.  A diverging inner solve marks the ball inconclusive, not failed.
+    The default tol matches the scheme's truncation per ball: 10 h^2 (1 +
+    max|Du|^2), the maximum over the interior cells within 2h of the ball.
     """
     from .msolve import SolveOptions, solve_on_ball
 
@@ -380,6 +373,9 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
     checks = []
     tols = []
     grid = u.grid
+    if tol is None:
+        grads = cell_gradients(u)
+        g2 = np.nansum(grads * grads, axis=-1)
     for center, radius in balls:
         # the window of the ball grown by the 2h the default tolerance reads
         win, dist = ball_distances(grid, center, radius + 2 * grid.h)
@@ -387,9 +383,8 @@ def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
         ball_cells = interior & (dist < radius)
         ball_tol = tol
         if ball_tol is None:
-            near = np.zeros(grid.shape, bool)
-            near[win] = interior & (dist < radius + 2 * grid.h)
-            ball_tol = default_subharmonic_tol(u, near)
+            near = interior & (dist < radius + 2 * grid.h)
+            ball_tol = 10.0 * grid.h ** 2 * (1.0 + float(g2[win][near].max(initial=0.0)))
         tols.append(ball_tol)
         outcome = solve_on_ball(u, mask, center, radius, opts=opts)
         if not outcome.converged:

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meancurv.cli import ConfigError, ExperimentConfig, formula, main, run_experiment
@@ -25,6 +26,19 @@ class TestConfig:
     def test_unknown_formula_rejected(self):
         with pytest.raises(ConfigError):
             formula({"name": "nope"})
+
+    def test_uc_formula_is_the_closed_form(self):
+        # the paper's u_c: a (r - 1)^delta outside the unit circle and
+        # -b (1 - r)^sigma - c inside, with r = |x| in 1d
+        uc = formula({"name": "uc", "a": 3.0, "b": 1.5, "delta": 0.5, "sigma": 0.25,
+                      "c": 0.2})
+        r = np.array([0.0, 0.36, 0.99, 1.0, 1.44, 2.0])
+        want = [-1.5 * (1.0 - x) ** 0.25 - 0.2 if x < 1.0 else 3.0 * (x - 1.0) ** 0.5
+                for x in r.tolist()]
+        angle = np.linspace(0.3, 5.0, len(r))
+        plane = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
+        assert uc(plane) == pytest.approx(want, abs=1e-12)
+        assert uc(-r[:, None]) == pytest.approx(want, abs=1e-12)
 
     def test_bad_config_exit_code_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

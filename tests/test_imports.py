@@ -1,7 +1,10 @@
-"""Every name a ``meancurv`` module imports is used in that module, and
-every name it defines is referenced somewhere in the repository."""
+"""Every name a ``meancurv`` module imports is used in that module, every
+name it defines is referenced somewhere in the repository, and every module
+stays below the parser's token limit."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,27 @@ def test_every_public_name_is_referenced():
     unused = {path.name: sorted(public_definitions(path.read_text()) - used)
               for path in SRC.glob("*.py")}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# CPython 3.11's parser holds a module's tokens in an array that doubles when
+# it fills: a module of 8,192 tokens or more costs twice the array while it is
+# imported, which raised the benchmark's peak RSS by over 1 MB
+TOKEN_LIMIT = 8192
+
+
+def parser_tokens(source: str) -> int:
+    """Tokens the parser reads from ``source``: every token but comments,
+    non-logical newlines and the encoding marker."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    tokens = tokenize.tokenize(io.BytesIO(source.encode()).readline)
+    return sum(1 for t in tokens if t.type not in skip)
+
+
+def test_token_counter_skips_comments_and_blank_lines():
+    # x, =, 1, NEWLINE and ENDMARKER
+    assert parser_tokens("# note\n\nx = 1  # one\n") == 5
+
+
+def test_every_module_is_below_the_token_limit():
+    counts = {path.name: parser_tokens(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n >= TOKEN_LIMIT} == {}

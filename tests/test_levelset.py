@@ -163,6 +163,18 @@ class TestHarnack:
         with pytest.raises(ValueError):
             harnack_report(u, mask, r=1.0)
 
+    @pytest.mark.parametrize("r", [0.0, math.nan])
+    def test_radius_must_be_positive_and_finite(self, r):
+        # at r = 0 on a cell centre the report read one cell and the weak
+        # check divided by r^n
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        u = sample_function(lambda p: 2.0 + p[:, 0], grid, mask, provenance="solved")
+        center = grid.cell_center((33, 33))
+        for check in (lambda: harnack_report(u, mask, r, center=center),
+                      lambda: weak_harnack_check(u, mask, 2.0, r, center=center)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                check()
+
     def test_array_center_is_the_tuple_center(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
         u = sample_function(lambda p: 2.0 + p[:, 0] - 0.5 * p[:, 1] ** 2, grid, mask,
@@ -241,6 +253,16 @@ class TestEtaMargin:
         assert (reps[1].family_size, reps[1].excluded) == (2, 1)
         assert reps[1].max_ratio == reps[0].max_ratio and reps[1].worst == reps[0].worst
 
+    def test_zero_perimeter_members_are_excluded_and_counted(self):
+        # balls of radius 0 at the 16 lattice centres have perimeter 0
+        grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 8)
+        dens = sample_function(lambda p: np.ones(len(p)), grid, mask)
+        base = eta_margin(dens, mask, SetFamily(rectangles=True))
+        rep = eta_margin(dens, mask, SetFamily(rectangles=True, ball_radii=(0.0,),
+                                               ball_stride=2))
+        assert (rep.family_size, rep.excluded) == (base.family_size, 16)
+        assert rep.worst == base.worst
+
     def test_family_growth_never_raises_eta(self):
         grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 12)
         dens = sample_function(lambda p: 1 + 0.5 * p[:, 0], grid, mask)
@@ -249,18 +271,11 @@ class TestEtaMargin:
         assert large.eta_star <= small.eta_star + 1e-12
 
 
-def _recorded_members(monkeypatch, nu, mask, family):
-    """Every member eta_margin builds, in order."""
-    made = []
-
-    class Recorded(levelset.FamilyMember):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(levelset, "FamilyMember", Recorded)
-    eta_margin(nu, mask, family)
-    return made
+def _recorded_members(nu, mask, family):
+    """Every member eta_margin scores, in order."""
+    blocks = levelset._family_blocks(levelset._cell_masses(nu, mask), mask, family)
+    members = (b.member(i) for b in blocks for i in range(len(b.nu)))
+    return [m for m in members if m.perimeter > 0]
 
 
 def _oracle_cells(member, mask, family, inside):
@@ -343,8 +358,8 @@ def _oracle_descriptors(mask, family):
 class TestEtaMarginSingularParts:
     """Member masses of measures with curve and atom parts, against plain loops."""
 
-    def _check(self, monkeypatch, nu, mask, family):
-        made = _recorded_members(monkeypatch, nu, mask, family)
+    def _check(self, nu, mask, family):
+        made = _recorded_members(nu, mask, family)
         assert [(m.kind, m.descriptor) for m in made] == _oracle_descriptors(mask, family)
         inside = [c for c in np.ndindex(*mask.grid.extents) if mask.interior[c]]
         dens, points = _oracle_parts(nu, mask, inside)
@@ -353,9 +368,11 @@ class TestEtaMarginSingularParts:
             want = (sum(dens[c] for c in cells if c in dens)
                     + sum(w for c, w in points if c in cells))
             assert abs(m.nu - want) <= 1e-12 * abs(want), (m, want)
+        rep = eta_margin(nu, mask, family)
+        assert rep.family_size == len(made) and rep.worst == max(made, key=lambda m: m.ratio)
         return made
 
-    def test_ring_plus_density_2d(self, monkeypatch):
+    def test_ring_plus_density_2d(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 24)
         nu = MeasureSpec(density=lambda p: 1 + p[:, 0] ** 2,
                          curves=(CurveSpec.circle((0.1, 0.0), 0.45, 0.7),
@@ -366,10 +383,10 @@ class TestEtaMarginSingularParts:
             superlevel_field=sample_function(lambda p: -np.hypot(p[:, 0], p[:, 1]),
                                              grid, mask),
             superlevel_thresholds=(-0.8, -0.5, -0.2))
-        made = self._check(monkeypatch, nu, mask, family)
+        made = self._check(nu, mask, family)
         assert {m.kind for m in made} == {"rectangle", "ball", "annulus", "superlevel"}
 
-    def test_ring_plus_density_rectangle(self, monkeypatch):
+    def test_ring_plus_density_rectangle(self):
         # balls of radius 5.5 h touch the bottom side, so their windows are
         # cut by the grid's first row
         grid, mask = make_grid(ShapeSpec.rectangle(0.0, 1.0, 0.0, 0.75), 16)
@@ -380,16 +397,16 @@ class TestEtaMarginSingularParts:
             annuli=(((0.5, 0.375), 0.1, 0.3),),
             superlevel_field=sample_function(lambda p: p[:, 0] * p[:, 1], grid, mask),
             superlevel_thresholds=(0.1, 0.3))
-        made = self._check(monkeypatch, nu, mask, family)
+        made = self._check(nu, mask, family)
         balls = [m.descriptor for m in made if m.kind == "ball"]
         assert any(c[1] - r < grid.origin[1] + grid.h for c, r in balls)
 
-    def test_atoms_1d(self, monkeypatch):
+    def test_atoms_1d(self):
         grid, mask = make_grid(ShapeSpec.interval(-1.0, 1.0), 24)
         # two atoms share a cell, one lies off the grid
         nu = MeasureSpec(density=lambda p: 0.5 + p[:, 0] ** 2,
                          atoms=((0.3, 0.2), (-0.55, 0.1), (0.3, 0.05), (5.0, 1.0)))
-        made = self._check(monkeypatch, nu, mask, SetFamily(rectangles=True,
+        made = self._check(nu, mask, SetFamily(rectangles=True,
                                                             rect_stride=2))
         assert made and all(m.kind == "interval" for m in made)
 
