@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -60,14 +59,13 @@ def _uc_factory(a, b, delta, sigma, c):
     return uc
 
 
-def formula(spec) -> Callable:
-    """Resolve a formula descriptor {'name': ..., params...} to a callable."""
-    if callable(spec):
+def formula(spec):
+    """Resolve a formula descriptor {'name': ..., params...} to a callable; any
+    other spec, such as a number or a callable, is returned as it is (every
+    consumer takes it through ``field.cell_values``)."""
+    if not isinstance(spec, dict):
         return spec
-    if isinstance(spec, (int, float)):
-        v = float(spec)
-        return lambda p: np.full(len(p), v)
-    if not isinstance(spec, dict) or "name" not in spec:
+    if "name" not in spec:
         raise ConfigError(f"formula descriptor must have a name, got {spec!r}")
     name = spec["name"]
     if name == "zero":
@@ -105,6 +103,19 @@ def formula(spec) -> Callable:
         pw = float(spec.get("power", 4.0))
         return lambda p: base + M * np.maximum((p[:, 0] - x0) / (1.0 - x0), 0.0) ** pw
     raise ConfigError(f"unknown formula {name!r}")
+
+
+def _ball_family(balls, seed: int) -> BallFamily:
+    """The family of a config's ball list, a nonempty list of [center, r]
+    pairs of numbers; ConfigError for anything else."""
+    def pair(b):
+        return (isinstance(b, list) and len(b) == 2 and isinstance(b[0], list) and b[0]
+                and all(type(x) in (int, float) for x in [*b[0], b[1]]))
+    if not (isinstance(balls, list) and balls and all(map(pair, balls))):
+        raise ConfigError(f"a ball list must be a nonempty list of [center, r] pairs "
+                          f"of numbers, got {balls!r}")
+    return BallFamily(balls=tuple((tuple(c), float(r)) for c, r in balls), gap=0.0,
+                      seed=seed)
 
 
 def shape_from_config(d: dict) -> ShapeSpec:
@@ -171,6 +182,10 @@ class ExperimentConfig:
                     for p in levels)):
                 raise ConfigError(f"the sweep route needs levels as [j, eps] pairs, "
                                   f"got {levels!r}")
+        if kind == "measure" and "explicit" in params.get("balls", {}):
+            _ball_family(params["balls"]["explicit"], 0)
+        if kind == "dirichlet" and "check_balls" in params:
+            _ball_family(params["check_balls"], 0)
         if kind == "perron" and "levels" in params:
             levels = params["levels"]
             if not (isinstance(levels, list) and levels
@@ -225,9 +240,9 @@ def _solve_opts(params: dict) -> SolveOptions:
 def _run_solve(config: ExperimentConfig, out_dir: Path):
     shape = shape_from_config(config.domain)
     params = config.params
-    f_spec = params.get("f")
-    phi_spec = params.get("phi", {"name": "zero"})
-    exact_spec = params.get("exact")
+    f = formula(params.get("f"))
+    phi = formula(params.get("phi", 0.0))
+    exact = formula(params.get("exact"))
     rows = []
     errors = []
     outputs = []
@@ -237,11 +252,10 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
         init = None
         if prev_field is not None:
             init = ScalarField(grid=grid, values=_resample(prev_field, grid, mask))
-        out = solve_dirichlet(mask, f=formula(f_spec) if f_spec is not None else None,
-                              phi=formula(phi_spec), opts=_solve_opts(params), init=init)
+        out = solve_dirichlet(mask, f=f, phi=phi, opts=_solve_opts(params), init=init)
         err = float("nan")
-        if exact_spec is not None:
-            ex = sample_function(formula(exact_spec), grid, mask)
+        if exact is not None:
+            ex = sample_function(exact, grid, mask)
             err = float(np.nanmax(np.abs(out.field.values[mask.interior]
                                          - ex.values[mask.interior])))
             errors.append(err)
@@ -326,9 +340,7 @@ def _run_measure(config: ExperimentConfig, out_dir: Path):
         else:
             seq = direct_mollified_sequence(u, eps_list)
         if "explicit" in ball_cfg:
-            balls = BallFamily(balls=tuple((tuple(c), float(r))
-                                           for c, r in ball_cfg["explicit"]),
-                               gap=0.0, seed=config.seed)
+            balls = _ball_family(ball_cfg["explicit"], config.seed)
         else:
             balls = generate_ball_family(
                 mask, int(ball_cfg.get("count", 6)),
@@ -385,10 +397,7 @@ def _measure_spec_from_config(d: dict) -> MeasureSpec:
                                     float(c["lambda"]))
                    for c in d.get("curves", []))
     atoms = tuple((float(x), float(m)) for x, m in d.get("atoms", []))
-    density = d.get("density")
-    if isinstance(density, dict):
-        density = formula(density)
-    return MeasureSpec(density=density, curves=curves, atoms=atoms)
+    return MeasureSpec(density=formula(d.get("density")), curves=curves, atoms=atoms)
 
 
 def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
@@ -404,9 +413,7 @@ def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
                 else ContinuationSchedule.default())
     balls = None
     if "check_balls" in params:
-        balls = BallFamily(balls=tuple((tuple(c), float(r))
-                                       for c, r in params["check_balls"]),
-                           gap=0.0, seed=config.seed)
+        balls = _ball_family(params["check_balls"], config.seed)
     result = solve_measure_dirichlet(mask, nu, phi=formula(params.get("phi", 0.0)),
                                      schedule=schedule, opts=_solve_opts(params),
                                      validate_balls=balls)

@@ -23,8 +23,8 @@ from .field import (
     Grid,
     ScalarField,
     SizingError,
-    UndefinedCellError,
     ball_distances,
+    cell_values,
     circle_points,
     mollifier_kernel,
 )
@@ -107,25 +107,13 @@ class MeasureSpec:
             raise ValueError("density must be nonnegative")
 
     def density_values(self, mask: DomainMask) -> np.ndarray:
-        """The density on interior cells, zero elsewhere; a NaN or infinite
-        value on an interior cell raises, while a field's non-finite values
-        count as zero."""
-        grid = mask.grid
-        out = np.zeros(grid.shape)
-        if self.density is None:
-            return out
-        if isinstance(self.density, ScalarField):
-            vals = np.where(np.isfinite(self.density.values), self.density.values, 0.0)
-        elif callable(self.density):
-            pts = grid.points().reshape(-1, grid.n)
-            vals = np.asarray(self.density(pts), dtype=float).reshape(grid.shape)
-        else:
-            vals = np.full(grid.shape, float(self.density))
-        bad = mask.interior & ~np.isfinite(vals)
-        if bad.any():
-            raise UndefinedCellError("density returned inf or NaN at interior cells",
-                                     list(zip(*np.nonzero(bad))))
-        out[mask.interior] = vals[mask.interior]
+        """``cell_values`` of the density on interior cells, zero elsewhere; a
+        field's non-finite values count as zero, and a negative value raises."""
+        dens = self.density
+        if isinstance(dens, ScalarField):
+            dens = dens.with_values(np.where(dens.finite, dens.values, 0.0))
+        out = cell_values(dens, mask.grid, mask.interior, "interior cells of the density")
+        out[~mask.interior] = 0.0
         if (out < 0).any():
             raise ValueError("density must be nonnegative")
         return out
@@ -381,9 +369,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
         prev_field = out.field
         stage_fields.append(out.field)
 
-    final = stage_fields[-1] if stage_fields else None
-    if final is None:
-        raise RuntimeError("no stage produced a field")
+    final = stage_fields[-1]
     gap = 0.0
     if len(stage_fields) >= 2:
         a = stage_fields[-2].values
@@ -410,8 +396,6 @@ def _delta_extrapolate(deltas: Sequence[float], values: Sequence[float]) -> floa
     """Linear fit of the last three (delta, value) pairs, read off at zero."""
     d = np.asarray(deltas[-3:], dtype=float)
     v = np.asarray(values[-3:], dtype=float)
-    if len(d) < 2:
-        return float(v[-1])
     A = np.stack([np.ones_like(d), d], axis=1)
     coef, *_ = np.linalg.lstsq(A, v, rcond=None)
     return float(coef[0])

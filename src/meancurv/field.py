@@ -7,6 +7,8 @@ and a subcell linear interface perimeter (marching reconstruction, so that
 perimeters converge to the Euclidean length of smooth boundaries rather
 than to the axis-aligned l1 length).  The reconstruction is one array kernel
 on flat indices of the padded member grid, run once per set and kept on it.
+Problem data (a forcing term, boundary values, a density, a sampled formula)
+reaches the grid through one evaluator, ``cell_values``.
 """
 
 from __future__ import annotations
@@ -385,31 +387,42 @@ def _json_values(flat: np.ndarray) -> list:
     return out
 
 
+def cell_values(data, grid: Grid, where: np.ndarray, what: str,
+                extended: bool = False) -> np.ndarray:
+    """The one way problem data reaches the grid: the datum's values on the
+    cells of ``where``, NaN elsewhere.
+
+    data is None (zero), a number, a ScalarField on grid, or a callable that
+    takes the cell centres of ``where`` as an (m, n) array and must return m
+    values.  Any other shape raises ValueError; NaN or +inf on a cell of
+    ``where``, or -inf unless extended, raises UndefinedCellError naming the
+    cells.  ``what`` names the cells and the datum in these messages, as in
+    "interior cells of the density".
+    """
+    out = np.full(grid.shape, np.nan)
+    m = int(where.sum())
+    if isinstance(data, ScalarField):
+        got = data.values[where]
+    elif callable(data):
+        got = np.asarray(data(grid.points()[where]), dtype=float)
+    else:
+        got = np.full(m, 0.0 if data is None else float(data))
+    if got.shape != (m,):
+        raise ValueError(f"data for {what} must be one value per cell, got shape "
+                         f"{got.shape} for {m} cells")
+    out[where] = got
+    bad = where & (np.isnan(out) | np.isposinf(out) | (np.isneginf(out) & (not extended)))
+    if bad.any():
+        raise UndefinedCellError(f"infinite or NaN at {what}", list(zip(*np.nonzero(bad))))
+    return out
+
+
 def sample_function(f: Callable, grid: Grid, mask: DomainMask,
                     extended: bool = False, provenance: str = "sampled") -> ScalarField:
-    """Evaluate f at every interior and boundary cell center.
-
-    f receives an (m, n) array of points and must return m values; -inf
-    return values are accepted only with extended=True, NaN is always an
-    error naming the offending cell.
-    """
-    pts = grid.points().reshape(-1, grid.n)
-    region = mask.region.ravel()
-    vals = np.full(pts.shape[0], np.nan)
-    out = np.asarray(f(pts[region]), dtype=float)
-    if out.shape != (int(region.sum()),):
-        raise ValueError("sampled function must return one value per point")
-    vals[region] = out
-    vals = vals.reshape(grid.shape)
-    nan_cells = np.isnan(vals) & mask.region
-    if nan_cells.any():
-        cells = list(zip(*np.nonzero(nan_cells)))
-        raise UndefinedCellError("function returned NaN at domain cells", cells)
-    if not extended and np.isneginf(vals).any():
-        cells = list(zip(*np.nonzero(np.isneginf(vals))))
-        raise UndefinedCellError(
-            "function returned -inf but the field was not declared extended", cells)
-    return ScalarField(grid=grid, values=vals, provenance=provenance, extended=extended)
+    """``cell_values`` of f on the interior and boundary cells, as a field."""
+    return ScalarField(grid=grid, provenance=provenance, extended=extended,
+                       values=cell_values(f, grid, mask.region,
+                                          "domain cells of the sampled function", extended))
 
 
 # ---------------------------------------------------------------------------

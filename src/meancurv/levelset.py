@@ -247,24 +247,11 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
 
     Requires a field solved by the Dirichlet solver and positive on the ball.
     """
-    if not 0 < r < math.inf:
-        raise ValueError(f"ball radius must be positive and finite, got {r!r}")
-    grid = u.grid
-    if center is None:
-        center = (0.0,) * grid.n
-    if u.provenance != "solved":
-        raise ValueError("harnack report expects a solved field "
-                         f"(got provenance {u.provenance!r})")
-    win, dist = ball_distances(grid, center, r)
-    vals = u.values[win]
-    ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
-    if not ball.any():
-        raise SizingError("harnack ball contains no cells")
-    if float(np.nanmin(vals[ball])) <= 0.0:
+    center, in_ball, in_half = _harnack_ball(u, mask, r, center, solved=True)
+    if float(in_ball.min()) <= 0.0:
         raise ValueError("harnack hypothesis violated: field not positive on the ball")
-    half = ball & (dist <= r / 2.0)
-    sup_half = float(np.nanmax(vals[half]))
-    inf_half = float(np.nanmin(vals[half]))
+    sup_half = float(in_half.max())
+    inf_half = float(in_half.min())
     svals, darc = sphere_values(u, r, center)
     svals = svals[np.isfinite(svals)]
     if levels is None:
@@ -272,6 +259,29 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
     psi = [(float(t), float((svals > t).sum() * darc)) for t in levels]
     return HarnackReport(r=r, sup_half=sup_half, inf_half=inf_half,
                          ratio=sup_half / inf_half, psi=psi, center=tuple(center))
+
+
+def _harnack_ball(u: ScalarField, mask: DomainMask, r: float, center, solved: bool):
+    """The centre (the origin when None) and the values on the defined
+    interior cells of the closed ball and of its closed half ball.  Checks r
+    is positive and finite, then (when ``solved``) the field's provenance,
+    then that neither ball is empty (SizingError)."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {r!r}")
+    if solved and u.provenance != "solved":
+        raise ValueError("harnack report expects a solved field "
+                         f"(got provenance {u.provenance!r})")
+    if center is None:
+        center = (0.0,) * u.grid.n
+    win, dist = ball_distances(u.grid, center, r)
+    vals = u.values[win]
+    ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
+    half = ball & (dist <= r / 2.0)
+    if not half.any():
+        part = "half ball" if ball.any() else "ball"
+        raise SizingError(f"the harnack {part} of ({center}, r={r}) holds no defined "
+                          "interior cell")
+    return center, vals[ball], vals[half]
 
 
 def _psi_levels(svals: np.ndarray) -> np.ndarray:
@@ -299,18 +309,10 @@ def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
     """Ratio of the half-ball sup to the normalized p-mean of the positive part."""
     if p <= 0:
         raise ValueError("p must be positive")
-    if not 0 < r < math.inf:
-        raise ValueError(f"ball radius must be positive and finite, got {r!r}")
+    _, in_ball, in_half = _harnack_ball(u, mask, r, center, solved=False)
+    sup_half = float(in_half.max())
     grid = u.grid
-    if center is None:
-        center = (0.0,) * grid.n
-    win, dist = ball_distances(grid, center, r)
-    vals = u.values[win]
-    ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
-    half = ball & (dist <= r / 2.0)
-    sup_half = float(np.nanmax(vals[half]))
-    uplus = np.maximum(vals[ball], 0.0)
-    integral = float((uplus ** p).sum() * grid.cell_volume)
+    integral = float((np.maximum(in_ball, 0.0) ** p).sum() * grid.cell_volume)
     if integral <= 0.0:
         return WeakHarnackResult(sup_half=sup_half, integral_bound=0.0,
                                  implied_constant=float("nan"), p=p, r=r,

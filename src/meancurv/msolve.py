@@ -45,8 +45,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
-from .field import (DomainMask, Grid, ScalarField, SizingError, UndefinedCellError,
-                    _ring, ball_distances)
+from .field import (DomainMask, ScalarField, SizingError, UndefinedCellError,
+                    _ring, ball_distances, cell_values)
 from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
 logger = logging.getLogger("meancurv")
@@ -728,32 +728,14 @@ def _penalty_triplets(Vx, h, n, pen):
 # public solvers
 
 
-def _as_values(grid: Grid, mask: DomainMask, data, where: np.ndarray) -> np.ndarray:
-    out = np.full(grid.shape, np.nan)
-    if data is None:
-        out[where] = 0.0
-    elif isinstance(data, ScalarField):
-        out[where] = data.values[where]
-    elif callable(data):
-        pts = grid.points()[where]
-        out[where] = np.asarray(data(pts.reshape(-1, grid.n)), dtype=float)
-    else:
-        out[where] = float(data)
-    bad = where & ~np.isfinite(out)
-    if bad.any():
-        raise UndefinedCellError("data undefined or infinite on required cells",
-                                 list(zip(*np.nonzero(bad))))
-    return out
-
-
 def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
                     opts: Optional[SolveOptions] = None,
                     init: Optional[ScalarField] = None,
                     carry: Optional[PlanHolder] = None) -> SolveOutcome:
     """Solve the prescribed mean curvature Dirichlet problem on the mask.
 
-    f is the target density (None means the minimal surface equation), phi
-    supplies boundary-cell data (scalar, callable on points, or a field).
+    f is the target density (None means the minimal surface equation) and
+    phi the boundary-cell data, each a datum of ``field.cell_values``.
     Newton starts from ``init`` on the interior when given (undefined cells
     take the lowest boundary value), else from the harmonic extension of phi.
     A continuation passes one ``carry`` holder to each of its solves, which
@@ -764,8 +746,8 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
     opts = opts or SolveOptions()
     grid = mask.grid
     unknown, fixed = mask.interior, mask.boundary
-    phi_vals = _as_values(grid, mask, phi, fixed)
-    f_vals = _as_values(grid, mask, f, unknown)
+    phi_vals = cell_values(phi, grid, fixed, "boundary cells of phi")
+    f_vals = cell_values(f, grid, unknown, "interior cells of the forcing f")
     values, info = _newton_arrays(grid.h, grid.n, unknown, fixed, phi_vals, f_vals,
                                   opts, init_values=None if init is None else init.values,
                                   carry=carry)
@@ -922,8 +904,8 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     """
     opts = opts or SolveOptions()
     grid = mask.grid
-    phi_vals = _as_values(grid, mask, phi, mask.boundary)
-    g_vals = _as_values(grid, mask, g, mask.interior)
+    phi_vals = cell_values(phi, grid, mask.boundary, "boundary cells of phi")
+    g_vals = cell_values(g, grid, mask.interior, "interior cells of the load g")
     kappa = grid.h
     _warn_if_margin_fails(mask, g_vals)
 
@@ -942,26 +924,23 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     # first round starts from the trace-anchored harmonic extension; the
     # penalized system alone is too loosely pinned to initialize well
     carry = PlanHolder()
-    values = np.where(mask.boundary, phi_vals, np.nan)
+    values = phi_vals.copy()
     win = _window(mask.interior, mask.boundary)
     start = carry.plan(mask.interior[win], mask.boundary[win], mask.interior[win])
     Vx = np.concatenate([values[win].ravel(), (np.nan, 0.0)])
     values[win].flat[start.unknowns] = _harmonic_extension(Vx, grid.h, start)
     info = {}
     total_iters = 0
-    phi_field = ScalarField(grid=grid, values=np.where(mask.boundary, phi_vals, np.nan))
+    phi_field = ScalarField(grid=grid, values=phi_vals)
     g_field = ScalarField(grid=grid, values=np.where(mask.interior, g_vals, 0.0))
     func_trace = []
     for round_ in range(_ACTIVE_SET_ROUNDS + 1):
         pinned = (mask.boundary & ~detached) | always_pinned
         unk = mask.interior | detached
-        fixed = pinned
-        fixed_vals = np.where(pinned, phi_vals, np.nan)
         penalty = None
         if detached.any():
-            penalty = {"cells": detached, "phi": np.where(mask.boundary, phi_vals, 0.0),
-                       "length": lengths, "kappa": kappa}
-        values, info = _newton_arrays(grid.h, grid.n, unk, fixed, fixed_vals, g_vals,
+            penalty = {"cells": detached, "phi": phi_vals, "length": lengths, "kappa": kappa}
+        values, info = _newton_arrays(grid.h, grid.n, unk, pinned, phi_vals, g_vals,
                                       opts, init_values=values, penalty=penalty, carry=carry)
         total_iters += info["iterations"]
         umin = float(np.nanmin(values[mask.interior]))

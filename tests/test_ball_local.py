@@ -179,7 +179,7 @@ class TestWindowedBallSums:
         half = ball & (dist <= r / 2.0)
 
         def full_grid_harnack():
-            if not ball.any():
+            if not half.any():                  # the half ball lies in the ball
                 raise SizingError("empty")
             if float(np.nanmin(vals[ball])) <= 0.0:
                 raise ValueError("not positive")
@@ -192,6 +192,8 @@ class TestWindowedBallSums:
         assert got == expect
 
         def full_grid_weak(p):
+            if not half.any():
+                raise SizingError("empty")
             sup_half = float(np.nanmax(vals[half]))
             integral = float((np.maximum(vals[ball], 0.0) ** p).sum() * grid.cell_volume)
             if integral <= 0.0:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from meancurv.cli import ConfigError, ExperimentConfig, formula, main, run_experiment
+from meancurv.tables import format_value
 
 
 def read_bytes(path: Path) -> bytes:
@@ -39,6 +41,17 @@ class TestConfig:
         plane = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
         assert uc(plane) == pytest.approx(want, abs=1e-12)
         assert uc(-r[:, None]) == pytest.approx(want, abs=1e-12)
+
+    def test_numbers_and_callables_are_returned_as_they_are(self):
+        # every consumer takes them through field.cell_values
+        cone = formula({"name": "cone"})
+        assert formula(cone) is cone
+        for number in (0.5, 2, None):
+            assert formula(number) is number
+
+    def test_numpy_scalars_are_written_as_python_numbers(self):
+        assert format_value(np.float32(0.1)) == repr(float(np.float32(0.1)))
+        assert format_value(np.int64(3)) == "3"
 
     def test_bad_config_exit_code_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -86,6 +99,39 @@ class TestConfig:
         out = tmp_path / "o"
         assert main(["perron", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, balls", [
+        ("measure", [[[0, 0]]]), ("measure", []), ("measure", [[0, 0], 0.3]),
+        ("measure", {"count": 2}), ("measure", [[[0, 0], "0.3"]]),
+        ("dirichlet", [[[0, 0], "x"]]), ("dirichlet", [[[0, 0], 0.3, 1]]),
+        ("dirichlet", [[[], 0.3]]), ("dirichlet", [[[0, True], 0.3]]),
+        ("dirichlet", [[[0, 0], None]])])
+    def test_ball_lists_are_center_radius_pairs(self, tmp_path, kind, balls):
+        params = ({"u": {"name": "cone"}, "balls": {"explicit": balls}} if kind == "measure"
+                  else {"measure": {"density": 0.1}, "check_balls": balls})
+        raw = {"kind": kind, "domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+               "resolutions": [16], "params": params}
+        with pytest.raises(ConfigError, match=r"\[center, r\] pairs"):
+            ExperimentConfig.from_json(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_seed_and_resolution_overrides(self, tmp_path):
+        cfg = tmp_path / "solve.json"
+        cfg.write_text(json.dumps(dict(TestSolveExperiment.CONFIG, resolutions=[64, 128])),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--seed", "7", "--resolution", "16"]) == 0
+        with open(out / "solve_log.csv", newline="") as fh:
+            assert [row["resolution"] for row in csv.DictReader(fh)] == ["16"]
+        want = ExperimentConfig.from_json(dict(TestSolveExperiment.CONFIG, seed=7,
+                                               resolutions=[16]))
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config_sha256"] == hashlib.sha256(want.canonical().encode()).hexdigest()
 
     def test_documented_solver_options_validate(self):
         options = {"max_iter": 40, "tol": 1e-8, "damping": 1e-4, "init": "harmonic"}

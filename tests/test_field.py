@@ -25,11 +25,13 @@ from meancurv.field import (
     TOL_ISO,
     WALL,
     _dist_to,
+    cell_values,
     interface_segments,
     isoperimetric_floor,
     mollifier_kernel,
 )
-from meancurv.msolve import solve_dirichlet
+from meancurv.dirichlet import MeasureSpec
+from meancurv.msolve import minimize_prescribed_mc, solve_dirichlet
 
 from conftest import cone_formula
 
@@ -147,6 +149,86 @@ class TestSampleFunction:
         assert u.values[just_out].min() > -0.2
 
 
+class TestCellValues:
+    """One data contract for every datum that reaches the grid: None (zero),
+    a number, a field on the grid, or a callable of the needed cell centres
+    returning one value per centre; NaN everywhere else."""
+
+    def test_the_forms_agree(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        want = np.where(mask.boundary, 0.5, np.nan)
+        field = ScalarField(grid=grid, values=np.full(grid.shape, 0.5))
+        for data in (0.5, field, lambda p: np.full(len(p), 0.5)):
+            got = cell_values(data, grid, mask.boundary, "boundary cells of phi")
+            assert np.array_equal(got, want, equal_nan=True)
+        zero = cell_values(None, grid, mask.interior, "interior cells of f")
+        assert np.array_equal(zero, np.where(mask.interior, 0.0, np.nan), equal_nan=True)
+
+    def test_a_callable_sees_the_needed_centres_only(self, unit_disk_64):
+        grid, mask = unit_disk_64
+        seen = []
+
+        def density(p):
+            seen.append(p.copy())
+            return np.ones(len(p))
+
+        MeasureSpec(density=density).density_values(mask)
+        sample_function(density, grid, mask)
+        solve_dirichlet(mask, f=None, phi=density)
+        wants = (mask.interior, mask.region, mask.boundary)
+        assert [len(p) for p in seen] == [int(w.sum()) for w in wants]
+        for p, where in zip(seen, wants):
+            assert np.array_equal(p, grid.points()[where])
+
+    def test_numbers_are_the_constant_callables(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+
+        def const(v):
+            return lambda p: np.full(len(p), v)
+
+        runs = (lambda f, phi: solve_dirichlet(mask, f=f, phi=phi).field.values,
+                lambda g, phi: minimize_prescribed_mc(mask, g=g, phi=phi).field.values,
+                lambda f, phi: sample_function(phi, grid, mask).values,
+                lambda f, phi: MeasureSpec(density=f).density_values(mask))
+        for run in runs:
+            assert np.array_equal(run(0.5, 0.2), run(const(0.5), const(0.2)),
+                                  equal_nan=True)
+
+    def test_a_scalar_returning_callable_is_one_value_error(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        half = lambda p: 0.5   # pass the number itself instead
+        for call in (lambda: solve_dirichlet(mask, f=half),
+                     lambda: solve_dirichlet(mask, phi=half),
+                     lambda: minimize_prescribed_mc(mask, g=half),
+                     lambda: minimize_prescribed_mc(mask, phi=half),
+                     lambda: sample_function(half, grid, mask),
+                     lambda: MeasureSpec(density=half).density_values(mask)):
+            with pytest.raises(ValueError, match=r"one value per cell, got shape \(\)") as exc:
+                call()
+            assert type(exc.value) is ValueError
+
+    def test_undefined_values_name_the_datum_and_its_cells(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        holes = lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)
+        cases = ((lambda: solve_dirichlet(mask, f=holes), "interior cells of the forcing f",
+                  mask.interior),
+                 (lambda: solve_dirichlet(mask, phi=holes), "boundary cells of phi",
+                  mask.boundary),
+                 (lambda: minimize_prescribed_mc(mask, g=holes),
+                  "interior cells of the load g", mask.interior),
+                 (lambda: minimize_prescribed_mc(mask, phi=holes), "boundary cells of phi",
+                  mask.boundary),
+                 (lambda: sample_function(holes, grid, mask),
+                  "domain cells of the sampled function", mask.region),
+                 (lambda: MeasureSpec(density=holes).density_values(mask),
+                  "interior cells of the density", mask.interior))
+        for call, what, where in cases:
+            with pytest.raises(UndefinedCellError, match=f"NaN at {what}") as exc:
+                call()
+            assert exc.value.cells
+            assert all(where[c] and grid.cell_center(c)[0] > 0.5 for c in exc.value.cells)
+
+
 class TestMollify:
     def test_kernel_sums_to_one(self):
         for n in (1, 2):
@@ -210,6 +292,16 @@ class TestSuperlevelSet:
         geo = s.geometry()
         assert geo.gamma_bdy == 0.0
         assert abs(geo.gamma_int - 2 * math.pi * 0.7) < 0.02 * 2 * math.pi * 0.7
+
+    def test_default_clip_centre_of_a_rectangle_is_its_middle(self):
+        shape = ShapeSpec.from_json({"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 0.5]]})
+        assert shape == ShapeSpec.rectangle(0.0, 1.0, 0.0, 0.5)
+        grid, mask = make_grid(shape, 16)
+        u = sample_function(lambda p: p[:, 0], grid, mask)
+        s = superlevel_set(u, mask, 0.2, r=0.3)
+        assert s.clip == ((0.5, 0.25), 0.3)
+        dist = _dist_to(grid.points(), (0.5, 0.25))
+        assert np.array_equal(s.member, mask.interior & (u.values > 0.2) & (dist < 0.3))
 
     def test_monotone_nesting(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64

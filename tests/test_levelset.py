@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meancurv import ShapeSpec, make_grid, sample_function
+from meancurv import ShapeSpec, SizingError, make_grid, sample_function
 from meancurv import levelset
 from meancurv.dirichlet import CurveSpec, MeasureSpec
 from meancurv.levelset import (
@@ -173,6 +173,17 @@ class TestHarnack:
         for check in (lambda: harnack_report(u, mask, r, center=center),
                       lambda: weak_harnack_check(u, mask, 2.0, r, center=center)):
             with pytest.raises(ValueError, match="positive and finite"):
+                check()
+
+    @pytest.mark.parametrize("center, r", [((5.0, 5.0), 0.5), ((0.03, 0.0), 0.05)],
+                             ids=["ball-off-the-domain", "half-ball-without-a-cell"])
+    def test_empty_ball_or_half_ball_is_a_sizing_error(self, center, r):
+        # a ball off the domain, or a half ball between cell centres, has no sup
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        u = sample_function(lambda p: 2.0 + p[:, 0], grid, mask, provenance="solved")
+        for check in (lambda: harnack_report(u, mask, r, center=center),
+                      lambda: weak_harnack_check(u, mask, 2.0, r, center=center)):
+            with pytest.raises(SizingError, match="holds no defined interior cell"):
                 check()
 
     def test_array_center_is_the_tuple_center(self):

@@ -13,7 +13,7 @@ from scipy.sparse import linalg as slinalg
 from meancurv import (NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, perron,
                       sample_function)
 from meancurv.cli import _resample
-from meancurv.field import SizingError, UndefinedCellError, _dist_to
+from meancurv.field import SizingError, UndefinedCellError, _dist_to, cell_values
 from meancurv.mco import _divergence, area_functional, face_gradients, face_sides
 from meancurv.perron import build_ball_cover
 from meancurv.msolve import (
@@ -70,8 +70,8 @@ class TestSolveDirichlet:
         init = ScalarField(grid=grid, values=_resample(coarse, grid, mask))
         warm = solve_dirichlet(mask, f=f, phi=hemi, init=init)
         values, info = _newton_arrays(grid.h, 2, mask.interior, mask.boundary,
-                                      msolve._as_values(grid, mask, hemi, mask.boundary),
-                                      msolve._as_values(grid, mask, f, mask.interior),
+                                      cell_values(hemi, grid, mask.boundary, "phi"),
+                                      cell_values(f, grid, mask.interior, "f"),
                                       SolveOptions(), init_values=init.values)
         assert np.array_equal(warm.field.values, values, equal_nan=True)
         assert warm.iterations == info["iterations"]
