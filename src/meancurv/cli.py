@@ -105,6 +105,16 @@ def formula(spec):
     raise ConfigError(f"unknown formula {name!r}")
 
 
+def _formula_specs(kind: str, params: dict) -> list:
+    """The formula descriptors (or numbers, or None) a config's params hold."""
+    if kind == "harnack":
+        return list(params.get("family", []))
+    if kind == "dirichlet":
+        return [params.get("phi"), params.get("measure", {}).get("density")]
+    keys = {"solve": ("f", "phi", "exact"), "perron": ("u",), "measure": ("u",)}
+    return [params.get(k) for k in keys.get(kind, ())]
+
+
 def _ball_family(balls, seed: int) -> BallFamily:
     """The family of a config's ball list, a nonempty list of [center, r]
     pairs of numbers; ConfigError for anything else."""
@@ -186,6 +196,10 @@ class ExperimentConfig:
             _ball_family(params["balls"]["explicit"], 0)
         if kind == "dirichlet" and "check_balls" in params:
             _ball_family(params["check_balls"], 0)
+        for spec in _formula_specs(kind, params):
+            if not (spec is None or type(spec) in (int, float) or isinstance(spec, dict)):
+                raise ConfigError(f"a formula must be a number or a descriptor, got {spec!r}")
+            formula(spec)       # an unknown name fails here, before anything is written
         if kind == "perron" and "levels" in params:
             levels = params["levels"]
             if not (isinstance(levels, list) and levels

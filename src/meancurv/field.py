@@ -394,7 +394,8 @@ def cell_values(data, grid: Grid, where: np.ndarray, what: str,
 
     data is None (zero), a number, a ScalarField on grid, or a callable that
     takes the cell centres of ``where`` as an (m, n) array and must return m
-    values.  Any other shape raises ValueError; NaN or +inf on a cell of
+    values.  A field on another grid, even one of the same shape, or any
+    other shape of values raises ValueError; NaN or +inf on a cell of
     ``where``, or -inf unless extended, raises UndefinedCellError naming the
     cells.  ``what`` names the cells and the datum in these messages, as in
     "interior cells of the density".
@@ -402,6 +403,9 @@ def cell_values(data, grid: Grid, where: np.ndarray, what: str,
     out = np.full(grid.shape, np.nan)
     m = int(where.sum())
     if isinstance(data, ScalarField):
+        if data.grid != grid:
+            raise ValueError(f"data for {what} is a field on another grid: {data.grid} "
+                             f"is not {grid}")
         got = data.values[where]
     elif callable(data):
         got = np.asarray(data(grid.points()[where]), dtype=float)

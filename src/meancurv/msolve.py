@@ -405,6 +405,19 @@ class PlanHolder:
 _PANEL_SIZE = 2
 
 
+# Newton matrices of more unknowns than this are factored in float32 and
+# refined twice against the float64 matrix.  Measured on the hemisphere's
+# Newton matrices (same machine as above), the float32 LU takes 0.82x the time
+# of the float64 one at m = 12,849, 0.73x at 51,429 and 0.64x at 205,857,
+# and a refined solve costs three float32 back-solves (0.8-0.9x a float64 one
+# each): float32 pays while an LU serves fewer than about 2, 4 and 9 solves
+# there.  The ring pipeline's LUs at m = 12,849 serve about 10 chord steps,
+# the hemisphere ladder's at 51,429 and 205,857 serve 3-4.  One refinement
+# leaves a relative error of 7e-10 at m = 51,429 and 2e-8 at 205,857 against
+# a float64 LU; two leave 4e-14 and 4e-12.
+_SINGLE_ABOVE = 32768
+
+
 def _factorize(plan: _NewtonPlan, vals, diag, m):
     """Factor one Newton matrix (its rows' stencils ``vals``, of
     ``_jac_values_2d``, plus ``diag`` on the diagonal); returns a solve
@@ -419,16 +432,39 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     (``_factorize(plan, _jac_values_2d(...), ...)``, no name of their own),
     so they are freed once stored and do not live through the LU.  SuperLU
     factors in panels of ``_PANEL_SIZE`` columns.
+
+    Above ``_SINGLE_ABOVE`` unknowns SuperLU factors a float32 copy of the
+    matrix, with factors of half the size, and the solve refines twice
+    against the float64 matrix it keeps: x = LU^-1 b, then x + LU^-1 (b - A
+    x), twice (Langou et al., SC 2006; Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., ch. 12).  Smaller systems, every ball of
+    a sweep among them, stay float64: there the float32 LU saves little, and
+    the two extra back-solves and matrix products of every solve cost more.
     """
     nnz = plan.indices.size
     data = np.empty(nnz + 1)
     data[plan.table] = vals
     del vals
     data[plan.table[len(plan.table) // 2]] += diag
-    lu = slinalg.splu(sparse.csc_matrix((data[:nnz], plan.indices, plan.indptr), shape=(m, m)),
+
+    def csc(d):     # on the plan's own index arrays, which astype would copy
+        return sparse.csc_matrix((d, plan.indices, plan.indptr), shape=(m, m))
+
+    A = csc(data[:nnz])
+    single = m > _SINGLE_ABOVE
+    lu = slinalg.splu(csc(A.data.astype(np.float32)) if single else A,
                       permc_spec="NATURAL", diag_pivot_thresh=0.001, panel_size=_PANEL_SIZE,
                       options=dict(SymmetricMode=True))
-    return lambda b: lu.solve(b)   # a closure over the LU: perfbench's tracer reads it
+    # closures over the LU: perfbench's tracer reads it
+    if not single:
+        return lambda b: lu.solve(b)
+
+    def refined(b):
+        x = lu.solve(b.astype(np.float32)).astype(float)
+        for _ in range(2):
+            x += lu.solve((b - A @ x).astype(np.float32))
+        return x
+    return refined
 
 
 def _harmonic_extension(Vx, h, plan: _NewtonPlan):

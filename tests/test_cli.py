@@ -53,6 +53,26 @@ class TestConfig:
         assert format_value(np.float32(0.1)) == repr(float(np.float32(0.1)))
         assert format_value(np.int64(3)) == "3"
 
+    @pytest.mark.parametrize("kind, params", [
+        ("solve", {"phi": {"name": "nope"}}),
+        ("solve", {"exact": {"name": "nope"}}),
+        ("solve", {"f": "hemisphere_density"}),
+        ("perron", {"u": {"name": "nope"}}),
+        ("measure", {"u": {"hemisphere": 4.0}}),
+        ("harnack", {"family": [{"name": "boundary_peak"}, {"name": "nope"}]}),
+        ("dirichlet", {"phi": {"name": "nope"}}),
+        ("dirichlet", {"measure": {"density": {"name": "nope"}}})])
+    def test_unknown_formulas_fail_when_the_config_loads(self, tmp_path, kind, params):
+        raw = {"kind": kind, "domain": {"kind": "disk", "center": [0, 0], "radius": 1.0},
+               "resolutions": [16], "params": params}
+        with pytest.raises(ConfigError, match="formula"):
+            ExperimentConfig.from_json(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_config_exit_code_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"kind": "solve"}), encoding="utf-8")

@@ -207,6 +207,26 @@ class TestCellValues:
                 call()
             assert type(exc.value) is ValueError
 
+    @pytest.mark.parametrize("other", [((1.0, 2.0), 16), ((0.0, 1.0), 32)])
+    def test_a_field_on_another_grid_is_one_value_error(self, other):
+        # the unit square at 16; the square moved by one (a grid of the same
+        # shape) and the unit square at 32 (a grid of another shape)
+        grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 16)
+        (x0, x1), res = other
+        o_grid, o_mask = make_grid(ShapeSpec.rectangle(x0, x1, 0, 1), res)
+        phi = sample_function(lambda p: p[:, 0], o_grid, o_mask)
+        assert (o_grid.shape == grid.shape) == (res == 16)
+        for call in (lambda: cell_values(phi, grid, mask.boundary, "boundary cells of phi"),
+                     lambda: solve_dirichlet(mask, phi=phi),
+                     lambda: minimize_prescribed_mc(mask, phi=phi)):
+            with pytest.raises(ValueError, match="boundary cells of phi is a field on "
+                                                 "another grid") as exc:
+                call()
+            assert type(exc.value) is ValueError
+        own = sample_function(lambda p: p[:, 0], grid, mask)
+        assert cell_values(own, grid, mask.boundary, "boundary cells of phi")[mask.boundary] \
+            == pytest.approx(grid.points()[mask.boundary][:, 0], abs=0)
+
     def test_undefined_values_name_the_datum_and_its_cells(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
         holes = lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)

@@ -505,16 +505,27 @@ def reference_csc_data(h, faces, plan, diag, unk, fix, rows_interior):
 
 
 def factorized_data(plan, vals, diag, m):
-    """The CSC data that ``_factorize`` hands to SuperLU."""
+    """The float64 CSC data of the Newton matrix that ``_factorize`` builds:
+    the matrix SuperLU factors at or below ``_SINGLE_ABOVE`` unknowns, and
+    the one the refinement keeps above."""
     out = []
+    csc = msolve.sparse.csc_matrix
 
-    def capture(A, **kwargs):
-        out.append(A.data.copy())
+    def capture(arg, **kwargs):
+        out.append(csc(arg, **kwargs).data.copy())
         raise _Captured
 
-    with mock.patch.object(msolve.slinalg, "splu", capture), pytest.raises(_Captured):
+    with mock.patch.object(msolve.sparse, "csc_matrix", capture), pytest.raises(_Captured):
         _factorize(plan, vals, diag, m)
+    assert out[0].dtype == np.float64
     return out[0]
+
+
+def lu_of(solve):
+    """The ``SuperLU`` object among a ``_factorize`` closure's cells, where
+    perfbench's tracer finds it."""
+    return next(c.cell_contents for c in solve.__closure__
+                if isinstance(c.cell_contents, slinalg.SuperLU))
 
 
 def stencil_system(h, n, unknown, fixed, V, penalty=None):
@@ -681,9 +692,7 @@ class TestDissection:
         """Nonzeros of L and U: the plan's LU, and SuperLU's minimum-degree
         ordering on A^T + A of the same matrix with the unknowns in C order."""
         plan, m = args[0], args[3]
-        solve = _factorize(*args)
-        lu = next(c.cell_contents for c in solve.__closure__
-                  if isinstance(c.cell_contents, slinalg.SuperLU))
+        lu = lu_of(_factorize(*args))
         c = c_order(plan)
         ri, ci, vi, _ = triplets
         A = sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).tocsc()[c][:, c]
@@ -710,6 +719,44 @@ class TestDissection:
             _, triplets, args = newton_system(grid.h, 2, unknown, ring, cone[win])
             ours, mmd = self.fills(args, triplets)
             assert ours <= 1.1 * mmd, (centre, ours, mmd)
+
+
+class TestSinglePrecision:
+    """Newton matrices of more than ``_SINGLE_ABOVE`` unknowns are factored
+    in float32, and their solves refine twice against the float64 matrix."""
+
+    @pytest.fixture(scope="class", params=["hemisphere", "penalized"])
+    def system(self, request):
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 2.0), 64)
+        if request.param == "hemisphere":   # as in test_fill_below_minimum_degree_on_the_hemisphere
+            V = sample_function(hemisphere_formula(4.0), grid, mask).values
+            _, triplets, args = newton_system(grid.h, 2, mask.interior, mask.boundary, V)
+            assert args[3] == 51429
+        else:       # the minimizer's system on the same disk
+            *case, penalty = system_case(grid, mask, "penalized", np.random.default_rng(3), None)
+            _, triplets, args = newton_system(*case, penalty=penalty)
+            assert args[0].fallback
+        assert args[3] > msolve._SINGLE_ABOVE
+        return triplets, args
+
+    def test_refined_solve_meets_a_double_lu(self, system):
+        (ri, ci, vi, m), args = system
+        b = np.random.default_rng(0).standard_normal(m)
+        ref = slinalg.splu(sparse.coo_matrix((vi, (ri, ci)), shape=(m, m)).tocsc()).solve(b)
+        solve = _factorize(*args)
+        assert lu_of(solve).L.dtype == np.float32
+        x = solve(b)
+        assert x.dtype == np.float64
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        for _ in range(2):
+            assert same_bits(_factorize(*args)(b), x)
+
+    def test_single_above_the_cut_only(self, system):
+        _, args = system
+        m = args[3]
+        for cut, dtype in [(m - 1, np.float32), (m, np.float64)]:
+            with mock.patch.object(msolve, "_SINGLE_ABOVE", cut):
+                assert lu_of(_factorize(*args)).L.dtype == dtype
 
 
 class TestNewtonPlan:

@@ -1,6 +1,7 @@
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -254,6 +255,54 @@ class TestSweep:
         b, _ = approximation_sweep(cone_64, mask, j, opts=opts, cover=rev)
         gap = np.nanmax(np.abs(a.values[mask.interior] - b.values[mask.interior]))
         assert gap <= 2 * 2.0 ** (-j)
+
+
+class TestRefusedLift:
+    """A refused lift stops the sweep at its ball; the sweep keeps what the
+    lifts before it did, so a caller can restart from there."""
+
+    # the third ball reaches past the unit circle
+    CENTERS = ((-0.25, 0.0), (0.0, 0.25), (0.95, 0.0), (0.25, 0.0))
+    COVER = BallCover(level=3, radius=0.125, centers=CENTERS)
+
+    def head(self, u, mask):
+        """The sweep of the lifts before the refused one."""
+        swept, trace = approximation_sweep(u, mask, 3, cover=replace(self.COVER,
+                                                                       centers=self.CENTERS[:2]))
+        assert trace.completed
+        return swept
+
+    def test_sweep_stops_and_keeps_the_partial_output(self, cone_64, unit_disk_64):
+        _, mask = unit_disk_64
+        with pytest.raises(ValueError, match="not compactly inside"):
+            ball_region(mask, self.CENTERS[2], self.COVER.radius)
+        swept, trace = approximation_sweep(cone_64, mask, 3, cover=self.COVER)
+        assert not trace.completed
+        assert [r.center for r in trace.records] == list(self.CENTERS[:2])
+        assert np.array_equal(swept.values, self.head(cone_64, mask).values, equal_nan=True)
+        assert (swept.values > cone_64.values + 1e-3).any()
+
+    def test_sequence_raises_with_the_partial_field(self, cone_64, unit_disk_64):
+        _, mask = unit_disk_64
+        with mock.patch.object(perron, "build_ball_cover", return_value=self.COVER), \
+                pytest.raises(PerronLiftRefused, match="level 3 aborted") as caught:
+            smooth_subharmonic_sequence(cone_64, mask, [(3, 1 / 32)])
+        assert np.array_equal(caught.value.field.values, self.head(cone_64, mask).values,
+                              equal_nan=True)
+
+    def test_a_ball_without_interior_cells_is_a_sizing_error(self, cone_64, unit_disk_64):
+        # SizingError is a ValueError, which a lift otherwise turns into a refusal
+        grid, mask = unit_disk_64
+        center, radius = (1.02, 0.0), 0.01
+        work = cone_64.values.copy()
+        with pytest.raises(SizingError, match="no interior cells"):
+            perron._lift_inplace(work, mask, center, radius, SolveOptions())
+        assert np.array_equal(work, cone_64.values, equal_nan=True)
+        cover = BallCover(level=3, radius=radius, centers=(center,))
+        for call in (lambda: perron_lift(cone_64, mask, center, radius),
+                     lambda: approximation_sweep(cone_64, mask, 3, cover=cover)):
+            with pytest.raises(SizingError):
+                call()
 
 
 def cones(cone_64, unit_disk_64, interval_100):
