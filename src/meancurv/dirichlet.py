@@ -223,7 +223,9 @@ def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable],
                            samples: int = 64) -> AdmissibilityReport:
     """Margin of the boundary curvature over n/(n-1) times the density.
 
-    Shapes without a closed-form boundary curvature are refused.  For an
+    f is None (zero), a number, or a callable of the (k, n) sample points
+    that must return k values (ValueError otherwise).  Shapes without a
+    closed-form boundary curvature are refused.  For an
     annulus the inner circle contributes negative curvature (it bends away
     from the domain), so a positive density there always fails.
     """
@@ -249,7 +251,10 @@ def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable],
     if f is None:
         fv = np.zeros(len(pts))
     elif callable(f):
-        fv = np.broadcast_to(np.asarray(f(pts), dtype=float).reshape(-1), (len(pts),))
+        fv = np.asarray(f(pts), dtype=float)
+        if fv.shape != (len(pts),):
+            raise ValueError(f"data for boundary samples of f must be one value per sample, "
+                             f"got shape {fv.shape} for {len(pts)} samples")
     else:
         fv = np.full(len(pts), float(f))
     margin = curv - factor * fv

@@ -19,10 +19,10 @@ of whole face arrays.  The discrete boundary length is the face count of
 the boundary, ``_interior_face_count`` times h^(n-1), for both the area
 functional and the minimizer's stationarity rows.
 
-Interface fluxes and the viscosity check's balls are ball-local: they read
-the interface's window of cells (``field.ball_distances``, or the box window
-of a rectangle or a 1d pair) and the faces between window cells, never the
-whole grid, and sum them in the full grid's C order.
+Interface fluxes are ball-local: they read the interface's window of cells
+(``field.ball_distances``, or the box window of a rectangle or a 1d pair)
+and the faces between window cells, never the whole grid, and sum them in
+the full grid's C order.
 """
 
 from __future__ import annotations
@@ -332,74 +332,6 @@ def area_functional(u: ScalarField, g: Optional[ScalarField],
     dev = np.abs(u.values - phi.values)
     pen = float(np.nansum(dev[mask.boundary] * lengths[mask.boundary]))
     return area + load + pen
-
-
-# ---------------------------------------------------------------------------
-# subharmonicity diagnostics
-
-
-@dataclass
-class BallCheck:
-    center: tuple
-    radius: float
-    passed: bool
-    violation: float
-    inconclusive: bool = False
-
-
-@dataclass
-class SubharmonicReport:
-    """Comparison-with-harmonic-replacement verdicts over a ball family."""
-
-    balls: list
-    tol: float
-    overall_pass: bool
-
-
-def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
-                                balls: Sequence[tuple], tol: Optional[float] = None,
-                                opts=None) -> SubharmonicReport:
-    """Check u <= harmonic replacement on each test ball.
-
-    For every ball the homogeneous Dirichlet problem is solved with u as
-    sphere data; the ball passes when the replacement dominates u inside up
-    to tol.  A diverging inner solve marks the ball inconclusive, not failed.
-    The default tol matches the scheme's truncation per ball: 10 h^2 (1 +
-    max|Du|^2), the maximum over the interior cells within 2h of the ball.
-    """
-    from .msolve import SolveOptions, solve_on_ball
-
-    opts = opts or SolveOptions()
-    checks = []
-    tols = []
-    grid = u.grid
-    if tol is None:
-        grads = cell_gradients(u)
-        g2 = np.nansum(grads * grads, axis=-1)
-    for center, radius in balls:
-        # the window of the ball grown by the 2h the default tolerance reads
-        win, dist = ball_distances(grid, center, radius + 2 * grid.h)
-        interior = mask.interior[win]
-        ball_cells = interior & (dist < radius)
-        ball_tol = tol
-        if ball_tol is None:
-            near = interior & (dist < radius + 2 * grid.h)
-            ball_tol = 10.0 * grid.h ** 2 * (1.0 + float(g2[win][near].max(initial=0.0)))
-        tols.append(ball_tol)
-        outcome = solve_on_ball(u, mask, center, radius, opts=opts)
-        if not outcome.converged:
-            checks.append(BallCheck(center=tuple(center), radius=radius,
-                                    passed=False, violation=float("nan"),
-                                    inconclusive=True))
-            continue
-        diff = u.values[win] - outcome.field.values[win]
-        viol = float(np.nanmax(np.where(ball_cells, diff, -np.inf)))
-        checks.append(BallCheck(center=tuple(center), radius=radius,
-                                passed=viol <= ball_tol, violation=viol))
-    conclusive = [c for c in checks if not c.inconclusive]
-    overall = bool(conclusive) and all(c.passed for c in conclusive)
-    return SubharmonicReport(balls=checks, tol=max(tols) if tols else 0.0,
-                             overall_pass=overall)
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,16 @@ slots, so the residual (``_residual``, bit for bit the grid density) and
 every analytically assembled matrix read the same faces, and one
 symmetric-mode sparse LU factors every matrix in that order: 1d and 2d
 solves, whole-domain, ball and penalized, run the same code.  Ball
-replacements (``solve_on_ball``, the Perron lift and sweep, the viscosity
-check) go through one windowed ball kernel, ``_solve_ball``: it takes the
-cells of the ball's window nearer the centre than the radius, looks up the
-``_BallRecord`` of that cell pattern, gathers the ball from the mask and
-the field, runs ``_newton_core`` and owns the warm start, its prediction
-from the corrections of earlier balls and the harmonic restart.
+replacement lives in ``perron``, whose windowed ball kernel sets up each
+ball's plan and flat window and runs ``_newton_core`` on them.
 
 Plans, LUs and ball records belong to a ``PlanHolder``, owned by the
 solve, sweep or continuation that makes it, never to the module: a Perron
 sweep, the ring pipeline's stages and the minimizer's rounds each
 share one, and a solve given none makes its own.  A Newton solve may start
 on the holder's last LU of an earlier solve of the same plan (a chord
-matrix lagged across solves), and each ball solve of a sweep predicts its
-start from the corrections of earlier balls of its cell pattern.  No two
-threads share a holder, so a solve's iterates never depend on other
-threads.
+matrix lagged across solves).  No two threads share a holder, so a
+solve's iterates never depend on other threads.
 """
 
 from __future__ import annotations
@@ -45,8 +39,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
-from .field import (DomainMask, ScalarField, SizingError, UndefinedCellError,
-                    _ring, ball_distances, cell_values)
+from .field import DiscreteSet, DomainMask, ScalarField, UndefinedCellError, cell_values
+from .levelset import SetFamily, eta_margin
 from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
 logger = logging.getLogger("meancurv")
@@ -371,9 +365,9 @@ class PlanHolder:
     ``lu`` is the last fresh ``(plan, solve)`` pair of a solve run with the
     holder, on which a later solve of the same plan may start (see
     ``_newton_core``).  ``balls`` maps a ball's grid shape and window
-    pattern of inside cells to its ``_BallRecord``, which keeps the
-    corrections from which ``_solve_ball`` predicts the start of the next
-    ball of that pattern.  Whoever makes a holder owns it, and all of these
+    pattern of inside cells to its ``perron._BallRecord``, which keeps the
+    corrections from which ``perron._solve_ball`` predicts the start of the
+    next ball of that pattern.  Whoever makes a holder owns it, and all of these
     go with it; no two threads share one.
     """
 
@@ -673,7 +667,6 @@ def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
     exception propagates.
     """
     try:
-        from .levelset import SetFamily, eta_margin
         dens = ScalarField(grid=mask.grid,
                            values=np.where(mask.interior, g_vals, np.nan),
                            provenance="derived")
@@ -706,7 +699,6 @@ def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
     candidates.append(("the whole domain", total_len - total_nu))
     vals = iterate[mask.interior]
     if np.isfinite(vals).any():
-        from .field import DiscreteSet
         for q in (0.1, 0.3, 0.5):
             t = float(np.nanquantile(vals, q))
             member = mask.interior & np.isfinite(iterate) & (iterate <= t)
@@ -802,122 +794,6 @@ def solve_dirichlet(mask: DomainMask, f=None, phi=0.0,
     return SolveOutcome(field=fld, residual_norm=info["residual"],
                         iterations=info["iterations"], converged=info["converged"],
                         certificate=certificate, diagnostics=info)
-
-
-def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Window slices (bounding box plus three cells), window-local unknown
-    cells (those nearer the centre than the radius) and data ring of a ball
-    subregion solve; SizingError when no cell of the ball is interior,
-    ValueError unless all are and its ring lies in the region."""
-    win, dist = ball_distances(mask.grid, center, radius, margin=3)
-    inside = dist < radius
-    ring = _ring(inside)
-    interior = mask.interior[win]
-    unknown = interior & inside
-    if not unknown.any():
-        raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
-    if (inside & ~interior).any() or (ring & ~(interior | mask.boundary[win])).any():
-        raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
-    return win, unknown, ring
-
-
-class _BallRecord:
-    """An accepted ball's ``plan``, the flat indices (C order) of its
-    unknowns and ring from its window's first cell (``cells``, ``ring``) and
-    in the plan's window (``local``, ``ring_local``), ``blank`` flat window,
-    zero forcing, and the ``corrections`` (solution minus start on the
-    unknowns) of its last two converged warm solves, newest first; one per
-    grid shape and window pattern of inside cells, shared by translates."""
-
-    def __init__(self, holder: PlanHolder, grid_shape, unknown, ring):
-        tight = _window(unknown, ring)
-        self.plan = holder.plan(unknown[tight], ring[tight], unknown[tight])
-        self.cells, self.ring = (np.ravel_multi_index(np.nonzero(a), grid_shape)
-                                 for a in (unknown, ring))
-        self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
-        self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
-        self.f_zero = np.zeros(self.local.size)
-        self.corrections = ()
-
-
-def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
-                carry: Optional[PlanHolder] = None):
-    """Minimal-graph replacement of the full-grid array V inside a ball.
-
-    The holder ``carry`` (its own when None) keeps a ``_BallRecord`` per
-    grid shape and cell pattern of the window; ``ball_region`` checks the
-    first ball of a record and names the error of a later one whose gathered
-    cells leave the domain.  Non-finite sphere data raise
-    UndefinedCellError.  Newton starts harmonic unless V is finite on the
-    unknowns, else from V + 2 c1 - c2, V + c1 or V, with c1, c2 the record's
-    last corrections (``info["predicted"]`` if any).  A warm start that does
-    not converge gets one harmonic restart on an LU the holder does not
-    carry, kept when it converges or lowers the residual; ``info`` counts
-    both.  Returns (cells, ring, values, info): full-grid flat indices (C
-    order) of the unknowns and ring, and the solution.
-    """
-    grid = mask.grid
-    carry = carry or PlanHolder()
-    win, dist = ball_distances(grid, center, radius, margin=3)
-    inside = dist < radius
-    key = (grid.shape, inside.shape, inside.tobytes())
-    ball = carry.balls.get(key)
-    if ball is None:
-        ball = carry.balls[key] = _BallRecord(carry, grid.shape,
-                                              *ball_region(mask, center, radius)[1:])
-    base = np.ravel_multi_index([s.start for s in win], grid.shape)
-    cells, ring = base + ball.cells, base + ball.ring
-    if not (mask.interior.take(cells).all()
-            and (mask.interior.take(ring) | mask.boundary.take(ring)).all()):
-        ball_region(mask, center, radius)    # raises: the ball leaves the domain
-    sphere = V.take(ring)
-    if not np.isfinite(sphere).all():
-        bad = np.unravel_index(ring[~np.isfinite(sphere)], V.shape)
-        raise UndefinedCellError("sphere data is not finite; ball rejected", list(zip(*bad)))
-    old = V.take(cells)
-    warm = bool(np.isfinite(old).all())
-    seen = ball.corrections if warm else ()
-    Vx = ball.blank.copy()
-    Vx[ball.ring_local] = sphere
-    if warm:
-        Vx[ball.local] = old
-    if seen:
-        Vx[ball.local] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
-    Vx, info = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts, carry,
-                            not warm)
-    values = Vx[ball.local]
-    if not info["converged"] and warm:
-        # kinked warm starts can stall the line search; harmonic restart, which
-        # reads the window's ring only
-        Vx, info2 = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts,
-                                 carry.without_lu(), True)
-        counts = {k: info[k] + info2[k] for k in ("factorizations", "residual_evals")}
-        if info2["converged"] or info2["residual"] < info["residual"]:
-            values, info = Vx[ball.local], info2
-            info["restarted"] = True
-        info.update(counts)
-    if seen:
-        info["predicted"] = True
-    if info["converged"] and warm:
-        ball.corrections = (values - old,) + seen[:1]
-    return cells, ring, values, info
-
-
-def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
-                  opts: Optional[SolveOptions] = None) -> SolveOutcome:
-    """Minimal-graph replacement of u inside a ball, u as sphere data.
-
-    The field is NaN outside the ball's unknowns and data ring.
-    """
-    cells, ring, solved, info = _solve_ball(u.values, mask, center, radius,
-                                            opts or SolveOptions())
-    values = np.full(u.grid.shape, np.nan)
-    values.put(ring, u.values.take(ring))
-    values.put(cells, solved)
-    fld = ScalarField(grid=u.grid, values=values, provenance="solved")
-    return SolveOutcome(field=fld, residual_norm=info["residual"],
-                        iterations=info["iterations"], converged=info["converged"],
-                        diagnostics=info)
 
 
 _ACTIVE_SET_ROUNDS = 3   # pinning rounds after the fully penalized first solve

@@ -1,24 +1,30 @@
-"""Perron lifting on balls and smooth near-subharmonic approximation.
+"""Ball replacement: the minimal-graph solve on a ball, the viscosity check,
+Perron lifting and smooth near-subharmonic approximation.
 
-A lift replaces a field inside a ball by the minimal graph with the field's
-own sphere values as data; sweeping the lift over a deterministic ball cover
-of the domain and mollifying the result produces the smooth approximating
-sequences that the measure machinery consumes.  The single lift and the
-sweep both run the windowed ball kernel ``msolve._solve_ball`` (the one
-behind ``solve_on_ball`` and the viscosity check) and scatter its result
-into the field as a cellwise max.  A single lift factors its Newton matrices
-fresh and starts Newton from the field; a sweep owns one ``msolve.PlanHolder``,
-which keeps a plan and a ball record per cell pattern, and hands the
-last LU of each ball solve to the next one, whose warm-started Newton run
-starts on it as a chord matrix when the two balls share a cell pattern
-(translates by whole cells do).  A ball record also keeps the corrections
-of the last two converged lifts of its pattern, and the next lift of that
-pattern starts from their linear extrapolation in the ball centre (a
-continuation predictor, Newton the corrector) while the max-merge still
-compares with the unlifted field.  On the cone at 128, levels 2-4, this
-takes the sweep from 35,786 Newton iterations and 700 LUs to 27,598 and
-590.  A cover reports the target cells it leaves uncovered, and so does
-the sweep's trace.
+u is subharmonic for the mean curvature operator when it lies below the
+minimal graph with u's own sphere values on every ball.  One windowed ball
+kernel, ``_solve_ball``, computes that replacement for ``solve_on_ball``,
+``viscosity_subharmonic_check``, the lift and the sweep: it takes the cells
+of the ball's window nearer the centre than the radius, looks up the
+``_BallRecord`` of that cell pattern, gathers the ball from the mask and the
+field, runs ``msolve._newton_core`` and owns the warm start, its prediction
+from the corrections of earlier balls and the harmonic restart.
+
+A lift merges the replacement into the field as a cellwise max; sweeping it
+over a deterministic ball cover of the domain and mollifying the result
+produces the smooth approximating sequences that the measure machinery
+consumes.  A single lift factors its Newton matrices fresh and starts Newton
+from the field; a sweep owns one ``msolve.PlanHolder``, which keeps a plan
+and a ball record per cell pattern, and hands the last LU of each ball solve
+to the next one, whose warm-started Newton run starts on it as a chord
+matrix when the two balls share a cell pattern (translates by whole cells
+do).  A ball record also keeps the corrections of the last two converged
+lifts of its pattern, and the next lift of that pattern starts from their
+linear extrapolation in the ball centre (a continuation predictor, Newton
+the corrector) while the max-merge still compares with the unlifted field.
+On the cone at 128, levels 2-4, this takes the sweep from 35,786 Newton
+iterations and 700 LUs to 27,598 and 590.  A cover reports the target cells
+it leaves uncovered, and so does the sweep's trace.
 """
 
 from __future__ import annotations
@@ -29,16 +35,190 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .field import (
-    DomainMask,
-    ScalarField,
-    SizingError,
-    mollify_field,
-)
-from .mco import h1_density
-from .msolve import PlanHolder, SolveOptions, _solve_ball
+from .field import (DomainMask, ScalarField, SizingError, UndefinedCellError, _ring,
+                    ball_distances, mollify_field)
+from .mco import cell_gradients, h1_density
+from .msolve import PlanHolder, SolveOptions, SolveOutcome, _newton_core, _window
 
 logger = logging.getLogger("meancurv")
+
+
+def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Window slices (bounding box plus three cells), window-local unknown
+    cells (those nearer the centre than the radius) and data ring of a ball
+    subregion solve; SizingError when no cell of the ball is interior,
+    ValueError unless all are and its ring lies in the region."""
+    win, dist = ball_distances(mask.grid, center, radius, margin=3)
+    inside = dist < radius
+    ring = _ring(inside)
+    interior = mask.interior[win]
+    unknown = interior & inside
+    if not unknown.any():
+        raise SizingError(f"ball ({center}, r={radius}) contains no interior cells")
+    if (inside & ~interior).any() or (ring & ~(interior | mask.boundary[win])).any():
+        raise ValueError(f"ball ({center}, r={radius}) is not compactly inside the domain")
+    return win, unknown, ring
+
+
+class _BallRecord:
+    """An accepted ball's ``plan``, the flat indices (C order) of its
+    unknowns and ring from its window's first cell (``cells``, ``ring``) and
+    in the plan's window (``local``, ``ring_local``), ``blank`` flat window,
+    zero forcing, and the ``corrections`` (solution minus start on the
+    unknowns) of its last two converged warm solves, newest first; one per
+    grid shape and window pattern of inside cells, shared by translates."""
+
+    def __init__(self, holder: PlanHolder, grid_shape, unknown, ring):
+        tight = _window(unknown, ring)
+        self.plan = holder.plan(unknown[tight], ring[tight], unknown[tight])
+        self.cells, self.ring = (np.ravel_multi_index(np.nonzero(a), grid_shape)
+                                 for a in (unknown, ring))
+        self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
+        self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
+        self.f_zero = np.zeros(self.local.size)
+        self.corrections = ()
+
+
+def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOptions,
+                carry: Optional[PlanHolder] = None):
+    """Minimal-graph replacement of the full-grid array V inside a ball.
+
+    The holder ``carry`` (its own when None) keeps a ``_BallRecord`` per
+    grid shape and cell pattern of the window; ``ball_region`` checks the
+    first ball of a record and names the error of a later one whose gathered
+    cells leave the domain.  Non-finite sphere data raise
+    UndefinedCellError.  Newton starts harmonic unless V is finite on the
+    unknowns, else from V + 2 c1 - c2, V + c1 or V, with c1, c2 the record's
+    last corrections (``info["predicted"]`` if any).  A warm start that does
+    not converge gets one harmonic restart on an LU the holder does not
+    carry, kept when it converges or lowers the residual; ``info`` counts
+    both.  Returns (cells, ring, values, info): full-grid flat indices (C
+    order) of the unknowns and ring, and the solution.
+    """
+    grid = mask.grid
+    carry = carry or PlanHolder()
+    win, dist = ball_distances(grid, center, radius, margin=3)
+    inside = dist < radius
+    key = (grid.shape, inside.shape, inside.tobytes())
+    ball = carry.balls.get(key)
+    if ball is None:
+        ball = carry.balls[key] = _BallRecord(carry, grid.shape,
+                                              *ball_region(mask, center, radius)[1:])
+    base = np.ravel_multi_index([s.start for s in win], grid.shape)
+    cells, ring = base + ball.cells, base + ball.ring
+    if not (mask.interior.take(cells).all()
+            and (mask.interior.take(ring) | mask.boundary.take(ring)).all()):
+        ball_region(mask, center, radius)    # raises: the ball leaves the domain
+    sphere = V.take(ring)
+    if not np.isfinite(sphere).all():
+        bad = np.unravel_index(ring[~np.isfinite(sphere)], V.shape)
+        raise UndefinedCellError("sphere data is not finite; ball rejected", list(zip(*bad)))
+    old = V.take(cells)
+    warm = bool(np.isfinite(old).all())
+    seen = ball.corrections if warm else ()
+    Vx = ball.blank.copy()
+    Vx[ball.ring_local] = sphere
+    if warm:
+        Vx[ball.local] = old
+    if seen:
+        Vx[ball.local] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
+    Vx, info = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts, carry,
+                            not warm)
+    values = Vx[ball.local]
+    if not info["converged"] and warm:
+        # kinked warm starts can stall the line search; harmonic restart, which
+        # reads the window's ring only
+        Vx, info2 = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts,
+                                 carry.without_lu(), True)
+        counts = {k: info[k] + info2[k] for k in ("factorizations", "residual_evals")}
+        if info2["converged"] or info2["residual"] < info["residual"]:
+            values, info = Vx[ball.local], info2
+            info["restarted"] = True
+        info.update(counts)
+    if seen:
+        info["predicted"] = True
+    if info["converged"] and warm:
+        ball.corrections = (values - old,) + seen[:1]
+    return cells, ring, values, info
+
+
+def solve_on_ball(u: ScalarField, mask: DomainMask, center, radius,
+                  opts: Optional[SolveOptions] = None) -> SolveOutcome:
+    """Minimal-graph replacement of u inside a ball, u as sphere data.
+
+    The field is NaN outside the ball's unknowns and data ring.
+    """
+    cells, ring, solved, info = _solve_ball(u.values, mask, center, radius,
+                                            opts or SolveOptions())
+    values = np.full(u.grid.shape, np.nan)
+    values.put(ring, u.values.take(ring))
+    values.put(cells, solved)
+    fld = ScalarField(grid=u.grid, values=values, provenance="solved")
+    return SolveOutcome(field=fld, residual_norm=info["residual"],
+                        iterations=info["iterations"], converged=info["converged"],
+                        diagnostics=info)
+
+
+@dataclass
+class BallCheck:
+    center: tuple
+    radius: float
+    passed: bool
+    violation: float
+    inconclusive: bool = False
+
+
+@dataclass
+class SubharmonicReport:
+    """Comparison-with-harmonic-replacement verdicts over a ball family."""
+
+    balls: list
+    tol: float
+    overall_pass: bool
+
+
+def viscosity_subharmonic_check(u: ScalarField, mask: DomainMask,
+                                balls: Sequence[tuple], tol: Optional[float] = None,
+                                opts=None) -> SubharmonicReport:
+    """Check u <= harmonic replacement on each test ball.
+
+    For every ball the homogeneous Dirichlet problem is solved with u as
+    sphere data; the ball passes when the replacement dominates u inside up
+    to tol.  A diverging inner solve marks the ball inconclusive, not failed.
+    The default tol matches the scheme's truncation per ball: 10 h^2 (1 +
+    max|Du|^2), the maximum over the interior cells within 2h of the ball.
+    """
+    opts = opts or SolveOptions()
+    checks = []
+    tols = []
+    grid = u.grid
+    if tol is None:
+        grads = cell_gradients(u)
+        g2 = np.nansum(grads * grads, axis=-1)
+    for center, radius in balls:
+        # the window of the ball grown by the 2h the default tolerance reads
+        win, dist = ball_distances(grid, center, radius + 2 * grid.h)
+        interior = mask.interior[win]
+        ball_cells = interior & (dist < radius)
+        ball_tol = tol
+        if ball_tol is None:
+            near = interior & (dist < radius + 2 * grid.h)
+            ball_tol = 10.0 * grid.h ** 2 * (1.0 + float(g2[win][near].max(initial=0.0)))
+        tols.append(ball_tol)
+        outcome = solve_on_ball(u, mask, center, radius, opts=opts)
+        if not outcome.converged:
+            checks.append(BallCheck(center=tuple(center), radius=radius,
+                                    passed=False, violation=float("nan"),
+                                    inconclusive=True))
+            continue
+        diff = u.values[win] - outcome.field.values[win]
+        viol = float(np.nanmax(np.where(ball_cells, diff, -np.inf)))
+        checks.append(BallCheck(center=tuple(center), radius=radius,
+                                passed=viol <= ball_tol, violation=viol))
+    conclusive = [c for c in checks if not c.inconclusive]
+    overall = bool(conclusive) and all(c.passed for c in conclusive)
+    return SubharmonicReport(balls=checks, tol=max(tols) if tols else 0.0,
+                             overall_pass=overall)
 
 
 class PerronLiftRefused(RuntimeError):
@@ -147,7 +327,7 @@ def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
                   opts: SolveOptions, carry: Optional[PlanHolder] = None
                   ) -> tuple[float, float, int, dict]:
     """Lift mutating the full-grid array *work* on the ball's unknowns: the
-    cellwise max of ``msolve._solve_ball``'s solution (given ``carry``) and
+    cellwise max of ``_solve_ball``'s solution (given ``carry``) and
     the finite old values.  Returns (max_increase, min_increase, repaired
     -inf cells, the ball solve's ``info``); raises PerronLiftRefused
     without a field attached.
@@ -224,7 +404,7 @@ def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,
     stays False), so a deterministic restart is possible.  Each ball solve
     may start on the last LU of the one before (see ``msolve._newton_core``)
     and from the corrections of the lifts before it (see
-    ``msolve._solve_ball``).  The trace carries the cover's ``uncovered``
+    ``_solve_ball``).  The trace carries the cover's ``uncovered``
     count (recounted for a given cover), which a completed sweep does not
     clear: such cells were lifted by no ball.
     """

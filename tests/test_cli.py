@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestConfig:
         plane = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1)
         assert uc(plane) == pytest.approx(want, abs=1e-12)
         assert uc(-r[:, None]) == pytest.approx(want, abs=1e-12)
+
+    def test_scherk_formula_is_the_closed_form(self):
+        scherk = formula({"name": "scherk"})
+        p = np.array([[0.0, 0.0], [0.3, -0.2], [-1.0, 0.5], [0.7, 1.2]])
+        want = [math.log(math.cos(x) / math.cos(y)) for x, y in p.tolist()]
+        assert scherk(p) == pytest.approx(want, abs=1e-14)
 
     def test_numbers_and_callables_are_returned_as_they_are(self):
         # every consumer takes them through field.cell_values

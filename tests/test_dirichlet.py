@@ -234,6 +234,29 @@ class TestAdmissibility:
         with pytest.raises(SizingError):
             boundary_admissibility(mask, 0.0)
 
+    def test_callable_f_returns_one_value_per_sample(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        # a scalar is not broadcast over the samples, as in field.cell_values
+        for f, shape in ((lambda p: 0.5, r"\(\)"), (lambda p: np.ones(2), r"\(2,\)")):
+            with pytest.raises(ValueError, match=rf"one value per sample, got shape {shape} "
+                                                 r"for 64 samples"):
+                boundary_admissibility(mask, f)
+        # curvature 1 on the unit circle, less n/(n-1) = 2 times f
+        rep = boundary_admissibility(mask, lambda p: 0.25 + 0.1 * p[:, 0])
+        assert len(rep.samples) == 64
+        want = [1.0 - 2 * (0.25 + 0.1 * s.point[0]) for s in rep.samples]
+        assert [s.margin for s in rep.samples] == pytest.approx(want, abs=1e-12)
+        assert rep.passed
+
+    def test_interval_ends(self):
+        grid, mask = make_grid(ShapeSpec.interval(-1.0, 1.0), 16)
+        rep = boundary_admissibility(mask, lambda p: 0.3 + p[:, 0])
+        assert [s.point for s in rep.samples] == [(-1.0,), (1.0,)]
+        assert [s.curvature for s in rep.samples] == [0.0, 0.0]
+        # the ends have no curvature and the factor is 1: the margin is -f
+        assert [s.margin for s in rep.samples] == pytest.approx([0.7, -1.3], abs=1e-12)
+        assert rep.min_margin == pytest.approx(-1.3, abs=1e-12) and not rep.passed
+
 
 class TestSchedule:
     def test_validation(self):

@@ -1,10 +1,12 @@
 """Every name a ``meancurv`` module imports is used in that module, every
-name it defines is referenced somewhere in the repository, and every module
-stays below the parser's token limit."""
+name it defines is referenced somewhere in the repository, the package's
+modules import each other at their top level only and without a cycle, and
+every module stays below the parser's token limit."""
 
 import ast
 import io
 import tokenize
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,56 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> tuple:
+    """The package modules that ``source`` imports at its top level, and the
+    lines of the package imports inside a function or class body.  A package
+    import is a relative one (``from .x import y``, ``from . import x``);
+    imports of other packages may sit anywhere."""
+    tree = ast.parse(source)
+
+    def modules(node):
+        if not isinstance(node, ast.ImportFrom) or not node.level:
+            return set()
+        return {node.module} if node.module else {alias.name for alias in node.names}
+
+    bodies = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nested = sorted({node.lineno for scope in ast.walk(tree) if isinstance(scope, bodies)
+                     for node in ast.walk(scope) if modules(node)})
+    return set().union(*map(modules, tree.body)), nested
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of the module graph {module: modules it imports}, [] if none."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+def test_detector_finds_nested_package_imports():
+    source = ("from . import a\nfrom .b import c\nimport numpy\n"
+              "def f():\n    from scipy.spatial import cKDTree\n    from .d import e\n"
+              "class K:\n    from .. import g\n    def m(self):\n        from .h import i\n")
+    assert package_imports(source) == ({"a", "b"}, [6, 8, 10])
+
+
+def test_detector_finds_an_import_cycle():
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    cycle = import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}})
+    assert cycle[0] == cycle[-1] and sorted(cycle[1:]) == ["a", "b", "c"]
+
+
+def test_package_imports_are_top_level():
+    nested = {path.name: package_imports(path.read_text())[1] for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in nested.items() if lines} == {}
+
+
+def test_package_imports_form_a_dag():
+    graph = {path.stem: package_imports(path.read_text())[0] for path in SRC.glob("*.py")}
+    assert import_cycle(graph) == []
 
 
 ROOT = SRC.parent.parent

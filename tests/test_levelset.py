@@ -186,6 +186,14 @@ class TestHarnack:
             with pytest.raises(SizingError, match="holds no defined interior cell"):
                 check()
 
+    def test_1d_sphere_is_the_two_end_points(self, interval_100):
+        grid, mask = interval_100
+        u = sample_function(lambda p: 1.0 + 2.0 * p[:, 0], grid, mask)
+        values, weight = sphere_values(u, 0.3, (0.1,))
+        # linear interpolation is exact on an affine field
+        assert values == pytest.approx([0.6, 1.8], abs=1e-12)
+        assert weight == 1.0
+
     def test_array_center_is_the_tuple_center(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
         u = sample_function(lambda p: 2.0 + p[:, 0] - 0.5 * p[:, 1] ** 2, grid, mask,
@@ -426,6 +434,7 @@ class TestDecayBound:
     def test_threshold_values(self):
         assert abs(decay_threshold(0.2) - 2.967) < 0.01
         assert abs(decay_threshold(1.0) - 3 ** -0.75) < 1e-10
+        assert decay_threshold(2.0) == 0.0
 
     def test_refuses_nonpositive_eta(self, disk12_64):
         grid, mask = disk12_64

@@ -9,6 +9,7 @@ from meancurv.mco import (
     CircleInterface,
     PairInterface,
     RectInterface,
+    _upper_affine_envelope,
     area_functional,
     boundary_flux,
     enclosed_density_sum,
@@ -16,10 +17,11 @@ from meancurv.mco import (
     gradient_bound_report,
     h1_density,
     trace_coefficient_matrix,
-    viscosity_subharmonic_check,
 )
+from meancurv.msolve import SolveOptions
+from meancurv.perron import viscosity_subharmonic_check
 
-from conftest import hemisphere_formula
+from conftest import cone_formula, hemisphere_formula
 
 
 def random_trig_field(grid, mask, rng, amp=0.4):
@@ -198,6 +200,19 @@ class TestSubharmonicCheck:
         assert not rep.overall_pass
         assert rep.balls[0].violation > 0.05
 
+    def test_unconverged_balls_are_inconclusive(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)
+        u = sample_function(cone_formula, grid, mask)
+        balls = (((0.0, 0.0), 0.4), ((0.2, -0.1), 0.3))
+        # one Newton step cannot reach the tolerance: no verdict, and no pass
+        rep = viscosity_subharmonic_check(u, mask, balls,
+                                          opts=SolveOptions(max_iter=1, tol=1e-12))
+        assert [c.inconclusive for c in rep.balls] == [True, True]
+        assert all(math.isnan(c.violation) and not c.passed for c in rep.balls)
+        assert not rep.overall_pass
+        # with the default options both balls converge and pass
+        assert viscosity_subharmonic_check(u, mask, balls).overall_pass
+
     def test_solved_field_is_fixed_point(self, unit_disk_64):
         from meancurv.msolve import solve_dirichlet
         grid, mask = unit_disk_64
@@ -207,6 +222,13 @@ class TestSubharmonicCheck:
 
 
 class TestGradientEnvelope:
+    def test_envelope_skips_pairs_of_equal_x(self):
+        xs, ys = np.array([0.0, 1.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0, 2.5])
+        with np.errstate(divide="raise", invalid="raise"):
+            intercept, slope = _upper_affine_envelope(xs, ys)
+        assert math.isfinite(intercept) and math.isfinite(slope)
+        assert (intercept + slope * xs >= ys - 1e-12).all()
+
     def test_refuses_tiny_family(self):
         with pytest.raises(ValueError):
             gradient_bound_report([(None, (0, 0), 1.0)] * 2)

@@ -10,22 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage, sparse
 from scipy.sparse import linalg as slinalg
 
-from meancurv import (NEG_INF, ScalarField, ShapeSpec, levelset, make_grid, msolve, perron,
+from meancurv import (NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, perron,
                       sample_function)
 from meancurv.cli import _resample
 from meancurv.field import SizingError, UndefinedCellError, _dist_to, cell_values
 from meancurv.mco import _divergence, area_functional, face_gradients, face_sides
-from meancurv.perron import build_ball_cover
+from meancurv.perron import ball_region, build_ball_cover, solve_on_ball
 from meancurv.msolve import (
     SolveOptions,
     UnboundedDescentError,
     _factorize,
     _interior_face_count,
     _newton_arrays,
-    ball_region,
     minimize_prescribed_mc,
     solve_dirichlet,
-    solve_on_ball,
 )
 
 from conftest import hemisphere_formula, plan_builds
@@ -373,7 +371,7 @@ def system_case(grid, mask, system, rng, ball):
     n = grid.n
     V = np.where(mask.region, smooth_iterate(grid, rng), np.nan)
     if system == "ball":
-        win, unknown, ring = msolve.ball_region(mask, *ball)
+        win, unknown, ring = perron.ball_region(mask, *ball)
         return grid.h, n, unknown, ring, V[win], None
     if system == "whole":
         return grid.h, n, mask.interior, mask.boundary, V, None
@@ -433,7 +431,7 @@ class TestNewtonMatrix:
             *system, penalty = newton_case(system, n, seed=7, radius=r)
             _, triplets, args = newton_system(*system, penalty=penalty)
         else:
-            win, unknown, ring = msolve.ball_region(mask, (0.0, 0.0), radius)
+            win, unknown, ring = perron.ball_region(mask, (0.0, 0.0), radius)
             V = cone_64.values[win]
             _, triplets, args = newton_system(grid.h, 2, unknown, ring, V)
         assert sizes[0] <= triplets[3] <= sizes[1]
@@ -785,10 +783,10 @@ class TestNewtonPlan:
         plans = msolve.PlanHolder()
         with plan_builds() as built:
             # each solve with the holder's plans and a fresh LU
-            cold = msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
+            cold = perron._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
                                       plans.without_lu())
             assert built() == len(plans.plans) == 1
-            warm = msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
+            warm = perron._solve_ball(cone_64.values, mask, *ball, SolveOptions(),
                                       plans.without_lu())
             assert built() == 1
         assert cold[3]["converged"] and warm[3]["iterations"] == cold[3]["iterations"]
@@ -870,12 +868,12 @@ class TestReportedFallbacks:
     def test_margin_screen_logs_value_errors_only(self, caplog):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
         g = np.ones(grid.shape)
-        with mock.patch.object(levelset, "eta_margin", side_effect=ValueError("no members")), \
+        with mock.patch.object(msolve, "eta_margin", side_effect=ValueError("no members")), \
                 caplog.at_level("WARNING", logger="meancurv"):
             msolve._warn_if_margin_fails(mask, g)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "margin screen skipped: no members" in caplog.text
-        with mock.patch.object(levelset, "eta_margin", side_effect=TypeError("bad family")), \
+        with mock.patch.object(msolve, "eta_margin", side_effect=TypeError("bad family")), \
                 pytest.raises(TypeError, match="bad family"):
             msolve._warn_if_margin_fails(mask, g)
 
@@ -972,11 +970,11 @@ class TestCarriedLU:
     def test_foreign_plan_is_ignored(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         opts = SolveOptions()
-        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        ref = perron._solve_ball(cone_64.values, mask, *self.ball, opts)
         carry = msolve.PlanHolder()
-        msolve._solve_ball(cone_64.values, mask, (0.0, 0.1), 0.2, opts, carry)
+        perron._solve_ball(cone_64.values, mask, (0.0, 0.1), 0.2, opts, carry)
         foreign = carry.lu[0]
-        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        got = perron._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert np.array_equal(got[2], ref[2], equal_nan=True)
         assert got[3] == ref[3] and ref[3]["converged"] and not got[3]["carried"]
         assert carry.lu[0] is not foreign   # the holder now carries this ball's pair
@@ -986,8 +984,8 @@ class TestCarriedLU:
         grid, mask = unit_disk_64
         opts = SolveOptions()
         carry = msolve.PlanHolder()
-        msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
-        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        perron._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        ref = perron._solve_ball(cone_64.values, mask, *self.ball, opts)
 
         def raising(b):
             raise SystemError("gstrs was called with invalid arguments")
@@ -997,7 +995,7 @@ class TestCarriedLU:
         # and converge before it needs an LU
         for ball in carry.balls.values():
             ball.corrections = ()
-        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        got = perron._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert got[3]["factorizations"] == ref[3]["factorizations"]
         # the pass that only dropped the raising LU took no step
@@ -1009,8 +1007,8 @@ class TestCarriedLU:
         grid, mask = unit_disk_64
         opts = SolveOptions()
         carry = msolve.PlanHolder()
-        msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
-        ref = msolve._solve_ball(cone_64.values, mask, *self.ball, opts)
+        perron._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        ref = perron._solve_ball(cone_64.values, mask, *self.ball, opts)
         plan, solve = carry.lu
         calls = []
 
@@ -1022,7 +1020,7 @@ class TestCarriedLU:
         carry.lu = (plan, uphill)
         for ball in carry.balls.values():
             ball.corrections = ()
-        got = msolve._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
+        got = perron._solve_ball(cone_64.values, mask, *self.ball, opts, carry)
         assert got[3]["carried"] and got[3]["converged"] and "error" not in got[3]
         assert len(calls) == 1 and carry.lu[1] is not uphill
         # the stale direction's line search ran every trial, failed, and was
@@ -1206,7 +1204,7 @@ class TestPlanOwnership:
         carry = msolve.PlanHolder()
         with plan_builds() as built:
             for ball in [((0.1, -0.05), 0.3), ((0.0, 0.1), 0.2), ((0.1, -0.05), 0.3)]:
-                msolve._solve_ball(cone_64.values, mask, *ball, SolveOptions(), carry)
+                perron._solve_ball(cone_64.values, mask, *ball, SolveOptions(), carry)
         assert built() == len(carry.plans) == 2
 
 
@@ -1372,14 +1370,14 @@ class TestBallGeometry:
     def test_off_lattice_centres_through_solve_on_ball(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         rng = np.random.default_rng(20)
-        region, calls = msolve.ball_region, []
+        region, calls = perron.ball_region, []
 
         def checked(mask, center, radius):
             assert_same_region(mask, center, radius)
             calls.append(center)
             return region(mask, center, radius)
 
-        with mock.patch.object(msolve, "ball_region", checked):
+        with mock.patch.object(perron, "ball_region", checked):
             for _ in range(12):
                 radius = float(rng.uniform(0.05, 0.3))
                 center = tuple(rng.uniform(-0.5, 0.5, 2))
@@ -1405,19 +1403,19 @@ class TestBallGeometry:
         # later ball is checked from its gathered cells as the first one was
         grid, mask = face_layer_disk_64
         carry = msolve.PlanHolder()
-        msolve._solve_ball(cone_64.values, mask, (0.0, 0.0), 0.29, SolveOptions(), carry)
+        perron._solve_ball(cone_64.values, mask, (0.0, 0.0), 0.29, SolveOptions(), carry)
         with pytest.raises(ValueError, match="not compactly inside"):
             ball_region(mask, (0.5, 0.5), 0.29)
         with plan_builds() as built:
             with pytest.raises(ValueError, match="not compactly inside"):
-                msolve._solve_ball(cone_64.values, mask, (0.5, 0.5), 0.29, SolveOptions(), carry)
+                perron._solve_ball(cone_64.values, mask, (0.5, 0.5), 0.29, SolveOptions(), carry)
             ball = ((0.375, 0.375), 0.29)
             win, unknown, ring = ball_region(mask, *ball)
             vals = cone_64.values.copy()
             vals[win][ring & (np.arange(ring.shape[0])[:, None] < 4)] = NEG_INF
             bad = np.argwhere(ring & ~np.isfinite(vals[win])) + [s.start for s in win]
             with pytest.raises(UndefinedCellError) as caught:
-                msolve._solve_ball(vals, mask, *ball, SolveOptions(), carry)
+                perron._solve_ball(vals, mask, *ball, SolveOptions(), carry)
             assert len(bad) and caught.value.cells == [tuple(c) for c in bad[:8]]
             assert built() == 0 and len(carry.balls) == 1
 
@@ -1448,9 +1446,9 @@ class TestBallGeometry:
         assert regions[0][0] == regions[1][0]
         assert all(np.array_equal(a, b) for a, b in zip(regions[0][1:], regions[1][1:]))
         carry = msolve.PlanHolder()
-        first = msolve._solve_ball(cone_64.values, mask, center, radii[0], SolveOptions(), carry)
+        first = perron._solve_ball(cone_64.values, mask, center, radii[0], SolveOptions(), carry)
         with plan_builds() as built:
-            second = msolve._solve_ball(cone_64.values, mask, center, radii[1], SolveOptions(),
+            second = perron._solve_ball(cone_64.values, mask, center, radii[1], SolveOptions(),
                                         carry)
             assert built() == 0
         assert len(carry.balls) == 1 and len(carry.plans) == 1

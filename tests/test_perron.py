@@ -9,15 +9,17 @@ import pytest
 
 from meancurv import NEG_INF, ScalarField, ShapeSpec, make_grid, msolve, perron, sample_function
 from meancurv.field import SizingError
-from meancurv.msolve import SolveOptions, ball_region, solve_dirichlet, solve_on_ball
+from meancurv.msolve import SolveOptions, solve_dirichlet
 from meancurv.perron import (
     BallCover,
     PerronLiftRefused,
     approximation_sweep,
+    ball_region,
     build_ball_cover,
     direct_mollified_sequence,
     perron_lift,
     smooth_subharmonic_sequence,
+    solve_on_ball,
 )
 
 from conftest import cone_formula, plan_builds
