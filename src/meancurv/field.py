@@ -6,7 +6,7 @@ exterior, and subsets of cells are measured with an exact cell-count volume
 and a subcell linear interface perimeter (marching reconstruction, so that
 perimeters converge to the Euclidean length of smooth boundaries rather
 than to the axis-aligned l1 length).  The reconstruction is one array kernel
-on flat indices of the padded member grid, run once per set and kept on it.
+on the corners of the mixed squares, run once per set and kept on it.
 Problem data (a forcing term, boundary values, a density, a sampled formula)
 reaches the grid through one evaluator, ``cell_values``.
 """
@@ -657,64 +657,76 @@ def isoperimetric_floor(s: DiscreteSet) -> float:
     return c * s.volume ** (1.0 - 1.0 / s.grid.n)
 
 
-# Marching squares on the member grid padded by one non-member ring, on flat
-# indices of the padded grid.  With w padded cells per row, corner c of the
-# square whose lo-lo corner is flat cell k is k + (0, w, w + 1, 1)[c]
-# (c0=lo-lo, c1=hi-lo, c2=hi-hi, c3=lo-hi; bit c of the case index); edges
-# 0..3 = bottom, right, top, left join the corners in _EDGES.
-_EDGES = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
+# Marching squares on the member grid padded by one non-member ring.  A
+# square is named by its lo-lo corner, padded cell (i, j) or flat k = i w + j
+# with w padded cells per row.  Its corner c (c0=lo-lo, c1=hi-lo, c2=hi-hi,
+# c3=lo-hi; bit c of the case index) is flat cell k + (0, w, w + 1, 1)[c]
+# and padded cell (i, j) + _CORNER_AXES[:, c].
+_CORNER_AXES = np.array([(0, 1, 1, 0), (0, 0, 1, 1)])
 
 
 def _case_table() -> np.ndarray:
-    """[bits, center_in] -> two (edge, edge) pairs, -1 where there is none."""
-    table = np.full((16, 2, 2, 2), -1)
+    """[bits, center_in] -> two segments, each as its two crossings' (member
+    corner, non-member corner); -1 where there is none."""
+    edges = ((0, 1), (1, 2), (3, 2), (0, 3))        # bottom, right, top, left
+    pairs = np.full((16, 2, 2, 2), -1)
     single = {1: (3, 0), 2: (0, 1), 4: (1, 2), 8: (2, 3), 3: (3, 1), 6: (0, 2),
               12: (3, 1), 9: (0, 2), 7: (3, 2), 11: (1, 2), 13: (0, 1), 14: (3, 0)}
     for bits, pair in single.items():
-        table[bits, :, 0] = pair
+        pairs[bits, :, 0] = pair
     # saddles: a center inside joins the two member corners through it
-    table[5, 1] = table[10, 0] = ((0, 1), (2, 3))
-    table[5, 0] = table[10, 1] = ((3, 0), (1, 2))
+    pairs[5, 1] = pairs[10, 0] = ((0, 1), (2, 3))
+    pairs[5, 0] = pairs[10, 1] = ((3, 0), (1, 2))
+    table = np.full(pairs.shape + (2,), -1)
+    for bits, center_in, slot, end in np.argwhere(pairs >= 0):
+        a, b = edges[pairs[bits, center_in, slot, end]]
+        table[bits, center_in, slot, end] = (a, b) if bits >> a & 1 else (b, a)
     return table
 
 
 _CASE_TABLE = _case_table()
 
 
-def _centers(grid: Grid, cells: np.ndarray) -> np.ndarray:
-    """Center coordinates of padded cells (..., n)."""
-    return np.asarray(grid.origin) + (cells - 1) * grid.h
+def _on_grid(grid: Grid, at) -> np.ndarray:
+    """Which padded cells, n integer coordinate arrays, lie on the grid."""
+    on = True
+    for c, e in zip(at, grid.shape):
+        on = on & (c >= 1) & (c <= e)
+    return on
 
 
-def _edge_crossings(s: DiscreteSet, member: np.ndarray, level, cells: np.ndarray):
-    """Crossing points (..., n) and kinds (...) on flat padded cell pairs
-    (..., 2), and whether some non-member cell of a pair has level value 0.
+def _level_at(s: DiscreteSet, at) -> np.ndarray:
+    """u - t of the level source at padded cells (n integer coordinate
+    arrays), NaN off the grid."""
+    vals, t = s.level_source
+    cells = tuple(np.clip(c - 1, 0, e - 1) for c, e in zip(at, s.grid.shape))
+    return np.where(_on_grid(s.grid, at), vals[cells] - t, np.nan)
 
-    member and level (u - t, NaN off the grid, or None) are flat over the
-    padded grid; exactly one cell of each pair is a member.
+
+def _edge_crossings(s: DiscreteSet, at_in, at_out, a, b):
+    """Crossing points (n coordinate arrays), kinds and whether some b is 0,
+    on the pairs of a member cell at_in and a non-member cell at_out.
+
+    at_in and at_out are n integer coordinate arrays of padded cells, all of
+    one shape; a and b are u - t at them (NaN off the grid), or None when the
+    set has no level source.
     """
     grid = s.grid
-    padded = tuple(e + 2 for e in grid.shape)
-    first_in = member[cells[..., 0]]
-    c_in = np.where(first_in, cells[..., 0], cells[..., 1])
-    c_out = np.where(first_in, cells[..., 1], cells[..., 0])
-    at_in = np.stack(np.unravel_index(c_in, padded), axis=-1)
-    at_out = np.stack(np.unravel_index(c_out, padded), axis=-1)
-    p_in, p_out = _centers(grid, at_in), _centers(grid, at_out)
+    p_in = [o + (c - 1) * grid.h for o, c in zip(grid.origin, at_in)]
+    p_out = [o + (c - 1) * grid.h for o, c in zip(grid.origin, at_out)]
     sources = []
     attained = False
-    if level is not None:
-        b = level[c_out]
+    if a is not None:
         attained = bool((b == 0.0).any())
-        sources.append((LEVEL, level[c_in], b))
+        sources.append((LEVEL, a, b))
     if s.clip is not None:
         # the member cell is on the grid; the other may be a padding cell
         center, r = s.clip
-        on = ((at_out >= 1) & (at_out <= grid.shape)).all(axis=-1)
-        sources.append((CLIP, r - _dist_to(p_in, center),
-                        np.where(on, r - _dist_to(p_out, center), np.nan)))
-    theta = np.full(c_in.shape, 0.5)
-    kind = np.full(c_in.shape, WALL)
+        sources.append((CLIP, r - _dist_to(np.stack(p_in, axis=-1), center),
+                        np.where(_on_grid(grid, at_out),
+                                 r - _dist_to(np.stack(p_out, axis=-1), center), np.nan)))
+    theta = np.full(at_in[0].shape, 0.5)
+    kind = np.full(at_in[0].shape, WALL)
     # level before clip, and a clip crossing must be strictly nearer: level wins ties
     for code, a, b in sources:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -724,8 +736,11 @@ def _edge_crossings(s: DiscreteSet, member: np.ndarray, level, cells: np.ndarray
         theta = np.where(take, th, theta)
         kind = np.where(take, code, kind)
     # 1d steps exactly h from the member center, 2d along the center difference
-    step = p_out - p_in if grid.n == 2 else (at_out - at_in) * grid.h
-    return p_in + theta[..., None] * step, kind, attained
+    if grid.n == 2:
+        steps = [q - p for p, q in zip(p_in, p_out)]
+    else:
+        steps = [(co - ci) * grid.h for ci, co in zip(at_in, at_out)]
+    return [p + theta * d for p, d in zip(p_in, steps)], kind, attained
 
 
 def interface_segments(s: DiscreteSet) -> InterfaceSegments:
@@ -749,50 +764,64 @@ def interface_segments(s: DiscreteSet) -> InterfaceSegments:
     A piece is CLIP when its midpoint lies within h of the clip sphere, else
     WALL when both its crossings are walls, else LEVEL.
 
-    The kernel works on flat indices of the member grid padded by one
-    non-member ring: one padded array of u - t per set, the mixed squares
-    from four shifted flat views, corners and edges as constant offsets, and
-    the clip constraint evaluated at the crossed cells only.
+    The kernel touches the whole grid only to find the mixed squares: 2x2
+    sums over flat views of a uint8 member grid padded by one non-member
+    ring.  Everything after works on the mixed squares' corners alone: their
+    coordinates from divmod of the square index, u - t gathered there (NaN
+    off the grid), the case table's member and non-member corner of each
+    crossing, and the crossing computed per axis.
     """
     grid = s.grid
     padded = tuple(e + 2 for e in grid.shape)
-    m = np.pad(s.member, 1, constant_values=False).ravel()
-    level = None
-    if s.level_source is not None:
-        vals, t = s.level_source
-        level = np.full(padded, np.nan)
-        np.subtract(vals, t, out=level[(slice(1, -1),) * grid.n])
-        level = level.ravel()
+    m = np.zeros(padded, np.uint8)
+    m[(slice(1, -1),) * grid.n] = s.member
+    m = m.ravel()
+    a = b = None
     if grid.n == 1:
         lo = np.flatnonzero(m[:-1] != m[1:])
-        p, k, attained = _edge_crossings(s, m, level, np.stack([lo, lo + 1], axis=-1))
-        p1, p2, k1, k2 = p, p, k, k
+        first_in = m[lo] == 1
+        # one end per piece: the crossing arrays are (1, pieces)
+        at_in = (np.where(first_in, lo, lo + 1)[None],)
+        at_out = (np.where(first_in, lo + 1, lo)[None],)
+        if s.level_source is not None:
+            a, b = _level_at(s, at_in), _level_at(s, at_out)
     else:
         w = padded[1]
-        corner = np.array([0, w, w + 1, 1])
+        offset = np.array([0, w, w + 1, 1])[:, None]
         # the square at flat k exists for k < m.size - w - 1; the squares
         # that wrap from the last column hold padding cells only, so none is mixed
         span = m.size - w - 1
-        c0, c1, c2, c3 = (m[o:o + span] for o in corner)
-        sq = np.flatnonzero((c0 | c1 | c2 | c3) & ~(c0 & c1 & c2 & c3))
-        cells = sq[:, None] + corner                            # (squares, 4)
-        inside = m[cells]
+        count = m[:span] + m[w:w + span]
+        count += m[w + 1:w + 1 + span]
+        count += m[1:1 + span]
+        sq = np.flatnonzero((count & 3) != 0)              # 1 to 3 members
+        inside = m[sq + offset]                             # (4 corners, squares)
+        at = tuple(x + d[:, None] for x, d in zip(divmod(sq, w), _CORNER_AXES))
         vals = np.where(inside, 1.0, -1.0)
+        level = None
+        if s.level_source is not None:
+            level = _level_at(s, at)
+            vals = np.where(np.isfinite(level), level, vals)
+        center_in = (vals[0] + vals[1] + vals[2] + vals[3]) / 4.0 > 0
+        bits = inside[0] | inside[1] << 1 | inside[2] << 2 | inside[3] << 3
+        cases = _CASE_TABLE[bits, center_in.astype(int)]
+        q, slot = np.nonzero(cases[:, :, 0, 0] >= 0)        # square-major order
+        # flat (corner, square) indices of the (member, non-member) corner at
+        # each end: (2, 2 ends, segments)
+        ends = cases[q, slot].T * len(sq) + q
+        at_in = tuple(x.ravel()[ends[0]] for x in at)
+        at_out = tuple(x.ravel()[ends[1]] for x in at)
         if level is not None:
-            corner_level = level[cells]
-            vals = np.where(np.isfinite(corner_level), corner_level, vals)
-        center_in = (vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]) / 4.0 > 0
-        pairs = _CASE_TABLE[inside @ (1 << np.arange(4)), center_in.astype(int)]
-        q, slot = np.nonzero(pairs[..., 0] >= 0)                # square-major order
-        p, k, attained = _edge_crossings(s, m, level,
-                                         cells[q[:, None, None], _EDGES[pairs[q, slot]]])
-        p1, p2, k1, k2 = p[:, 0], p[:, 1], k[:, 0], k[:, 1]
-    kind = np.where((k1 == WALL) & (k2 == WALL), WALL, LEVEL)
+            a, b = level.ravel()[ends[0]], level.ravel()[ends[1]]
+    p, k, attained = _edge_crossings(s, at_in, at_out, a, b)
+    kind = np.where((k[0] == WALL) & (k[-1] == WALL), WALL, LEVEL)
     if s.clip is not None:
         center, r = s.clip
-        kind[np.abs(_dist_to(0.5 * (p1 + p2), center) - r) <= grid.h] = CLIP
+        mid = np.stack([0.5 * (x[0] + x[-1]) for x in p], axis=-1)
+        kind[np.abs(_dist_to(mid, center) - r) <= grid.h] = CLIP
+    p1, p2 = np.stack([x[0] for x in p], axis=-1), np.stack([x[-1] for x in p], axis=-1)
     if grid.n == 2:
-        keep = (p1 != p2).any(axis=1)
+        keep = (p[0][0] != p[0][1]) | (p[1][0] != p[1][1])
         p1, p2, kind = p1[keep], p2[keep], kind[keep]
     return InterfaceSegments(p1=p1, p2=p2, kind=kind, level_attained=attained)
 

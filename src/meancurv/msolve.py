@@ -89,8 +89,9 @@ class SolveOutcome:
 # core Newton machinery (operates on a sliced window around the region)
 
 
-def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan"):
-    """Density minus forcing on every unknown row, from the plan's faces only.
+def _residual(Vx: np.ndarray, h: float, f_rows: Optional[np.ndarray], plan: "_NewtonPlan"):
+    """Density minus forcing on every unknown row, from the plan's faces only;
+    ``f_rows`` None is zero forcing.
 
     ``Vx`` is the flat window followed by a NaN slot and a zero slot.  The
     faces come from ``mco.face_formula`` on the gathered cells and the
@@ -104,8 +105,12 @@ def _residual(Vx: np.ndarray, h: float, f_rows: np.ndarray, plan: "_NewtonPlan")
     fr = faces[3][plan.rows]
     total = fr[1] - fr[0]
     for axis in range(1, len(fr) // 2):
-        total = total + fr[2 * axis + 1] - fr[2 * axis]
-    return total / h - f_rows, faces
+        total += fr[2 * axis + 1]
+        total -= fr[2 * axis]
+    total /= h
+    if f_rows is not None:
+        total -= f_rows
+    return total, faces
 
 
 def _face_plan(unk, unknowns):
@@ -536,13 +541,14 @@ def _newton_arrays(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
     return out, info
 
 
-def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray, f_rows: np.ndarray,
+def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
+                 f_rows: Optional[np.ndarray],
                  pen: Optional[dict], opts: SolveOptions, carry: PlanHolder,
                  harmonic: bool = False) -> tuple[np.ndarray, dict]:
     """The one Newton loop: damped Newton on the plan's unknowns of the flat
     window ``Vx`` (as in ``_residual``), from its values or, with
-    ``harmonic``, from ``_harmonic_extension``, with forcing ``f_rows`` and
-    penalty rows ``pen``.  Returns the last flat window and ``info``.
+    ``harmonic``, from ``_harmonic_extension``, with forcing ``f_rows`` (None
+    for zero) and penalty rows ``pen``.  Returns the last flat window and ``info``.
 
     A failed harmonic start ends the solve with ``info["error"]``.  Each
     fresh LU stays frozen as the chord matrix while steps keep contracting;
@@ -625,7 +631,7 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray, f_rows: np
             break
         alpha = 1.0
         while alpha >= opts.alpha_min:
-            u_try = u + alpha * du
+            u_try = u + du if alpha == 1.0 else u + alpha * du
             trial[plan.unknowns] = u_try
             r_try, faces_try = full_residual(trial)
             merit_try = 0.5 * float(r_try @ r_try)
@@ -689,7 +695,9 @@ def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
     |interface of A| + (boundary length inside A) - nu(A) for large s; a
     negative rate certifies the solvability-balance failure.  Candidate
     sets: the whole domain and sublevel sets of the failed iterate (the
-    collapse happens exactly on a failing set).
+    collapse happens exactly on a failing set), at quantiles of its finite
+    interior values; a sublevel set equal to the whole domain is scored as
+    the whole domain only.
     """
     grid = mask.grid
     hv = grid.cell_volume
@@ -697,12 +705,13 @@ def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
     total_nu = float(np.nansum(np.where(mask.interior, g_vals, 0.0)) * hv)
     total_len = float(lengths[mask.boundary].sum())
     candidates.append(("the whole domain", total_len - total_nu))
-    vals = iterate[mask.interior]
-    if np.isfinite(vals).any():
+    finite = mask.interior & np.isfinite(iterate)
+    if finite.any():
+        vals = iterate[finite]
         for q in (0.1, 0.3, 0.5):
-            t = float(np.nanquantile(vals, q))
-            member = mask.interior & np.isfinite(iterate) & (iterate <= t)
-            if not member.any() or member.all():
+            t = float(np.quantile(vals, q))
+            member = finite & (iterate <= t)     # never empty: it holds vals.min()
+            if np.array_equal(member, mask.interior):
                 continue
             s = DiscreteSet(grid=grid, member=member, mask=mask,
                             level_source=(np.where(np.isfinite(iterate),

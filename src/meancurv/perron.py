@@ -63,8 +63,8 @@ def ball_region(mask: DomainMask, center, radius) -> tuple[tuple, np.ndarray, np
 class _BallRecord:
     """An accepted ball's ``plan``, the flat indices (C order) of its
     unknowns and ring from its window's first cell (``cells``, ``ring``) and
-    in the plan's window (``local``, ``ring_local``), ``blank`` flat window,
-    zero forcing, and the ``corrections`` (solution minus start on the
+    in the plan's window (``local``, ``ring_local``), ``blank`` flat window
+    and the ``corrections`` (solution minus start on the
     unknowns) of its last two converged warm solves, newest first; one per
     grid shape and window pattern of inside cells, shared by translates."""
 
@@ -75,7 +75,6 @@ class _BallRecord:
                                  for a in (unknown, ring))
         self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
         self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
-        self.f_zero = np.zeros(self.local.size)
         self.corrections = ()
 
 
@@ -122,13 +121,13 @@ def _solve_ball(V: np.ndarray, mask: DomainMask, center, radius, opts: SolveOpti
         Vx[ball.local] = old
     if seen:
         Vx[ball.local] += 2 * seen[0] - seen[1] if len(seen) == 2 else seen[0]
-    Vx, info = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts, carry,
+    Vx, info = _newton_core(grid.h, grid.n, ball.plan, Vx, None, None, opts, carry,
                             not warm)
     values = Vx[ball.local]
     if not info["converged"] and warm:
         # kinked warm starts can stall the line search; harmonic restart, which
         # reads the window's ring only
-        Vx, info2 = _newton_core(grid.h, grid.n, ball.plan, Vx, ball.f_zero, None, opts,
+        Vx, info2 = _newton_core(grid.h, grid.n, ball.plan, Vx, None, None, opts,
                                  carry.without_lu(), True)
         counts = {k: info[k] + info2[k] for k in ("factorizations", "residual_evals")}
         if info2["converged"] or info2["residual"] < info["residual"]:
@@ -345,10 +344,15 @@ def _lift_inplace(work: np.ndarray, mask: DomainMask, center, radius,
             f"(residual {info['residual']:.3e})", center=center)
     old = work.take(cells)
     finite = np.isfinite(old)
-    merged = np.maximum(new, old, out=new, where=finite)
-    delta = np.subtract(merged, old, out=np.zeros_like(merged), where=finite)
+    if finite.all():
+        merged = np.maximum(new, old, out=new)
+        delta, repaired = merged - old, 0
+    else:
+        merged = np.maximum(new, old, out=new, where=finite)
+        delta = np.subtract(merged, old, out=np.zeros_like(merged), where=finite)
+        repaired = int(np.count_nonzero(np.isneginf(old)))
     work.put(cells, merged)
-    return float(delta.max()), float(delta.min()), int(np.count_nonzero(np.isneginf(old))), info
+    return float(delta.max()), float(delta.min()), repaired, info
 
 
 @dataclass

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meancurv.cli import ConfigError, ExperimentConfig, formula, main, run_experiment
+from meancurv import ScalarField, ShapeSpec, make_grid
+from meancurv.cli import (ConfigError, ExperimentConfig, _resample, formula, main,
+                          run_experiment)
 from meancurv.tables import format_value
 
 
@@ -204,6 +206,29 @@ class TestSolveExperiment:
         run_experiment(cfg2, tmp_path / "r2")
         for name in ("solve_log.csv", "manifest.json"):
             assert read_bytes(tmp_path / "r1" / name) == read_bytes(tmp_path / "r2" / name)
+
+
+class TestResample:
+    def test_undefined_and_out_of_grid_cells_read_zero(self):
+        # a ladder's warm start: ones on a small coarse disk with an undefined
+        # 3x3 block at its centre, read on the interior of a larger fine disk
+        cgrid, cmask = make_grid(ShapeSpec.disk((0.0, 0.0), 0.5), 16)
+        vals = np.where(cmask.region, 1.0, np.nan)
+        mid = cgrid.shape[0] // 2
+        vals[mid - 1:mid + 2, mid - 1:mid + 2] = np.nan
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 32)
+        out = _resample(ScalarField(grid=cgrid, values=vals), grid, mask)
+        assert np.isnan(out[~mask.interior]).all()
+        assert np.isfinite(out[mask.interior]).all()
+        x, y = grid.points()[..., 0], grid.points()[..., 1]
+        hole = np.maximum(np.abs(x), np.abs(y)) <= cgrid.h
+        beyond = np.maximum(np.abs(x), np.abs(y)) > cgrid.axis_centers(0)[-1]
+        # cells whose interpolation stencil lies in the hole, or past the
+        # coarse grid, read exactly 0; the rest lie between 0 and 1
+        assert (out[hole & mask.interior] == 0.0).all() and hole[mask.interior].any()
+        assert (out[beyond & mask.interior] == 0.0).all() and beyond[mask.interior].any()
+        assert ((out[mask.interior] >= 0.0) & (out[mask.interior] <= 1.0)).all()
+        assert out[mask.interior].max() == 1.0
 
 
 class TestMeasureExperiment:

@@ -705,6 +705,21 @@ class TestInterfaceKernel:
         assert geo.perimeter == segs.length.sum()
         assert geo.segment_count == len(segs)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_members_on_the_grid_edge(self, seed):
+        # members on the outermost cells put square corners off the grid,
+        # where the level and clip values are undefined
+        grid, mask = _ORACLE_GRIDS[2][1]
+        rng = np.random.default_rng(seed)
+        member = rng.random(grid.shape) < 0.7
+        member[0] = member[:, -1] = True
+        vals = np.abs(rng.normal(size=grid.shape)) * np.where(member, 1.0, -1.0)
+        vals[rng.random(grid.shape) < 0.2] *= -1.0
+        s = DiscreteSet(grid=grid, member=member, mask=mask, level_source=(vals, 0.0),
+                        clip=((0.5, 0.4), 0.45))
+        segs = assert_matches_reference(s)
+        assert {LEVEL, CLIP, WALL} <= set(segs.kind.tolist())
+
     @settings(max_examples=150, deadline=None)
     @given(s=drawn_sets())
     def test_drawn_sets_match_the_loop(self, s):

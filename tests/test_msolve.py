@@ -20,6 +20,7 @@ from meancurv.msolve import (
     SolveOptions,
     UnboundedDescentError,
     _factorize,
+    _descent_witness,
     _interior_face_count,
     _newton_arrays,
     minimize_prescribed_mc,
@@ -297,6 +298,31 @@ class TestMinimizer:
         with pytest.raises(UnboundedDescentError):
             minimize_prescribed_mc(mask, g=lambda p: np.full(len(p), 4.0), phi=0.0,
                                    opts=SolveOptions(max_iter=25))
+
+
+class TestDescentWitness:
+    @staticmethod
+    def disk_16():
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        return grid, mask, _interior_face_count(mask) * grid.h
+
+    def test_whole_interior_sublevel_set_is_not_scored(self):
+        # a constant iterate: every sublevel set is the whole interior, whose
+        # margin is the whole domain's 7.75 - 7 > 0, so there is no witness
+        grid, mask, lengths = self.disk_16()
+        g = np.where(mask.interior, 7.0 / mask.interior_volume(), 0.0)
+        assert lengths[mask.boundary].sum() == 7.75
+        assert _descent_witness(mask, g, lengths, np.zeros(grid.shape)) is None
+
+    def test_thresholds_from_the_finite_values(self):
+        # -inf on 14 % of the interior: the 0.1 quantile of all interior
+        # values would be -inf; that of the finite ones bounds a band
+        # {-0.6 <= x <= t} holding the whole load, the cheapest failing set
+        grid, mask, lengths = self.disk_16()
+        x = grid.points()[..., 0]
+        g = np.where(mask.interior & (x >= -0.6) & (x < -0.45), 40.0, 0.0)
+        name, margin = _descent_witness(mask, g, lengths, np.where(x < -0.6, NEG_INF, x))
+        assert name == "a sublevel set of the iterate (q=0.1)" and margin < 0
 
 
 class _Captured(Exception):
