@@ -185,6 +185,10 @@ class ExperimentConfig:
                               f"known are {ExperimentConfig.OPTION_KEYS}")
         if options.get("init", "harmonic") != "harmonic":
             raise ConfigError(f"options.init must be 'harmonic', got {options['init']!r}")
+        try:
+            _solve_opts(params)
+        except ValueError as exc:
+            raise ConfigError(f"bad solver options: {exc}") from exc
         if kind == "measure" and params.get("route", "mollify") == "sweep":
             levels = params.get("levels")
             if not (isinstance(levels, list) and levels and all(
@@ -245,10 +249,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _solve_opts(params: dict) -> SolveOptions:
+    """The config's solver options as written (``damping`` is ``sigma``);
+    ValueError for a value ``SolveOptions`` refuses."""
     o = params.get("options", {})
-    return SolveOptions(max_iter=int(o.get("max_iter", 40)),
-                        tol=float(o.get("tol", 1e-8)),
-                        sigma=float(o.get("damping", 1e-4)))
+    return SolveOptions(max_iter=o.get("max_iter", 40), tol=o.get("tol", 1e-8),
+                        sigma=o.get("damping", 1e-4))
 
 
 def _run_solve(config: ExperimentConfig, out_dir: Path):

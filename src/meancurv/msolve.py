@@ -14,9 +14,11 @@ a nested-dissection order and keeps their faces and each row's stencil
 slots, so the residual (``_residual``, bit for bit the grid density) and
 every analytically assembled matrix read the same faces, and one
 symmetric-mode sparse LU factors every matrix in that order: 1d and 2d
-solves, whole-domain, ball and penalized, run the same code.  Ball
-replacement lives in ``perron``, whose windowed ball kernel sets up each
-ball's plan and flat window and runs ``_newton_core`` on them.
+solves, whole-domain, ball and penalized, run the same code.  Above
+``_SINGLE_ABOVE`` unknowns that LU is float32, a chord matrix whose steps
+the loop accepts by their float64 residual.  Ball replacement lives in
+``perron``, whose windowed ball kernel sets up each ball's plan and flat
+window and runs ``_newton_core`` on them.
 
 Plans, LUs and ball records belong to a ``PlanHolder``, owned by the
 solve, sweep or continuation that makes it, never to the module: a Perron
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field as _dcfield
 from typing import Optional
 
@@ -69,10 +72,15 @@ class SolveOptions:
     alpha_min: float = 2.0 ** -24
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
+        # every comparison with NaN is False, so NaN breaks each rule
+        for name, rule, ok in (("max_iter", "an integer >= 1", lambda v: v >= 1),
+                               ("tol", "positive and finite", lambda v: 0 < v < math.inf),
+                               ("sigma", "in (0, 0.5)", lambda v: 0 < v < 0.5),
+                               ("alpha_min", "in (0, 1]", lambda v: 0 < v <= 1)):
+            v = getattr(self, name)
+            kind = numbers.Integral if name == "max_iter" else numbers.Real
+            if isinstance(v, bool) or not isinstance(v, kind) or not ok(v):
+                raise ValueError(f"{name} must be {rule}, got {v!r}")
 
 
 @dataclass
@@ -404,17 +412,16 @@ class PlanHolder:
 _PANEL_SIZE = 2
 
 
-# Newton matrices of more unknowns than this are factored in float32 and
-# refined twice against the float64 matrix.  Measured on the hemisphere's
-# Newton matrices (same machine as above), the float32 LU takes 0.82x the time
-# of the float64 one at m = 12,849, 0.73x at 51,429 and 0.64x at 205,857,
-# and a refined solve costs three float32 back-solves (0.8-0.9x a float64 one
-# each): float32 pays while an LU serves fewer than about 2, 4 and 9 solves
-# there.  The ring pipeline's LUs at m = 12,849 serve about 10 chord steps,
-# the hemisphere ladder's at 51,429 and 205,857 serve 3-4.  One refinement
-# leaves a relative error of 7e-10 at m = 51,429 and 2e-8 at 205,857 against
-# a float64 LU; two leave 4e-14 and 4e-12.
-_SINGLE_ABOVE = 32768
+# Newton matrices of more unknowns than this are factored in float32.  On the
+# hemisphere solve's first Newton matrix (same machine as above) the float32
+# LU takes 0.74x the time of the float64 one at m = 12,849, 0.71x at 51,429
+# and 0.65x at 205,857, its back-solve 0.90x, 0.90x and 0.77x, and its
+# solution is within 2e-5, 5e-5 and 4e-5 relative of a float64 LU's (random
+# right side); every solve of the dirichlet_solve workload keeps its Newton
+# iterations and LUs.  The cut sits below the ring pipeline's 12,849 and above
+# the sweep balls of the tests and the benchmark (3,205 unknowns at level 2
+# at 128 and level 3 at 256).
+_SINGLE_ABOVE = 8192
 
 
 def _factorize(plan: _NewtonPlan, vals, diag, m):
@@ -432,38 +439,27 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     so they are freed once stored and do not live through the LU.  SuperLU
     factors in panels of ``_PANEL_SIZE`` columns.
 
-    Above ``_SINGLE_ABOVE`` unknowns SuperLU factors a float32 copy of the
-    matrix, with factors of half the size, and the solve refines twice
-    against the float64 matrix it keeps: x = LU^-1 b, then x + LU^-1 (b - A
-    x), twice (Langou et al., SC 2006; Higham, "Accuracy and Stability of
-    Numerical Algorithms", 2nd ed., ch. 12).  Smaller systems, every ball of
-    a sweep among them, stay float64: there the float32 LU saves little, and
-    the two extra back-solves and matrix products of every solve cost more.
+    Above ``_SINGLE_ABOVE`` unknowns SuperLU factors the float32 rounding of
+    the data (the float64 store is freed first) and the solve is one float32
+    back-solve, relative error 1e-5 to 1e-4: a chord matrix, whose steps
+    Newton accepts by their float64 residual, so no solve is refined
+    (Dembo, Eisenstat & Steihaug, "Inexact Newton methods", SIAM J. Numer.
+    Anal. 19, 1982; Langou et al., SC 2006).
     """
     nnz = plan.indices.size
     data = np.empty(nnz + 1)
     data[plan.table] = vals
     del vals
     data[plan.table[len(plan.table) // 2]] += diag
-
-    def csc(d):     # on the plan's own index arrays, which astype would copy
-        return sparse.csc_matrix((d, plan.indices, plan.indptr), shape=(m, m))
-
-    A = csc(data[:nnz])
     single = m > _SINGLE_ABOVE
-    lu = slinalg.splu(csc(A.data.astype(np.float32)) if single else A,
+    data = data[:nnz].astype(np.float32) if single else data[:nnz]    # float32: frees the store
+    lu = slinalg.splu(sparse.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m)),
                       permc_spec="NATURAL", diag_pivot_thresh=0.001, panel_size=_PANEL_SIZE,
                       options=dict(SymmetricMode=True))
     # closures over the LU: perfbench's tracer reads it
     if not single:
         return lambda b: lu.solve(b)
-
-    def refined(b):
-        x = lu.solve(b.astype(np.float32)).astype(float)
-        for _ in range(2):
-            x += lu.solve((b - A @ x).astype(np.float32))
-        return x
-    return refined
+    return lambda b: lu.solve(b.astype(np.float32)).astype(float)
 
 
 def _harmonic_extension(Vx, h, plan: _NewtonPlan):
@@ -476,10 +472,11 @@ def _harmonic_extension(Vx, h, plan: _NewtonPlan):
     transverse entries are 0), factored by ``_factorize`` like any Newton
     matrix.  The right side is the divergence of the faces' linear
     differences with the unknowns at zero, so the solve is one Newton step
-    of the Laplace equation from zero.  Cells that are neither unknown nor
-    fixed count as zero.  ValueError on a plan with penalty rows, which are
-    no Laplace rows; RuntimeError when the LU fails or its solution is not
-    finite.
+    of the Laplace equation from zero, in float32 above ``_SINGLE_ABOVE``
+    unknowns (relative error 1e-5 to 1e-4; every caller only starts from
+    it).  Cells that are neither unknown nor fixed count as zero.
+    ValueError on a plan with penalty rows, which are no Laplace rows;
+    RuntimeError when the LU fails or its solution is not finite.
     """
     if plan.fallback:
         raise ValueError("a harmonic start needs a plan without penalty rows")

@@ -88,10 +88,15 @@ class TestConfig:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("options", [{"max_iter": 40, "damp": 1e-4},
-                                         {"init": "harmonc"}])
+                                         {"init": "harmonc"}, {"tol": math.nan},
+                                         {"tol": math.inf}, {"tol": 0}, {"damping": 0.5},
+                                         {"damping": -1e-4}, {"max_iter": 2.5},
+                                         {"max_iter": 0}])
     def test_bad_solver_options_exit_code_2(self, tmp_path, options):
         raw = dict(TestSolveExperiment.CONFIG,
                    params=dict(TestSolveExperiment.CONFIG["params"], options=options))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(raw)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "o"
