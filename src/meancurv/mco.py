@@ -77,9 +77,12 @@ def face_formula(lo, hi, dl, dr, h: float, fallback_transverse: bool = False):
     kernels below apply it to whole face arrays, the Newton residual
     (``msolve._residual``) to the gathered faces of its rows.  With
     fallback_transverse a transverse difference known on one side only is
-    taken from that side, and faces without one get t = 0.
+    taken from that side, and faces without one get t = 0.  Each input is
+    let go once read, so inputs passed as temporaries (the residual's
+    gathered columns) are freed before w is formed.
     """
     g = (hi - lo) / h
+    del lo, hi
     t = (dl + dr) / (4.0 * h)
     if fallback_transverse:
         only_l = np.isfinite(dl) & ~np.isfinite(dr)
@@ -87,6 +90,7 @@ def face_formula(lo, hi, dl, dr, h: float, fallback_transverse: bool = False):
         t = np.where(only_l, dl / (2.0 * h), t)
         t = np.where(only_r, dr / (2.0 * h), t)
         t = np.where(np.isnan(t) & np.isfinite(g), 0.0, t)
+    del dl, dr
     w = np.sqrt(1.0 + g * g + t * t)
     return g, t, w, g / w
 

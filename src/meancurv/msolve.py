@@ -102,15 +102,14 @@ def _residual(Vx: np.ndarray, h: float, f_rows: Optional[np.ndarray], plan: "_Ne
     ``f_rows`` None is zero forcing.
 
     ``Vx`` is the flat window followed by a NaN slot and a zero slot.  The
-    faces come from ``mco.face_formula`` on the gathered cells and the
-    divergence adds them per axis in the order of ``mco._divergence``, so a
-    row equals ``_divergence(face_gradients(V, h, plan.fallback))`` there
-    minus its forcing, bit for bit.  Returns the rows and the faces' (g, t,
-    w, f).
+    faces come from ``_faces`` and the divergence adds their fluxes per axis
+    in the order of ``mco._divergence``, so a row equals
+    ``_divergence(face_gradients(V, h, plan.fallback))`` there minus its
+    forcing, bit for bit.  Returns the rows and the faces' flux f; their g,
+    t and w are freed here, and ``_faces`` rebuilds them for a Newton matrix.
     """
-    lo, hi, l_up, l_down, h_up, h_down = Vx[plan.cells]
-    faces = face_formula(lo, hi, l_up - l_down, h_up - h_down, h, plan.fallback)
-    fr = faces[3][plan.rows]
+    flux = _faces(Vx, h, plan)[3]
+    fr = flux[plan.rows]
     total = fr[1] - fr[0]
     for axis in range(1, len(fr) // 2):
         total += fr[2 * axis + 1]
@@ -118,7 +117,18 @@ def _residual(Vx: np.ndarray, h: float, f_rows: Optional[np.ndarray], plan: "_Ne
     total /= h
     if f_rows is not None:
         total -= f_rows
-    return total, faces
+    return total, flux
+
+
+def _faces(Vx, h, plan):
+    """The (g, t, w, f) of the plan's faces at the flat window ``Vx`` (as in
+    ``_residual``), by ``mco.face_formula`` on their cells gathered one
+    column at a time: lower, upper, then the transverse difference about
+    each.  ``face_formula`` frees each column once read, so at most five
+    face arrays live at once and no (6, F) block of the cells is gathered."""
+    c = plan.cells
+    return face_formula(Vx[c[0]], Vx[c[1]], Vx[c[2]] - Vx[c[3]], Vx[c[4]] - Vx[c[5]], h,
+                        plan.fallback)
 
 
 def _face_plan(unk, unknowns):
@@ -434,10 +444,12 @@ def _factorize(plan: _NewtonPlan, vals, diag, m):
     slot past the end, which the matrix leaves out), and one sparse LU with
     diagonal-preferring pivots (SuperLU's symmetric mode) factors it in the
     plan's own nested-dissection order at every size, so every factorization
-    of a pattern takes the same path.  Callers hand the stencils over
-    (``_factorize(plan, _jac_values_2d(...), ...)``, no name of their own),
-    so they are freed once stored and do not live through the LU.  SuperLU
-    factors in panels of ``_PANEL_SIZE`` columns.
+    of a pattern takes the same path.  Callers hand the stencils over, and
+    the face table they are filled from, with no name of their own
+    (``_factorize(plan, _jac_values_2d(h, _faces(...), plan), ...)``): the
+    table is freed when the fill returns and the stencils once stored, so
+    neither lives through the LU.  SuperLU factors in panels of
+    ``_PANEL_SIZE`` columns.
 
     Above ``_SINGLE_ABOVE`` unknowns SuperLU factors the float32 rounding of
     the data (the float64 store is freed first) and the solve is one float32
@@ -488,8 +500,9 @@ def _harmonic_extension(Vx, h, plan: _NewtonPlan):
     total = fr[1] - fr[0]
     for axis in range(1, len(fr) // 2):
         total = total + fr[2 * axis + 1] - fr[2 * axis]
-    flat = (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None)
-    solve = _factorize(plan, _jac_values_2d(h, flat, plan), np.zeros(m), m)
+    # the zero-gradient faces, handed over with the stencils
+    solve = _factorize(plan, _jac_values_2d(
+        h, (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None), plan), np.zeros(m), m)
     u = solve(-total / h)
     if not np.isfinite(u).all():
         raise RuntimeError("the Laplace solve returned non-finite values")
@@ -557,6 +570,11 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
     ``iterations`` (a pass that only drops an LU is none),
     ``residual_evals`` and ``factorizations``, and says whether the solve
     ``carried``.
+
+    Between LUs the loop holds the rows ``r`` of its iterate and no face
+    arrays: each residual frees its faces once its rows are summed, and a
+    fresh LU rebuilds the iterate's faces with ``_faces`` (no residual
+    evaluation) and frees them with the stencils before SuperLU runs.
     """
     m = plan.unknowns.size
     info = {"iterations": 0, "converged": False, "line_search_failures": 0,
@@ -574,12 +592,12 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
     def full_residual(Vx):
         nonlocal evals
         evals += 1
-        r, faces = _residual(Vx, h, f_rows, plan)
+        r, flux = _residual(Vx, h, f_rows, plan)
         if pen is not None:
-            r[plan.penalty_rows] = _penalty_residual(Vx, h, n, pen, faces[3], plan)
-        return r, faces
+            r[plan.penalty_rows] = _penalty_residual(Vx, h, n, pen, flux, plan)
+        return r
 
-    r, faces = full_residual(Vx)
+    r = full_residual(Vx)
     bad = np.isnan(r)
     if bad.any():
         bad[plan.penalty_rows] = False
@@ -599,7 +617,8 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
         diag = np.zeros(m)
         if pen is not None:
             diag[plan.penalty_rows] = _penalty_triplets(Vx, h, n, pen)
-        return _factorize(plan, _jac_values_2d(h, faces, plan), diag, m)
+        # the faces of the iterate, freed with the stencils before the LU
+        return _factorize(plan, _jac_values_2d(h, _faces(Vx, h, plan), plan), diag, m)
 
     # a pass that only drops a carried or frozen LU takes no step and is not
     # counted; the fresh LU after it either steps or ends the solve
@@ -630,7 +649,7 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
         while alpha >= opts.alpha_min:
             u_try = u + du if alpha == 1.0 else u + alpha * du
             trial[plan.unknowns] = u_try
-            r_try, faces_try = full_residual(trial)
+            r_try = full_residual(trial)
             merit_try = 0.5 * float(r_try @ r_try)
             if math.isfinite(merit_try) and merit_try <= (1 - 2 * opts.sigma * alpha) * merit:
                 break
@@ -644,7 +663,7 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
             info["line_search_failures"] += 1
             break
         Vx, trial = trial, Vx
-        u, r, faces = u_try, r_try, faces_try
+        u, r = u_try, r_try
         if alpha < 1.0 or merit_try > 0.1 * merit:
             lu = None  # slow contraction: refresh the Jacobian next pass
         merit = merit_try
@@ -818,7 +837,9 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     iterate aborts with the witness direction (solvability balance failure).
     One plan holder serves the start and every round, so a round may start
     on the last LU of the round before.  A failed harmonic start raises
-    RuntimeError.
+    RuntimeError.  The diagnostics are the last round's ``info``, except
+    ``iterations``, ``factorizations`` (the start's LU included) and
+    ``residual_evals``, summed over the ``rounds`` run.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
@@ -848,7 +869,7 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     Vx = np.concatenate([values[win].ravel(), (np.nan, 0.0)])
     values[win].flat[start.unknowns] = _harmonic_extension(Vx, grid.h, start)
     info = {}
-    total_iters = 0
+    counts = {"iterations": 0, "factorizations": 1, "residual_evals": 0}   # the start's LU
     phi_field = ScalarField(grid=grid, values=phi_vals)
     g_field = ScalarField(grid=grid, values=np.where(mask.interior, g_vals, 0.0))
     func_trace = []
@@ -860,7 +881,8 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
             penalty = {"cells": detached, "phi": phi_vals, "length": lengths, "kappa": kappa}
         values, info = _newton_arrays(grid.h, grid.n, unk, pinned, phi_vals, g_vals,
                                       opts, init_values=values, penalty=penalty, carry=carry)
-        total_iters += info["iterations"]
+        for key in counts:
+            counts[key] += info[key]
         umin = float(np.nanmin(values[mask.interior]))
         fval = area_functional(
             ScalarField(grid=grid, values=np.where(mask.region, values, np.nan)),
@@ -888,8 +910,9 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     out_vals = values.copy()
     out_vals[~mask.region] = np.nan
     fld = ScalarField(grid=grid, values=out_vals, provenance="solved")
-    diag = dict(info)
+    diag = dict(info, **counts)
     diag.update({
+        "rounds": round_ + 1,
         "kappa": kappa,
         "attained_fraction": float(attained.sum()) / float(mask.boundary.sum()),
         "detached_cells": int(detached.sum()),
@@ -897,5 +920,5 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
         "stationarity_norm": info.get("residual", float("nan")),
     })
     return SolveOutcome(field=fld, residual_norm=info.get("residual", float("nan")),
-                        iterations=total_iters, converged=info.get("converged", False),
+                        iterations=counts["iterations"], converged=info.get("converged", False),
                         diagnostics=diag)

@@ -43,6 +43,19 @@ def plan_builds():
         yield lambda: len(built)
 
 
+@contextmanager
+def calls_to(name):
+    """Count the calls of ``msolve.<name>`` in the block: ``count()`` is the count."""
+    fn, calls = getattr(msolve, name), []
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    with mock.patch.object(msolve, name, counted):
+        yield lambda: len(calls)
+
+
 @pytest.fixture(scope="session")
 def unit_disk_64():
     grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 64)

@@ -20,7 +20,7 @@ from meancurv.dirichlet import (
 from meancurv.levelset import SetFamily, eta_margin
 from meancurv.measure import BallFamily
 
-from conftest import hemisphere_formula, plan_builds
+from conftest import calls_to, hemisphere_formula, plan_builds
 
 
 class TestMeasureSpec:
@@ -334,14 +334,8 @@ class TestPipeline:
     def test_stages_share_one_plan_and_carry_the_lu(self, unit_disk_64):
         grid, mask = unit_disk_64
         nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.5, 0.5),))
-        factorize, lus = msolve._factorize, []
-
-        def counted(*args):
-            lus.append(1)
-            return factorize(*args)
-
-        with plan_builds() as built, mock.patch.object(msolve, "_factorize", counted):
+        with plan_builds() as built, calls_to("_factorize") as lus:
             res = solve_measure_dirichlet(mask, nu, phi=0.0)
         assert res.converged and len(res.stages) == 6
         # one plan; the first stage's harmonic start and its Newton LU serve all six
-        assert built() == 1 and len(lus) == 2
+        assert built() == 1 and lus() == 2

@@ -22,7 +22,7 @@ from meancurv.perron import (
     solve_on_ball,
 )
 
-from conftest import cone_formula, plan_builds
+from conftest import calls_to, cone_formula, plan_builds
 
 
 def dist_field(grid, center):
@@ -318,35 +318,21 @@ class TestCarriedLU:
     """Each ball solve of a sweep may start on the previous ball's LU."""
 
     def test_factorizations_are_counted(self, cone_64, unit_disk_64, interval_100):
-        factorize = msolve._factorize
         for u, mask in cones(cone_64, unit_disk_64, interval_100):
-            calls = []
-
-            def counted(*args):
-                calls.append(args)
-                return factorize(*args)
-
-            with mock.patch.object(msolve, "_factorize", counted):
+            with calls_to("_factorize") as calls:
                 _, trace = approximation_sweep(u, mask, 3, opts=SolveOptions(tol=1e-7))
             assert trace.completed
-            assert trace.factorizations == len(calls) < len(trace.records)
+            assert trace.factorizations == calls() < len(trace.records)
             assert min(r.factorizations for r in trace.records) == 0
             # some lift took Newton steps on the LU carried from the ball before
             assert any(r.iterations and not r.factorizations for r in trace.records)
 
     def test_residual_evaluations_are_counted(self, cone_64, unit_disk_64, interval_100):
-        residual = msolve._residual
         for u, mask in cones(cone_64, unit_disk_64, interval_100):
-            calls = []
-
-            def counted(*args):
-                calls.append(1)
-                return residual(*args)
-
-            with mock.patch.object(msolve, "_residual", counted):
+            with calls_to("_residual") as calls:
                 _, trace = approximation_sweep(u, mask, 3, opts=SolveOptions(tol=1e-7))
             assert trace.completed
-            assert trace.residual_evals == len(calls)
+            assert trace.residual_evals == calls()
             # the first evaluation of each solve plus one per line-search trial
             assert all(r.residual_evals > r.iterations for r in trace.records)
 
