@@ -13,8 +13,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .dirichlet import (
     boundary_admissibility,
     solve_measure_dirichlet,
 )
+from .tables import write_ball_measure_table, write_csv
 
 
 class ConfigError(ValueError):
@@ -105,41 +107,24 @@ def formula(spec):
     raise ConfigError(f"unknown formula {name!r}")
 
 
-def _formula_specs(kind: str, params: dict) -> list:
-    """The formula descriptors (or numbers, or None) a config's params hold."""
-    if kind == "harnack":
-        return list(params.get("family", []))
-    if kind == "dirichlet":
-        return [params.get("phi"), params.get("measure", {}).get("density")]
-    keys = {"solve": ("f", "phi", "exact"), "perron": ("u",), "measure": ("u",)}
-    return [params.get(k) for k in keys.get(kind, ())]
+def _numbers(xs, size=None) -> bool:
+    """Whether ``xs`` is a list of JSON numbers (bools are not), of ``size``
+    entries when given."""
+    return (isinstance(xs, list) and size in (None, len(xs))
+            and all(type(x) in (int, float) for x in xs))
 
 
 def _ball_family(balls, seed: int) -> BallFamily:
     """The family of a config's ball list, a nonempty list of [center, r]
     pairs of numbers; ConfigError for anything else."""
     def pair(b):
-        return (isinstance(b, list) and len(b) == 2 and isinstance(b[0], list) and b[0]
-                and all(type(x) in (int, float) for x in [*b[0], b[1]]))
+        return (isinstance(b, list) and len(b) == 2 and _numbers(b[0]) and b[0]
+                and _numbers(b[1:]))
     if not (isinstance(balls, list) and balls and all(map(pair, balls))):
         raise ConfigError(f"a ball list must be a nonempty list of [center, r] pairs "
                           f"of numbers, got {balls!r}")
     return BallFamily(balls=tuple((tuple(c), float(r)) for c, r in balls), gap=0.0,
                       seed=seed)
-
-
-def shape_from_config(d: dict) -> ShapeSpec:
-    try:
-        return ShapeSpec.from_json(d)
-    except Exception as exc:
-        raise ConfigError(f"bad domain spec: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# deterministic CSV
-
-
-from .tables import write_ball_measure_table, write_csv  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -155,64 +140,137 @@ class Assertion:
 
 @dataclass
 class ExperimentConfig:
+    """A loaded config: the JSON as written, which ``canonical`` hashes, and
+    every value its run reads, built by ``from_json`` (``shape`` None for
+    verify and report; ``job`` the kind's values by name)."""
+
     kind: str
     domain: dict
     resolutions: list
     params: dict
     seed: int = 0
-    out: str = "run"
+    out: Path = Path("run")
+    shape: Optional[ShapeSpec] = None
+    opts: SolveOptions = field(default_factory=SolveOptions)
+    job: dict = field(default_factory=dict)
 
     KINDS = ("solve", "perron", "measure", "harnack", "dirichlet", "verify", "report")
     OPTION_KEYS = ("max_iter", "tol", "damping", "init")
 
     @staticmethod
     def from_json(d: dict) -> "ExperimentConfig":
+        """The one parse of a config.  Every fault it finds is a ConfigError,
+        raised before anything is written; faults that need the grid (an eps
+        below 2h, a shape thinner than 2h) are left to the run."""
         kind = d.get("kind")
         if kind not in ExperimentConfig.KINDS:
             raise ConfigError(f"kind must be one of {ExperimentConfig.KINDS}, got {kind!r}")
         if kind not in ("verify", "report") and "domain" not in d:
             raise ConfigError("config needs a domain")
-        res = d.get("resolutions", [32])
-        if not res:
-            raise ConfigError("resolution list must be nonempty")
-        params = d.get("params", {})
-        options = params.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError(f"params.options must be an object, got {options!r}")
+        try:
+            return ExperimentConfig._parse(kind, d)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"bad {kind} config: {type(exc).__name__}: {exc}") from exc
+
+    @staticmethod
+    def _parse(kind: str, d: dict) -> "ExperimentConfig":
+        res, seed, params = d.get("resolutions", [32]), d.get("seed", 0), d.get("params", {})
+        if not (isinstance(res, list) and res):
+            raise ConfigError(f"resolution list must be nonempty, got {res!r}")
+        if type(seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"params must be an object, got {params!r}")
+
+        def obj(key):
+            value = params.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"params.{key} must be an object, got {value!r}")
+            return value
+
+        def data(spec):
+            if not (spec is None or type(spec) in (int, float) or isinstance(spec, dict)):
+                raise ConfigError(f"a formula must be a number or a descriptor, got {spec!r}")
+            return formula(spec)
+
+        options = obj("options")
         unknown = sorted(set(options) - set(ExperimentConfig.OPTION_KEYS))
         if unknown:
             raise ConfigError(f"unknown solver options {unknown}; "
                               f"known are {ExperimentConfig.OPTION_KEYS}")
         if options.get("init", "harmonic") != "harmonic":
             raise ConfigError(f"options.init must be 'harmonic', got {options['init']!r}")
-        try:
-            _solve_opts(params)
-        except ValueError as exc:
-            raise ConfigError(f"bad solver options: {exc}") from exc
-        if kind == "measure" and params.get("route", "mollify") == "sweep":
-            levels = params.get("levels")
-            if not (isinstance(levels, list) and levels and all(
-                    isinstance(p, list) and len(p) == 2 and all(type(x) in (int, float) for x in p)
-                    for p in levels)):
-                raise ConfigError(f"the sweep route needs levels as [j, eps] pairs, "
-                                  f"got {levels!r}")
-        if kind == "measure" and "explicit" in params.get("balls", {}):
-            _ball_family(params["balls"]["explicit"], 0)
-        if kind == "dirichlet" and "check_balls" in params:
-            _ball_family(params["check_balls"], 0)
-        for spec in _formula_specs(kind, params):
-            if not (spec is None or type(spec) in (int, float) or isinstance(spec, dict)):
-                raise ConfigError(f"a formula must be a number or a descriptor, got {spec!r}")
-            formula(spec)       # an unknown name fails here, before anything is written
-        if kind == "perron" and "levels" in params:
-            levels = params["levels"]
-            if not (isinstance(levels, list) and levels
-                    and all(type(j) is int for j in levels)):
+        # only the keys the config sets: the defaults are SolveOptions'
+        opts = SolveOptions(**{name: options[key] for key, name in (
+            ("max_iter", "max_iter"), ("tol", "tol"), ("damping", "sigma")) if key in options})
+        shape, job = None, {}
+        if kind not in ("verify", "report"):
+            if not all(type(r) is int and r >= 8 for r in res):
+                raise ConfigError(f"resolutions must be integers >= 8, got {res!r}")
+            shape = ShapeSpec.from_json(d["domain"])
+        if kind == "solve":
+            job = {"f": data(params.get("f")), "phi": data(params.get("phi", 0.0)),
+                   "exact": data(params.get("exact")),
+                   "convergence_factor": float(params.get("convergence_factor", 0.0))}
+        elif kind == "perron":
+            levels = params.get("levels", [2, 3])
+            if not (isinstance(levels, list) and levels and all(type(j) is int for j in levels)):
                 raise ConfigError(f"perron levels must be a nonempty list of integers, "
                                   f"got {levels!r}")
-        return ExperimentConfig(kind=kind, domain=d.get("domain", {}),
-                                resolutions=list(res), params=params,
-                                seed=int(d.get("seed", 0)), out=d.get("out", "run"))
+            job = {"u": data(params.get("u", {"name": "cone"})), "levels": levels}
+        elif kind == "measure":
+            levels, eps = None, params.get("eps_list", [0.12, 0.06, 0.03])
+            if params.get("route", "mollify") == "sweep":
+                levels = params.get("levels")
+                if not (isinstance(levels, list) and levels
+                        and all(_numbers(p, 2) for p in levels)):
+                    raise ConfigError(f"the sweep route needs levels as [j, eps] pairs, "
+                                      f"got {levels!r}")
+                levels = [(int(j), float(e)) for j, e in levels]
+                eps = [e for _, e in levels]
+            if not (_numbers(eps) and eps):
+                raise ConfigError(f"eps_list must be a nonempty list of numbers, got {eps!r}")
+            job = {"u": data(params.get("u", {"name": "cone"})), "law": params.get("law"),
+                   "levels": levels, "eps_list": eps}
+            balls = obj("balls")
+            if "explicit" in balls:
+                job["balls"] = _ball_family(balls["explicit"], seed)
+            else:       # (count, r_min, r_max), drawn on the grid; r_min None is 10 h
+                job["balls"] = (int(balls.get("count", 6)),
+                                float(balls["r_min"]) if "r_min" in balls else None,
+                                float(balls.get("r_max", 0.3)))
+        elif kind == "harnack":
+            family = params.get("family", [{"name": "boundary_peak", "M": m} for m in (2, 4, 8)])
+            if not (isinstance(family, list) and family):
+                raise ConfigError(f"harnack's family must be a nonempty list, got {family!r}")
+            job = {"r": float(params.get("r", 1.0)),
+                   "family": [(spec, data(spec)) for spec in family],
+                   "expect_increasing": params.get("expect_increasing", False)}
+        elif kind == "dirichlet":
+            measure, deltas = obj("measure"), params.get("deltas")
+            atoms = tuple((float(x), float(m)) for x, m in measure.get("atoms", []))
+            curves = tuple(CurveSpec.circle(tuple(c["center"]), float(c["radius"]),
+                                            float(c["lambda"]))
+                           for c in measure.get("curves", []))
+            if atoms and shape.kind != "interval":
+                raise ConfigError("atoms are admissible on an interval domain only")
+            if curves and shape.kind == "interval":
+                raise ConfigError("curves are admissible on a 2d domain only")
+            job = {"nu": MeasureSpec(density=data(measure.get("density")), curves=curves,
+                                     atoms=atoms),
+                   "phi": data(params.get("phi", 0.0)),
+                   "schedule": (ContinuationSchedule(deltas=tuple(deltas)) if deltas
+                                else ContinuationSchedule.default()),
+                   "balls": (_ball_family(params["check_balls"], seed)
+                             if "check_balls" in params else None),
+                   "mass_tol": float(params.get("mass_tol", 0.05))}
+        elif kind == "report":
+            job = {"root": Path(params.get("root", "."))}
+        return ExperimentConfig(kind=kind, domain=d.get("domain", {}), resolutions=list(res),
+                                params=params, seed=seed, out=Path(d.get("out", "run")),
+                                shape=shape, opts=opts, job=job)
 
     def canonical(self) -> str:
         return json.dumps({"kind": self.kind, "domain": self.domain,
@@ -224,15 +282,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     """Execute the configured pipeline; returns the manifest dict."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "solve": _run_solve,
-        "perron": _run_perron,
-        "measure": _run_measure,
-        "harnack": _run_harnack,
-        "dirichlet": _run_dirichlet,
-        "verify": _run_verify,
-        "report": _run_report,
-    }[config.kind]
+    runner = {"solve": _run_solve, "perron": _run_perron, "measure": _run_measure,
+              "harnack": _run_harnack, "dirichlet": _run_dirichlet, "verify": _run_verify,
+              "report": _run_report}[config.kind]
     outputs, assertions = runner(config, out_dir)
     manifest = {
         "kind": config.kind,
@@ -248,37 +300,23 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
     return manifest
 
 
-def _solve_opts(params: dict) -> SolveOptions:
-    """The config's solver options as written (``damping`` is ``sigma``);
-    ValueError for a value ``SolveOptions`` refuses."""
-    o = params.get("options", {})
-    return SolveOptions(max_iter=o.get("max_iter", 40), tol=o.get("tol", 1e-8),
-                        sigma=o.get("damping", 1e-4))
-
-
 def _run_solve(config: ExperimentConfig, out_dir: Path):
-    shape = shape_from_config(config.domain)
-    params = config.params
-    f = formula(params.get("f"))
-    phi = formula(params.get("phi", 0.0))
-    exact = formula(params.get("exact"))
-    rows = []
-    errors = []
-    outputs = []
+    job = config.job
+    rows, errors, outputs = [], [], []
     prev_field = None
     for res in config.resolutions:
-        grid, mask = make_grid(shape, res)
+        grid, mask = make_grid(config.shape, res)
         init = None
         if prev_field is not None:
             init = ScalarField(grid=grid, values=_resample(prev_field, grid, mask))
-        out = solve_dirichlet(mask, f=f, phi=phi, opts=_solve_opts(params), init=init)
+        out = solve_dirichlet(mask, f=job["f"], phi=job["phi"], opts=config.opts, init=init)
         err = float("nan")
-        if exact is not None:
-            ex = sample_function(exact, grid, mask)
+        if job["exact"] is not None:
+            ex = sample_function(job["exact"], grid, mask)
             err = float(np.nanmax(np.abs(out.field.values[mask.interior]
                                          - ex.values[mask.interior])))
             errors.append(err)
-        rows.append((shape.kind, res, grid.h, out.iterations, out.residual_norm,
+        rows.append((config.shape.kind, res, grid.h, out.iterations, out.residual_norm,
                      int(out.converged), err))
         fpath = out_dir / f"solution_res{res}.json"
         out.field.save(fpath)
@@ -291,7 +329,7 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
     n_conv = sum(r[5] for r in rows)
     assertions = [Assertion("all_converged", n_conv == len(rows),
                             f"{n_conv}/{len(rows)} converged")]
-    min_factor = float(params.get("convergence_factor", 0.0))
+    min_factor = job["convergence_factor"]
     if min_factor > 0 and len(errors) >= 2:
         ok = all(errors[k] / max(errors[k + 1], 1e-300) >= min_factor
                  for k in range(len(errors) - 1))
@@ -316,15 +354,11 @@ def _resample(field: ScalarField, grid, mask) -> np.ndarray:
 
 
 def _run_perron(config: ExperimentConfig, out_dir: Path):
-    shape = shape_from_config(config.domain)
-    params = config.params
-    levels = params.get("levels", [2, 3])
-    outputs = []
-    assertions = []
+    outputs, assertions = [], []
     for res in config.resolutions:
-        grid, mask = make_grid(shape, res)
-        u = sample_function(formula(params.get("u", {"name": "cone"})), grid, mask)
-        for j in levels:
+        grid, mask = make_grid(config.shape, res)
+        u = sample_function(config.job["u"], grid, mask)
+        for j in config.job["levels"]:
             swept, trace = approximation_sweep(u, mask, j)
             path = out_dir / f"sweep_res{res}_j{j}.csv"
             write_csv(path, ["index", *(f"c{k}" for k in range(grid.n)),
@@ -342,35 +376,26 @@ def _run_perron(config: ExperimentConfig, out_dir: Path):
 
 
 def _run_measure(config: ExperimentConfig, out_dir: Path):
-    shape = shape_from_config(config.domain)
-    params = config.params
-    outputs = []
-    assertions = []
-    law = params.get("law")
-    ball_cfg = params.get("balls", {})
+    job = config.job
+    outputs, assertions = [], []
     for res in config.resolutions:
-        grid, mask = make_grid(shape, res)
-        u = sample_function(formula(params.get("u", {"name": "cone"})), grid, mask)
-        eps_list = params.get("eps_list", [0.12, 0.06, 0.03])
-        if params.get("route", "mollify") == "sweep":
-            levels = [(int(j), float(e)) for j, e in params["levels"]]
-            seq = smooth_subharmonic_sequence(u, mask, levels)
-            eps_list = [e for _, e in levels]
+        grid, mask = make_grid(config.shape, res)
+        u = sample_function(job["u"], grid, mask)
+        if job["levels"] is not None:
+            seq = smooth_subharmonic_sequence(u, mask, job["levels"])
         else:
-            seq = direct_mollified_sequence(u, eps_list)
-        if "explicit" in ball_cfg:
-            balls = _ball_family(ball_cfg["explicit"], config.seed)
-        else:
+            seq = direct_mollified_sequence(u, job["eps_list"])
+        balls = job["balls"]
+        if not isinstance(balls, BallFamily):
+            count, r_min, r_max = balls
             balls = generate_ball_family(
-                mask, int(ball_cfg.get("count", 6)),
-                r_min=float(ball_cfg.get("r_min", 10 * grid.h)),
-                r_max=float(ball_cfg.get("r_max", 0.3)),
-                seed=config.seed, margin=max(eps_list) + 4 * grid.h)
+                mask, count, r_min=10 * grid.h if r_min is None else r_min, r_max=r_max,
+                seed=config.seed, margin=max(job["eps_list"]) + 4 * grid.h)
         tab = ball_measure_table(seq, balls)
         path = out_dir / f"measure_res{res}.csv"
         write_ball_measure_table(path, tab)
         outputs.append(path.name)
-        if law == "cone":
+        if job["law"] == "cone":
             worst = max(abs(row.mu - math.sqrt(2) * math.pi * row.radius)
                         / (math.sqrt(2) * math.pi * row.radius) for row in tab.rows)
             assertions.append(Assertion(f"cone_law_res{res}", worst <= 0.02,
@@ -379,20 +404,12 @@ def _run_measure(config: ExperimentConfig, out_dir: Path):
 
 
 def _run_harnack(config: ExperimentConfig, out_dir: Path):
-    shape = shape_from_config(config.domain)
-    params = config.params
-    r = float(params.get("r", 1.0))
-    outputs = []
-    assertions = []
-    ratios = []
-    res = config.resolutions[0]
-    grid, mask = make_grid(shape, res)
-    family = params.get("family", [{"name": "boundary_peak", "M": m} for m in (2, 4, 8)])
-    rows = []
-    for k, phi_spec in enumerate(family):
-        out = solve_dirichlet(mask, f=None, phi=formula(phi_spec),
-                              opts=_solve_opts(params))
-        rep = harnack_report(out.field, mask, r=r)
+    job = config.job
+    outputs, assertions, ratios, rows = [], [], [], []
+    grid, mask = make_grid(config.shape, config.resolutions[0])
+    for k, (phi_spec, phi) in enumerate(job["family"]):
+        out = solve_dirichlet(mask, f=None, phi=phi, opts=config.opts)
+        rep = harnack_report(out.field, mask, r=job["r"])
         rows.append((k, json.dumps(phi_spec, sort_keys=True), rep.sup_half,
                      rep.inf_half, rep.ratio))
         psi_path = out_dir / f"psi_{k}.csv"
@@ -402,7 +419,7 @@ def _run_harnack(config: ExperimentConfig, out_dir: Path):
     write_csv(out_dir / "harnack_ratios.csv",
               ["index", "phi", "sup_half", "inf_half", "ratio"], rows)
     outputs.append("harnack_ratios.csv")
-    if params.get("expect_increasing", False):
+    if job["expect_increasing"]:
         ok = all(b > a for a, b in zip(ratios, ratios[1:]))
         assertions.append(Assertion("ratio_increasing", ok,
                                     "ratios " + ",".join(f"{x:.3f}" for x in ratios)))
@@ -411,31 +428,12 @@ def _run_harnack(config: ExperimentConfig, out_dir: Path):
     return outputs, assertions
 
 
-def _measure_spec_from_config(d: dict) -> MeasureSpec:
-    curves = tuple(CurveSpec.circle(tuple(c["center"]), float(c["radius"]),
-                                    float(c["lambda"]))
-                   for c in d.get("curves", []))
-    atoms = tuple((float(x), float(m)) for x, m in d.get("atoms", []))
-    return MeasureSpec(density=formula(d.get("density")), curves=curves, atoms=atoms)
-
-
 def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
-    shape = shape_from_config(config.domain)
-    params = config.params
-    outputs = []
-    assertions = []
-    nu = _measure_spec_from_config(params.get("measure", {}))
-    res = config.resolutions[0]
-    grid, mask = make_grid(shape, res)
-    deltas = params.get("deltas")
-    schedule = (ContinuationSchedule(deltas=tuple(deltas)) if deltas
-                else ContinuationSchedule.default())
-    balls = None
-    if "check_balls" in params:
-        balls = _ball_family(params["check_balls"], config.seed)
-    result = solve_measure_dirichlet(mask, nu, phi=formula(params.get("phi", 0.0)),
-                                     schedule=schedule, opts=_solve_opts(params),
-                                     validate_balls=balls)
+    job, nu = config.job, config.job["nu"]
+    outputs, assertions = [], []
+    grid, mask = make_grid(config.shape, config.resolutions[0])
+    result = solve_measure_dirichlet(mask, nu, phi=job["phi"], schedule=job["schedule"],
+                                     opts=config.opts, validate_balls=job["balls"])
     write_csv(out_dir / "stages.csv",
               ["delta", "eps", "iters", "residual", "min_u", "max_u",
                "monotonicity_violations"], result.to_csv_rows())
@@ -447,8 +445,7 @@ def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
     assertions.append(Assertion("stage_monotonicity", viol == 0,
                                 f"{viol} violations"))
     if result.mass_check:
-        total = nu.total_mass(mask)
-        tol = float(params.get("mass_tol", 0.05))
+        total, tol = nu.total_mass(mask), job["mass_tol"]
         worst = max(abs(rec - ex) for _, _, rec, ex in result.mass_check)
         assertions.append(Assertion("mass_recovery", worst <= tol * max(total, 1e-9),
                                     f"worst abs err {worst:.4f} vs {tol:.0%} of {total:.4f}"))
@@ -548,7 +545,7 @@ def _manifest_rows(mpath: Path) -> list:
 
 
 def _run_report(config: ExperimentConfig, out_dir: Path):
-    root = Path(config.params.get("root", "."))
+    root = config.job["root"]
     manifests = sorted(root.glob("**/manifest.json"))
     rows = [row for mpath in manifests for row in _manifest_rows(mpath)]
     write_csv(out_dir / "report.csv",
@@ -582,12 +579,13 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(raw).__name__}")
         raw.setdefault("kind", args.command)
         if raw["kind"] != args.command:
             raise ConfigError(f"config kind {raw['kind']!r} does not match "
                               f"subcommand {args.command!r}")
         if args.command in ("verify", "report"):
-            raw.setdefault("domain", {})
             raw.setdefault("resolutions", [16])
         if args.seed is not None:
             raw["seed"] = args.seed
@@ -596,11 +594,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             raw["out"] = args.out
         config = ExperimentConfig.from_json(raw)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:     # ConfigError and JSONDecodeError among them
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 
-    manifest = run_experiment(config, Path(config.out))
+    manifest = run_experiment(config, config.out)
     for a in manifest["assertions"]:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {a['name']}: {a['detail']}")

@@ -55,6 +55,8 @@ class CurveSpec:
     def circle(center, radius: float, lam: float) -> "CurveSpec":
         if lam < 0:
             raise ValueError("linear density must be nonnegative")
+        if not radius > 0:
+            raise ValueError(f"circle radius must be positive, got {radius}")
         return CurveSpec(kind="circle", center=tuple(map(float, center)),
                          radius=float(radius), lam=float(lam))
 
@@ -79,7 +81,6 @@ class MeasureSpec:
     """Nonnegative measure = Lipschitz density + curve parts (+ atoms in 1d)."""
 
     density: Union[None, float, Callable, ScalarField] = None
-    lipschitz_const: Optional[float] = None
     curves: tuple = ()
     atoms: tuple = ()            # ((x, mass), ...) -- 1d only
     unsupported_by_theory: bool = False

@@ -109,15 +109,22 @@ def _residual(Vx: np.ndarray, h: float, f_rows: Optional[np.ndarray], plan: "_Ne
     t and w are freed here, and ``_faces`` rebuilds them for a Newton matrix.
     """
     flux = _faces(Vx, h, plan)[3]
+    total = _divergence_rows(flux, h, plan)
+    if f_rows is not None:
+        total -= f_rows
+    return total, flux
+
+
+def _divergence_rows(flux, h, plan):
+    """Per unknown row, the flux of its face above along each axis minus the
+    one below, summed axis by axis and divided by h."""
     fr = flux[plan.rows]
     total = fr[1] - fr[0]
     for axis in range(1, len(fr) // 2):
         total += fr[2 * axis + 1]
         total -= fr[2 * axis]
     total /= h
-    if f_rows is not None:
-        total -= f_rows
-    return total, flux
+    return total
 
 
 def _faces(Vx, h, plan):
@@ -495,15 +502,14 @@ def _harmonic_extension(Vx, h, plan: _NewtonPlan):
     m, nfaces = plan.unknowns.size, plan.cells.shape[1]
     data = np.nan_to_num(Vx, nan=0.0)
     data[plan.unknowns] = 0.0
-    lo, hi = data[plan.cells[:2]]
-    fr = ((hi - lo) / h)[plan.rows]
-    total = fr[1] - fr[0]
-    for axis in range(1, len(fr) // 2):
-        total = total + fr[2 * axis + 1] - fr[2 * axis]
+    # only the right side lives through the LU: the window copy is dropped,
+    # and the face differences and their row gathers are freed in the sum
+    rhs = -_divergence_rows((data[plan.cells[1]] - data[plan.cells[0]]) / h, h, plan)
+    del data
     # the zero-gradient faces, handed over with the stencils
     solve = _factorize(plan, _jac_values_2d(
         h, (np.zeros(nfaces), np.zeros(nfaces), np.ones(nfaces), None), plan), np.zeros(m), m)
-    u = solve(-total / h)
+    u = solve(rhs)
     if not np.isfinite(u).all():
         raise RuntimeError("the Laplace solve returned non-finite values")
     return u

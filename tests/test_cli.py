@@ -167,6 +167,66 @@ class TestConfig:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config_sha256"] == hashlib.sha256(want.canonical().encode()).hexdigest()
 
+    UNIT_DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0}
+    CURVE = {"center": [0.0, 0.0], "radius": 0.5, "lambda": 0.5}
+
+    @pytest.mark.parametrize("kind, change, args", [
+        ("solve", {"domain": {"kind": "disk", "center": [0, 0], "radius": -1}}, []),
+        ("solve", {"domain": {"kind": "hexagon"}}, []),
+        ("solve", {"resolutions": [4]}, []),
+        ("solve", {"resolutions": ["x"]}, []),
+        ("solve", {"seed": "abc"}, []),
+        ("solve", {"params": []}, []),
+        ("dirichlet", {"params": {"deltas": [0.1, 0.5]}}, []),
+        ("dirichlet", {"params": {"measure": {"curves": [{"center": [0, 0], "radius": 0.5}]}}},
+         []),
+        ("dirichlet", {"params": {"measure": {"curves": [dict(CURVE, **{"lambda": -1})]}}}, []),
+        ("dirichlet", {"params": {"measure": {"atoms": [[0.0, 1.0]]}}}, []),
+        ("dirichlet", {"params": {"measure": {"curves": [dict(CURVE, radius=-0.5)]}}}, []),
+        ("dirichlet", {"domain": {"kind": "interval", "bounds": [-1.0, 1.0]},
+                       "params": {"measure": {"curves": [CURVE]}}}, []),
+        ("harnack", {"params": {"r": "big"}}, []),
+        ("solve", {"params": {"convergence_factor": "x"}}, []),
+        ("solve", {}, ["--resolution", "16,x"]),
+    ], ids=["negative-radius", "hexagon", "resolution-4", "resolution-x", "seed-abc",
+            "params-list", "increasing-deltas", "curve-without-lambda", "negative-lambda",
+            "atom-on-a-disk", "negative-curve-radius", "curve-on-an-interval",
+            "harnack-r-big", "convergence-factor-x", "cli-resolution-x"])
+    def test_faults_without_a_grid_exit_2_with_nothing_written(self, tmp_path, capsys,
+                                                                 kind, change, args):
+        raw = dict({"kind": kind, "domain": self.UNIT_DISK, "resolutions": [16]}, **change)
+        if change:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_json(raw)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([kind, "--config", str(cfg), "--out", str(out), *args]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+    @pytest.mark.parametrize("kind", ["solve", "dirichlet"])
+    def test_runs_read_only_the_loaded_values(self, tmp_path, kind):
+        # the raw params are for the manifest's hash only: a run with them
+        # emptied writes the same tables and fields
+        raw = dict(TestSolveExperiment.CONFIG, resolutions=[16]) if kind == "solve" else {
+            "kind": "dirichlet", "domain": self.UNIT_DISK, "resolutions": [16], "seed": 2,
+            "params": {"measure": {"density": 0.2, "curves": [self.CURVE]},
+                       "phi": {"name": "zero"}, "deltas": [0.4, 0.2],
+                       "check_balls": [[[0.0, 0.0], 0.7]], "mass_tol": 0.1,
+                       "options": {"tol": 1e-9}}}
+        bare = ExperimentConfig.from_json(raw)
+        bare.params = {}
+        loaded = run_experiment(ExperimentConfig.from_json(raw), tmp_path / "loaded")
+        assert loaded["passed"]
+        assert run_experiment(bare, tmp_path / "bare")["assertions"] == loaded["assertions"]
+        names = sorted(p.name for p in (tmp_path / "loaded").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "bare").iterdir())
+        assert len(names) > 2
+        for name in set(names) - {"manifest.json"}:
+            assert read_bytes(tmp_path / "loaded" / name) == read_bytes(tmp_path / "bare" / name)
+
     def test_documented_solver_options_validate(self):
         options = {"max_iter": 40, "tol": 1e-8, "damping": 1e-4, "init": "harmonic"}
         raw = dict(TestSolveExperiment.CONFIG,

@@ -284,7 +284,7 @@ class TestPipeline:
         R = 4.0
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 2.0), 32)
         hemi = hemisphere_formula(R)
-        nu = MeasureSpec(density=2.0 / R, lipschitz_const=0.0)
+        nu = MeasureSpec(density=2.0 / R)
         res = solve_measure_dirichlet(
             mask, nu, phi=hemi,
             schedule=ContinuationSchedule(deltas=(0.2, 0.1, 0.05, 0.02, 0.008)))

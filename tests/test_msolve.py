@@ -1254,6 +1254,26 @@ class TestWorkingSet:
         assert info["carried"] and info["iterations"] == 1 and info["factorizations"] == 0
         assert peak < 10 * unit, peak / unit
 
+    def test_harmonic_start_keeps_only_its_right_side_through_the_lu(self, hemisphere_64):
+        # live at the start's splu call: the float32 matrix, the zero
+        # diagonal and the right side, 3.2 units; holding the window copy,
+        # the face differences and their row gathers through the LU read 7.9
+        h, plan, Vx, _ = hemisphere_64
+        unit = 8 * (plan.cells.shape[1] - 1)
+        splu, base, live = slinalg.splu, [], []
+
+        def start():
+            base.append(tracemalloc.get_traced_memory()[0])
+            return msolve._harmonic_extension(Vx, h, plan)
+
+        def spy_splu(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0] - base[0])
+            return splu(*args, **kwargs)
+
+        with mock.patch.object(msolve.slinalg, "splu", spy_splu):
+            traced_peak(start)
+        assert len(live) == 1 and live[0] < 4 * unit, [x / unit for x in live]
+
 
 class TestHarmonicStart:
     """The harmonic start is the plan's Newton matrix at zero gradient,
