@@ -258,8 +258,9 @@ class ExperimentConfig:
                 raise ConfigError("atoms are admissible on an interval domain only")
             if curves and shape.kind == "interval":
                 raise ConfigError("curves are admissible on a 2d domain only")
-            job = {"nu": MeasureSpec(density=data(measure.get("density")), curves=curves,
-                                     atoms=atoms),
+            nu = MeasureSpec(density=data(measure.get("density")), curves=curves, atoms=atoms)
+            nu.check_signs()
+            job = {"nu": nu,
                    "phi": data(params.get("phi", 0.0)),
                    "schedule": (ContinuationSchedule(deltas=tuple(deltas)) if deltas
                                 else ContinuationSchedule.default()),
@@ -290,6 +291,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> dict:
         "kind": config.kind,
         "config_sha256": hashlib.sha256(config.canonical().encode()).hexdigest(),
         "outputs": sorted(outputs),
+        "index": {name: {"bytes": (out_dir / name).stat().st_size,
+                         "sha256": hashlib.sha256((out_dir / name).read_bytes()).hexdigest()}
+                  for name in outputs},
         "assertions": [{"name": a.name, "passed": a.passed, "detail": a.detail}
                        for a in assertions],
         "passed": all(a.passed for a in assertions),
@@ -318,9 +322,7 @@ def _run_solve(config: ExperimentConfig, out_dir: Path):
             errors.append(err)
         rows.append((config.shape.kind, res, grid.h, out.iterations, out.residual_norm,
                      int(out.converged), err))
-        fpath = out_dir / f"solution_res{res}.json"
-        out.field.save(fpath)
-        outputs.append(fpath.name)
+        outputs += [p.name for p in out.field.save(out_dir / f"solution_res{res}.json")]
         prev_field = out.field
     write_csv(out_dir / "solve_log.csv",
               ["region", "resolution", "h", "iters", "residual", "converged",
@@ -437,8 +439,7 @@ def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
     write_csv(out_dir / "stages.csv",
               ["delta", "eps", "iters", "residual", "min_u", "max_u",
                "monotonicity_violations"], result.to_csv_rows())
-    result.field.save(out_dir / "limit_field.json")
-    outputs += ["stages.csv", "limit_field.json"]
+    outputs += ["stages.csv", *(p.name for p in result.field.save(out_dir / "limit_field.json"))]
     assertions.append(Assertion("pipeline_converged", result.converged,
                                 result.diagnosis))
     viol = sum(s.monotonicity_violations for s in result.stages)

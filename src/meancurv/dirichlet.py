@@ -92,18 +92,22 @@ class MeasureSpec:
                 "point masses are not admissible in 2d: balls around the atom "
                 "have perimeter -> 0 while the measure stays positive, so the "
                 "measure/perimeter balance fails")
-        for x0, m in self.atoms:
-            if m < 0:
-                raise ValueError("atom masses must be nonnegative")
+        self.check_signs()
         for c in self.curves:
-            if c.lam < 0:
-                raise ValueError("curve densities must be nonnegative")
             sd = float(np.asarray(mask.shape.signed_distance(
                 np.asarray([list(c.center)]))).ravel()[0])
             if sd - c.radius < 2 * mask.grid.h:
                 # codim-1 support reaching the boundary is outside the
                 # compact-support hypothesis; accepted but tagged
                 self.unsupported_by_theory = True
+
+    def check_signs(self) -> None:
+        """The checks that need no grid: ValueError for a negative atom
+        mass, curve density or numeric density."""
+        if any(m < 0 for _, m in self.atoms):
+            raise ValueError("atom masses must be nonnegative")
+        if any(c.lam < 0 for c in self.curves):
+            raise ValueError("curve densities must be nonnegative")
         if isinstance(self.density, (int, float)) and self.density < 0:
             raise ValueError("density must be nonnegative")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -337,54 +338,36 @@ class ScalarField:
             cells = list(zip(*np.nonzero(bad)))
             raise UndefinedCellError(f"{context}: field not finite where required", cells)
 
-    def _json_header(self) -> dict:
-        return {"grid": self.grid.to_json(), "provenance": self.provenance,
-                "extended": self.extended}
-
-    def to_json(self) -> dict:
-        return {**self._json_header(), "values": _json_values(self.values.ravel())}
-
-    @staticmethod
-    def from_json(d: dict) -> "ScalarField":
-        grid = Grid.from_json(d["grid"])
-        cells = np.array(d["values"], dtype=object)
-        cells[np.equal(cells, None)] = np.nan
-        cells[np.equal(cells, "-inf")] = NEG_INF
-        vals = cells.astype(float).reshape(grid.shape, order="C")
-        return ScalarField(grid=grid, values=vals, provenance=d["provenance"],
-                           extended=d["extended"])
-
-    def save(self, path) -> None:
-        """Write ``to_json`` as one JSON line, the values through the C
-        encoder in chunks of ``_SAVE_CHUNK`` cells (the bytes of
-        ``json.dump``)."""
-        head = json.dumps({**self._json_header(), "values": []})
-        flat = self.values.ravel()
+    def save(self, path) -> list:
+        """Write the field as a one-line JSON header at ``path`` (``grid``,
+        ``provenance``, ``extended``) whose ``values`` names the ``.npy``
+        array (NumPy's NEP 1 format, NaN and -inf kept as they are) written
+        beside it with the same stem.  Returns both paths, header first."""
+        path = Path(path)
+        if path.suffix == ".npy":
+            raise ValueError(f"a field header cannot take the array's suffix: {path}")
+        array = path.with_suffix(".npy")
+        np.save(array, self.values, allow_pickle=False)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head[:-2])          # up to the values' opening bracket
-            for start in range(0, flat.size, _SAVE_CHUNK):
-                if start:
-                    fh.write(", ")
-                fh.write(json.dumps(_json_values(flat[start:start + _SAVE_CHUNK]))[1:-1])
-            fh.write("]}\n")
+            json.dump({"grid": self.grid.to_json(), "provenance": self.provenance,
+                       "extended": self.extended, "values": array.name}, fh)
+            fh.write("\n")
+        return [path, array]
 
     @staticmethod
     def load(path) -> "ScalarField":
+        """The field ``save`` wrote at ``path``; ValueError when its array is
+        not float64 of the grid's shape."""
+        path = Path(path)
         with open(path, "r", encoding="utf-8") as fh:
-            return ScalarField.from_json(json.load(fh))
-
-
-_SAVE_CHUNK = 1 << 16
-
-
-def _json_values(flat: np.ndarray) -> list:
-    """Flat cell values as JSON-ready objects: None for NaN, "-inf" for -inf."""
-    out = flat.tolist()
-    for i in np.flatnonzero(np.isnan(flat)):
-        out[i] = None
-    for i in np.flatnonzero(np.isneginf(flat)):
-        out[i] = "-inf"
-    return out
+            head = json.load(fh)
+        grid = Grid.from_json(head["grid"])
+        values = np.load(path.parent / head["values"], allow_pickle=False)
+        if values.shape != grid.shape or values.dtype != np.float64:
+            raise ValueError(f"{head['values']} holds {values.dtype} values of shape "
+                             f"{values.shape}, not float64 of the grid's {grid.shape}")
+        return ScalarField(grid=grid, values=values, provenance=head["provenance"],
+                           extended=head["extended"])
 
 
 def cell_values(data, grid: Grid, where: np.ndarray, what: str,

@@ -185,12 +185,17 @@ class TestConfig:
         ("dirichlet", {"params": {"measure": {"curves": [dict(CURVE, radius=-0.5)]}}}, []),
         ("dirichlet", {"domain": {"kind": "interval", "bounds": [-1.0, 1.0]},
                        "params": {"measure": {"curves": [CURVE]}}}, []),
+        ("dirichlet", {"domain": {"kind": "interval", "bounds": [-1.0, 1.0]},
+                       "params": {"measure": {"density": -1.0}}}, []),
+        ("dirichlet", {"domain": {"kind": "interval", "bounds": [-1.0, 1.0]},
+                       "params": {"measure": {"atoms": [[0.0, -1.0]]}}}, []),
         ("harnack", {"params": {"r": "big"}}, []),
         ("solve", {"params": {"convergence_factor": "x"}}, []),
         ("solve", {}, ["--resolution", "16,x"]),
     ], ids=["negative-radius", "hexagon", "resolution-4", "resolution-x", "seed-abc",
             "params-list", "increasing-deltas", "curve-without-lambda", "negative-lambda",
             "atom-on-a-disk", "negative-curve-radius", "curve-on-an-interval",
+            "negative-density", "negative-atom-mass",
             "harnack-r-big", "convergence-factor-x", "cli-resolution-x"])
     def test_faults_without_a_grid_exit_2_with_nothing_written(self, tmp_path, capsys,
                                                                  kind, change, args):
@@ -267,10 +272,18 @@ class TestSolveExperiment:
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = ExperimentConfig.from_json(dict(self.CONFIG))
         cfg2 = ExperimentConfig.from_json(dict(self.CONFIG))
-        run_experiment(cfg1, tmp_path / "r1")
+        man = run_experiment(cfg1, tmp_path / "r1")
         run_experiment(cfg2, tmp_path / "r2")
         for name in ("solve_log.csv", "manifest.json"):
             assert read_bytes(tmp_path / "r1" / name) == read_bytes(tmp_path / "r2" / name)
+        # the manifest indexes every output, each field dump's array included
+        assert man["outputs"] == ["solution_res16.json", "solution_res16.npy",
+                                  "solution_res32.json", "solution_res32.npy",
+                                  "solve_log.csv"]
+        assert man["index"] == {name: {"bytes": len(read_bytes(tmp_path / "r1" / name)),
+                                       "sha256": hashlib.sha256(read_bytes(
+                                           tmp_path / "r1" / name)).hexdigest()}
+                                for name in man["outputs"]}
 
 
 class TestResample:
@@ -393,6 +406,11 @@ class TestDirichletExperiment:
         })
         man = run_experiment(cfg, tmp_path / "d")
         assert man["passed"]
+        assert man["outputs"] == ["limit_field.json", "limit_field.npy", "mass_check.csv",
+                                  "stages.csv"]
+        u = ScalarField.load(tmp_path / "d" / "limit_field.json")
+        mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 32)[1]
+        assert u.finite[mask.interior].all() and not u.defined[mask.exterior].any()
         stages = (tmp_path / "d" / "stages.csv").read_text().splitlines()
         assert stages[0] == ("delta,eps,iters,residual,min_u,max_u,"
                              "monotonicity_violations")

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from meancurv import (
     DiscreteSet,
+    Grid,
     NEG_INF,
     ScalarField,
     ShapeSpec,
@@ -392,56 +395,62 @@ class TestSetGeometry:
 
 
 class TestSerialization:
-    def test_round_trip_with_specials(self, unit_disk_64):
-        grid, mask = unit_disk_64
-        vals = np.full(grid.shape, np.nan)
-        vals[mask.region] = 1.5
-        idx = tuple(np.argwhere(mask.interior)[0])
-        vals[idx] = NEG_INF
+    def test_round_trip_with_specials(self, tmp_path):
+        for shape in (ShapeSpec.interval(-1.0, 1.0), ShapeSpec.disk((0.0, 0.0), 1.0)):
+            grid, mask = make_grid(shape, 40)
+            rng = np.random.default_rng(grid.n)
+            vals = np.where(mask.interior, rng.standard_normal(grid.shape) * 1e3, np.nan)
+            vals[mask.interior & (rng.random(grid.shape) < 0.05)] = NEG_INF
+            assert np.isnan(vals).any() and np.isneginf(vals).any()
+            u = ScalarField(grid=grid, values=vals, provenance="solved", extended=True)
+            assert u.save(tmp_path / "u.json") == [tmp_path / "u.json", tmp_path / "u.npy"]
+            head = json.loads((tmp_path / "u.json").read_text())
+            assert head == {"grid": grid.to_json(), "provenance": "solved",
+                            "extended": True, "values": "u.npy"}
+            back = ScalarField.load(tmp_path / "u.json")
+            assert (back.grid, back.provenance, back.extended) == (grid, "solved", True)
+            assert back.values.dtype == np.float64
+            assert np.array_equal(back.values, vals, equal_nan=True)
+            # +inf is no legal field value: a field written over keeps it in
+            # its array, and loading it is refused as constructing it would be
+            u.values[tuple(np.argwhere(mask.boundary)[0])] = np.inf
+            u.save(tmp_path / "u.json")
+            assert np.array_equal(np.load(tmp_path / "u.npy"), u.values, equal_nan=True)
+            with pytest.raises(ValueError, match=r"\+inf"):
+                ScalarField.load(tmp_path / "u.json")
+
+    @settings(max_examples=40, deadline=None)
+    @given(extents=st.lists(st.integers(3, 12), min_size=1, max_size=2),
+           h=st.floats(1e-3, 1.0), data=st.data())
+    def test_round_trip_property(self, extents, h, data):
+        grid = Grid(n=len(extents), h=h, extents=tuple(extents), origin=(-0.5,) * len(extents))
+        cells = st.one_of(st.floats(allow_nan=True, allow_infinity=False),
+                          st.sampled_from([np.nan, NEG_INF]))
+        vals = np.array(data.draw(st.lists(cells, min_size=int(np.prod(extents)),
+                                           max_size=int(np.prod(extents))))).reshape(extents)
         u = ScalarField(grid=grid, values=vals, provenance="sampled", extended=True)
-        blob = json.dumps(u.to_json())
-        v = ScalarField.from_json(json.loads(blob))
-        assert v.grid == u.grid
-        assert np.isneginf(v.values[idx])
-        both = ~np.isnan(u.values)
-        assert np.array_equal(v.values[both], u.values[both])
-        assert json.loads(blob)["values"].count("-inf") == 1
+        with tempfile.TemporaryDirectory() as tmp:
+            u.save(Path(tmp) / "u.json")
+            back = ScalarField.load(Path(tmp) / "u.json")
+        assert back.grid == grid and back.values.shape == grid.shape
+        assert np.array_equal(back.values.view(np.uint64), vals.view(np.uint64))
 
-    @staticmethod
-    def loop_save(u, path):
-        """The former ``save``: a per-cell loop, then ``json.dump``."""
-        flat = []
-        for v in u.values.ravel(order="C"):
-            if np.isnan(v):
-                flat.append(None)
-            elif np.isneginf(v):
-                flat.append("-inf")
-            else:
-                flat.append(float(v))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"grid": u.grid.to_json(), "provenance": u.provenance,
-                       "extended": u.extended, "values": flat}, fh)
-            fh.write("\n")
+    @pytest.mark.parametrize("array", [np.zeros((6, 5)), np.zeros(30),
+                                       np.zeros((5, 6), np.float32),
+                                       np.zeros((5, 6), np.int64)],
+                             ids=["transposed", "flat", "float32", "int64"])
+    def test_wrong_array_refused(self, array, tmp_path):
+        grid = Grid(n=2, h=0.25, extents=(5, 6), origin=(0.0, 0.0))
+        ScalarField(grid=grid, values=np.zeros(grid.shape)).save(tmp_path / "u.json")
+        np.save(tmp_path / "u.npy", array)
+        with pytest.raises(ValueError, match="not float64 of the grid's"):
+            ScalarField.load(tmp_path / "u.json")
 
-    @pytest.mark.parametrize("res", [16, 160])     # one chunk of values, and several
-    def test_save_bytes_equal_the_loop(self, res, tmp_path):
-        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), res)
-        rng = np.random.default_rng(res)
-        vals = np.where(mask.region, rng.standard_normal(grid.shape) * 1e3, np.nan)
-        vals[mask.interior & (rng.random(grid.shape) < 0.05)] = NEG_INF
-        u = ScalarField(grid=grid, values=vals, provenance="solved", extended=True)
-        self.loop_save(u, tmp_path / "loop.json")
-        u.save(tmp_path / "save.json")
-        assert (tmp_path / "save.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
-        back = ScalarField.load(tmp_path / "save.json")
-        assert (back.grid, back.provenance, back.extended) == (grid, "solved", True)
-        assert np.array_equal(back.values, vals, equal_nan=True)
-        assert back.to_json() == u.to_json()
-        # +inf is no legal field value, but a field written over still saves as before
-        u.values[tuple(np.argwhere(mask.boundary)[0])] = np.inf
-        self.loop_save(u, tmp_path / "loop.json")
-        u.save(tmp_path / "save.json")
-        assert (tmp_path / "save.json").read_bytes() == (tmp_path / "loop.json").read_bytes()
+    def test_header_cannot_take_the_array_suffix(self, tmp_path):
+        grid, _ = make_grid(ShapeSpec.interval(-1.0, 1.0), 8)
+        with pytest.raises(ValueError, match="suffix"):
+            ScalarField(grid=grid, values=np.zeros(grid.shape)).save(tmp_path / "u.npy")
+        assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
