@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .field import (
     circle_points,
     mollifier_kernel,
 )
-from .measure import BallFamily, ball_fluxes
+from .measure import BallFamily, ball_fluxes, extrapolate
 from .msolve import PlanHolder, SolveOptions, solve_dirichlet
 
 
@@ -335,8 +335,8 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
     solutions decrease cellwise as delta decreases (violations beyond 10 tol
     are counted).  Divergence stops the pipeline and returns the last
     converged stage with a diagnosis; when test balls are supplied the stage
-    fluxes are extrapolated in delta and compared against the exact ball
-    masses.
+    fluxes are extrapolated in delta (the line through the last two stages,
+    read at delta = 0) and compared against the exact ball masses.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
@@ -393,7 +393,7 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
         deltas = [s.delta for s in stages]
         for (center, radius), fluxes in zip(validate_balls,
                                             ball_fluxes(stage_fields, validate_balls)):
-            recovered = _delta_extrapolate(deltas, fluxes)
+            recovered, _ = extrapolate(deltas, fluxes, 1)
             exact = nu.ball_mass(mask, center, radius)
             mass_rows.append((tuple(center), radius, recovered, exact))
 
@@ -401,11 +401,3 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                           extrapolation_gap=gap, diagnosis=diagnosis,
                           mass_check=mass_rows)
 
-
-def _delta_extrapolate(deltas: Sequence[float], values: Sequence[float]) -> float:
-    """Linear fit of the last three (delta, value) pairs, read off at zero."""
-    d = np.asarray(deltas[-3:], dtype=float)
-    v = np.asarray(values[-3:], dtype=float)
-    A = np.stack([np.ones_like(d), d], axis=1)
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(coef[0])

@@ -1,14 +1,15 @@
 """Curvature mass of fields on test balls, and weak-convergence checks.
 
-The mass of a ball is the extrapolated limit of the sphere fluxes of an
-approximating sequence, with the spread over the last terms kept as an error
-bar and any near-subharmonicity defect propagated into the negativity
-allowance.  A single smooth field is the one-term sequence: its mass is its
-sphere flux, which the conservative scheme makes identical to the density
-integral.  1d and 2d share every path; a 1d sphere is a pair of points.
-Each sphere flux reads only its ball's window of cells and the faces
-between them (``mco.boundary_flux``), so a table of many small balls costs
-little more than the flux field it is read from.
+The mass of a ball is the sphere flux of an approximating sequence's last
+term, with the spread over the last three terms kept as an error bar and any
+near-subharmonicity defect propagated into the negativity allowance.  Every
+limit here and in the Dirichlet pipeline is read by ``extrapolate``.  A
+single smooth field is the one-term sequence: its mass is its sphere flux,
+which the conservative scheme makes identical to the density integral.  1d
+and 2d share every path; a 1d sphere is a pair of points.  Each sphere flux
+reads only its ball's window of cells and the faces between them
+(``mco.boundary_flux``), so a table of many small balls costs little more
+than the flux field it is read from.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ REL_BAND = 0.25
 L1_TOL = 0.1
 
 
+def _ball_volume(n: int, radius: float) -> float:
+    return math.pi * radius * radius if n == 2 else 2 * radius
+
+
 def _sequence_fields(seq) -> tuple[list, float]:
     """Normalize a sequence argument to (fields, max defect of last terms);
     a bare field is the one-term sequence."""
@@ -127,35 +132,36 @@ def _sequence_fields(seq) -> tuple[list, float]:
     return fields, max(tail)
 
 
-def extrapolate_tail(values: Sequence[float]) -> tuple[float, float]:
-    """Limit estimate from the last three terms plus their spread.
+def extrapolate(params: Optional[Sequence[float]], values: Sequence[float],
+                order: int) -> tuple[float, float]:
+    """Limit at param 0 of values ordered toward it, and its error band.
 
-    The Aitken correction is applied only to clean geometric tails (same
-    sign, shrinking increments, correction no bigger than the last step);
-    anything noisier keeps the raw last term, which for these sequences is
-    already flux-accurate while a misfired Aitken step is not.
+    Order k >= 1 reads the degree-k polynomial through the last k + 1
+    (param, value) pairs at 0 (Neville's scheme), banded by its distance to
+    the degree k - 1 fit through the last k pairs, which the same tableau
+    yields.  Order 0 is the last value, banded by the spread of the last
+    three; it reads no params.
     """
     v = [float(x) for x in values]
-    if len(v) == 1:
-        return v[0], 0.0
-    if len(v) == 2:
-        return v[1], abs(v[1] - v[0])
-    a, b, c = v[-3], v[-2], v[-1]
-    d1, d2 = b - a, c - b
-    limit = c
-    if d1 != 0.0 and np.sign(d1) == np.sign(d2) and abs(d2) < abs(d1):
-        denom = d2 - d1
-        cand = c - d2 ** 2 / denom
-        if np.isfinite(cand) and abs(cand - c) <= 1.5 * abs(d2):
-            limit = cand
-    spread = max(v[-3:]) - min(v[-3:])
-    return float(limit), float(spread)
+    if order == 0:
+        return v[-1], max(v[-3:]) - min(v[-3:])
+    t = [float(x) for x in params]
+    if order < 0 or len(t) != len(v) or len(v) <= order:
+        raise ValueError(f"order {order} needs {order + 1} or more aligned params and values")
+    t, p = t[-order - 1:], v[-order - 1:]
+    # step k leaves in p[i] the fit through pairs i..i+k read at 0, so p[1]
+    # before the last step is the fit through the last order pairs
+    for k in range(1, order + 1):
+        lower = p[1]
+        for i in range(order + 1 - k):
+            p[i] = (t[i] * p[i + 1] - t[i + k] * p[i]) / (t[i] - t[i + k])
+    return p[0], abs(p[0] - lower)
 
 
 def ball_measure_table(u_or_sequence, balls) -> BallMeasureTable:
     """Curvature mass on every test ball (a BallFamily or (center, radius) pairs).
 
-    Reports the extrapolated limit of the per-term sphere fluxes with the
+    Reports the last term's sphere flux (``extrapolate`` at order 0) with the
     last-three-term spread as the band, flagging balls whose spread exceeds
     REL_BAND of the reported scale.  A single field is the one-term sequence:
     its mass is its flux (the density integral, by the discrete divergence
@@ -166,14 +172,12 @@ def ball_measure_table(u_or_sequence, balls) -> BallMeasureTable:
         raise ValueError("empty approximating sequence")
     rows = []
     for (center, radius), per in zip(balls, ball_fluxes(fields, balls)):
-        mu, spread = extrapolate_tail(per)
+        mu, spread = extrapolate(None, per, 0)
         scale = max(abs(mu), 0.2)
         rows.append(BallMeasureRow(center=tuple(center), radius=radius, mu=mu,
                                    band=spread, converged=spread <= REL_BAND * scale,
                                    per_term=tuple(per)))
-    volumes = [math.pi * r * r if fields[0].grid.n == 2 else 2 * r
-               for (_, r) in balls]
-    eps_neg = defect * max(volumes) + 1e-12
+    eps_neg = defect * max(_ball_volume(fields[0].grid.n, r) for (_, r) in balls) + 1e-12
     return BallMeasureTable(rows=rows, method="limit-of-sequence", eps_neg=eps_neg)
 
 
@@ -203,8 +207,9 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
     """Two-sided sandwich between the measures of two approximating sequences.
 
     For every ball, mass_a(B_r) <= mass_b(B_{r+gap}) within tol (relative)
-    and symmetrically.  Refused when the two sequences do not agree in L1,
-    since then they are not approximations of the same field.
+    plus the larger defect times |B_{r+gap}|, and symmetrically.  Refused
+    when the two sequences do not agree in L1, since then they are not
+    approximations of the same field.
     """
     fa, defect_a = _sequence_fields(seq_a)
     fb, defect_b = _sequence_fields(seq_b)
@@ -216,7 +221,7 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
     if l1 > L1_TOL:
         raise ValueError(f"sequences disagree in L1 (mean gap {l1:.3g} > {L1_TOL});"
                          " sandwich check refused")
-    eps_neg = (max(defect_a, defect_b)) + 1e-12
+    defect = max(defect_a, defect_b)
     spheres = [*balls, *((center, radius + gap) for center, radius in balls)]
     mu_a = [row.mu for row in ball_measure_table(fa, spheres).rows]
     mu_b = [row.mu for row in ball_measure_table(fb, spheres).rows]
@@ -226,6 +231,8 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
     for k, (center, radius) in enumerate(balls):
         mu_a_r, mu_a_i = mu_a[k], mu_a[k + len(balls)]
         mu_b_r, mu_b_i = mu_b[k], mu_b[k + len(balls)]
+        # the defect is a density: its mass allowance is over the inflated ball
+        eps_neg = defect * _ball_volume(ua.grid.n, radius + gap) + 1e-12
         allow_ab = tol * max(abs(mu_b_i), 0.05) + eps_neg
         allow_ba = tol * max(abs(mu_a_i), 0.05) + eps_neg
         slack_ab = mu_a_r - mu_b_i - allow_ab
@@ -258,14 +265,15 @@ def interface_singular_mass(u: ScalarField, jump, widths: Sequence[float],
     jump is {"circle": (center, radius)} in 2d or {"point": x0} in 1d; the
     shell mass at width w is the flux difference across the annulus of
     half-width w around the jump, and the mass is its extrapolation to
-    w -> 0 (quadratic through three widths, banded by the distance to the
-    linear extrapolation).  A non-convergent extrapolation is flagged and
-    the mass should not be trusted.
+    w -> 0 (``extrapolate`` at order 2: quadratic through three widths,
+    banded by the distance to the line through the two narrowest).  A
+    non-convergent extrapolation is flagged and the mass should not be
+    trusted.
     """
-    widths = sorted(float(w) for w in widths)
+    widths = sorted((float(w) for w in widths), reverse=True)
     if len(widths) != 3:
         raise ValueError("need exactly three shell widths")
-    if widths[0] < 2 * u.grid.h:
+    if widths[-1] < 2 * u.grid.h:
         raise SizingError("smallest shell width under-resolved (< 2h)")
     samples = []
     flux = flux_field(u)
@@ -280,26 +288,13 @@ def interface_singular_mass(u: ScalarField, jump, widths: Sequence[float],
             samples.append((w, ball_flux(flux, (x0,), w)))
         else:
             raise ValueError("jump must declare a circle or a point")
-    ws = np.array([s[0] for s in samples])
-    ms = np.array([s[1] for s in samples])
-    # quadratic extrapolation to w = 0 (Lagrange), banded against linear
-    quad = 0.0
-    for i in range(3):
-        num = 1.0
-        den = 1.0
-        for j in range(3):
-            if j != i:
-                num *= -ws[j]
-                den *= ws[i] - ws[j]
-        quad += ms[i] * num / den
-    linear = (ms[0] * ws[1] - ms[1] * ws[0]) / (ws[1] - ws[0])
-    floor = 1e-9 * (1.0 + float(np.abs(ms).max()))
-    band = abs(quad - linear) + floor
-    spread = float(ms.max() - ms.min())
-    converged = band <= max(0.75 * spread, 10 * floor)
-    return SingularMassResult(mass=float(quad), band=float(band),
-                              converged=bool(converged),
-                              samples=tuple((float(w), float(m)) for w, m in samples))
+    ms = [m for _, m in samples]
+    mass, band = extrapolate(widths, ms, 2)
+    floor = 1e-9 * (1.0 + max(abs(m) for m in ms))
+    band += floor
+    converged = band <= max(0.75 * (max(ms) - min(ms)), 10 * floor)
+    return SingularMassResult(mass=mass, band=band, converged=converged,
+                              samples=tuple(samples))
 
 
 def total_mass_bound(u: ScalarField, mask: DomainMask) -> tuple[float, float]:

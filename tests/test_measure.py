@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meancurv import ShapeSpec, make_grid, sample_function
 from meancurv.field import SizingError, UndefinedCellError, mollify_field
@@ -9,13 +10,13 @@ from meancurv.mco import CircleInterface, enclosed_density_sum
 from meancurv.measure import (
     BallFamily,
     ball_measure_table,
-    extrapolate_tail,
+    extrapolate,
     generate_ball_family,
     interface_singular_mass,
     total_mass_bound,
     weak_convergence_check,
 )
-from meancurv.perron import direct_mollified_sequence
+from meancurv.perron import SequenceTerm, direct_mollified_sequence
 
 from conftest import cone_formula
 
@@ -117,15 +118,74 @@ class TestBallMeasureTable:
             assert 0 < total <= bdry + 1e-9
 
 
-class TestExtrapolateTail:
-    def test_geometric_sequence_recovered(self):
-        limit, spread = extrapolate_tail([1.0, 1.5, 1.75])
-        assert abs(limit - 2.0) < 1e-12
-        assert spread == 0.75
+def params_toward_zero(count):
+    """count distinct positive params, decreasing by ratios in [1.2, 3]."""
+    return st.tuples(st.floats(0.01, 0.5),
+                     st.lists(st.floats(1.2, 3.0), min_size=count - 1,
+                              max_size=count - 1)).map(
+        lambda tr: list(reversed(np.cumprod([tr[0], *tr[1]]).tolist())))
 
-    def test_noisy_tail_falls_back_to_raw(self):
-        limit, _ = extrapolate_tail([1.0, 1.2, 0.9])
-        assert limit == 0.9
+
+coefficient = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def lagrange_reference(ws, ms):
+    """The three-width Lagrange quadratic at 0 and the line through the two
+    narrowest widths, written out as the singular-mass code once did."""
+    order = np.argsort(ws)
+    ws, ms = np.asarray(ws)[order], np.asarray(ms)[order]
+    quad = 0.0
+    for i in range(3):
+        num = den = 1.0
+        for j in range(3):
+            if j != i:
+                num *= -ws[j]
+                den *= ws[i] - ws[j]
+        quad += ms[i] * num / den
+    linear = (ms[0] * ws[1] - ms[1] * ws[0]) / (ws[1] - ws[0])
+    return quad, abs(quad - linear)
+
+
+class TestExtrapolate:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), order=st.integers(1, 3), extra=st.integers(0, 2))
+    def test_polynomial_of_degree_at_most_order_reproduced(self, data, order, extra):
+        degree = data.draw(st.integers(0, order))
+        coefs = data.draw(st.lists(coefficient, min_size=degree + 1, max_size=degree + 1))
+        ts = data.draw(params_toward_zero(order + 1 + extra))
+        values = [sum(c * t ** k for k, c in enumerate(coefs)) for t in ts]
+        limit, band = extrapolate(ts, values, order)
+        scale = 1.0 + max(abs(v) for v in values[-order - 1:])
+        assert abs(limit - coefs[0]) <= 1e-10 * scale
+        if degree < order:      # the lower fit reproduces it too
+            assert band <= 1e-10 * scale
+
+    @given(values=st.lists(coefficient, min_size=1, max_size=8))
+    def test_order_zero_is_last_value_and_tail_spread(self, values):
+        limit, band = extrapolate(None, values, 0)
+        assert limit == values[-1]
+        assert band == max(values[-3:]) - min(values[-3:])
+        assert extrapolate(range(len(values)), values, 0) == (limit, band)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ws=params_toward_zero(3), ms=st.lists(coefficient, min_size=3, max_size=3))
+    def test_order_two_matches_lagrange_minus_line(self, ws, ms):
+        limit, band = extrapolate(ws, ms, 2)
+        quad, ref = lagrange_reference(ws, ms)
+        slack = 1e-12 * max(1.0, max(abs(m) for m in ms))
+        assert math.isclose(limit, quad, rel_tol=1e-12, abs_tol=slack)
+        assert math.isclose(band, ref, rel_tol=1e-12, abs_tol=slack)
+
+    def test_order_one_is_the_line_through_the_last_two(self):
+        limit, band = extrapolate([0.5, 0.2, 0.1], [9.0, 1.4, 1.2], 1)
+        assert limit == pytest.approx(1.0, abs=1e-14)
+        assert band == pytest.approx(0.2, abs=1e-14)
+
+    def test_too_few_or_misaligned_pairs_raise(self):
+        with pytest.raises(ValueError):
+            extrapolate([0.1, 0.2], [1.0, 2.0], 2)
+        with pytest.raises(ValueError):
+            extrapolate([0.1], [1.0, 2.0], 1)
 
 
 class TestWeakConvergence:
@@ -147,6 +207,22 @@ class TestWeakConvergence:
         with pytest.raises(ValueError):
             weak_convergence_check(seq_a, seq_b, fam, gap=0.05, tol=0.03)
 
+    def test_defect_allowance_is_over_the_inflated_ball(self, unit_disk_64):
+        # a's mass on B_r beats b's on B_{r+gap} by more than defect * |B_{r+gap}|
+        # but by less than the defect itself, a density: the pair must fail
+        grid, mask = unit_disk_64
+        defect, radius, gap, tol = 0.1, 0.2, 0.05, 0.03
+        u_a = sample_function(lambda p: 0.1 * (p[:, 0] ** 2 + p[:, 1] ** 2), grid, mask)
+        u_b = u_a.with_values(np.where(u_a.finite, 0.0, u_a.values))
+        seq_a = [SequenceTerm(field=u_a, level=0, eps=0.0, defect=defect)]
+        seq_b = [SequenceTerm(field=u_b, level=0, eps=0.0, defect=0.0)]
+        fam = BallFamily(balls=(((0.0, 0.0), radius),), gap=gap, seed=0)
+        v = weak_convergence_check(seq_a, seq_b, fam, gap=gap, tol=tol)
+        row = v.rows[0]
+        excess = row.mu_a_r - row.mu_b_inflated - tol * max(abs(row.mu_b_inflated), 0.05)
+        assert defect * math.pi * (radius + gap) ** 2 < excess < defect
+        assert row.slack_ab > 0 and not v.passed
+
 
 class TestSingularMass:
     def test_smooth_field_zero_within_band(self, unit_disk_64):
@@ -160,9 +236,15 @@ class TestSingularMass:
     def test_1d_atom_sqrt2(self, interval_100):
         grid, mask = interval_100
         u = sample_function(lambda p: np.abs(p[:, 0]), grid, mask)
-        res = interface_singular_mass(u, {"point": 0.0}, widths=[0.1, 0.2, 0.3])
+        res = interface_singular_mass(u, {"point": 0.0}, widths=[0.1, 0.3, 0.2])
         assert abs(res.mass - math.sqrt(2)) <= 0.01 * math.sqrt(2)
         assert res.converged
+        # widest first, the order extrapolate takes
+        assert [w for w, _ in res.samples] == [0.3, 0.2, 0.1]
+        masses = [m for _, m in res.samples]
+        mass, band = extrapolate([0.3, 0.2, 0.1], masses, 2)
+        assert res.mass == mass
+        assert res.band == band + 1e-9 * (1.0 + max(abs(m) for m in masses))
 
     def test_uc_ring_mass_zero(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.5), 128)
