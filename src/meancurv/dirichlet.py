@@ -23,6 +23,7 @@ from .field import (
     Grid,
     ScalarField,
     SizingError,
+    _convolve_same,
     ball_distances,
     cell_values,
     circle_points,
@@ -168,9 +169,8 @@ def mollify_measure(nu: MeasureSpec, eps: float, mask: DomainMask) -> ScalarFiel
     h = grid.h
     nu.validate(mask)
     w = mollifier_kernel(grid.n, h, eps)
-    from scipy import signal
     dens = nu.density_values(mask)
-    out = signal.fftconvolve(dens, w, mode="same") if dens.any() else np.zeros(grid.shape)
+    out = _convolve_same(dens, w) if dens.any() else np.zeros(grid.shape)
     for pts, masses in nu.sample_parts(grid.h):
         out += _spread_points(grid, pts, masses, eps, w.shape[0] // 2)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft as sp_fft, ndimage
 
 NEG_INF = float("-inf")
 
@@ -438,21 +438,68 @@ def mollifier_kernel(n: int, h: float, eps: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _convolve_same(a: np.ndarray, w: np.ndarray, where=True) -> np.ndarray:
+    """``signal.fftconvolve(a, w, mode="same")`` bit for bit, with ``a`` read
+    as 0 off ``where``, for a grid array and a kernel of as many axes.
+
+    The same real transforms at the same fast shape.  The values' spectrum
+    comes first; the kernel's is made as ``rfftn`` makes it, a real
+    transform along the last axis and then complex ones along the others,
+    but padded only after the first, so the call never holds a padded real
+    buffer beside two spectra.  The product is formed in place and inverted
+    over itself.
+    """
+    full = [s1 + s2 - 1 for s1, s2 in zip(a.shape, w.shape)]
+    fshape = [sp_fft.next_fast_len(s, True) for s in full]
+    padded = np.zeros(fshape)
+    np.copyto(padded[tuple(slice(s) for s in a.shape)], a, where=where)
+    spec = sp_fft.rfftn(padded)
+    del padded
+    kernel = sp_fft.rfft(w, fshape[-1])
+    for axis in range(w.ndim - 1):
+        kernel = sp_fft.fft(kernel, fshape[axis], axis=axis, overwrite_x=True)
+    spec *= kernel
+    del kernel
+    out = sp_fft.irfftn(spec, fshape, overwrite_x=True)
+    del spec
+    return out[tuple(slice((f - s) // 2, (f - s) // 2 + s) for f, s in zip(full, a.shape))].copy()
+
+
+def _support_defined(finite: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cells every offset of whose kernel support (w > 0) lands on the array
+    on a finite cell.  The bump is odd, square and radial, so each support
+    row is one centred run: a per-row prefix count of the off-array and
+    non-finite cells decides each row in integers."""
+    ok, w2 = np.atleast_2d(finite, w)
+    kr, kc = w2.shape[0] // 2, w2.shape[1] // 2
+    rows, cols = ok.shape
+    bad = np.pad(~ok, ((kr, kr), (kc, kc)), constant_values=True)
+    count = np.zeros((bad.shape[0], bad.shape[1] + 1), dtype=np.int32)
+    np.cumsum(bad, axis=1, dtype=np.int32, out=count[:, 1:])
+    del bad
+    defined = np.ones(ok.shape, dtype=bool)
+    for d, run in enumerate(np.count_nonzero(w2 > 0, axis=1)):
+        if run:
+            r, band = run // 2, count[d:d + rows]
+            defined &= band[:, kc + r + 1:kc + r + 1 + cols] == band[:, kc - r:kc - r + cols]
+    return defined.reshape(finite.shape)
+
+
 def mollify_field(u: ScalarField, eps: float) -> ScalarField:
     """Discrete convolution with the unit-mass bump kernel at scale eps.
 
-    The evaluation region shrinks by eps: output cells whose kernel support
-    touches an undefined or -inf cell are undefined.
+    The evaluation region shrinks by eps: a cell is defined exactly when
+    every cell of the kernel's support (w > 0) around it is on the array and
+    finite, and there the value is the convolution of the finite values.
+    One real-FFT convolution and an integer support count give the same
+    bits as the earlier two full-grid ``fftconvolve`` calls, the second of
+    which rounded a float convolution of the finite cells' indicator.
     """
     grid = u.grid
     w = mollifier_kernel(grid.n, grid.h, eps)
     finite = u.finite
-    filled = np.where(finite, u.values, 0.0)
-    support = (w > 0).astype(float)
-    conv = signal.fftconvolve(filled, w, mode="same")
-    cover = signal.fftconvolve(finite.astype(float), support, mode="same")
-    valid = np.round(cover) >= support.sum() - 0.5
-    out = np.where(valid, conv, np.nan)
+    out = _convolve_same(u.values, w, finite)
+    out[~_support_defined(finite, w)] = np.nan
     return ScalarField(grid=grid, values=out, provenance="mollified", extended=False)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -54,6 +55,22 @@ def calls_to(name):
 
     with mock.patch.object(msolve, name, counted):
         yield lambda: len(calls)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of its traced allocations (numpy's data
+    included) above those live at the call, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

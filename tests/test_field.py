@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from meancurv import (
     DiscreteSet,
@@ -27,6 +28,7 @@ from meancurv.field import (
     LEVEL,
     TOL_ISO,
     WALL,
+    _convolve_same,
     _dist_to,
     cell_values,
     interface_segments,
@@ -36,7 +38,7 @@ from meancurv.field import (
 from meancurv.dirichlet import MeasureSpec
 from meancurv.msolve import minimize_prescribed_mc, solve_dirichlet
 
-from conftest import cone_formula
+from conftest import cone_formula, traced_peak
 
 
 class TestMakeGrid:
@@ -294,6 +296,62 @@ class TestMollify:
         out = mollify_field(cone_64, 0.1)
         assert int(out.defined.sum()) < int(cone_64.defined.sum())
         assert out.provenance == "mollified"
+
+    @pytest.mark.parametrize("shape", [(37,), (64,), (37, 41), (64, 50), (33, 64)])
+    @pytest.mark.parametrize("scale", [2.0, 3.7, 6.0, 9.0])
+    def test_convolve_same_is_fftconvolve(self, shape, scale):
+        # the values' spectrum times the kernel's, in fftconvolve's order
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1] + int(10 * scale))
+        a = rng.normal(size=shape)
+        w = mollifier_kernel(len(shape), 0.05, 0.05 * scale)
+        assert np.array_equal(_convolve_same(a, w), signal.fftconvolve(a, w, mode="same"))
+        where = rng.random(shape) > 0.2
+        a[~where] = np.nan
+        assert np.array_equal(_convolve_same(a, w, where),
+                              signal.fftconvolve(np.where(where, a, 0.0), w, mode="same"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(extents=st.one_of(st.tuples(st.integers(3, 30)),
+                             st.tuples(st.integers(3, 14), st.integers(3, 14))),
+           scale=st.one_of(st.floats(2.0, 4.0), st.sampled_from([2.0, 3.0])),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_domain_rule_against_brute_force(self, extents, scale, seed):
+        # a cell is defined exactly when every offset of the support (w > 0)
+        # lands on the array on a finite value; there it is the convolution
+        # of the zero-filled values.  At scale 2 and 3 the kernel's outer
+        # rows and columns are 0 and lie outside the support.
+        n, h = len(extents), 0.1
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=extents)
+        values[rng.random(extents) < 0.04] = np.nan
+        values[rng.random(extents) < 0.04] = NEG_INF
+        grid = Grid(n=n, h=h, extents=extents, origin=(0.0,) * n)
+        out = mollify_field(ScalarField(grid=grid, values=values, provenance="sampled",
+                                        extended=True), h * scale)
+        w = mollifier_kernel(n, h, h * scale)
+        offsets = np.argwhere(w > 0) - w.shape[0] // 2
+        finite = np.isfinite(values)
+        defined = np.zeros(extents, dtype=bool)
+        for cell in np.ndindex(*extents):
+            at = np.asarray(cell) + offsets
+            defined[cell] = (((at >= 0) & (at < extents)).all()
+                             and finite[tuple(at.T)].all())
+        assert np.array_equal(out.defined, defined)
+        conv = _convolve_same(np.where(finite, values, 0.0), w)
+        assert np.array_equal(out.values[defined], conv[defined])
+
+    def test_working_set(self):
+        # one mollify of the 517^2 cone at eps 0.06, in units of one float64
+        # grid array: two spectra, or one spectrum and a padded real buffer,
+        # read 2.7; padding the kernel to a real buffer beside both spectra
+        # read 3.9, and two full-grid fftconvolve calls with their rounded
+        # cover 8.1
+        grid, mask = make_grid(ShapeSpec.disk((0.0, 0.0), 1.0), 256)
+        cone = sample_function(cone_formula, grid, mask)
+        unit = 8 * cone.values.size
+        out, peak = traced_peak(lambda: mollify_field(cone, 0.06))
+        assert grid.shape == (517, 517) and out.defined.any()
+        assert peak < 3.5 * unit, peak / unit
 
 
 class TestSuperlevelSet:

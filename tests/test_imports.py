@@ -1,10 +1,14 @@
 """Every name a ``meancurv`` module imports is used in that module, every
 name it defines is referenced somewhere in the repository, the package's
-modules import each other at their top level only and without a cycle, and
-every module stays below the parser's token limit."""
+modules import each other at their top level only and without a cycle,
+every module stays below the parser's token limit, and importing the package
+loads no ``scipy.signal``."""
 
 import ast
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -197,3 +201,13 @@ def test_token_counter_skips_comments_and_blank_lines():
 def test_every_module_is_below_the_token_limit():
     counts = {path.name: parser_tokens(path.read_text()) for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n >= TOKEN_LIMIT} == {}
+
+
+def test_import_loads_no_scipy_signal():
+    # scipy.signal was half of the package's import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, meancurv; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

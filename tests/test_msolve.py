@@ -28,7 +28,7 @@ from meancurv.msolve import (
     solve_dirichlet,
 )
 
-from conftest import calls_to, hemisphere_formula, plan_builds
+from conftest import calls_to, hemisphere_formula, plan_builds, traced_peak
 
 
 def scherk(p):
@@ -1193,22 +1193,6 @@ def window_start(h, unknown, fixed, V):
     Vx = np.concatenate([np.where(fix, V[win], np.nan).ravel(), (np.nan, 0.0)])
     Vx[plan.unknowns] = msolve._harmonic_extension(Vx, h, plan)
     return win, Vx[:-2].reshape(unk.shape)
-
-
-def traced_peak(fn):
-    """``fn()`` and the peak of its traced allocations (numpy's data
-    included) above those live at the call, in bytes."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
