@@ -241,6 +241,10 @@ class ExperimentConfig:
                 job["balls"] = (int(balls.get("count", 6)),
                                 float(balls["r_min"]) if "r_min" in balls else None,
                                 float(balls.get("r_max", 0.3)))
+                count, r_min, r_max = job["balls"]
+                if count < 1 or not (r_min is None or r_min <= r_max):
+                    raise ConfigError(f"a ball draw needs a count of at least 1 and "
+                                      f"r_min <= r_max, got {balls!r}")
         elif kind == "harnack":
             family = params.get("family", [{"name": "boundary_peak", "M": m} for m in (2, 4, 8)])
             if not (isinstance(family, list) and family):

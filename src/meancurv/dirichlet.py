@@ -47,7 +47,6 @@ class AtomRejectionError(ValueError):
 class CurveSpec:
     """Codimension-1 measure part: a circle with constant linear density."""
 
-    kind: str
     center: tuple
     radius: float
     lam: float
@@ -58,8 +57,8 @@ class CurveSpec:
             raise ValueError("linear density must be nonnegative")
         if not radius > 0:
             raise ValueError(f"circle radius must be positive, got {radius}")
-        return CurveSpec(kind="circle", center=tuple(map(float, center)),
-                         radius=float(radius), lam=float(lam))
+        return CurveSpec(center=tuple(map(float, center)), radius=float(radius),
+                         lam=float(lam))
 
     def total_mass(self) -> float:
         return self.lam * 2.0 * math.pi * self.radius
@@ -224,12 +223,14 @@ class AdmissibilityReport:
     min_margin: float
 
 
-def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable],
-                           samples: int = 64) -> AdmissibilityReport:
+def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable]
+                           ) -> AdmissibilityReport:
     """Margin of the boundary curvature over n/(n-1) times the density.
 
     f is None (zero), a number, or a callable of the (k, n) sample points
-    that must return k values (ValueError otherwise).  Shapes without a
+    that must return k values (ValueError otherwise).  The samples are the
+    two ends of an interval, 64 points of a disk's circle, and 32 angles of
+    an annulus with a point on each of its circles.  Shapes without a
     closed-form boundary curvature are refused.  For an
     annulus the inner circle contributes negative curvature (it bends away
     from the domain), so a positive density there always fails.
@@ -241,10 +242,10 @@ def boundary_admissibility(mask: DomainMask, f: Union[None, float, Callable],
         pts = np.asarray(shape.bounds, dtype=float)[:, None]
         curv = np.zeros(2)
     elif shape.kind == "disk":
-        pts = circle_points(shape.center, shape.radius, samples)
-        curv = np.full(samples, 1.0 / shape.radius)
+        pts = circle_points(shape.center, shape.radius, 64)
+        curv = np.full(64, 1.0 / shape.radius)
     elif shape.kind == "annulus":
-        half = max(samples // 2, 8)
+        half = 32
         # an outer and an inner sample at each angle, in turn
         pts = np.stack([circle_points(shape.center, shape.radius, half),
                         circle_points(shape.center, shape.inner_radius, half)],

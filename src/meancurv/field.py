@@ -13,6 +13,7 @@ reaches the grid through one evaluator, ``cell_values``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -153,14 +154,12 @@ class Grid:
     def axis_centers(self, k: int) -> np.ndarray:
         return self.origin[k] + self.h * np.arange(self.extents[k])
 
-    def meshgrid(self):
-        return np.meshgrid(*(self.axis_centers(k) for k in range(self.n)), indexing="ij")
-
     def points(self) -> np.ndarray:
         """All cell centers, shape extents + (n,); cached, do not mutate."""
         cached = self.__dict__.get("_points")
         if cached is None:
-            cached = np.stack(self.meshgrid(), axis=-1)
+            cached = np.stack(np.meshgrid(*(self.axis_centers(k) for k in range(self.n)),
+                                          indexing="ij"), axis=-1)
             self.__dict__["_points"] = cached
         return cached
 
@@ -224,9 +223,7 @@ class DomainMask:
         labels, count = ndimage.label(self.interior)
         if count != 1:
             raise SizingError(f"interior is not connected ({count} components)")
-        grown = ndimage.binary_dilation(
-            self.interior, structure=np.ones((3,) * self.grid.n, bool))
-        if not ((grown & ~self.interior) == self.boundary).all():
+        if not (_ring(self.interior) == self.boundary).all():
             raise ValueError("boundary layer is not the exterior-adjacent layer")
 
 
@@ -326,11 +323,10 @@ class ScalarField:
         """How many cells of the region carry no defined value."""
         return int((region & ~self.defined).sum())
 
-    def with_values(self, values: np.ndarray, provenance: Optional[str] = None,
-                    extended: Optional[bool] = None) -> "ScalarField":
+    def with_values(self, values: np.ndarray) -> "ScalarField":
+        """A copy of ``values`` as a field of this grid, provenance and extension."""
         return ScalarField(grid=self.grid, values=np.asarray(values, float).copy(),
-                           provenance=provenance or self.provenance,
-                           extended=self.extended if extended is None else extended)
+                           provenance=self.provenance, extended=self.extended)
 
     def require_finite(self, where: np.ndarray, context: str) -> None:
         bad = where & ~self.finite
@@ -564,7 +560,6 @@ class DiscreteSet:
 
     grid: Grid
     member: np.ndarray
-    mask: DomainMask
     clip: Optional[tuple] = None          # (center tuple, radius)
     level_source: Optional[tuple] = None  # (values array, threshold)
     _geometry: Optional[SetGeometry] = None
@@ -620,8 +615,7 @@ def superlevel_set(u: ScalarField, mask: DomainMask, t: float,
             inside[win] = dist < r
         member &= inside
         clip = (tuple(center), float(r))
-    return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip,
-                       level_source=(u.values, float(t)))
+    return DiscreteSet(grid=grid, member=member, clip=clip, level_source=(u.values, float(t)))
 
 
 def _shape_center(shape: ShapeSpec):
@@ -679,6 +673,27 @@ def ball_distances(grid: Grid, center, radius: float, margin: int = 1) -> tuple:
     win = box_window(grid, [c - radius for c in center], [c + radius for c in center],
                      margin)
     return win, _dist_to(grid.points()[win], center)
+
+
+def _summed_area(values: np.ndarray) -> np.ndarray:
+    """Table S with S[i, j] = values[:i, :j].sum() (S[i] = values[:i].sum() in 1d)."""
+    acc = values
+    for axis in range(values.ndim):
+        acc = np.cumsum(acc, axis=axis)
+    table = np.zeros(tuple(k + 1 for k in values.shape), dtype=acc.dtype)
+    table[(slice(1, None),) * values.ndim] = acc
+    return table
+
+
+def _box_sum(sat: np.ndarray, lo: tuple, hi: tuple):
+    """Sums over the boxes of cells lo[k]..hi[k] along each axis k (arrays
+    broadcast) from a summed-area table: its 2^n corners added and
+    subtracted in turn, the first axis switching fastest."""
+    total = 0
+    for below in itertools.product((False, True), repeat=len(lo)):
+        term = sat[tuple(s if low else e + 1 for s, e, low in zip(lo, hi, below[::-1]))]
+        total = total - term if sum(below) % 2 else total + term
+    return total
 
 
 def isoperimetric_floor(s: DiscreteSet) -> float:

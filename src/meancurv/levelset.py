@@ -17,7 +17,6 @@ members of perimeter <= 0 are excluded and counted.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -31,15 +30,18 @@ from .field import (
     DomainMask,
     ScalarField,
     SizingError,
+    _box_sum,
+    _summed_area,
     ball_distances,
     circle_points,
     superlevel_set,
 )
-from .mco import face_gradients, face_sides
+from .mco import central_differences, face_gradients, face_sides
 
 
-#: default threshold parameter for the steep-gradient interface fraction
 def default_delta(n: int) -> float:
+    """delta = 4^-n, the threshold parameter of the steep-gradient interface
+    fraction in n dimensions."""
     return 4.0 ** (-n)
 
 
@@ -62,12 +64,12 @@ class LevelSetStats:
     ambiguous: bool = False     # interface ran through near-flat gradient cells
 
 
-def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float,
-                     delta: Optional[float] = None, center=None) -> LevelSetStats:
-    """Geometry of the superlevel set of u above t clipped to the r-ball."""
-    n = u.grid.n
-    delta = default_delta(n) if delta is None else float(delta)
-    s = superlevel_set(u, mask, t, r=r, center=center)
+def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float) -> LevelSetStats:
+    """Geometry of the superlevel set of u above t clipped to the r-ball about
+    the domain's centre; the steep fraction takes delta = 4^-n
+    (``default_delta``)."""
+    delta = default_delta(u.grid.n)
+    s = superlevel_set(u, mask, t, r=r)
     if s.is_empty():
         return LevelSetStats(r=r, t=t, volume=0.0, gamma_int=0.0, gamma_bdy=0.0,
                              rho=0.0, ratio_bdy_int=float("nan"), steep_fraction=0.0,
@@ -84,43 +86,34 @@ def level_set_report(u: ScalarField, mask: DomainMask, r: float, t: float,
 
 def _interp_gradient(u: ScalarField, points: np.ndarray) -> np.ndarray:
     """|Du| at points (k, n) by bilinear interpolation of the central
-    differences of ``mco.cell_gradients``, taken at the cells read only."""
-    grid, v = u.grid, u.values
-
-    def derivative(a):
-        def at(cell):
-            # NaN, as in cell_gradients, at the edge along a and beside non-finite values
-            c, top = cell[a], grid.extents[a] - 1
-            hi, lo = (v[cell[:a] + (np.clip(c + d, 0, top),) + cell[a + 1:]] for d in (1, -1))
-            ok = (c > 0) & (c < top) & np.isfinite(hi) & np.isfinite(lo)
-            return np.where(ok, (hi - lo) / (2 * grid.h), np.nan)
-        return at
-
-    comps = [_bilinear(grid, derivative(a), points) for a in range(grid.n)]
-    return np.hypot(*comps) if grid.n == 2 else np.abs(comps[0])
+    differences of ``mco.central_differences``, taken at the cells read only."""
+    comps = _bilinear(u.grid, lambda cells: central_differences(u, cells), points)
+    return np.hypot(*comps) if u.grid.n == 2 else np.abs(comps[0])
 
 
 def _bilinear(grid, at, points: np.ndarray) -> np.ndarray:
-    """``at(cells)``, cells an index tuple, interpolated at points (k, n) from
-    the corners of their cell blocks, read in one call; a block with undefined
-    values gives the mean of the defined ones, else NaN."""
+    """``at(cells)``, cells an index tuple of shape (corners, k), interpolated
+    at points (k, n) from the corners of their cell blocks, read in one call;
+    a block with undefined values gives the mean of the defined ones, else
+    NaN.  ``at`` may put leading axes before the corners (one per gradient
+    component), which the result keeps."""
     x = (points - np.asarray(grid.origin)) / grid.h
     idx = np.clip(np.floor(x).astype(int), 0, np.asarray(grid.extents) - 2)
     frac = np.clip(x - idx, 0.0, 1.0)
     if grid.n == 1:
         i, f = idx[:, 0], frac[:, 0]
-        a, b = at((np.stack([i, i + 1]),))
+        a, b = np.moveaxis(at((np.stack([i, i + 1]),)), -2, 0)
         return np.where(np.isnan(a), b, np.where(np.isnan(b), a, a * (1 - f) + b * f))
     i, j = idx[:, 0], idx[:, 1]
     fx, fy = frac[:, 0], frac[:, 1]
     block = at((np.stack([i, i, i + 1, i + 1]), np.stack([j, j + 1, j, j + 1])))
     ok = ~np.isnan(block)
     with np.errstate(invalid="ignore"):
-        mean = np.where(ok, block, 0.0).sum(axis=0) / ok.sum(axis=0)
-    b00, b01, b10, b11 = block
+        mean = np.where(ok, block, 0.0).sum(axis=-2) / ok.sum(axis=-2)
+    b00, b01, b10, b11 = np.moveaxis(block, -2, 0)
     full = (b00 * (1 - fx) * (1 - fy) + b10 * fx * (1 - fy)
             + b01 * (1 - fx) * fy + b11 * fx * fy)
-    return np.where(ok.all(axis=0), full, mean)
+    return np.where(ok.all(axis=-2), full, mean)
 
 
 def _steep_interface_fraction(u: ScalarField, s: DiscreteSet, delta: float):
@@ -161,9 +154,10 @@ class CoareaTable:
 
 
 def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
-                   levels: Optional[Sequence[float]] = None,
-                   center=None) -> CoareaTable:
-    """Superlevel volume phi(t), its t-derivative, and the co-area integral.
+                   levels: Optional[Sequence[float]] = None) -> CoareaTable:
+    """Superlevel volume phi(t), its t-derivative, and the co-area integral,
+    with the sets clipped to the r-ball about the domain's centre (unclipped
+    when r is None).
 
     phi' comes from centered differencing on the level grid; the co-area
     integral quadratures 1/|Du| over the level pieces of the reconstructed
@@ -184,7 +178,7 @@ def coarea_profile(u: ScalarField, mask: DomainMask, r: Optional[float] = None,
     integrals = []
     flags = []
     for t in levels:
-        s = superlevel_set(u, mask, float(t), r=r, center=center)
+        s = superlevel_set(u, mask, float(t), r=r)
         phis.append(s.volume)
         if s.is_empty():
             integrals.append(0.0)
@@ -229,21 +223,25 @@ class HarnackReport:
             yield (t, m)
 
 
-def sphere_values(u: ScalarField, r: float, center=None, samples: Optional[int] = None):
-    """Field values interpolated on the sphere of radius r (both points in 1d)."""
+def sphere_values(u: ScalarField, r: float, center=None):
+    """Field values interpolated on the sphere of radius r (both points in
+    1d), and the measure each value stands for; in 2d the circle carries
+    m = max(64, 2 floor(2 pi r / h)) equally spaced samples."""
     grid = u.grid
     if center is None:
         center = (0.0,) * grid.n
     if grid.n == 1:
         pts = np.array([[center[0] - r], [center[0] + r]])
         return _bilinear(grid, u.values.__getitem__, pts), 1.0
-    m = samples or max(64, int(2 * math.pi * r / grid.h) * 2)
+    m = max(64, int(2 * math.pi * r / grid.h) * 2)
     return _bilinear(grid, u.values.__getitem__, circle_points(center, r, m)), 2 * math.pi * r / m
 
 
-def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
-                   levels: Optional[Sequence[float]] = None) -> HarnackReport:
-    """Sup/inf over the half ball and the sphere-measure decay profile.
+def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None) -> HarnackReport:
+    """Sup/inf over the half ball and the sphere-measure decay profile, read
+    on the level grid of ``_psi_levels``: t0 2^(k/4) from 0.9 times the
+    least sphere value to 1.05 times the largest, plus its 0, 2, 98 and 100
+    % quantiles.
 
     Requires a field solved by the Dirichlet solver and positive on the ball.
     """
@@ -254,9 +252,7 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None,
     inf_half = float(in_half.min())
     svals, darc = sphere_values(u, r, center)
     svals = svals[np.isfinite(svals)]
-    if levels is None:
-        levels = _psi_levels(svals)
-    psi = [(float(t), float((svals > t).sum() * darc)) for t in levels]
+    psi = [(float(t), float((svals > t).sum() * darc)) for t in _psi_levels(svals)]
     return HarnackReport(r=r, sup_half=sup_half, inf_half=inf_half,
                          ratio=sup_half / inf_half, psi=psi, center=tuple(center))
 
@@ -464,27 +460,6 @@ def _shell_mass(mass: np.ndarray, mask: DomainMask, center, r_in: float,
     """Mass of the interior cells with r_in < |x - center| < r_out."""
     win, dist = ball_distances(mask.grid, center, r_out)
     return float(mass[win][(dist > r_in) & (dist < r_out) & mask.interior[win]].sum())
-
-
-def _summed_area(values: np.ndarray) -> np.ndarray:
-    """Table S with S[i, j] = values[:i, :j].sum() (S[i] = values[:i].sum() in 1d)."""
-    acc = values
-    for axis in range(values.ndim):
-        acc = np.cumsum(acc, axis=axis)
-    table = np.zeros(tuple(k + 1 for k in values.shape), dtype=acc.dtype)
-    table[(slice(1, None),) * values.ndim] = acc
-    return table
-
-
-def _box_sum(sat: np.ndarray, lo: tuple, hi: tuple):
-    """Sums over the boxes of cells lo[k]..hi[k] along each axis k (arrays
-    broadcast) from a summed-area table: its 2^n corners added and
-    subtracted in turn, the first axis switching fastest."""
-    total = 0
-    for below in itertools.product((False, True), repeat=len(lo)):
-        term = sat[tuple(s if low else e + 1 for s, e, low in zip(lo, hi, below[::-1]))]
-        total = total - term if sum(below) % 2 else total + term
-    return total
 
 
 def _box_blocks(mass: np.ndarray, mask: DomainMask, stride: int):

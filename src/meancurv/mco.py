@@ -141,16 +141,11 @@ def _divergence(faces, h: float) -> np.ndarray:
 
 @dataclass
 class FluxField:
-    """Face fluxes Du/W on the staggered grid; |flux| < 1 on defined faces."""
+    """Face fluxes Du/W on the staggered grid, one array per face axis in
+    ``axes``; |flux| < 1 on defined faces."""
 
     grid: Grid
-    fx: np.ndarray
-    fy: Optional[np.ndarray] = None
-
-    @property
-    def axes(self) -> tuple:
-        """The flux arrays, one per face axis."""
-        return tuple(f for f in (self.fx, self.fy) if f is not None)
+    axes: tuple
 
     def max_magnitude(self) -> float:
         vals = [np.nanmax(np.abs(f)) for f in self.axes if np.isfinite(f).any()]
@@ -159,7 +154,7 @@ class FluxField:
 
 def flux_field(u: ScalarField) -> FluxField:
     faces = face_gradients(u.values, u.grid.h)
-    return FluxField(u.grid, *(f for _, _, _, f in faces))
+    return FluxField(u.grid, tuple(f for _, _, _, f in faces))
 
 
 def h1_density(u: ScalarField) -> ScalarField:
@@ -291,15 +286,24 @@ def enclosed_density_sum(u: ScalarField, interface) -> float:
 # area functional
 
 
+def central_differences(u: ScalarField, cells: tuple) -> np.ndarray:
+    """(u(c + e_a) - u(c - e_a)) / 2h at the cells c of the index tuple
+    ``cells``, one array per axis a stacked first; NaN on the grid's edge
+    along a and beside a non-finite value.  Only the cells' neighbours are read."""
+    grid, v = u.grid, u.values
+    out = []
+    for a in range(grid.n):
+        c, top = cells[a], grid.extents[a] - 1
+        hi, lo = (v[cells[:a] + (np.clip(c + d, 0, top),) + cells[a + 1:]] for d in (1, -1))
+        ok = (c > 0) & (c < top) & np.isfinite(hi) & np.isfinite(lo)
+        with np.errstate(invalid="ignore"):         # -inf beside -inf, masked below
+            out.append(np.where(ok, (hi - lo) / (2 * grid.h), np.nan))
+    return np.stack(out)
+
+
 def cell_gradients(u: ScalarField) -> np.ndarray:
-    """Cell-centered gradient by central differences; NaN where incomplete."""
-    v = np.where(np.isfinite(u.values), u.values, np.nan)
-    n, h = u.grid.n, u.grid.h
-    g = np.full(v.shape + (n,), np.nan)
-    for a in range(n):
-        g[_along(n, a, slice(1, -1)) + (a,)] = (
-            v[_along(n, a, slice(2, None))] - v[_along(n, a, slice(None, -2))]) / (2 * h)
-    return g
+    """``central_differences`` at every cell, the axis last: shape extents + (n,)."""
+    return np.moveaxis(central_differences(u, tuple(np.indices(u.grid.shape))), 0, -1)
 
 
 def _interior_face_count(mask: DomainMask) -> np.ndarray:
@@ -368,8 +372,7 @@ def gradient_bound_report(entries: Sequence[tuple]) -> EnvelopeFit:
     excluded = 0
     for fld, point, r in entries:
         idx = tuple(fld.grid.nearest_cells(point))
-        grads = cell_gradients(fld)
-        gnorm = float(np.sqrt(np.nansum(grads[idx] ** 2)))
+        gnorm = float(np.sqrt(np.nansum(central_differences(fld, idx) ** 2)))
         uval = float(fld.values[idx])
         if not np.isfinite(gnorm) or gnorm < 1e-14:
             excluded += 1

@@ -66,14 +66,12 @@ def generate_ball_family(mask: DomainMask, count: int, r_min: float, r_max: floa
     return BallFamily(balls=tuple(balls), gap=gap, seed=seed)
 
 
-def _interface_for(grid_n: int, center, radius):
-    if grid_n == 1:
-        return PairInterface(center[0] - radius, center[0] + radius)
-    return CircleInterface(tuple(center), radius)
-
-
-def ball_flux(u, center, radius) -> float:    # u: a field or its flux_field
-    return boundary_flux(u, _interface_for(u.grid.n, center, radius))
+def ball_flux(u, center, radius) -> float:
+    """Outward flux through the sphere of the ball (its two end points in
+    1d); u is a field or its ``flux_field``."""
+    if u.grid.n == 1:
+        return boundary_flux(u, PairInterface(center[0] - radius, center[0] + radius))
+    return boundary_flux(u, CircleInterface(tuple(center), radius))
 
 
 def ball_fluxes(fields, balls) -> list:
@@ -165,11 +163,14 @@ def ball_measure_table(u_or_sequence, balls) -> BallMeasureTable:
     last-three-term spread as the band, flagging balls whose spread exceeds
     REL_BAND of the reported scale.  A single field is the one-term sequence:
     its mass is its flux (the density integral, by the discrete divergence
-    theorem) with band 0, and a sphere crossing undefined faces raises.
+    theorem) with band 0, and a sphere crossing undefined faces raises.  An
+    empty sequence or ball family raises ValueError.
     """
     fields, defect = _sequence_fields(u_or_sequence)
     if not fields:
         raise ValueError("empty approximating sequence")
+    if not len(balls):
+        raise ValueError("empty ball family: there is no test ball to measure")
     rows = []
     for (center, radius), per in zip(balls, ball_fluxes(fields, balls)):
         mu, spread = extrapolate(None, per, 0)
@@ -209,7 +210,9 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
     For every ball, mass_a(B_r) <= mass_b(B_{r+gap}) within tol (relative)
     plus the larger defect times |B_{r+gap}|, and symmetrically.  Refused
     when the two sequences do not agree in L1, since then they are not
-    approximations of the same field.
+    approximations of the same field.  Every mass is the last term's sphere
+    flux, so only the last terms are measured (an empty ball family raises
+    there).
     """
     fa, defect_a = _sequence_fields(seq_a)
     fb, defect_b = _sequence_fields(seq_b)
@@ -223,8 +226,8 @@ def weak_convergence_check(seq_a, seq_b, balls: BallFamily, gap: float,
                          " sandwich check refused")
     defect = max(defect_a, defect_b)
     spheres = [*balls, *((center, radius + gap) for center, radius in balls)]
-    mu_a = [row.mu for row in ball_measure_table(fa, spheres).rows]
-    mu_b = [row.mu for row in ball_measure_table(fb, spheres).rows]
+    mu_a = [row.mu for row in ball_measure_table(ua, spheres).rows]
+    mu_b = [row.mu for row in ball_measure_table(ub, spheres).rows]
     rows = []
     worst = None
     worst_slack = -np.inf

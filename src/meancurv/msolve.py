@@ -42,7 +42,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as slinalg
 
-from .field import DiscreteSet, DomainMask, ScalarField, UndefinedCellError, cell_values
+from .field import (DiscreteSet, DomainMask, ScalarField, UndefinedCellError, _box_sum,
+                    _summed_area, cell_values)
 from .levelset import SetFamily, eta_margin
 from .mco import _interior_face_count, area_functional, face_formula, face_sides
 
@@ -193,18 +194,19 @@ def _dissection(unk):
     Anal. 10, 1973).  A Newton row couples only its 3^n neighbourhood, so
     the slab separates the halves, and an LU in this order fills in only
     within the nested boxes and their slabs.  All boxes of one level are
-    split at once; a summed-area table counts the unknowns of each half,
+    split at once; a summed-area table (``field._summed_area`` and
+    ``field._box_sum``) counts the unknowns of each half,
     which places every slab without a sort.  A slab lists its cells in C
     order; a 1d window of N cells is taken as an N x 1 window.
     """
     unk2 = unk.reshape(unk.shape + (1,) * (2 - unk.ndim))
     flat = unk2.ravel()
     ny = unk2.shape[1]
-    sat = np.zeros((unk2.shape[0] + 1, ny + 1), np.intp)
-    sat[1:, 1:] = unk2.cumsum(0).cumsum(1)
+    sat = _summed_area(unk2)
 
     def count(lo, hi):
-        return sat[hi[0], hi[1]] - sat[lo[0], hi[1]] - sat[hi[0], lo[1]] + sat[lo[0], lo[1]]
+        """Unknowns in the boxes of cells lo..hi - 1, (2, k) corners."""
+        return _box_sum(sat, tuple(lo), tuple(hi - 1))
 
     out = np.empty(int(sat[-1, -1]), np.intp)
     if not out.size:
@@ -735,7 +737,7 @@ def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
             member = finite & (iterate <= t)     # never empty: it holds vals.min()
             if np.array_equal(member, mask.interior):
                 continue
-            s = DiscreteSet(grid=grid, member=member, mask=mask,
+            s = DiscreteSet(grid=grid, member=member,
                             level_source=(np.where(np.isfinite(iterate),
                                                    t - iterate, -1.0), 0.0))
             per = s.geometry().perimeter

@@ -192,11 +192,15 @@ class TestConfig:
         ("harnack", {"params": {"r": "big"}}, []),
         ("solve", {"params": {"convergence_factor": "x"}}, []),
         ("solve", {}, ["--resolution", "16,x"]),
+        ("measure", {"params": {"balls": {"count": 0}}}, []),
+        ("measure", {"params": {"balls": {"count": -3}}}, []),
+        ("measure", {"params": {"balls": {"r_min": 0.3, "r_max": 0.2}}}, []),
     ], ids=["negative-radius", "hexagon", "resolution-4", "resolution-x", "seed-abc",
             "params-list", "increasing-deltas", "curve-without-lambda", "negative-lambda",
             "atom-on-a-disk", "negative-curve-radius", "curve-on-an-interval",
             "negative-density", "negative-atom-mass",
-            "harnack-r-big", "convergence-factor-x", "cli-resolution-x"])
+            "harnack-r-big", "convergence-factor-x", "cli-resolution-x",
+            "ball-count-0", "ball-count-negative", "ball-radii-reversed"])
     def test_faults_without_a_grid_exit_2_with_nothing_written(self, tmp_path, capsys,
                                                                  kind, change, args):
         raw = dict({"kind": kind, "domain": self.UNIT_DISK, "resolutions": [16]}, **change)

@@ -76,7 +76,7 @@ class TestMakeGrid:
 
     def test_rectangle_full_mask_perimeter(self):
         grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 32)
-        s = DiscreteSet(grid=grid, member=mask.interior.copy(), mask=mask)
+        s = DiscreteSet(grid=grid, member=mask.interior.copy())
         assert abs(s.geometry().perimeter - 4.0) <= 2 * grid.h
 
     def test_degenerate_shape_rejected(self):
@@ -433,7 +433,7 @@ class TestSetGeometry:
         member = np.zeros(grid.shape, bool)
         center = tuple(e // 2 for e in grid.extents)
         member[center] = True
-        s = DiscreteSet(grid=grid, member=member, mask=mask)
+        s = DiscreteSet(grid=grid, member=member)
         assert abs(s.geometry().perimeter - 2 * math.sqrt(2) * grid.h) < 1e-12
 
     def test_isoperimetric_floor_on_smooth_sets(self, unit_disk_64):
@@ -705,7 +705,7 @@ def drawn_sets(draw):
             return superlevel_set(u, mask, t)
         return superlevel_set(u, mask, t, r=clip[1], center=clip[0])
     member = mask.interior & (rng.random(grid.shape) < 0.6)
-    return DiscreteSet(grid=grid, member=member, mask=mask, clip=clip)
+    return DiscreteSet(grid=grid, member=member, clip=clip)
 
 
 class TestInterfaceKernel:
@@ -727,7 +727,7 @@ class TestInterfaceKernel:
 
     def test_wall_only_indicator(self, unit_disk_64):
         grid, mask = unit_disk_64
-        s = DiscreteSet(grid=grid, member=mask.interior.copy(), mask=mask)
+        s = DiscreteSet(grid=grid, member=mask.interior.copy())
         segs = assert_matches_reference(s)
         assert (segs.kind == WALL).all()
         assert s.geometry().wall_length == s.geometry().perimeter
@@ -764,7 +764,7 @@ class TestInterfaceKernel:
         vals = np.abs(rng.normal(size=grid.shape)) * np.where(member, 1.0, -1.0)
         vals[rng.random(grid.shape) < 0.2] *= -1.0
         vals[rng.random(grid.shape) < 0.1] = np.nan
-        s = DiscreteSet(grid=grid, member=member, mask=mask,
+        s = DiscreteSet(grid=grid, member=member,
                         level_source=(vals, 0.0) if level else None,
                         clip=((0.1, -0.2), 0.7) if clip else None)
         segs = assert_matches_reference(s)
@@ -782,7 +782,7 @@ class TestInterfaceKernel:
         member[0] = member[:, -1] = True
         vals = np.abs(rng.normal(size=grid.shape)) * np.where(member, 1.0, -1.0)
         vals[rng.random(grid.shape) < 0.2] *= -1.0
-        s = DiscreteSet(grid=grid, member=member, mask=mask, level_source=(vals, 0.0),
+        s = DiscreteSet(grid=grid, member=member, level_source=(vals, 0.0),
                         clip=((0.5, 0.4), 0.45))
         segs = assert_matches_reference(s)
         assert {LEVEL, CLIP, WALL} <= set(segs.kind.tolist())

@@ -1,8 +1,8 @@
 """Every name a ``meancurv`` module imports is used in that module, every
-name it defines is referenced somewhere in the repository, the package's
-modules import each other at their top level only and without a cycle,
-every module stays below the parser's token limit, and importing the package
-loads no ``scipy.signal``."""
+name it defines is referenced somewhere in the repository, every option it
+defines is set by some call, the package's modules import each other at
+their top level only and without a cycle, every module stays below the
+parser's token limit, and importing the package loads no ``scipy.signal``."""
 
 import ast
 import io
@@ -177,6 +177,91 @@ def test_every_public_name_is_referenced():
     unused = {path.name: sorted(public_definitions(path.read_text()) - used)
               for path in SRC.glob("*.py")}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def defaulted_parameters(source: str) -> dict:
+    """{callee name: {(position, name)}} of the parameters with a default of
+    every function and method that ``source`` defines.  The position is the
+    one a call passes it at (None when keyword-only): a method's ``self`` is
+    not passed, and a class's ``__init__`` is called by the class name."""
+    out = {}
+
+    def visit(scope, cls=None):
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef):
+                visit(node, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in node.decorator_list)
+                skip = int(cls is not None and not static)
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = {(k - skip, p.arg) for k, p in enumerate(positional) if k >= first}
+                params |= {(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None}
+                name = cls if cls is not None and node.name == "__init__" else node.name
+                if params:
+                    out.setdefault(name, set()).update(params)
+                visit(node)
+
+    visit(ast.parse(source))
+    return out
+
+
+def passed_arguments(source: str, into: dict) -> dict:
+    """Adds to ``into`` {callee name: (positions, keywords)} of the calls in
+    ``source``, a callee named by its last attribute.  A starred argument
+    passes every position from its own on (position -k for the k-th), a
+    ``**`` splat every keyword ("**")."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name is None:
+            continue
+        positions, keywords = into.setdefault(name, (set(), set()))
+        for k, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                positions.add(-k - 1)
+                break
+            positions.add(k)
+        keywords |= {kw.arg or "**" for kw in node.keywords}
+    return into
+
+
+def unset_options(module_source: str, calls: dict) -> list:
+    """The defaulted parameters of ``module_source`` that no call in
+    ``calls`` passes, as "callee(parameter)"."""
+    def is_set(name, position, param):
+        positions, keywords = calls.get(name, (set(), set()))
+        if param in keywords or "**" in keywords:
+            return True
+        return position is not None and (position in positions or any(
+            p < 0 and -p - 1 <= position for p in positions))
+
+    return sorted(f"{name}({param})"
+                  for name, params in defaulted_parameters(module_source).items()
+                  for position, param in params if not is_set(name, position, param))
+
+
+def test_detector_finds_an_unset_option():
+    module = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+              "def g(x=0, y=0):\n    pass\ndef k(z=0):\n    pass\n"
+              "class K:\n    def __init__(self, p=1, q=2):\n        pass\n"
+              "    def m(self, r=0, s=0):\n        pass\n"
+              "    @staticmethod\n    def st(t=0, u=0):\n        pass\n")
+    reader = "f(0, 5, c=1)\ng(*args)\nk(**opts)\nK(3)\nK().m(s=1)\nK.st(1)\n"
+    calls = passed_arguments(reader, passed_arguments(module, {}))
+    assert unset_options(module, calls) == ["K(q)", "f(d)", "m(r)", "st(u)"]
+
+
+def test_every_option_is_set_by_some_caller():
+    calls = {}
+    for path in READERS:
+        passed_arguments(path.read_text(), calls)
+    unset = {path.name: unset_options(path.read_text(), calls) for path in MODULES}
+    assert {name: options for name, options in unset.items() if options} == {}
 
 
 # CPython 3.11's parser holds a module's tokens in an array that doubles when

@@ -213,6 +213,34 @@ class TestSubharmonicCheck:
         # with the default options both balls converge and pass
         assert viscosity_subharmonic_check(u, mask, balls).overall_pass
 
+    @pytest.mark.parametrize("formula, passes", [
+        (lambda p: -(p ** 2).sum(axis=1), False), (cone_formula, True)],
+        ids=["concave", "cone"])
+    def test_check_reads_the_public_ball_solve(self, unit_disk_64, formula, passes):
+        # each violation is the max over the ball's interior cells of u minus
+        # solve_on_ball's replacement, and each tolerance 10 h^2 (1 + max|Du|^2)
+        # over the interior cells within 2h of the ball
+        from meancurv.mco import cell_gradients
+        from meancurv.perron import solve_on_ball
+        grid, mask = unit_disk_64
+        u = sample_function(formula, grid, mask)
+        rep = viscosity_subharmonic_check(u, mask, self.BALLS)
+        pts = grid.points()
+        grads = cell_gradients(u)
+        g2 = np.nansum(grads * grads, axis=-1)
+        tols = []
+        for check, (center, radius) in zip(rep.balls, self.BALLS):
+            dist = np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
+            ball = mask.interior & (dist < radius)
+            replaced = solve_on_ball(u, mask, center, radius).field.values
+            assert not check.inconclusive
+            assert check.violation == (u.values - replaced)[ball].max()
+            tols.append(10 * grid.h ** 2
+                        * (1 + g2[mask.interior & (dist < radius + 2 * grid.h)].max()))
+            assert check.passed == (check.violation <= tols[-1]) == passes
+        assert rep.tol == pytest.approx(max(tols), rel=1e-12)
+        assert rep.overall_pass == passes
+
     def test_solved_field_is_fixed_point(self, unit_disk_64):
         from meancurv.msolve import solve_dirichlet
         grid, mask = unit_disk_64

@@ -198,6 +198,14 @@ class TestWeakConvergence:
         assert v.passed
         assert v.l1_gap == 0.0
 
+    def test_empty_ball_family_is_named(self, cone_64):
+        seq = direct_mollified_sequence(cone_64, [0.1])
+        empty = BallFamily(balls=(), gap=0.0, seed=0)
+        for check in (lambda: ball_measure_table(seq, empty),
+                      lambda: weak_convergence_check(seq, seq, empty, gap=0.05, tol=0.03)):
+            with pytest.raises(ValueError, match="empty ball family"):
+                check()
+
     def test_disagreeing_sequences_refused(self, cone_64, unit_disk_64):
         grid, mask = unit_disk_64
         seq_a = direct_mollified_sequence(cone_64, [0.1])
