@@ -39,7 +39,6 @@ from .dirichlet import (
     boundary_admissibility,
     solve_measure_dirichlet,
 )
-from .tables import write_ball_measure_table, write_csv
 
 
 class ConfigError(ValueError):
@@ -131,6 +130,22 @@ def _ball_family(balls, seed: int) -> BallFamily:
 # experiment plumbing
 
 
+def format_value(v) -> str:
+    """A float, NumPy's included, as the repr of the Python float, a NumPy
+    integer as the Python int, anything else as str."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(int(v) if isinstance(v, np.integer) else v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Plain CSV: '.' decimal, LF line endings, one header row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(v) for v in row) + "\n")
+
+
 @dataclass
 class Assertion:
     name: str
@@ -209,6 +224,8 @@ class ExperimentConfig:
         if kind not in ("verify", "report"):
             if not all(type(r) is int and r >= 8 for r in res):
                 raise ConfigError(f"resolutions must be integers >= 8, got {res!r}")
+            if kind in ("harnack", "dirichlet") and len(res) > 1:
+                raise ConfigError(f"a {kind} run reads one resolution, got {res!r}")
             shape = ShapeSpec.from_json(d["domain"])
         if kind == "solve":
             job = {"f": data(params.get("f")), "phi": data(params.get("phi", 0.0)),
@@ -369,7 +386,8 @@ def _run_perron(config: ExperimentConfig, out_dir: Path):
             path = out_dir / f"sweep_res{res}_j{j}.csv"
             write_csv(path, ["index", *(f"c{k}" for k in range(grid.n)),
                              "max_increase", "iters"],
-                      trace.to_csv_rows())
+                      [(r.index, *r.center, r.max_increase, r.iterations)
+                       for r in trace.records])
             outputs.append(path.name)
             assertions.append(Assertion(
                 f"monotone_res{res}_j{j}",
@@ -399,7 +417,9 @@ def _run_measure(config: ExperimentConfig, out_dir: Path):
                 seed=config.seed, margin=max(job["eps_list"]) + 4 * grid.h)
         tab = ball_measure_table(seq, balls)
         path = out_dir / f"measure_res{res}.csv"
-        write_ball_measure_table(path, tab)
+        write_csv(path, ["center_x", "center_y", "r", "mu", "method", "band"],
+                  [(r.center[0], r.center[1] if len(r.center) > 1 else 0.0, r.radius, r.mu,
+                    tab.method, r.band) for r in tab.rows])
         outputs.append(path.name)
         if job["law"] == "cone":
             worst = max(abs(row.mu - math.sqrt(2) * math.pi * row.radius)
@@ -419,7 +439,7 @@ def _run_harnack(config: ExperimentConfig, out_dir: Path):
         rows.append((k, json.dumps(phi_spec, sort_keys=True), rep.sup_half,
                      rep.inf_half, rep.ratio))
         psi_path = out_dir / f"psi_{k}.csv"
-        write_csv(psi_path, ["t", "sphere_measure"], rep.to_csv_rows())
+        write_csv(psi_path, ["t", "sphere_measure"], rep.psi)
         outputs.append(psi_path.name)
         ratios.append(rep.ratio)
     write_csv(out_dir / "harnack_ratios.csv",
@@ -442,7 +462,9 @@ def _run_dirichlet(config: ExperimentConfig, out_dir: Path):
                                      opts=config.opts, validate_balls=job["balls"])
     write_csv(out_dir / "stages.csv",
               ["delta", "eps", "iters", "residual", "min_u", "max_u",
-               "monotonicity_violations"], result.to_csv_rows())
+               "monotonicity_violations"],
+              [(s.delta, s.eps, s.iterations, s.residual, s.min_u, s.max_u,
+                s.monotonicity_violations) for s in result.stages])
     outputs += ["stages.csv", *(p.name for p in result.field.save(out_dir / "limit_field.json"))]
     assertions.append(Assertion("pipeline_converged", result.converged,
                                 result.diagnosis))

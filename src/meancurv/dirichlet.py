@@ -83,23 +83,23 @@ class MeasureSpec:
     density: Union[None, float, Callable, ScalarField] = None
     curves: tuple = ()
     atoms: tuple = ()            # ((x, mass), ...) -- 1d only
-    unsupported_by_theory: bool = False
 
     def validate(self, mask: DomainMask) -> None:
-        n = mask.grid.n
-        if self.atoms and n == 2:
+        """AtomRejectionError for an atom in 2d, then ``check_signs``; the
+        spec is not modified."""
+        if self.atoms and mask.grid.n == 2:
             raise AtomRejectionError(
                 "point masses are not admissible in 2d: balls around the atom "
                 "have perimeter -> 0 while the measure stays positive, so the "
                 "measure/perimeter balance fails")
         self.check_signs()
-        for c in self.curves:
-            sd = float(np.asarray(mask.shape.signed_distance(
-                np.asarray([list(c.center)]))).ravel()[0])
-            if sd - c.radius < 2 * mask.grid.h:
-                # codim-1 support reaching the boundary is outside the
-                # compact-support hypothesis; accepted but tagged
-                self.unsupported_by_theory = True
+
+    def unsupported_by_theory(self, mask: DomainMask) -> bool:
+        """Whether a curve part comes within 2h of the domain's boundary:
+        codim-1 support reaching the boundary is outside the compact-support
+        hypothesis; ``validate`` accepts such a measure and this query tags it."""
+        return any(mask.shape.signed_distance(np.asarray([c.center]))[0] - c.radius
+                   < 2 * mask.grid.h for c in self.curves)
 
     def check_signs(self) -> None:
         """The checks that need no grid: ValueError for a negative atom
@@ -318,11 +318,6 @@ class PipelineResult:
     diagnosis: str
     mass_check: Optional[list] = None   # (center, r, recovered, exact) rows
 
-    def to_csv_rows(self):
-        for s in self.stages:
-            yield (s.delta, s.eps, s.iterations, s.residual, s.min_u, s.max_u,
-                   s.monotonicity_violations)
-
 
 def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
                             schedule: Optional[ContinuationSchedule] = None,
@@ -337,7 +332,8 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
     are counted).  Divergence stops the pipeline and returns the last
     converged stage with a diagnosis; when test balls are supplied the stage
     fluxes are extrapolated in delta (the line through the last two stages,
-    read at delta = 0) and compared against the exact ball masses.
+    read at delta = 0) and compared against the exact ball masses.  Only the
+    fields of those last stages are kept, and only they are measured.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
@@ -346,11 +342,11 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
 
     carry = PlanHolder()   # every stage's plan, and the LU one stage hands the next
     stages = []
-    stage_fields = []
-    prev_field = None
+    fields = []            # the last two converged stages: all the order-1 limit reads
     diagnosis = "completed"
     converged = True
     for delta in schedule.deltas:
+        prev_field = fields[-1] if fields else None
         eps = schedule.eps(delta, grid.h)
         g_eps = mollify_measure(nu, eps, mask)
         rhs = ScalarField(grid=grid,
@@ -375,30 +371,27 @@ def solve_measure_dirichlet(mask: DomainMask, nu: MeasureSpec, phi=0.0,
             diagnosis = ("stage diverged: candidate measure/perimeter balance "
                          "violation (mass too large for the domain boundary)")
             if prev_field is None:
-                stage_fields.append(out.field)
+                fields.append(out.field)
             break
-        prev_field = out.field
-        stage_fields.append(out.field)
+        fields = fields[-1:] + [out.field]
 
-    final = stage_fields[-1]
     gap = 0.0
-    if len(stage_fields) >= 2:
-        a = stage_fields[-2].values
-        b = stage_fields[-1].values
+    if len(fields) == 2:
+        a, b = (f.values for f in fields)
         both = np.isfinite(a) & np.isfinite(b)
         gap = float(np.max(np.abs(b[both] - a[both])))
 
     mass_rows = None
     if validate_balls is not None and converged:
         mass_rows = []
-        deltas = [s.delta for s in stages]
+        deltas = [s.delta for s in stages[-2:]]
         for (center, radius), fluxes in zip(validate_balls,
-                                            ball_fluxes(stage_fields, validate_balls)):
+                                            ball_fluxes(fields, validate_balls)):
             recovered, _ = extrapolate(deltas, fluxes, 1)
             exact = nu.ball_mass(mask, center, radius)
             mass_rows.append((tuple(center), radius, recovered, exact))
 
-    return PipelineResult(field=final, stages=stages, converged=converged,
+    return PipelineResult(field=fields[-1], stages=stages, converged=converged,
                           extrapolation_gap=gap, diagnosis=diagnosis,
                           mass_check=mass_rows)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -562,8 +562,8 @@ class DiscreteSet:
     member: np.ndarray
     clip: Optional[tuple] = None          # (center tuple, radius)
     level_source: Optional[tuple] = None  # (values array, threshold)
-    _geometry: Optional[SetGeometry] = None
-    _segments: Optional[InterfaceSegments] = None
+    _geometry: Optional[SetGeometry] = field(default=None, init=False)
+    _segments: Optional[InterfaceSegments] = field(default=None, init=False)
 
     @property
     def cell_count(self) -> int:

@@ -31,6 +31,7 @@ from .field import (
     ScalarField,
     SizingError,
     _box_sum,
+    _shape_center,
     _summed_area,
     ball_distances,
     circle_points,
@@ -218,18 +219,12 @@ class HarnackReport:
     psi: list                   # (t, sphere measure above t) rows
     center: tuple
 
-    def to_csv_rows(self):
-        for t, m in self.psi:
-            yield (t, m)
 
-
-def sphere_values(u: ScalarField, r: float, center=None):
-    """Field values interpolated on the sphere of radius r (both points in
-    1d), and the measure each value stands for; in 2d the circle carries
-    m = max(64, 2 floor(2 pi r / h)) equally spaced samples."""
+def sphere_values(u: ScalarField, r: float, center):
+    """Field values interpolated on the sphere of radius r about the centre
+    (both points in 1d), and the measure each value stands for; in 2d the
+    circle carries m = max(64, 2 floor(2 pi r / h)) equally spaced samples."""
     grid = u.grid
-    if center is None:
-        center = (0.0,) * grid.n
     if grid.n == 1:
         pts = np.array([[center[0] - r], [center[0] + r]])
         return _bilinear(grid, u.values.__getitem__, pts), 1.0
@@ -238,10 +233,11 @@ def sphere_values(u: ScalarField, r: float, center=None):
 
 
 def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None) -> HarnackReport:
-    """Sup/inf over the half ball and the sphere-measure decay profile, read
-    on the level grid of ``_psi_levels``: t0 2^(k/4) from 0.9 times the
-    least sphere value to 1.05 times the largest, plus its 0, 2, 98 and 100
-    % quantiles.
+    """Sup/inf over the half ball and the sphere-measure decay profile of the
+    r-ball about ``center`` (the domain's centre when None), read on the
+    level grid of ``_psi_levels``: t0 2^(k/4) from 0.9 times the least
+    sphere value to 1.05 times the largest, plus its 0, 2, 98 and 100 %
+    quantiles.
 
     Requires a field solved by the Dirichlet solver and positive on the ball.
     """
@@ -258,8 +254,9 @@ def harnack_report(u: ScalarField, mask: DomainMask, r: float, center=None) -> H
 
 
 def _harnack_ball(u: ScalarField, mask: DomainMask, r: float, center, solved: bool):
-    """The centre (the origin when None) and the values on the defined
-    interior cells of the closed ball and of its closed half ball.  Checks r
+    """The centre (when None the domain's centre, about which
+    ``superlevel_set`` clips too) and the values on the defined interior
+    cells of the closed ball and of its closed half ball.  Checks r
     is positive and finite, then (when ``solved``) the field's provenance,
     then that neither ball is empty (SizingError)."""
     if not 0 < r < math.inf:
@@ -268,7 +265,7 @@ def _harnack_ball(u: ScalarField, mask: DomainMask, r: float, center, solved: bo
         raise ValueError("harnack report expects a solved field "
                          f"(got provenance {u.provenance!r})")
     if center is None:
-        center = (0.0,) * u.grid.n
+        center = _shape_center(mask.shape)
     win, dist = ball_distances(u.grid, center, r)
     vals = u.values[win]
     ball = mask.interior[win] & (dist <= r) & ~np.isnan(vals)
@@ -302,7 +299,8 @@ class WeakHarnackResult:
 
 def weak_harnack_check(u: ScalarField, mask: DomainMask, p: float, r: float,
                        center=None) -> WeakHarnackResult:
-    """Ratio of the half-ball sup to the normalized p-mean of the positive part."""
+    """Ratio of the half-ball sup to the normalized p-mean of the positive
+    part, on the r-ball about ``center`` (the domain's centre when None)."""
     if p <= 0:
         raise ValueError("p must be positive")
     _, in_ball, in_half = _harnack_ball(u, mask, r, center, solved=False)

@@ -43,10 +43,14 @@ class BallFamily:
 def generate_ball_family(mask: DomainMask, count: int, r_min: float, r_max: float,
                          gap: float = 0.0, seed: int = 0,
                          margin: Optional[float] = None) -> BallFamily:
-    """Seeded rejection sampling of balls whose gap-inflations stay inside."""
+    """Seeded rejection sampling of balls whose gap-inflations stay inside;
+    SizingError, before any draw, for r_min below 8h or above r_max."""
     grid = mask.grid
     if r_min < 8 * grid.h - 1e-12:
         raise SizingError(f"ball radii must be >= 8h = {8*grid.h}")
+    if r_min > r_max:
+        raise SizingError(f"a ball draw needs r_min <= r_max, got r_min = {r_min} "
+                          f"above r_max = {r_max}")
     rng = np.random.default_rng(seed)
     margin = 2 * grid.h if margin is None else margin
     pts = grid.points()

@@ -102,7 +102,7 @@ def _residual(Vx: np.ndarray, h: float, f_rows: Optional[np.ndarray], plan: "_Ne
     """Density minus forcing on every unknown row, from the plan's faces only;
     ``f_rows`` None is zero forcing.
 
-    ``Vx`` is the flat window followed by a NaN slot and a zero slot.  The
+    ``Vx`` is the plan's flat window (``_NewtonPlan.flat``).  The
     faces come from ``_faces`` and the divergence adds their fluxes per axis
     in the order of ``mco._divergence``, so a row equals
     ``_divergence(face_gradients(V, h, plan.fallback))`` there minus its
@@ -385,6 +385,17 @@ class _NewtonPlan:
             self.transverse = np.stack([ok[0] * (2 - ok[1]), ok[1] * (2 - ok[0])]).astype(np.int8)
         self.indptr, self.indices, self.table = _csc_pattern(unk, self.unknowns)
 
+    def flat(self, window: Optional[np.ndarray] = None) -> np.ndarray:
+        """The flat window that the plan's indices read, laid out as
+        ``_face_plan`` numbers it: the window's values in C order (all NaN
+        when ``window`` is None), then a NaN slot and a zero slot."""
+        values = np.full(self.shape, np.nan) if window is None else window
+        return np.concatenate([values.ravel(), (np.nan, 0.0)])
+
+    def window(self, Vx: np.ndarray) -> np.ndarray:
+        """The window's values in the flat window ``Vx``, a view."""
+        return Vx[:-2].reshape(self.shape)
+
 
 class PlanHolder:
     """The Newton plans of one solve, sweep or continuation, and its last
@@ -551,11 +562,10 @@ def _newton_arrays(h: float, n: int, unknown: np.ndarray, fixed: np.ndarray,
         cells = plan.unknowns[plan.penalty_rows]
         pen = {"cells": cells, "phi": penalty["phi"][win].ravel()[cells],
                "length": penalty["length"][win].ravel()[cells], "kappa": penalty["kappa"]}
-    # flat window plus the NaN and zero slots the plan's indices read
-    Vx = np.concatenate([V.ravel(), (np.nan, 0.0)])
-    Vx, info = _newton_core(h, n, plan, Vx, f_rows, pen, opts, carry, init_values is None)
+    Vx, info = _newton_core(h, n, plan, plan.flat(V), f_rows, pen, opts, carry,
+                            init_values is None)
     out = np.full(unknown.shape, np.nan)
-    out[win] = Vx[:-2].reshape(unk.shape)
+    out[win] = plan.window(Vx)
     return out, info
 
 
@@ -689,12 +699,13 @@ def _newton_core(h: float, n: int, plan: _NewtonPlan, Vx: np.ndarray,
     return Vx, info
 
 
-def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
-    """Coarse measure-vs-perimeter margin screen for the minimizer data.
+def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> dict:
+    """Coarse measure-vs-perimeter margin screen for the minimizer data:
+    ``{"eta_star": eta*}``, logged at WARNING when eta* <= 0.
 
     A screen that cannot run (``ScalarField`` or ``eta_margin`` raising
-    ``ValueError``) is logged at WARNING with its reason; any other
-    exception propagates.
+    ``ValueError``) returns ``{"skipped": reason}``, logged at WARNING; any
+    other exception propagates.
     """
     try:
         dens = ScalarField(grid=mask.grid,
@@ -709,6 +720,8 @@ def _warn_if_margin_fails(mask: DomainMask, g_vals: np.ndarray) -> None:
                 rep.eta_star)
     except ValueError as exc:
         logger.warning("measure/perimeter margin screen skipped: %s", exc)
+        return {"skipped": str(exc)}
+    return {"eta_star": rep.eta_star}
 
 
 def _descent_witness(mask: DomainMask, g_vals: np.ndarray, lengths: np.ndarray,
@@ -847,14 +860,16 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     on the last LU of the round before.  A failed harmonic start raises
     RuntimeError.  The diagnostics are the last round's ``info``, except
     ``iterations``, ``factorizations`` (the start's LU included) and
-    ``residual_evals``, summed over the ``rounds`` run.
+    ``residual_evals``, summed over the ``rounds`` run, plus the
+    ``margin_screen`` of ``_warn_if_margin_fails``: its eta* or why it was
+    skipped.
     """
     opts = opts or SolveOptions()
     grid = mask.grid
     phi_vals = cell_values(phi, grid, mask.boundary, "boundary cells of phi")
     g_vals = cell_values(g, grid, mask.interior, "interior cells of the load g")
     kappa = grid.h
-    _warn_if_margin_fails(mask, g_vals)
+    screen = _warn_if_margin_fails(mask, g_vals)
 
     # boundary length element for the stationarity rows: face measure of the
     # discrete boundary (one h^(n-1) per face shared with an interior cell)
@@ -874,8 +889,8 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
     values = phi_vals.copy()
     win = _window(mask.interior, mask.boundary)
     start = carry.plan(mask.interior[win], mask.boundary[win], mask.interior[win])
-    Vx = np.concatenate([values[win].ravel(), (np.nan, 0.0)])
-    values[win].flat[start.unknowns] = _harmonic_extension(Vx, grid.h, start)
+    values[win].flat[start.unknowns] = _harmonic_extension(start.flat(values[win]), grid.h,
+                                                           start)
     info = {}
     counts = {"iterations": 0, "factorizations": 1, "residual_evals": 0}   # the start's LU
     phi_field = ScalarField(grid=grid, values=phi_vals)
@@ -926,6 +941,7 @@ def minimize_prescribed_mc(mask: DomainMask, g=None, phi=0.0,
         "detached_cells": int(detached.sum()),
         "functional": func_trace[-1] if func_trace else float("nan"),
         "stationarity_norm": info.get("residual", float("nan")),
+        "margin_screen": screen,
     })
     return SolveOutcome(field=fld, residual_norm=info.get("residual", float("nan")),
                         iterations=counts["iterations"], converged=info.get("converged", False),

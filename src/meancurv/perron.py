@@ -74,7 +74,7 @@ class _BallRecord:
         self.cells, self.ring = (np.ravel_multi_index(np.nonzero(a), grid_shape)
                                  for a in (unknown, ring))
         self.local, self.ring_local = (np.flatnonzero(a[tight]) for a in (unknown, ring))
-        self.blank = np.append(np.full(unknown[tight].size + 1, np.nan), 0.0)
+        self.blank = self.plan.flat()
         self.corrections = ()
 
 
@@ -386,10 +386,6 @@ class SweepTrace:
     def predicted(self) -> int:
         """Recorded lifts that started from a prediction."""
         return sum(r.predicted for r in self.records)
-
-    def to_csv_rows(self):
-        for r in self.records:
-            yield (r.index, *r.center, r.max_increase, r.iterations)
 
 
 def approximation_sweep(u: ScalarField, mask: DomainMask, level: int,

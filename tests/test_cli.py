@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meancurv import ScalarField, ShapeSpec, make_grid
-from meancurv.cli import (ConfigError, ExperimentConfig, _resample, formula, main,
-                          run_experiment)
-from meancurv.tables import format_value
+from meancurv import ScalarField, ShapeSpec, SizingError, make_grid
+from meancurv.cli import (ConfigError, ExperimentConfig, _resample, format_value, formula,
+                          main, run_experiment)
 
 
 def read_bytes(path: Path) -> bytes:
@@ -60,6 +59,7 @@ class TestConfig:
 
     def test_numpy_scalars_are_written_as_python_numbers(self):
         assert format_value(np.float32(0.1)) == repr(float(np.float32(0.1)))
+        assert format_value(np.float64(0.1)) == "0.1"      # not "np.float64(0.1)"
         assert format_value(np.int64(3)) == "3"
 
     @pytest.mark.parametrize("kind, params", [
@@ -195,12 +195,15 @@ class TestConfig:
         ("measure", {"params": {"balls": {"count": 0}}}, []),
         ("measure", {"params": {"balls": {"count": -3}}}, []),
         ("measure", {"params": {"balls": {"r_min": 0.3, "r_max": 0.2}}}, []),
+        ("harnack", {"resolutions": [16, 32]}, []),
+        ("dirichlet", {}, ["--resolution", "16,32"]),
     ], ids=["negative-radius", "hexagon", "resolution-4", "resolution-x", "seed-abc",
             "params-list", "increasing-deltas", "curve-without-lambda", "negative-lambda",
             "atom-on-a-disk", "negative-curve-radius", "curve-on-an-interval",
             "negative-density", "negative-atom-mass",
             "harnack-r-big", "convergence-factor-x", "cli-resolution-x",
-            "ball-count-0", "ball-count-negative", "ball-radii-reversed"])
+            "ball-count-0", "ball-count-negative", "ball-radii-reversed",
+            "harnack-two-resolutions", "dirichlet-two-resolutions"])
     def test_faults_without_a_grid_exit_2_with_nothing_written(self, tmp_path, capsys,
                                                                  kind, change, args):
         raw = dict({"kind": kind, "domain": self.UNIT_DISK, "resolutions": [16]}, **change)
@@ -349,6 +352,17 @@ class TestMeasureExperiment:
         table = f"measure_res{res}.csv"
         assert read_bytes(tmp_path / "r1" / table) == read_bytes(tmp_path / "r2" / table)
         assert len((tmp_path / "r1" / table).read_text().splitlines()) > 2   # header + balls
+
+    def test_drawn_radii_below_their_floor_are_named(self, tmp_path):
+        # r_min defaults to 10 h = 0.15625 at 64, above r_max: the draw is
+        # refused before it starts, with both radii named
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({
+            "kind": "measure", "domain": TestConfig.UNIT_DISK, "resolutions": [64],
+            "params": {"eps_list": [0.12, 0.06], "balls": {"count": 3, "r_max": 0.1}}}),
+            encoding="utf-8")
+        with pytest.raises(SizingError, match=r"r_min = 0\.15625 above r_max = 0\.1"):
+            main(["measure", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 class TestPerronExperiment:

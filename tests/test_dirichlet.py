@@ -46,7 +46,9 @@ class TestMeasureSpec:
         grid, mask = unit_disk_64
         nu = MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.999, 1.0),))
         nu.validate(mask)
-        assert nu.unsupported_by_theory
+        assert nu.unsupported_by_theory(mask)
+        assert not MeasureSpec(curves=(CurveSpec.circle((0, 0), 0.5, 1.0),)
+                               ).unsupported_by_theory(mask)
 
     def test_nan_density_raises_everywhere(self):
         grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 32)

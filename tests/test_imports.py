@@ -1,8 +1,9 @@
 """Every name a ``meancurv`` module imports is used in that module, every
 name it defines is referenced somewhere in the repository, every option it
-defines is set by some call, the package's modules import each other at
-their top level only and without a cycle, every module stays below the
-parser's token limit, and importing the package loads no ``scipy.signal``."""
+defines (a defaulted parameter or dataclass field) is set by some call, the
+package's modules import each other at their top level only and without a
+cycle, every module stays below the parser's token limit, and importing the
+package loads no ``scipy.signal``."""
 
 import ast
 import io
@@ -209,6 +210,43 @@ def defaulted_parameters(source: str) -> dict:
     return out
 
 
+def callee(node) -> str:
+    """The name a call node's callee goes by: its name or last attribute."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def dataclass_fields(source: str) -> dict:
+    """{class name: {(position, name)}} of the fields with a default of every
+    dataclass that ``source`` defines: the defaulted parameters of its
+    generated ``__init__``.  The position counts the fields before it; a
+    ``ClassVar`` or a field of ``field(init=False)`` is no parameter, and a
+    class that writes its own ``__init__`` has no generated one."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or "dataclass" not in {
+                callee(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}:
+            continue
+        if any(getattr(m, "name", None) == "__init__" for m in node.body):
+            continue
+        position, params = 0, set()
+        for stmt in node.body:
+            if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and (callee(value.func) or "").endswith("field"):
+                # dataclasses.field, whatever name it is imported under
+                keywords = {kw.arg: kw.value for kw in value.keywords}
+                if getattr(keywords.get("init"), "value", True) is False:
+                    continue
+                value = keywords.get("default", keywords.get("default_factory"))
+            if value is not None:
+                params.add((position, stmt.target.id))
+            position += 1
+        if params:
+            out[node.name] = params
+    return out
+
+
 def passed_arguments(source: str, into: dict) -> dict:
     """Adds to ``into`` {callee name: (positions, keywords)} of the calls in
     ``source``, a callee named by its last attribute.  A starred argument
@@ -217,7 +255,7 @@ def passed_arguments(source: str, into: dict) -> dict:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        name = callee(node.func)
         if name is None:
             continue
         positions, keywords = into.setdefault(name, (set(), set()))
@@ -231,8 +269,9 @@ def passed_arguments(source: str, into: dict) -> dict:
 
 
 def unset_options(module_source: str, calls: dict) -> list:
-    """The defaulted parameters of ``module_source`` that no call in
-    ``calls`` passes, as "callee(parameter)"."""
+    """The defaulted parameters and dataclass fields of ``module_source``
+    that no call in ``calls`` passes, as "callee(parameter)"; a field is
+    also set by a keyword of ``dataclasses.replace``."""
     def is_set(name, position, param):
         positions, keywords = calls.get(name, (set(), set()))
         if param in keywords or "**" in keywords:
@@ -240,9 +279,12 @@ def unset_options(module_source: str, calls: dict) -> list:
         return position is not None and (position in positions or any(
             p < 0 and -p - 1 <= position for p in positions))
 
+    fields = dataclass_fields(module_source)
     return sorted(f"{name}({param})"
-                  for name, params in defaulted_parameters(module_source).items()
-                  for position, param in params if not is_set(name, position, param))
+                  for options in (defaulted_parameters(module_source), fields)
+                  for name, params in options.items()
+                  for position, param in params if not is_set(name, position, param)
+                  and not (options is fields and is_set("replace", None, param)))
 
 
 def test_detector_finds_an_unset_option():
@@ -254,6 +296,19 @@ def test_detector_finds_an_unset_option():
     reader = "f(0, 5, c=1)\ng(*args)\nk(**opts)\nK(3)\nK().m(s=1)\nK.st(1)\n"
     calls = passed_arguments(reader, passed_arguments(module, {}))
     assert unset_options(module, calls) == ["K(q)", "f(d)", "m(r)", "st(u)"]
+
+
+def test_detector_finds_an_unset_dataclass_field():
+    module = ("@dataclass\nclass D:\n    a: int\n    b: int = 1\n    c: int = 2\n"
+              "    d: list = field(default_factory=list)\n"
+              "    e: int = field(default=0, init=False)\n    f: int = 3\n"
+              "    g: ClassVar[int] = 4\n    h = 5\n"
+              "@dataclasses.dataclass(frozen=True)\nclass E:\n    x: int = 0\n    y: int = 0\n"
+              "@dataclass\nclass F:\n    z: int = 0\n    def __init__(self):\n        pass\n"
+              "class G:\n    w: int = 0\n")
+    reader = "D(0, 5)\nreplace(d, c=1)\nE(y=2)\n"
+    calls = passed_arguments(reader, passed_arguments(module, {}))
+    assert unset_options(module, calls) == ["D(d)", "D(f)", "E(x)"]
 
 
 def test_every_option_is_set_by_some_caller():

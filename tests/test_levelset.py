@@ -206,6 +206,17 @@ class TestHarnack:
         assert (weak_harnack_check(u, mask, 2.0, 0.5, center=arr)
                 == weak_harnack_check(u, mask, 2.0, 0.5, center=tup))
 
+    def test_default_ball_is_about_the_domain_centre(self):
+        # on [0, 1]^2 the ball is about (0.5, 0.5), not the corner (0, 0)
+        grid, mask = make_grid(ShapeSpec.rectangle(0, 1, 0, 1), 32)
+        u = sample_function(lambda p: 2.0 + p[:, 0] - 0.5 * p[:, 1] ** 2, grid, mask,
+                            provenance="solved")
+        rep = harnack_report(u, mask, 0.4)
+        assert rep.center == (0.5, 0.5)
+        assert rep == harnack_report(u, mask, 0.4, center=(0.5, 0.5))
+        assert weak_harnack_check(u, mask, 2.0, 0.4) == weak_harnack_check(
+            u, mask, 2.0, 0.4, center=(0.5, 0.5))
+
 
 class TestWeakHarnack:
     def test_constant(self):

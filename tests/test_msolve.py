@@ -1000,6 +1000,15 @@ class TestReportedFallbacks:
                 pytest.raises(TypeError, match="bad family"):
             msolve._warn_if_margin_fails(mask, g)
 
+    def test_margin_screen_is_in_the_diagnostics(self):
+        grid, mask = make_grid(ShapeSpec.disk((0, 0), 1.0), 16)
+        g = lambda p: np.full(len(p), 0.5)
+        screen = minimize_prescribed_mc(mask, g=g, phi=0.0).diagnostics["margin_screen"]
+        assert list(screen) == ["eta_star"] and 0.0 < screen["eta_star"] < 1.0
+        with mock.patch.object(msolve, "eta_margin", side_effect=ValueError("no members")):
+            out = minimize_prescribed_mc(mask, g=g, phi=0.0)
+        assert out.diagnostics["margin_screen"] == {"skipped": "no members"}
+
     def test_nan_jacobian_entry_is_reported(self, unit_disk_64):
         grid, mask = unit_disk_64
         fill = msolve._jac_values_2d
